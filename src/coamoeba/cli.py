@@ -9,6 +9,7 @@ violation, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from . import intlinalg as la
 from . import serialize as io
 from .catalog import sixline_discriminant
 from .configuration import gale_dual, validate_a
-from .cycles import build_cycle, contains2, contains_pls3, prisms_d3
+from .cycles import build_cycle, contains2, contains2_exact, contains_pls3, prisms_d3
 from .discriminant import (
     HornKapranovMap,
     log_gauss,
@@ -45,24 +46,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _parse_list(text: str, convert) -> tuple:
+    """Comma-separated literals read by ``convert``; InputError if one fails."""
+    try:
+        return tuple(convert(part.strip()) for part in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot parse {text!r}: {exc}") from exc
+
+
 def _parse_rationals(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part.strip()) for part in text.split(","))
+    return _parse_list(text, Fraction)
 
 
 def _parse_angles(text: str):
     """Angles as comma-separated floats (radians) or exact "a/b*pi" strings."""
     parts = [p.strip() for p in text.split(",")]
-    if all(("pi" in p) or _is_rational(p) for p in parts):
-        exact = tuple(io.parse_pi_string(p) for p in parts)
-        return exact, True
-    return tuple(float(p) for p in parts), False
+    exact = all(("pi" in p) or _is_rational(p) for p in parts)
+    return _parse_list(text, io.parse_pi_string if exact else float), exact
 
 
 def _is_rational(text: str) -> bool:
     try:
         Fraction(text)
         return True
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         return False
 
 
@@ -173,9 +180,7 @@ def _cmd_nondefective(args):
 def _cmd_psi(args):
     config = io.load_config(args.config)
     h = HornKapranovMap(config)
-    point = _parse_rationals(args.point) if args.exact else tuple(
-        complex(p) for p in args.point.split(",")
-    )
+    point = _parse_list(args.point, Fraction if args.exact else complex)
     if args.exact:
         image = psi_exact(h, point)
         payload = {"point": [str(p) for p in point], "psi": [str(v) for v in image]}
@@ -225,8 +230,6 @@ def _cmd_member(args):
     if config.d == 2:
         cycle = build_cycle(config)
         if exact:
-            from .cycles import contains2_exact
-
             inside = contains2_exact(cycle, theta)
         else:
             inside = contains2(cycle, theta, tol=args.tol)
@@ -234,8 +237,6 @@ def _cmd_member(args):
     elif config.d == 3:
         m = Matroid(config)
         prisms = prisms_d3(m)
-        import math
-
         radians = tuple(
             float(t) * math.pi if exact else float(t) for t in theta
         )
@@ -355,7 +356,6 @@ def build_parser() -> _Parser:
     p.add_argument("config")
     p.add_argument("-n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_sample)
 
     p = add("verify", _cmd_verify, help="residue + Gauss roundtrip + prism experiment")
     p.add_argument("config")

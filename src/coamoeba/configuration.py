@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg as la
-from .errors import NoAffineHyperplane, NotSpanning
+from .errors import InvariantError, NoAffineHyperplane, NotSpanning
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,8 @@ def gale_dual(a: PointConfiguration) -> VectorConfiguration:
         raise NoAffineHyperplane("no primitive covector evaluates to 1 on all points")
     kernel = la.integer_kernel(a.matrix)
     b = VectorConfiguration(la.transpose(kernel.matrix()), a.labels)
-    assert all(x == 0 for x in b.row_sum())
+    if any(b.row_sum()):
+        raise InvariantError("Gale dual rows do not sum to zero")
     return b
 
 

@@ -32,10 +32,12 @@ from .discriminant import essential_flacets, require_nondefective
 from .errors import (
     DegenerateZonotope,
     DimensionNot3,
+    InvariantError,
     NonIntegralDegree,
     NonSimplePolygon,
     NonzeroSum,
     ParallelRows,
+    WrongLength,
 )
 from .matroid import Flat, Matroid, merge_parallel
 
@@ -245,7 +247,8 @@ def start_vertices(f: VectorConfiguration) -> list[tuple[Point, la.IntVector]]:
         incoming = (int(v[0] - prev[0]), int(v[1] - prev[1]))
         if incoming in gens:
             out.append((v, incoming))
-    assert len(out) == len(gens)
+    if len(out) != len(gens):
+        raise InvariantError("zonotope lacks a start vertex for some generator")
     return out
 
 
@@ -360,6 +363,11 @@ def build_cycle(b2: VectorConfiguration, strict: bool = False) -> CoamoebaCycle:
 # -- membership -------------------------------------------------------------------
 
 
+def _require_angles(theta, count: int) -> None:
+    if len(theta) != count:
+        raise WrongLength(f"expected {count} angles, got {len(theta)}")
+
+
 def _translates(poly: Polygon, px: float, py: float, pad: float):
     xmin, xmax, ymin, ymax = (float(v) for v in poly.bbox())
     axs = range(math.ceil((xmin - px - pad) / 2), math.floor((xmax - px + pad) / 2) + 1)
@@ -405,6 +413,7 @@ def cycle_distance(cycle: CoamoebaCycle, theta, tol_window: float = 2.0) -> floa
     Zero when the shifted point lies in some 2 pi Z^2 translate of either
     half-coamoeba polygon.
     """
+    _require_angles(theta, 2)
     px = theta[0] / math.pi + cycle.arg_shift_pi[0]
     py = theta[1] / math.pi + cycle.arg_shift_pi[1]
     px -= 2 * math.floor((px + 1) / 2)
@@ -433,6 +442,7 @@ def contains2(cycle: CoamoebaCycle, theta, tol: float = 1e-9) -> bool:
 
 def contains2_exact(cycle: CoamoebaCycle, theta_pi) -> bool:
     """Exact membership for angles given as rational multiples of pi."""
+    _require_angles(theta_pi, 2)
     px = Fraction(theta_pi[0]) + cycle.arg_shift_pi[0]
     py = Fraction(theta_pi[1]) + cycle.arg_shift_pi[1]
     for poly in (cycle.plus, cycle.minus):
@@ -491,6 +501,7 @@ def contains_pls3(prisms, theta, tol: float = 1e-9):
     Returns (found, witness) where witness is the first prism containing the
     point, or None.
     """
+    _require_angles(theta, 3)
     for prism in prisms:
         if contains2(prism.base, _project_theta(prism, theta), tol):
             return True, prism
@@ -499,6 +510,7 @@ def contains_pls3(prisms, theta, tol: float = 1e-9):
 
 def pls3_distance(prisms, theta) -> float:
     """Distance (radians, in the projected 2D charts) to the nearest prism."""
+    _require_angles(theta, 3)
     if not prisms:
         return math.inf
     return min(

@@ -29,8 +29,9 @@ from .errors import (
     NearArrangement,
     OnArrangement,
     SingularPoint,
+    WrongLength,
 )
-from .matroid import Flat, FlagOfFlats, Matroid
+from .matroid import Flat, FlagOfFlats, Matroid, in_span
 from .polynomial import SparsePoly, evaluate_complex, evaluate_exact, partial_derivative
 
 
@@ -58,7 +59,7 @@ def psi_exact(h: HornKapranovMap, y) -> tuple[Fraction, ...]:
     """
     yv = [Fraction(v) for v in y]
     if len(yv) != h.d:
-        raise ValueError("point length must be d")
+        raise WrongLength(f"point has {len(yv)} coordinates, expected {h.d}")
     pairings = []
     for i, row in enumerate(h.b.matrix):
         val = sum(Fraction(c) * x for c, x in zip(row, yv))
@@ -78,6 +79,8 @@ def psi_exact(h: HornKapranovMap, y) -> tuple[Fraction, ...]:
 def psi_complex(h: HornKapranovMap, y, threshold: float = 1e-12) -> tuple[complex, ...]:
     """Floating value of psi; rejects points numerically on the arrangement."""
     yv = [complex(v) for v in y]
+    if len(yv) != h.d:
+        raise WrongLength(f"point has {len(yv)} coordinates, expected {h.d}")
     norm = max(abs(v) for v in yv) or 1.0
     pairings = []
     for i, row in enumerate(h.b.matrix):
@@ -132,13 +135,6 @@ def form_sum(m: Matroid, forms) -> la.IntVector:
     return tuple(sum(c) for c in cols) if forms else (0,) * m.config.d
 
 
-def _in_span(vector, rows) -> bool:
-    if not rows:
-        return not any(vector)
-    r = la.rank_rational(rows)
-    return la.rank_rational(list(rows) + [list(vector)]) == r
-
-
 def non_splitting_flags(m: Matroid) -> list[FlagOfFlats]:
     """Complete flags whose partial form-sums escape every previous span.
 
@@ -158,11 +154,10 @@ def non_splitting_flags(m: Matroid) -> list[FlagOfFlats]:
             results.append(FlagOfFlats(tuple(reversed(chain))))
             return
         prev = chain[-1]
-        prev_rows = [m.config.matrix[i] for i in sorted(prev.forms)]
         for flat in by_corank.get(k + 1, ()):
             if not (flat.forms > prev.forms):
                 continue
-            if _in_span(form_sum(m, flat.forms), prev_rows):
+            if in_span(form_sum(m, flat.forms), prev.space_basis):
                 continue
             extend(chain + [flat])
 

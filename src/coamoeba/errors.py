@@ -80,6 +80,10 @@ class NearArrangement(InputError):
         self.label = label
 
 
+class WrongLength(InputError, ValueError):
+    """A point or angle tuple has the wrong number of coordinates."""
+
+
 class SingularPoint(InputError):
     """All logarithmic partial derivatives vanish; the Gauss map is undefined."""
 

@@ -2,10 +2,9 @@
 
 Sampling draws complex standard normal points per coordinate, rejects those
 within 1e-8 * ||y|| of the hyperplane arrangement, and maps through the
-Horn-Kapranov parameterization and the coordinatewise argument.  Streams are
-derived per chunk as seed + chunk_index, so a parallel run (capped by the
-COAMOEBA_THREADS environment variable) produces bit-identical output to a
-sequential one.
+Horn-Kapranov parameterization and the coordinatewise argument.  Chunks are
+drawn in order, each from its own stream seeded with seed + chunk_index, so
+the first k points for a seed do not depend on how many are requested.
 
 Exact checks walk a fixed small-integer grid: ``residue_check`` reports the
 largest exact value of a candidate defining polynomial on the parameterized
@@ -19,9 +18,6 @@ where the Gauss map is undefined.
 from __future__ import annotations
 
 import itertools
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,16 +50,6 @@ class SampleReport:
     tolerance: float
 
 
-def _thread_count() -> int:
-    env = os.environ.get("COAMOEBA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def _sample_chunk(bmat: np.ndarray, seed: int, chunk_index: int, size: int) -> np.ndarray:
     """Arguments of psi at ``size`` random points, arrangement rejections dropped."""
     rng = np.random.default_rng(seed + chunk_index)
@@ -91,21 +77,9 @@ def sample_coamoeba(m: Matroid, n: int, seed: int) -> np.ndarray:
         return np.empty((0, m.config.d))
     chunks: list[np.ndarray] = []
     total = 0
-    index = 0
-    workers = _thread_count()
     while total < n:
-        batch = list(range(index, index + workers))
-        index += workers
-        if workers == 1:
-            results = [_sample_chunk(bmat, seed, c, _CHUNK) for c in batch]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(lambda c: _sample_chunk(bmat, seed, c, _CHUNK), batch)
-                )
-        for r in results:  # chunk order fixed, so parallelism cannot reorder output
-            chunks.append(r)
-            total += len(r)
+        chunks.append(_sample_chunk(bmat, seed, len(chunks), _CHUNK))
+        total += len(chunks[-1])
     return np.concatenate(chunks)[:n]
 
 

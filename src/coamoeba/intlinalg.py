@@ -1,8 +1,10 @@
 """Exact integer and rational lattice linear algebra.
 
-Matrices are immutable tuples of tuples (row-major).  Integer matrices hold
-Python ints (arbitrary precision); rational elimination uses
-``fractions.Fraction``.  Nothing here ever rounds.
+Matrices are immutable tuples of tuples (row-major) of Python ints
+(arbitrary precision).  Every rank and rational solve runs through one
+fraction-free (Bareiss) echelon routine whose divisions are exact, so
+``fractions.Fraction`` appears only in the final quotients of a solve.
+Nothing here ever rounds.
 
 Conventions fixed once so that every downstream coordinate choice is
 reproducible:
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import NotSaturated
+from .errors import InvariantError, NotSaturated
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -39,10 +41,6 @@ def as_matrix(rows) -> IntMatrix:
 
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zeros(rows: int, cols: int) -> IntMatrix:
-    return tuple((0,) * cols for _ in range(rows))
 
 
 def transpose(m) -> tuple[tuple, ...]:
@@ -76,24 +74,37 @@ def primitive(v: IntVector) -> IntVector:
     return tuple(x // g for x in v) if g else tuple(v)
 
 
-def rank_rational(m) -> int:
-    """Rank over Q by exact fraction-valued Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in m]
+def _echelon(m) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form: (nonzero rows, their pivot columns).
+
+    Bareiss elimination (Math. Comp. 22, 1968): each step divides by the
+    previous pivot, and the division is exact because every entry is a minor
+    of ``m``.  All rows below the pivot are updated, including those with a
+    zero in the pivot column, or a later division would not be exact.
+    """
+    rows = [list(row) for row in m]
     ncols = len(rows[0]) if rows else 0
-    rank = 0
+    pivots: list[int] = []
+    prev = 1
     for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        p = top[col]
+        for i in range(r + 1, len(rows)):
+            a = rows[i][col]
+            rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def rank_rational(m) -> int:
+    """Rank over Q: the number of pivots of the fraction-free echelon form."""
+    return len(_echelon(m)[1])
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -233,7 +244,8 @@ def quotient_projection(ambient_rank: int, sub: LatticeBasis) -> IntMatrix:
     if not sub.vectors:
         return identity(ambient_rank)
     proj = integer_kernel(sub.matrix(), cols=ambient_rank).matrix()
-    assert len(proj) == ambient_rank - len(sub.vectors)
+    if len(proj) != ambient_rank - len(sub.vectors):
+        raise InvariantError("quotient chart has the wrong number of rows")
     return proj
 
 
@@ -241,34 +253,24 @@ def solve_unique_rational(m, v):
     """The unique rational solution x of m @ x = v, or None if inconsistent.
 
     Requires the columns of m to be linearly independent (the solution, when
-    it exists, is then unique).
+    it exists, is then unique).  The augmented matrix is brought to
+    fraction-free echelon form; with D the last pivot, D * x is integral
+    (Cramer's rule), so back-substitution stays in the integers and only the
+    final quotients by D are Fractions.
     """
-    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(m, v)]
     ncols = len(m[0]) if m else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank < ncols:
+    rows, pivots = _echelon([list(row) + [y] for row, y in zip(m, v)])
+    if pivots[:ncols] != list(range(ncols)):
         raise ValueError("columns are not linearly independent")
-    for i in range(rank, len(rows)):
-        if rows[i][-1]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = rows[r][-1]
-    return tuple(x)
+    if ncols in pivots:
+        return None
+    det = rows[ncols - 1][ncols - 1] if ncols else 1
+    y = [0] * ncols
+    for k in reversed(range(ncols)):
+        row = rows[k]
+        rest = sum(row[j] * y[j] for j in range(k + 1, ncols))
+        y[k] = (det * row[-1] - rest) // row[k]
+    return tuple(Fraction(c, det) for c in y)
 
 
 def solve_integer(m, v):

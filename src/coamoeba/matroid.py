@@ -4,9 +4,11 @@ Bases are enumerated by brute force over all rank-sized subsets (the intended
 scale is n <= 16, d <= 6, where exactness and simplicity beat oracle-based
 matroid algorithms).  A flat is stored by its form-set F, the labels whose
 vectors vanish on the subspace L = cap ker(b); its ``corank`` is the rank of
-the span of F, which equals d - dim L.  Connectivity uses the basis-exchange
-graph: vertices are elements, with an edge b -- b' whenever some basis
-through b stays a basis after swapping b for b'.
+the span of F, which equals d - dim L.  Because span(F) is the annihilator
+of L, a vector lies in span(F) exactly when it is orthogonal to a basis of
+L; closure is computed that way, from one integer kernel.  Connectivity
+uses the basis-exchange graph: vertices are elements, with an edge b -- b'
+whenever some basis through b stays a basis after swapping b for b'.
 
 Restriction and contraction follow the hyperplane-arrangement picture:
 ``restrict_to_flat`` produces the images B|_L of the non-vanishing vectors in
@@ -22,7 +24,26 @@ from fractions import Fraction
 
 from . import intlinalg as la
 from .configuration import VectorConfiguration
-from .errors import Disconnected, NotSpanning, ZeroVector
+from .errors import Disconnected, InvariantError, NotSpanning, ZeroVector
+
+
+def in_span(v, space_basis) -> bool:
+    """Is v in the span of the forms vanishing on the subspace with this basis?"""
+    return not any(la.dot(v, k) for k in space_basis)
+
+
+def _parallel_groups(matrix) -> dict[la.IntVector, list[int]]:
+    """Row indices grouped by primitive direction up to sign.
+
+    Each key is the primitive direction of its group's first row, and the
+    groups are in order of first appearance.
+    """
+    groups: dict[la.IntVector, list[int]] = {}
+    for i, row in enumerate(matrix):
+        key = la.primitive(row)
+        neg = tuple(-x for x in key)
+        groups.setdefault(neg if neg in groups else key, []).append(i)
+    return groups
 
 
 @dataclass(frozen=True)
@@ -107,46 +128,24 @@ class Matroid:
     # -- basic structure -----------------------------------------------------
 
     def _parallel_classes(self) -> tuple[frozenset[int], ...]:
-        key_to_class: dict[la.IntVector, list[int]] = {}
-        for i, row in enumerate(self.config.matrix):
-            key = la.primitive(row)
-            neg = tuple(-x for x in key)
-            if neg in key_to_class:
-                key = neg
-            key_to_class.setdefault(key, []).append(i)
-        classes = [frozenset(v) for v in key_to_class.values()]
-        return tuple(sorted(classes, key=min))
+        return tuple(frozenset(v) for v in _parallel_groups(self.config.matrix).values())
 
     def labels_of(self, forms) -> tuple[str, ...]:
         return tuple(self.config.labels[i] for i in sorted(forms))
 
-    def _span_rank(self, forms) -> int:
-        if not forms:
-            return 0
-        return la.rank_rational([self.config.matrix[i] for i in sorted(forms)])
-
-    def make_flat(self, forms) -> Flat:
-        forms = frozenset(forms)
-        rows = [self.config.matrix[i] for i in sorted(forms)]
-        basis = la.integer_kernel(la.as_matrix(rows)).vectors if forms else tuple(
-            la.identity(self.config.d)
-        )
-        return Flat(forms=forms, corank=self._span_rank(forms), space_basis=basis)
-
     def closure(self, forms) -> Flat:
-        """Smallest flat containing ``forms``: all labels inside their span."""
-        forms = frozenset(forms)
-        if not forms:
-            return self.make_flat(frozenset())
+        """Smallest flat containing ``forms``: all labels inside their span.
+
+        The kernel L of the forms depends only on their span, so it is
+        already the closed flat's ``space_basis``.
+        """
+        d = self.config.d
         rows = [self.config.matrix[i] for i in sorted(forms)]
-        r = la.rank_rational(rows)
-        closed = set(forms)
-        for i in range(self.n):
-            if i in closed:
-                continue
-            if la.rank_rational(rows + [self.config.matrix[i]]) == r:
-                closed.add(i)
-        return self.make_flat(frozenset(closed))
+        space = la.integer_kernel(rows, cols=d).vectors
+        closed = frozenset(
+            i for i, row in enumerate(self.config.matrix) if in_span(row, space)
+        )
+        return Flat(forms=closed, corank=d - len(space), space_basis=space)
 
     def flats(self) -> list[Flat]:
         """All flats graded by corank, including the empty set and all of B."""
@@ -208,30 +207,13 @@ class Matroid:
         self._connected = len(seen) == self.n
         return self._connected
 
-    def components(self) -> list[frozenset[int]]:
-        adj = self.exchange_graph()
-        seen: set[int] = set()
-        comps = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                for j in adj[stack.pop()]:
-                    if j not in comp:
-                        comp.add(j)
-                        stack.append(j)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
-
     # -- restriction / contraction ---------------------------------------------
 
     def perp_basis(self, flat: Flat) -> la.LatticeBasis:
         """Saturation of the Z-span of the flat's forms (the lattice L_perp)."""
         sub = la.integer_kernel(la.as_matrix(flat.space_basis))
-        assert len(sub.vectors) == flat.corank
+        if len(sub.vectors) != flat.corank:
+            raise InvariantError("perp lattice rank differs from the flat's corank")
         return sub
 
     def restrict_to_flat(self, flat: Flat) -> tuple[VectorConfiguration, la.IntMatrix]:
@@ -247,7 +229,8 @@ class Matroid:
             if i in flat.forms:
                 continue
             image = la.mat_vec(proj, self.config.matrix[i])
-            assert any(image), "image of a vector outside a flat cannot vanish"
+            if not any(image):
+                raise InvariantError("image of a vector outside a flat cannot vanish")
             rows.append(image)
             labels.append(self.config.labels[i])
         return VectorConfiguration(la.as_matrix(rows), tuple(labels)), proj
@@ -259,7 +242,8 @@ class Matroid:
         labels = []
         for i in sorted(flat.forms):
             coeffs = la.solve_in_row_span(span, self.config.matrix[i])
-            assert coeffs is not None and all(c.denominator == 1 for c in coeffs)
+            if coeffs is None or any(c.denominator != 1 for c in coeffs):
+                raise InvariantError("a flat vector is not integral on its span")
             rows.append(tuple(int(c) for c in coeffs))
             labels.append(self.config.labels[i])
         return VectorConfiguration(la.as_matrix(rows), tuple(labels))
@@ -281,10 +265,6 @@ class Matroid:
         return out
 
 
-def build(config: VectorConfiguration) -> Matroid:
-    return Matroid(config)
-
-
 def merge_parallel(
     config: VectorConfiguration,
 ) -> tuple[VectorConfiguration, tuple[ParallelMerge, ...]]:
@@ -295,30 +275,18 @@ def merge_parallel(
     induced argument shift (0 for a positive constant, pi on the odd
     coordinates of eta for a negative one).  The total row sum is preserved.
     """
-    key_to_members: dict[la.IntVector, list[int]] = {}
-    order: list[la.IntVector] = []
-    for i, row in enumerate(config.matrix):
-        key = la.primitive(row)
-        neg = tuple(-x for x in key)
-        if neg in key_to_members:
-            key = neg
-        if key not in key_to_members:
-            key_to_members[key] = []
-            order.append(key)
-        key_to_members[key].append(i)
-
     rows: list[la.IntVector] = []
     labels: list[str] = []
     merges: list[ParallelMerge] = []
     d = config.d
-    for eta in order:
-        members = key_to_members[eta]
+    for eta, members in _parallel_groups(config.matrix).items():
         qs = []
         for i in members:
             row = config.matrix[i]
             j = next(k for k in range(d) if eta[k])
             q, rem = divmod(row[j], eta[j])
-            assert rem == 0 and tuple(q * e for e in eta) == row
+            if rem or tuple(q * e for e in eta) != row:
+                raise InvariantError("parallel class member is not a multiple of eta")
             qs.append(q)
         total = sum(qs)
         merged = tuple(total * e for e in eta)
@@ -347,32 +315,7 @@ def merge_parallel(
             labels.append("+".join(member_labels))
     reduced = VectorConfiguration(la.as_matrix(rows), tuple(labels))
     kept_sum = tuple(sum(r[j] for r in rows) for j in range(d))
-    assert kept_sum == config.row_sum()
+    if kept_sum != config.row_sum():
+        raise InvariantError("merging parallel classes changed the row sum")
     return reduced, tuple(merges)
 
-
-def connected_via_circuits(config: VectorConfiguration) -> bool:
-    """Independent connectivity oracle: every pair lies on a common circuit.
-
-    Exponential circuit enumeration; intended only as a cross-check on small
-    ground sets.
-    """
-    n = config.n
-    if n <= 1:
-        return True
-    circuits = []
-    for size in range(1, n + 1):
-        for sub in itertools.combinations(range(n), size):
-            rows = [config.matrix[i] for i in sub]
-            if la.rank_rational(rows) >= len(sub):
-                continue  # independent
-            if all(
-                la.rank_rational([config.matrix[i] for i in sub if i != j])
-                == len(sub) - 1
-                for j in sub
-            ):
-                circuits.append(frozenset(sub))
-    for i, j in itertools.combinations(range(n), 2):
-        if not any(i in c and j in c for c in circuits):
-            return False
-    return True

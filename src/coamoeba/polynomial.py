@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PolySyntaxError, UnknownVariable
+from .errors import PolySyntaxError, UnknownVariable, WrongLength
 
 Exponents = tuple[int, ...]
 
@@ -105,7 +105,7 @@ def evaluate_exact(p: SparsePoly, point) -> Fraction:
     """Exact value at a rational point (length must match the variables)."""
     pt = [Fraction(x) for x in point]
     if len(pt) != len(p.variables):
-        raise ValueError("point length must match the number of variables")
+        raise WrongLength("point length must match the number of variables")
     total = Fraction(0)
     for exps, coeff in p.terms:
         v = coeff
@@ -119,7 +119,7 @@ def evaluate_complex(p: SparsePoly, point) -> complex:
     """Double-precision value at a complex point."""
     pt = [complex(x) for x in point]
     if len(pt) != len(p.variables):
-        raise ValueError("point length must match the number of variables")
+        raise WrongLength("point length must match the number of variables")
     total = 0j
     for exps, coeff in p.terms:
         v = complex(coeff)

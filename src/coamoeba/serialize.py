@@ -89,20 +89,22 @@ def config_to_json(config) -> dict:
 def config_from_json(data):
     try:
         role = data["role"]
-        matrix = la.matrix_from_json(data["matrix"])
+        kind = {"A": PointConfiguration, "B": VectorConfiguration}.get(role)
+        if kind is None:
+            raise InputError(f"unknown configuration role {role!r}")
         labels = tuple(str(x) for x in data["labels"])
+        return kind(la.matrix_from_json(data["matrix"]), labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed configuration JSON: {exc}") from exc
-    if role == "A":
-        return PointConfiguration(matrix, labels)
-    if role == "B":
-        return VectorConfiguration(matrix, labels)
-    raise InputError(f"unknown configuration role {role!r}")
 
 
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    return config_from_json(data)
 
 
 def sha256_file(path) -> str:

@@ -1,0 +1,139 @@
+"""Slow, independent reference implementations that the tests compare against.
+
+None of these is used by the library: each recomputes a library result by a
+different method (Fraction Gauss-Jordan elimination, rank-based closure,
+chain enumeration, circuit enumeration) on inputs small enough for brute
+force.  ``random_zero_sum_matroid`` draws the inputs.
+"""
+
+import itertools
+from fractions import Fraction
+
+from coamoeba import intlinalg as la
+from coamoeba.configuration import VectorConfiguration
+from coamoeba.errors import NotSpanning
+from coamoeba.matroid import Flat, Matroid
+
+
+def random_zero_sum_matroid(rng, n, d) -> Matroid:
+    """Nonzero spanning rows with entries in [-2, 2]; the last is minus the sum."""
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n - 1)]
+        rows.append([-sum(col) for col in zip(*rows)])
+        if any(not any(r) for r in rows):
+            continue
+        try:
+            return Matroid(VectorConfiguration.from_rows(rows))
+        except NotSpanning:
+            continue
+
+
+def gauss_jordan(m) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q: (nonzero rows, pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def rank_reference(m) -> int:
+    return len(gauss_jordan(m)[1])
+
+
+def solve_reference(m, v):
+    """Same contract as ``la.solve_unique_rational``, by Gauss-Jordan."""
+    ncols = len(m[0]) if m else 0
+    rows, pivots = gauss_jordan([list(row) + [y] for row, y in zip(m, v)])
+    if sum(1 for col in pivots if col < ncols) < ncols:
+        raise ValueError("columns are not linearly independent")
+    if ncols in pivots:
+        return None
+    return tuple(rows[k][-1] for k in range(ncols))
+
+
+def flats_by_rank(config) -> list[Flat]:
+    """All flats, as the rank-based closures of every subset of the labels."""
+    rows = config.matrix
+    d = config.d
+    flats = {}
+    for size in range(len(rows) + 1):
+        for sub in itertools.combinations(range(len(rows)), size):
+            span = [rows[i] for i in sub]
+            r = rank_reference(span)
+            closed = frozenset(
+                i for i in range(len(rows)) if rank_reference(span + [rows[i]]) == r
+            )
+            if closed not in flats:
+                space = la.integer_kernel([rows[i] for i in sorted(closed)], cols=d)
+                flats[closed] = Flat(closed, r, space.vectors)
+    return sorted(flats.values(), key=Flat.sort_key)
+
+
+def non_splitting_by_rank(config) -> set[tuple[frozenset[int], ...]]:
+    """Form chains of the non-splitting flags, by brute force over chains.
+
+    A chain F_1 < ... < F_(d-1) of flats of coranks 1, ..., d-1 qualifies
+    when each form-sum raises the rank of the previous flat's vectors.  The
+    chains are returned with the form-sets decreasing, as ``FlagOfFlats``
+    stores them.
+    """
+    rows = config.matrix
+    by_corank: dict[int, list[frozenset[int]]] = {}
+    for flat in flats_by_rank(config):
+        by_corank.setdefault(flat.corank, []).append(flat.forms)
+
+    def escapes(prev, forms) -> bool:
+        span = [rows[i] for i in sorted(prev)]
+        total = [sum(rows[i][j] for i in forms) for j in range(config.d)]
+        return rank_reference(span + [total]) > rank_reference(span)
+
+    chains = [()]
+    for k in range(1, config.d):
+        chains = [
+            chain + (forms,)
+            for chain in chains
+            for forms in by_corank.get(k, ())
+            if (not chain or forms > chain[-1])
+            and escapes(chain[-1] if chain else (), forms)
+        ]
+    return {tuple(reversed(chain)) for chain in chains}
+
+
+def connected_via_circuits(config) -> bool:
+    """Independent connectivity oracle: every pair lies on a common circuit.
+
+    Exponential circuit enumeration; intended only as a cross-check on small
+    ground sets.
+    """
+    n = config.n
+    if n <= 1:
+        return True
+    circuits = []
+    for size in range(1, n + 1):
+        for sub in itertools.combinations(range(n), size):
+            rows = [config.matrix[i] for i in sub]
+            if la.rank_rational(rows) >= len(sub):
+                continue  # independent
+            if all(
+                la.rank_rational([config.matrix[i] for i in sub if i != j])
+                == len(sub) - 1
+                for j in sub
+            ):
+                circuits.append(frozenset(sub))
+    for i, j in itertools.combinations(range(n), 2):
+        if not any(i in c and j in c for c in circuits):
+            return False
+    return True

@@ -48,10 +48,11 @@ from coamoeba.harness import (
     residue_check,
     sample_coamoeba,
 )
-from coamoeba.matroid import Matroid, connected_via_circuits, merge_parallel
+from coamoeba.matroid import Matroid, merge_parallel
 from coamoeba.polynomial import format_poly, initial_form, parse
 from coamoeba.tropical import bergman_rays, maximal_cones
 from coamoeba.configuration import VectorConfiguration
+from oracles import connected_via_circuits
 
 
 def _ok(number, name):

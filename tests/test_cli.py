@@ -153,3 +153,42 @@ def test_golden_stability(paths, capsys, tmp_path):
     assert main(["matroid-info", paths["b"], "-o", str(out1)]) == 0
     assert main(["matroid-info", paths["b"], "-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_member_3d_rejects_two_angles(paths, capsys):
+    assert main(["member", paths["b"], "--theta", "1,2"]) == 2
+    assert "expected 3 angles" in capsys.readouterr().err
+
+
+def test_member_3d_rejects_five_angles(paths, capsys):
+    assert main(["member", paths["b"], "--theta", "1,2,3,4,5"]) == 2
+    assert "expected 3 angles" in capsys.readouterr().err
+
+
+def test_bad_point_or_theta_exits_2(paths, capsys):
+    assert main(["psi", paths["b"], "--point", "1,x", "--exact"]) == 2
+    assert main(["psi", paths["b"], "--point", "1,2,x"]) == 2
+    assert main(["member", paths["b"], "--theta", "1,x*pi,2"]) == 2
+    assert main(["member", paths["b"], "--theta", "1/0,1,2"]) == 2
+    assert main(["gauss", paths["d"], "--point", "1/0,1,1"]) == 2
+    assert main(["psi", paths["b"], "--point", "1,2", "--exact"]) == 2
+    assert main(["psi", paths["b"], "--point", "1,2"]) == 2
+    assert main(["gauss", paths["d"], "--point", "1,2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        '["role", "B"]',
+        '{"role": "C", "matrix": [["1"]], "labels": ["b1"]}',
+        '{"role": "B", "matrix": [["1", "0"], ["1"]], "labels": ["b1", "b2"]}',
+        '{"role": "B", "matrix": [["1", "0"], ["0", "1"]], "labels": ["b1"]}',
+    ],
+)
+def test_malformed_config_exits_2(text, capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["matroid-info", str(bad)]) == 2
+    assert capsys.readouterr().out == ""

@@ -19,6 +19,7 @@ from coamoeba.cycles import (
     degree_dH,
     half_coamoeba_cycles,
     half_coamoeba_from_vertex,
+    pls3_distance,
     prisms_d3,
     start_vertices,
     zonotope,
@@ -27,6 +28,7 @@ from coamoeba.errors import (
     Defective,
     DegenerateZonotope,
     DimensionNot3,
+    InputError,
     NonzeroSum,
     ParallelRows,
 )
@@ -295,6 +297,25 @@ def test_contains_pls3_plane(m_plane):
 
 def test_contains_pls3_empty():
     assert contains_pls3([], (0.0, 0.0, 0.0)) == (False, None)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 4, 5])
+def test_prism_membership_rejects_wrong_angle_count(m_plane, count):
+    theta = (0.5,) * count
+    for prisms in ([], prisms_d3(m_plane)):
+        with pytest.raises(InputError):
+            contains_pls3(prisms, theta)
+        with pytest.raises(InputError):
+            pls3_distance(prisms, theta)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 4])
+def test_cycle_membership_rejects_wrong_angle_count(count):
+    cycle = build_cycle(line_b())
+    with pytest.raises(InputError):
+        contains2(cycle, (0.5,) * count)
+    with pytest.raises(InputError):
+        contains2_exact(cycle, (Fraction(1, 2),) * count)
 
 
 def test_polygon_simple_checks():

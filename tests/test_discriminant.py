@@ -26,6 +26,7 @@ from coamoeba.discriminant import (
 from coamoeba.errors import DimensionNot3, OnArrangement, SingularPoint
 from coamoeba.matroid import Matroid, merge_parallel
 from coamoeba.polynomial import parse
+from oracles import non_splitting_by_rank, random_zero_sum_matroid
 
 
 def test_psi_hyperplane_formula():
@@ -169,6 +170,15 @@ def test_non_splitting_flags_check_sums(m6):
             else:
                 assert any(s)
             prev_rows = [list(m6.config.matrix[i]) for i in sorted(flat.forms)]
+
+
+def test_non_splitting_flags_match_rank_oracle(m6, m_plane):
+    rng = random.Random(31)
+    matroids = [m6, m_plane] + [random_zero_sum_matroid(rng, 7, 4) for _ in range(4)]
+    matroids += [random_zero_sum_matroid(rng, 6, 3) for _ in range(4)]
+    for m in matroids:
+        got = {flag.form_chain() for flag in non_splitting_flags(m)}
+        assert got == non_splitting_by_rank(m.config)
 
 
 def test_non_splitting_flats_include_hyperplanes(m6):

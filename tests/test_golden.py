@@ -1,0 +1,159 @@
+"""Golden outputs: every subcommand's bytes on the catalog configurations.
+
+Inputs live in ``tests/golden/inputs/`` and each case's stdout in
+``tests/golden/<case>.json``; ``sample`` cases also pin their CSV cloud.
+The comparison is byte for byte and ignores only ``provenance.version``.
+After an intended output change, regenerate with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io as stdio
+import os
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from coamoeba import serialize as io
+from coamoeba.catalog import (
+    hyperplane_a,
+    line_b,
+    plane_b,
+    sixline_a,
+    sixline_b,
+    sixline_discriminant,
+)
+from coamoeba.cli import main
+from coamoeba.configuration import VectorConfiguration
+from coamoeba.polynomial import parse, write_polynomial_file
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+CONFIGS = {
+    "line_a": hyperplane_a(2),
+    "plane_a": hyperplane_a(3),
+    "sixline_a": sixline_a(),
+    "line_b": line_b(),
+    "plane_b": plane_b(),
+    "sixline_b": sixline_b(),
+    # the four-vector planar configuration of acceptance criterion 7
+    "fourvec_b": VectorConfiguration.from_rows([[3, 0], [0, 1], [-1, -2], [-2, 1]]),
+}
+POLYS = {
+    "sixline_d": sixline_discriminant(),
+    "plane_d": parse("x+y+z+1", ("x", "y", "z")),
+}
+
+_B2 = ("line_b", "fourvec_b")
+_B3 = ("plane_b", "sixline_b")
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for a in ("line_a", "plane_a", "sixline_a"):
+        cases[f"gale_{a}"] = ["gale", "{%s}" % a]
+        cases[f"validate_{a}"] = ["validate", "{%s}" % a]
+    for cmd in ("matroid-info", "bergman-rays", "fine-cones", "tdiscr-rays", "nondefective"):
+        for b in _B2 + _B3:
+            cases[f"{cmd}_{b}"] = [cmd, "{%s}" % b]
+    for b in _B2:
+        cases[f"coamoeba2_{b}"] = ["coamoeba2", "{%s}" % b]
+        cases[f"member_{b}_exact"] = ["member", "{%s}" % b, "--theta", "1/3*pi,-1/2*pi"]
+        cases[f"member_{b}_float"] = ["member", "{%s}" % b, "--theta", "0.4,2.9"]
+    for b in _B3:
+        cases[f"pls3_{b}"] = ["pls3", "{%s}" % b]
+        cases[f"member_{b}"] = ["member", "{%s}" % b, "--theta", "pi,1/2*pi,-1/3*pi"]
+        cases[f"psi_{b}_exact"] = ["psi", "{%s}" % b, "--point", "2,-3,5/7", "--exact"]
+        cases[f"psi_{b}_complex"] = ["psi", "{%s}" % b, "--point", "1+2j,-0.5,3j"]
+    cases["psi_line_b_exact"] = ["psi", "{line_b}", "--point", "3,-1/2", "--exact"]
+    cases["gauss_sixline_d"] = ["gauss", "{sixline_d}", "--point", "3/25,-9/5,-1/25"]
+    cases["initial-form_sixline_d_101"] = ["initial-form", "{sixline_d}", "-w", "1,0,1"]
+    cases["initial-form_sixline_d_0m12"] = ["initial-form", "{sixline_d}", "-w", "0,-1,2"]
+    # 2100 line samples cross the first sampling-chunk boundary
+    for b, n in (("line_b", "2100"), ("sixline_b", "40")):
+        cases[f"sample_{b}"] = [
+            "sample", "{%s}" % b, "-n", n, "--seed", "4", "-o", f"sample_{b}.csv"
+        ]
+    cases["verify_sixline_b"] = [
+        "verify", "{sixline_b}", "--poly", "{sixline_d}", "-n", "6", "--samples", "300",
+        "--seed", "3",
+    ]
+    cases["verify_plane_b"] = [
+        "verify", "{plane_b}", "--poly", "{plane_d}", "-n", "6", "--samples", "300"
+    ]
+    return cases
+
+
+CASES = _cases()
+_VERSION = re.compile(r'^(    "version": )".*"$', re.M)
+
+
+def _mask_version(text: str) -> str:
+    return _VERSION.sub(r'\1"*"', text)
+
+
+def write_inputs() -> None:
+    INPUTS.mkdir(parents=True, exist_ok=True)
+    for name, config in CONFIGS.items():
+        (INPUTS / f"{name}.json").write_text(io.dump_json(io.config_to_json(config)))
+    for name, poly in POLYS.items():
+        write_polynomial_file(INPUTS / f"{name}.txt", poly)
+
+
+def _input_path(name: str) -> str:
+    suffix = ".txt" if name in POLYS else ".json"
+    return str(INPUTS / f"{name}{suffix}")
+
+
+def run_case(name: str) -> str:
+    """Run one case in the current directory; return its stdout."""
+    names = {key: _input_path(key) for key in (*CONFIGS, *POLYS)}
+    argv = [arg.format(**names) for arg in CASES[name]]
+    out = stdio.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"{name}: exit {code}")
+    return out.getvalue()
+
+
+def _csv_name(name: str) -> str | None:
+    argv = CASES[name]
+    return argv[argv.index("-o") + 1] if "-o" in argv else None
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = run_case(name)
+    want = (GOLDEN / f"{name}.json").read_text()
+    assert _mask_version(got) == _mask_version(want)
+    csv = _csv_name(name)
+    if csv:
+        assert (tmp_path / csv).read_bytes() == (GOLDEN / csv).read_bytes()
+
+
+def test_golden_files_match_cases():
+    written = {p.stem for p in GOLDEN.glob("*.json")}
+    assert written == set(CASES)
+
+
+def regenerate() -> None:
+    write_inputs()
+    for stale in GOLDEN.glob("*.json"):
+        stale.unlink()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)  # sample cases write their CSV next to the JSON
+    try:
+        for name in sorted(CASES):
+            (GOLDEN / f"{name}.json").write_text(run_case(name))
+    finally:
+        os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    regenerate()
+    print(f"wrote {len(CASES)} golden outputs to {GOLDEN}", file=sys.stderr)

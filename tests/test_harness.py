@@ -39,12 +39,11 @@ def test_sampling_is_deterministic(m6):
     assert not np.array_equal(a, c)
 
 
-def test_sampling_respects_thread_cap(m6, monkeypatch):
-    monkeypatch.setenv("COAMOEBA_THREADS", "3")
-    a = sample_coamoeba(m6, 100, seed=1)
-    monkeypatch.setenv("COAMOEBA_THREADS", "1")
-    b = sample_coamoeba(m6, 100, seed=1)
-    assert np.array_equal(a, b)
+def test_sampling_prefix_across_chunk_boundary(m6):
+    # 5000 points span three sampling chunks; the first 100 must not change
+    a = sample_coamoeba(m6, 5000, seed=1)
+    assert a.shape == (5000, 3)
+    assert np.array_equal(a[:100], sample_coamoeba(m6, 100, seed=1))
 
 
 def test_sampling_empty(m6):

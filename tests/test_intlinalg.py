@@ -8,6 +8,7 @@ import pytest
 
 from coamoeba import intlinalg as la
 from coamoeba.errors import NotSaturated
+from oracles import rank_reference, solve_reference
 
 
 def test_rank_identity():
@@ -176,3 +177,83 @@ def test_solve_integer():
     assert la.solve_integer([[2, 0], [0, 3]], (4, 9)) == (2, 3)
     assert la.solve_integer([[2]], (3,)) is None
     assert la.solve_unique_rational([[2]], (3,)) == (Fraction(3, 2),)
+
+
+def _random_low_rank(rng, rows, cols):
+    """Integer combinations of a few random rows, some columns zeroed out.
+
+    Zero and dependent columns leave pivot columns skipped mid-elimination,
+    where an inexact fraction-free division would silently floor.
+    """
+    k = rng.randint(0, max(rows, 1))
+    basis = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
+    dead = {j for j in range(cols) if rng.random() < 0.25}
+    return [
+        [
+            0 if j in dead else sum(c * b[j] for c, b in zip(coeffs, basis))
+            for j in range(cols)
+        ]
+        for coeffs in ([rng.randint(-3, 3) for _ in range(k)] for _ in range(rows))
+    ]
+
+
+def test_rank_matches_gauss_jordan_reference():
+    rng = random.Random(2024)
+    deficient = 0
+    for _ in range(3000):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = _random_low_rank(rng, rows, cols)
+        r = la.rank_rational(m)
+        assert r == rank_reference(m), m
+        deficient += r < min(rows, cols)
+    assert deficient > 1000
+
+
+def test_rank_with_skipped_pivot_column():
+    # column 1 is a multiple of column 0, so the second pivot sits in column 2
+    assert la.rank_rational([[1, 2, 3], [2, 4, 7], [3, 6, 1]]) == 2
+    assert la.rank_rational([[0, 0, 2], [0, 0, 3], [0, 5, 1]]) == 2
+
+
+def test_solve_matches_gauss_jordan_reference():
+    rng = random.Random(7)
+    outcomes = {"solved": 0, "none": 0, "dependent": 0}
+    for _ in range(3000):
+        cols = rng.randint(1, 5)
+        if rng.random() < 0.2:
+            m = _random_low_rank(rng, cols + rng.randint(0, 2), cols)
+        else:
+            rows = cols + rng.randint(0, 2)
+            m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
+        den = 1
+        for c in x:
+            den *= c.denominator
+        v = [int(den * sum(a * c for a, c in zip(row, x))) for row in m]
+        if rng.random() < 0.3:
+            v[rng.randrange(len(v))] += 1
+        try:
+            want = solve_reference(m, v)
+        except ValueError:
+            with pytest.raises(ValueError):
+                la.solve_unique_rational(m, v)
+            outcomes["dependent"] += 1
+            continue
+        got = la.solve_unique_rational(m, v)
+        assert got == want, (m, v)
+        assert got is None or all(isinstance(c, Fraction) for c in got)
+        outcomes["solved" if got is not None else "none"] += 1
+    assert min(outcomes.values()) > 100
+
+
+def test_solve_inconsistent_system_returns_none():
+    assert la.solve_unique_rational([[1], [1]], (1, 2)) is None
+    assert la.solve_unique_rational([[1, 0], [0, 1], [1, 1]], (1, 1, 3)) is None
+    assert la.solve_unique_rational([[1, 0], [0, 1], [1, 1]], (1, 1, 2)) == (1, 1)
+
+
+def test_solve_dependent_columns_raise():
+    with pytest.raises(ValueError):
+        la.solve_unique_rational([[1, 2], [2, 4]], (1, 2))
+    with pytest.raises(ValueError):  # dependence is reported before consistency
+        la.solve_unique_rational([[1, 2], [2, 4]], (1, 3))

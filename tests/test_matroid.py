@@ -9,7 +9,8 @@ import pytest
 from coamoeba.catalog import line_b, plane_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.errors import NotSpanning, ZeroVector
-from coamoeba.matroid import Matroid, connected_via_circuits, merge_parallel
+from coamoeba.matroid import Matroid, merge_parallel
+from oracles import connected_via_circuits, flats_by_rank, random_zero_sum_matroid
 
 
 def test_sixline_bases(m6):
@@ -119,6 +120,13 @@ def test_connectivity_matches_circuit_oracle(m6, m_line, m_plane):
         configs.append(cfg)
     for cfg in configs:
         assert Matroid(cfg).is_connected() == connected_via_circuits(cfg)
+
+
+def test_flats_match_rank_closure_oracle(m6):
+    rng = random.Random(74)
+    matroids = [m6] + [random_zero_sum_matroid(rng, 7, 4) for _ in range(6)]
+    for m in matroids:
+        assert m.flats() == flats_by_rank(m.config)
 
 
 def test_sixline_flacets(m6):
