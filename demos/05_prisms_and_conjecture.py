@@ -34,6 +34,10 @@ report6 = conjecture_experiment_d3(m6, 10_000, tol=1e-6, seed=0)
 print(f"sampled coverage: {report6.inside_fraction:.4f} of {report6.n_valid} points, "
       f"max distance to the prism union {report6.max_boundary_distance:.2e} rad")
 print("(evidence for the closed coamoeba equalling the phase limit set; not a proof)")
+claimed = {
+    "/".join(sorted(m6.labels_of(flat.forms))): k for flat, k in report6.coverage_per_prism
+}
+print(f"samples per prism (first prism containing each sample): {claimed}")
 
 theta = [float(t) for t in sample_coamoeba(m6, 1, seed=42)[0]]
 inside, witness = contains_pls3(prisms6, theta)

@@ -17,7 +17,7 @@ from . import __version__
 from . import intlinalg as la
 from . import serialize as io
 from .catalog import sixline_discriminant
-from .configuration import gale_dual, validate_a
+from .configuration import PointConfiguration, VectorConfiguration, gale_dual, validate_a
 from .cycles import build_cycle, contains2, contains2_exact, contains_pls3, prisms_d3
 from .discriminant import (
     HornKapranovMap,
@@ -80,11 +80,27 @@ def _emit(args, payload: dict, inputs: dict, parameters: dict) -> None:
         sys.stdout.write(text)
 
 
+def _load(path, kind):
+    """The configuration at ``path``; InputError unless it is a ``kind``."""
+    config = io.load_config(path)
+    if not isinstance(config, kind):
+        role = "an A (point)" if kind is PointConfiguration else "a B (vector)"
+        raise InputError(f"expected {role} configuration")
+    return config
+
+
 def _matroid_from(args) -> tuple[Matroid, dict]:
-    config = io.load_config(args.config)
-    if not hasattr(config, "row_sum"):
-        raise InputError("expected a B (vector) configuration")
+    config = _load(args.config, VectorConfiguration)
+    if not config.n or not config.d:
+        raise InputError("the B configuration is empty")
     return Matroid(config), {"config": args.config}
+
+
+def _count(text: str) -> int:
+    """argparse type for sizes and seeds: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _flat_labels(m: Matroid, flat) -> list[str]:
@@ -95,13 +111,13 @@ def _flat_labels(m: Matroid, flat) -> list[str]:
 
 
 def _cmd_gale(args):
-    config = io.load_config(args.config)
+    config = _load(args.config, PointConfiguration)
     b = gale_dual(config)
     _emit(args, io.config_to_json(b), {"config": args.config}, {})
 
 
 def _cmd_validate(args):
-    config = io.load_config(args.config)
+    config = _load(args.config, PointConfiguration)
     report = validate_a(config)
     payload = {
         "spans": report.spans,
@@ -178,7 +194,7 @@ def _cmd_nondefective(args):
 
 
 def _cmd_psi(args):
-    config = io.load_config(args.config)
+    config = _load(args.config, VectorConfiguration)
     h = HornKapranovMap(config)
     point = _parse_list(args.point, Fraction if args.exact else complex)
     if args.exact:
@@ -209,7 +225,7 @@ def _cmd_initial_form(args):
 
 
 def _cmd_coamoeba2(args):
-    config = io.load_config(args.config)
+    config = _load(args.config, VectorConfiguration)
     cycle = build_cycle(config)
     _emit(args, io.cycle_json(cycle), {"config": args.config}, {})
 
@@ -225,7 +241,7 @@ def _cmd_pls3(args):
 
 
 def _cmd_member(args):
-    config = io.load_config(args.config)
+    config = _load(args.config, VectorConfiguration)
     theta, exact = _parse_angles(args.theta)
     if config.d == 2:
         cycle = build_cycle(config)
@@ -276,8 +292,9 @@ def _cmd_verify(args):
         if args.poly
         else sixline_discriminant()
     )
-    payload = {"certification": certify_discriminant(f, m, args.n)}
+    payload = {}
     if m.config.d == 3:
+        # first, so that a defective B is refused before the slower certification
         report = conjecture_experiment_d3(m, args.samples, tol=args.tol, seed=args.seed)
         payload["prism_experiment"] = {
             "n_samples": report.n_samples,
@@ -286,7 +303,12 @@ def _cmd_verify(args):
             "max_boundary_distance": report.max_boundary_distance,
             "seed": report.seed,
             "tolerance": report.tolerance,
+            "coverage_per_prism": [
+                {"flat": _flat_labels(m, flat), "samples": k}
+                for flat, k in report.coverage_per_prism
+            ],
         }
+    payload["certification"] = certify_discriminant(f, m, args.n)
     if args.poly:
         inputs["poly"] = args.poly
     _emit(
@@ -354,16 +376,16 @@ def build_parser() -> _Parser:
 
     p = add("sample", _cmd_sample, help="sample the coamoeba to CSV")
     p.add_argument("config")
-    p.add_argument("-n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-n", type=_count, default=1000)
+    p.add_argument("--seed", type=_count, default=0)
 
     p = add("verify", _cmd_verify, help="residue + Gauss roundtrip + prism experiment")
     p.add_argument("config")
     p.add_argument("--poly", help="polynomial file; six-line discriminant by default")
-    p.add_argument("-n", type=int, default=20, help="exact grid points")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("-n", type=_count, default=20, help="exact grid points")
+    p.add_argument("--samples", type=_count, default=2000)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
 
     return parser
 
@@ -383,7 +405,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg as la
-from .errors import InvariantError, NoAffineHyperplane, NotSpanning
+from .errors import InputError, InvariantError, NoAffineHyperplane, NotSpanning
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,10 @@ def validate_a(a: PointConfiguration) -> ValidationReport:
     """
     cols = la.transpose(a.matrix)
     basis = la.row_lattice_basis(cols)
-    spans = len(basis) == a.m and basis == la.identity(a.m)
-    u = la.solve_integer(la.as_matrix(cols), (1,) * a.n) if a.m else None
+    full_rank = len(basis) == a.m
+    spans = full_rank and basis == la.identity(a.m)
+    # below rank m the covector u is not unique, and the solver refuses it
+    u = la.solve_integer(la.as_matrix(cols), (1,) * a.n) if a.m and full_rank else None
     kernel = la.integer_kernel(a.matrix)
     pyramid = any(
         all(vec[i] == 0 for vec in kernel.vectors) for i in range(a.n)
@@ -129,6 +131,8 @@ def gale_dual(a: PointConfiguration) -> VectorConfiguration:
     if report.u is None:
         raise NoAffineHyperplane("no primitive covector evaluates to 1 on all points")
     kernel = la.integer_kernel(a.matrix)
+    if not kernel.vectors:
+        raise InputError("the points are affinely independent: the Gale dual has d = 0")
     b = VectorConfiguration(la.transpose(kernel.matrix()), a.labels)
     if any(b.row_sum()):
         raise InvariantError("Gale dual rows do not sum to zero")

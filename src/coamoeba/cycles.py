@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from . import intlinalg as la
 from .configuration import VectorConfiguration
@@ -32,12 +34,14 @@ from .discriminant import essential_flacets, require_nondefective
 from .errors import (
     DegenerateZonotope,
     DimensionNot3,
+    InputError,
     InvariantError,
     NonIntegralDegree,
     NonSimplePolygon,
     NonzeroSum,
     ParallelRows,
     WrongLength,
+    ZeroVector,
 )
 from .matroid import Flat, Matroid, merge_parallel
 
@@ -46,9 +50,26 @@ Point = tuple[Fraction, Fraction]
 
 @dataclass(frozen=True)
 class Polygon:
-    """Closed simple polygon in the universal cover, coordinates in pi units."""
+    """Closed simple polygon in the universal cover, coordinates in pi units.
+
+    The exact bounding box and the float vertices and bounding box are
+    computed once, at construction, for the membership and distance tests.
+    """
 
     vertices: tuple[Point, ...]
+    _bbox: tuple = field(init=False, repr=False, compare=False)
+    _float_vertices: tuple = field(init=False, repr=False, compare=False)
+    _float_bbox: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        xs = [p[0] for p in self.vertices]
+        ys = [p[1] for p in self.vertices]
+        box = (min(xs), max(xs), min(ys), max(ys))
+        object.__setattr__(self, "_bbox", box)
+        object.__setattr__(
+            self, "_float_vertices", tuple((float(x), float(y)) for x, y in self.vertices)
+        )
+        object.__setattr__(self, "_float_bbox", tuple(float(v) for v in box))
 
     def signed_area(self) -> Fraction:
         """Shoelace area in pi^2 units; positive means counterclockwise."""
@@ -62,9 +83,7 @@ class Polygon:
         return abs(self.signed_area())
 
     def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        xs = [p[0] for p in self.vertices]
-        ys = [p[1] for p in self.vertices]
-        return min(xs), max(xs), min(ys), max(ys)
+        return self._bbox
 
     def reflect(self) -> "Polygon":
         return Polygon(tuple((-x, -y) for x, y in self.vertices))
@@ -108,8 +127,8 @@ class Polygon:
                 return True
         return self.winding(point) != 0
 
-    def float_vertices(self) -> list[tuple[float, float]]:
-        return [(float(x), float(y)) for x, y in self.vertices]
+    def float_vertices(self) -> tuple[tuple[float, float], ...]:
+        return self._float_vertices
 
 
 def _orient(a: Point, b: Point, c: Point) -> Fraction:
@@ -341,6 +360,10 @@ def degree_dH(z: Polygon, plus: Polygon, minus: Polygon) -> int:
 
 def build_cycle(b2: VectorConfiguration, strict: bool = False) -> CoamoebaCycle:
     """Merge parallels, build the three polygons, and record degree and shift."""
+    if b2.d != 2:
+        raise InputError(f"a 2D coamoeba cycle needs d = 2, got d = {b2.d}")
+    if not all(any(row) for row in b2.matrix):
+        raise ZeroVector("configuration contains a zero vector")
     if any(b2.row_sum()):
         raise NonzeroSum("rows must sum to zero")
     reduced, merges = merge_parallel(b2)
@@ -369,7 +392,7 @@ def _require_angles(theta, count: int) -> None:
 
 
 def _translates(poly: Polygon, px: float, py: float, pad: float):
-    xmin, xmax, ymin, ymax = (float(v) for v in poly.bbox())
+    xmin, xmax, ymin, ymax = poly._float_bbox
     axs = range(math.ceil((xmin - px - pad) / 2), math.floor((xmax - px + pad) / 2) + 1)
     ays = range(math.ceil((ymin - py - pad) / 2), math.floor((ymax - py + pad) / 2) + 1)
     return itertools.product(axs, ays)
@@ -416,6 +439,8 @@ def cycle_distance(cycle: CoamoebaCycle, theta, tol_window: float = 2.0) -> floa
     _require_angles(theta, 2)
     px = theta[0] / math.pi + cycle.arg_shift_pi[0]
     py = theta[1] / math.pi + cycle.arg_shift_pi[1]
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise InputError(f"angles must be finite, got {tuple(theta)}")
     px -= 2 * math.floor((px + 1) / 2)
     py -= 2 * math.floor((py + 1) / 2)
     best = math.inf
@@ -511,8 +536,99 @@ def contains_pls3(prisms, theta, tol: float = 1e-9):
 def pls3_distance(prisms, theta) -> float:
     """Distance (radians, in the projected 2D charts) to the nearest prism."""
     _require_angles(theta, 3)
-    if not prisms:
-        return math.inf
-    return min(
-        cycle_distance(prism.base, _project_theta(prism, theta)) for prism in prisms
+    return float(pls3_distances(prisms, [theta])[0][0])
+
+
+# Points per kernel block.  The block's temporaries hold points x translates
+# x edges floats, so this bounds the kernel's memory whatever the number of
+# points.
+_BLOCK = 64
+# Translate window padding in pi units.  Every point lies within sqrt(2) of a
+# 2 pi Z^2 translate of any vertex, so a translate whose bounding box is
+# farther than this in some coordinate is never the nearest one.
+_PAD = 2.0
+
+
+def _chart_distances(poly: Polygon, px: np.ndarray, py: np.ndarray, window) -> np.ndarray:
+    """Distances (pi units) from wrapped chart points to the 2 pi Z^2 translates
+    of one shell: zero where some translate winds around the point.
+
+    Batched form of ``_poly_dist_float`` over every translate the windows of
+    the points reach (``window`` bounds the points: x_lo, x_hi, y_lo, y_hi),
+    with the same arithmetic in the same order.
+    """
+    xmin, xmax, ymin, ymax = poly._float_bbox
+    x_lo, x_hi, y_lo, y_hi = window
+    axs = np.arange(
+        math.ceil((xmin - x_hi - _PAD) / 2), math.floor((xmax - x_lo + _PAD) / 2) + 1
     )
+    ays = np.arange(
+        math.ceil((ymin - y_hi - _PAD) / 2), math.floor((ymax - y_lo + _PAD) / 2) + 1
+    )
+    verts = np.array(poly._float_vertices)
+    # translates x edges: tails (x1, y1) and heads (x2, y2)
+    x1 = (verts[:, 0] - 2.0 * np.repeat(axs, len(ays))[:, None])[None]
+    y1 = (verts[:, 1] - 2.0 * np.tile(ays, len(axs))[:, None])[None]
+    x2 = np.roll(x1, -1, axis=2)
+    y2 = np.roll(y1, -1, axis=2)
+    vx, vy = x2 - x1, y2 - y1
+    px, py = px[:, None, None], py[:, None, None]
+    wx, wy = px - x1, py - y1
+    orient = vx * wy - vy * wx
+    up = (y1 <= py) & (y2 > py) & (orient > 0)
+    down = (y1 > py) & (y2 <= py) & (orient < 0)
+    inside = (up.sum(axis=2) != down.sum(axis=2)).any(axis=1)
+    seg2 = vx * vx + vy * vy
+    t = np.clip((wx * vx + wy * vy) / np.where(seg2 == 0, 1.0, seg2), 0.0, 1.0)
+    dist = np.hypot(px - (x1 + t * vx), py - (y1 + t * vy)).min(axis=(1, 2))
+    dist[inside] = 0.0
+    return dist
+
+
+def pls3_distances(prisms, points, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Distances (radians) from angle triples to the nearest prism, batched.
+
+    ``points`` is a k x 3 array of angle triples.  Returns ``(distance,
+    witness)``: ``distance[i]`` equals ``pls3_distance(prisms, points[i])``
+    (the winding test and the arithmetic are those of ``cycle_distance``),
+    and ``witness[i]`` is the index of the first prism within ``tol`` of the
+    point, the prism ``contains_pls3`` returns, or -1 if there is none.
+
+    Points go through in blocks of ``_BLOCK``; a point stops being tested
+    once its distance is exactly 0, while points merely within ``tol`` go on
+    to the remaining prisms so that their distances stay exact.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise WrongLength(f"expected a k x 3 array of angle triples, got shape {points.shape}")
+    distance = np.full(len(points), math.inf)
+    witness = np.full(len(points), -1)
+    for start in range(0, len(points), _BLOCK):
+        block = points[start : start + _BLOCK]
+        best = distance[start : start + _BLOCK]
+        first = witness[start : start + _BLOCK]
+        active = np.arange(len(block))
+        for index, prism in enumerate(prisms):
+            theta = block[active]
+            cycle = prism.base
+            # elementwise in the order of _project_theta, not a matmul, so
+            # the chart coordinates match the one-point path bit for bit
+            px, py = (
+                (a0 * theta[:, 0] + a1 * theta[:, 1] + a2 * theta[:, 2]) / math.pi + shift
+                for (a0, a1, a2), shift in zip(prism.projection, cycle.arg_shift_pi)
+            )
+            px -= 2 * np.floor((px + 1) / 2)
+            py -= 2 * np.floor((py + 1) / 2)
+            window = (px.min(), px.max(), py.min(), py.max())
+            if not math.isfinite(sum(window)):
+                raise InputError("angles must be finite")
+            d = np.minimum(
+                _chart_distances(cycle.plus, px, py, window),
+                _chart_distances(cycle.minus, px, py, window),
+            ) * math.pi
+            first[active[(first[active] < 0) & (d <= tol)]] = index
+            best[active] = np.minimum(best[active], d)
+            active = active[best[active] != 0.0]
+            if not len(active):
+                break
+    return distance, witness

@@ -27,6 +27,7 @@ from .errors import (
     DimensionNot3,
     Disconnected,
     NearArrangement,
+    NonzeroSum,
     OnArrangement,
     SingularPoint,
     WrongLength,
@@ -43,7 +44,7 @@ class HornKapranovMap:
 
     def __post_init__(self):
         if any(self.b.row_sum()):
-            raise ValueError("Horn-Kapranov map needs rows summing to zero")
+            raise NonzeroSum("Horn-Kapranov map needs rows summing to zero")
 
     @property
     def d(self) -> int:
@@ -143,7 +144,7 @@ def non_splitting_flags(m: Matroid) -> list[FlagOfFlats]:
     nondefective exactly when one exists.
     """
     if any(m.config.row_sum()):
-        raise ValueError("non-splitting flags assume rows summing to zero")
+        raise NonzeroSum("non-splitting flags assume rows summing to zero")
     d = m.rank
     by_corank = {k: m.flats_of_corank(k) for k in range(1, d)}
     results: list[FlagOfFlats] = []

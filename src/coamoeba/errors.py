@@ -103,7 +103,7 @@ class ParallelRows(InputError):
 
 
 class NonzeroSum(InputError):
-    """Zonotope generators must sum to zero."""
+    """Vectors (zonotope generators, rows of B) must sum to zero."""
 
 
 class DegenerateZonotope(InputError):

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cycles import contains_pls3, pls3_distance, prisms_d3
+from .cycles import pls3_distances, prisms_d3
 from .discriminant import (
     HornKapranovMap,
     OnArrangement,
@@ -33,7 +33,7 @@ from .discriminant import (
     psi_exact,
 )
 from .errors import Defective, DimensionNot3
-from .matroid import Matroid
+from .matroid import Flat, Matroid
 from .polynomial import SparsePoly, evaluate_exact
 
 REJECTION_THRESHOLD = 1e-8
@@ -42,12 +42,18 @@ _CHUNK = 2048
 
 @dataclass(frozen=True)
 class SampleReport:
+    """Prism-experiment outcome.  ``coverage_per_prism`` pairs each prism's
+    hyperplane flat, in ``prisms_d3`` order, with the number of samples whose
+    first prism within the tolerance is that one (the ``contains_pls3``
+    witness); samples no prism claims are not counted."""
+
     n_samples: int
     n_valid: int
     inside_fraction: float
     max_boundary_distance: float
     seed: int
     tolerance: float
+    coverage_per_prism: tuple[tuple[Flat, int], ...]
 
 
 def _sample_chunk(bmat: np.ndarray, seed: int, chunk_index: int, size: int) -> np.ndarray:
@@ -97,9 +103,10 @@ def rational_grid(d: int):
 def residue_check(f: SparsePoly, m: Matroid, n: int):
     """Max |f(psi(y))| over n exact rational grid points, with a witness.
 
-    Returns (max_residue, witness_point).  A nonzero residue means f does
-    not vanish on the parameterized hypersurface; the exact value is
-    reported for diagnosis.
+    Returns (max_residue, witness_point, n_checked).  A nonzero residue
+    means f does not vanish on the parameterized hypersurface; the exact
+    value is reported for diagnosis.  n_checked falls short of n when the
+    finite grid runs out first.
     """
     h = HornKapranovMap(m.config)
     worst = Fraction(0)
@@ -117,7 +124,7 @@ def residue_check(f: SparsePoly, m: Matroid, n: int):
         if value > worst:
             worst = value
             witness = y
-    return worst, witness
+    return worst, witness, taken
 
 
 @dataclass(frozen=True)
@@ -158,16 +165,24 @@ def gauss_roundtrip(f: SparsePoly, m: Matroid, n: int) -> RoundtripResult:
 def certify_discriminant(f: SparsePoly, m: Matroid, n: int = 20) -> dict:
     """Residue and roundtrip certification combined, with erratum diagnosis.
 
-    status is "ok" when the polynomial vanishes on the image and the Gauss
-    map inverts; otherwise "erratum" with the exact residue recorded, and
-    the caller should treat downstream identities as inconclusive.
+    status is "erratum" when the polynomial does not vanish on the image or
+    the Gauss map does not invert, with the exact residue recorded, and the
+    caller should treat downstream identities as inconclusive.  Otherwise it
+    is "incomplete" when the grid ran out before either check covered n
+    points, and "ok" when both did.
     """
-    residue, witness = residue_check(f, m, n)
+    residue, witness, residue_checked = residue_check(f, m, n)
     roundtrip = gauss_roundtrip(f, m, n)
-    ok = residue == 0 and roundtrip.passed
+    if residue != 0 or not roundtrip.passed:
+        status = "erratum"
+    elif min(residue_checked, roundtrip.n_checked) < n:
+        status = "incomplete"
+    else:
+        status = "ok"
     return {
-        "status": "ok" if ok else "erratum",
+        "status": status,
         "max_residue": str(residue),
+        "residue_checked": residue_checked,
         "residue_witness": list(witness) if witness else None,
         "roundtrip_passed": roundtrip.passed,
         "roundtrip_checked": roundtrip.n_checked,
@@ -195,20 +210,18 @@ def conjecture_experiment_d3(
         raise Defective("no essential flacets; nothing to compare against")
     points = sample_coamoeba(m, n, seed)
     if len(points) == 0:
-        return SampleReport(n, 0, 1.0, 0.0, seed, tol)
-    inside = 0
-    worst = 0.0
-    for theta in points:
-        dist = pls3_distance(prisms, theta)
-        if dist <= tol:
-            inside += 1
-        if dist > worst:
-            worst = dist
+        coverage = tuple((prism.hyperplane_flat, 0) for prism in prisms)
+        return SampleReport(n, 0, 1.0, 0.0, seed, tol, coverage)
+    distance, witness = pls3_distances(prisms, points, tol)
+    claimed = np.bincount(witness[witness >= 0], minlength=len(prisms))
     return SampleReport(
         n_samples=n,
         n_valid=len(points),
-        inside_fraction=inside / len(points),
-        max_boundary_distance=worst,
+        inside_fraction=int(np.count_nonzero(distance <= tol)) / len(points),
+        max_boundary_distance=float(distance.max()),
         seed=seed,
         tolerance=tol,
+        coverage_per_prism=tuple(
+            (prism.hyperplane_flat, int(k)) for prism, k in zip(prisms, claimed)
+        ),
     )

@@ -148,7 +148,7 @@ def initial_form(p: SparsePoly, w) -> SparsePoly:
         return p
     wv = [Fraction(x) for x in w]
     if len(wv) != len(p.variables):
-        raise ValueError("weight length must match the number of variables")
+        raise WrongLength("weight length must match the number of variables")
     vals = [sum(a * b for a, b in zip(wv, exps)) for exps, _ in p.terms]
     lo = min(vals)
     kept = {exps: c for (exps, c), v in zip(p.terms, vals) if v == lo}
@@ -316,7 +316,10 @@ def format_poly(p: SparsePoly) -> str:
 def read_polynomial_file(path) -> SparsePoly:
     """Plain-text polynomial file: variables on line 1, the polynomial after."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise PolySyntaxError(f"{path} is not UTF-8 text: {exc}") from exc
     if not lines:
         raise PolySyntaxError("empty polynomial file")
     variables = lines[0].replace(",", " ").split()

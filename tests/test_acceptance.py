@@ -151,8 +151,8 @@ def test_criterion_5_kapranov_roundtrip():
             f"max residue {report['max_residue']} at {report['residue_witness']}, "
             f"roundtrip counterexample {report['roundtrip_counterexample']}"
         )
-    residue, _ = residue_check(big_d, m, 20)
-    assert residue == 0
+    residue, _, checked = residue_check(big_d, m, 20)
+    assert residue == 0 and checked == 20
     roundtrip = gauss_roundtrip(big_d, m, 20)
     assert roundtrip.passed and roundtrip.n_checked == 20
     _ok(5, "logarithmic Gauss roundtrip and exact residue")

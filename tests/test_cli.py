@@ -192,3 +192,128 @@ def test_malformed_config_exits_2(text, capsys, tmp_path):
     bad.write_text(text)
     assert main(["matroid-info", str(bad)]) == 2
     assert capsys.readouterr().out == ""
+
+
+# -- fuzz: malformed inputs never escape as tracebacks ------------------------------
+
+
+def _config_text(role, rows, labels=None):
+    if labels is None:
+        count = len(rows[0]) if role == "A" and rows else len(rows)
+        labels = [f"v{i + 1}" for i in range(count)]
+    matrix = [[str(x) for x in row] for row in rows]
+    return json.dumps({"role": role, "matrix": matrix, "labels": labels})
+
+
+MALFORMED_CONFIGS = {
+    "empty_file": "",
+    "not_json": "{oops",
+    "json_list": "[1, 2]",
+    "json_null": "null",
+    "no_matrix": '{"role": "B", "labels": []}',
+    "float_entries": '{"role": "B", "matrix": [["1.5"], ["-1.5"]], "labels": ["a", "b"]}',
+    "nested_entries": '{"role": "B", "matrix": [[[1], 0], [0, 1]], "labels": ["a", "b"]}',
+    "labels_not_list": '{"role": "B", "matrix": [["1"], ["-1"]], "labels": 3}',
+    "empty_b": _config_text("B", []),
+    "empty_rows": _config_text("B", [[], []]),
+    "zero_row": _config_text("B", [[1, 0], [0, 0], [-1, 0]]),
+    "nonzero_sum": _config_text("B", [[1, 0], [0, 1], [1, 1]]),
+    "rank_deficient": _config_text("B", [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]),
+    "d1": _config_text("B", [[1], [2], [-3]]),
+    "single_zero": _config_text("B", [[0, 0]]),
+    "parallel": _config_text("B", [[1, 0], [2, 0], [-3, 0], [0, 1], [0, -1]]),
+    "defective_d3": _config_text(
+        "B", [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    ),
+    "d4": _config_text("B", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]]),
+    "a_not_spanning": _config_text("A", [[1, 1], [0, 2]]),
+    "a_one_point": _config_text("A", [[1]]),
+    "a_zero": _config_text("A", [[0, 0], [0, 0]]),
+    "a_for_b": _config_text("A", [[1, 1, 1], [0, 1, 2]]),
+    "b_for_a": _config_text("B", [[1, 0], [0, 1], [-1, -1]]),
+}
+
+# every subcommand, with "{config}" standing for the malformed file
+SUBCOMMANDS = {
+    "gale": [],
+    "validate": [],
+    "matroid-info": [],
+    "bergman-rays": [],
+    "fine-cones": [],
+    "tdiscr-rays": [],
+    "nondefective": [],
+    "psi": ["--point", "1,2,3"],
+    "coamoeba2": [],
+    "pls3": [],
+    "member": ["--theta", "1,2,3"],
+    "sample": ["-n", "3", "-o", "{dir}/cloud.csv"],
+    "verify": ["-n", "3", "--samples", "5"],
+}
+
+
+def _exit_code(argv, capsys):
+    """main's exit code; fails on any exception or traceback text."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse --help
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, (argv, err)
+    return code
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS) + ["gauss", "initial-form"])
+def test_fuzz_malformed_files(command, capsys, tmp_path):
+    files = {"missing": str(tmp_path / "missing.json")}
+    for name, text in MALFORMED_CONFIGS.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
+    files["binary"] = str(tmp_path / "binary.json")
+    if command in SUBCOMMANDS:
+        extra = [a.replace("{dir}", str(tmp_path)) for a in SUBCOMMANDS[command]]
+        argvs = [[command, path, *extra] for path in files.values()]
+    else:  # polynomial-file commands: every file above is a malformed polynomial
+        option = ["--point", "1,2"] if command == "gauss" else ["-w", "1,0"]
+        argvs = [[command, path, *option] for path in files.values()]
+    for argv in argvs:
+        assert _exit_code(argv, capsys) in (0, 2, 64), argv
+
+
+MALFORMED_POLYS = ["", "x y\n", "x y\nx++*y)\n", "x y\nx+z\n", "x y\nx^(1/2)+y\n", "x x\nx+1\n"]
+
+
+def test_fuzz_malformed_options(paths, capsys, tmp_path):
+    line, plane = tmp_path / "line.json", tmp_path / "plane.json"
+    line.write_text(_config_text("B", [[1, 0], [0, 1], [-1, -1]]))
+    plane.write_text(_config_text("B", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]))
+    poly2 = tmp_path / "poly2.txt"
+    poly2.write_text("x y\nx+y+1\n")
+    line, plane, poly2, b6 = str(line), str(plane), str(poly2), paths["b"]
+    argvs = [
+        [], ["--help"], ["bogus"], ["gale"], ["member", plane], ["psi", plane],
+        ["psi", plane, "--point", ""], ["psi", plane, "--point", "0,0,0", "--exact"],
+        ["psi", plane, "--point", "nan,1,1"], ["psi", plane, "--point", "1,,2"],
+        ["gauss", poly2, "--point", "0,0"], ["gauss", poly2, "--point", "1e400,1"],
+        ["initial-form", poly2, "-w", ""], ["initial-form", poly2, "-w", "1"],
+        ["initial-form", poly2, "-w", "1,2,3"], ["initial-form", poly2, "-w", "nan,1"],
+        ["member", plane, "--theta", ""], ["member", plane, "--theta", "nan,1,1"],
+        ["member", plane, "--theta", "inf,1,1"], ["member", plane, "--theta", "1e308,1e308,1e308"],
+        ["member", line, "--theta", "nan,1"], ["member", line, "--theta", "inf,1"],
+        ["member", line, "--theta", "1/0*pi,1"], ["member", plane, "--theta", "1,1,1", "--tol", "x"],
+        ["sample", plane, "-n", "-5", "-o", f"{tmp_path}/c.csv"], ["sample", plane, "-n", "1.5"],
+        ["sample", plane, "-n", "3"], ["sample", plane, "-n", "3", "-o", str(tmp_path)],
+        ["sample", plane, "-n", "3", "--seed", "-1", "-o", f"{tmp_path}/c.csv"],
+        ["gale", paths["a"], "-o", str(tmp_path)],
+        ["gale", paths["a"], "-o", f"{tmp_path}/missing/dir.json"],
+        ["verify", b6, "-n", "-3"], ["verify", plane, "--samples", "-5"],
+        ["verify", plane, "--seed", "-1"], ["verify", plane, "-n", "x"],
+    ]
+    for i, text in enumerate(MALFORMED_POLYS):
+        poly = tmp_path / f"bad{i}.txt"
+        poly.write_text(text)
+        argvs.append(["gauss", str(poly), "--point", "1,2"])
+        argvs.append(["initial-form", str(poly), "-w", "1,0"])
+        argvs.append(["verify", plane, "--poly", str(poly), "-n", "3", "--samples", "5"])
+    for argv in argvs:
+        assert _exit_code(argv, capsys) in (0, 2, 64), argv

@@ -5,9 +5,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from coamoeba.catalog import line_b, plane_b
+from coamoeba import cycles
+from coamoeba.catalog import line_b, plane_b, sixline_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.cycles import (
     Polygon,
@@ -20,6 +22,7 @@ from coamoeba.cycles import (
     half_coamoeba_cycles,
     half_coamoeba_from_vertex,
     pls3_distance,
+    pls3_distances,
     prisms_d3,
     start_vertices,
     zonotope,
@@ -31,6 +34,7 @@ from coamoeba.errors import (
     InputError,
     NonzeroSum,
     ParallelRows,
+    WrongLength,
 )
 from coamoeba.matroid import Matroid, merge_parallel
 
@@ -307,6 +311,66 @@ def test_prism_membership_rejects_wrong_angle_count(m_plane, count):
             contains_pls3(prisms, theta)
         with pytest.raises(InputError):
             pls3_distance(prisms, theta)
+
+
+# a nondefective random (9,3) configuration with nine prisms of degrees 12 to 109
+RANDOM93 = VectorConfiguration.from_rows(
+    [[2, -2, 1], [2, 0, -2], [-1, 2, 2], [2, -1, 1], [-2, 1, -2], [-1, 0, 2],
+     [0, 0, 1], [1, 2, -1], [-3, -2, -2]]
+)
+
+
+def scalar_pls3(prisms, theta, tol):
+    """Per-point reference: the scalar distance and the contains_pls3 witness."""
+    distance = min(
+        cycle_distance(p.base, cycles._project_theta(p, theta)) for p in prisms
+    )
+    _, witness = contains_pls3(prisms, theta, tol)
+    return distance, -1 if witness is None else prisms.index(witness)
+
+
+@pytest.mark.parametrize(
+    "config, n, some_outside",
+    [(plane_b(), 400, True), (sixline_b(), 300, False), (RANDOM93, 150, False)],
+    ids=["plane_b", "sixline_b", "random93"],
+)
+def test_pls3_distances_match_scalar_path(config, n, some_outside):
+    prisms = prisms_d3(Matroid(config))
+    rng = np.random.default_rng(7)
+    points = rng.uniform(-math.pi, math.pi, (n, 3))
+    assert n % cycles._BLOCK != 0
+    # with the wide tolerance many points lie within tol of one prism but
+    # inside a later one, which must still be tested
+    for tol in (1e-6, 0.5):
+        distance, witness = pls3_distances(prisms, points, tol)
+        reference = [scalar_pls3(prisms, theta, tol) for theta in points]
+        ref_distance = np.array([d for d, _ in reference])
+        assert np.array_equal(distance <= tol, ref_distance <= tol)
+        assert np.array_equal(distance == 0.0, ref_distance == 0.0)
+        assert np.abs(distance - ref_distance).max() <= 1e-12
+        assert witness.tolist() == [w for _, w in reference]
+    if some_outside:
+        # about half the torus lies outside, so the distance branch runs
+        assert 0.3 < np.mean(ref_distance > 1e-6) < 0.7
+
+
+def test_pls3_distances_zero_and_one_point(m_plane):
+    prisms = prisms_d3(m_plane)
+    distance, witness = pls3_distances(prisms, np.empty((0, 3)))
+    assert distance.shape == witness.shape == (0,)
+    theta = (0.3, -2.0, 1.1)
+    distance, witness = pls3_distances(prisms, [theta], 1e-9)
+    assert distance.shape == witness.shape == (1,)
+    assert abs(distance[0] - scalar_pls3(prisms, theta, 1e-9)[0]) <= 1e-12
+    assert witness[0] == scalar_pls3(prisms, theta, 1e-9)[1]
+    assert pls3_distance(prisms, theta) == distance[0]
+    assert pls3_distance([], theta) == math.inf
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 4), (2, 3, 1), (0,)])
+def test_pls3_distances_rejects_wrong_shape(m_plane, shape):
+    with pytest.raises(WrongLength):
+        pls3_distances(prisms_d3(m_plane), np.zeros(shape))
 
 
 @pytest.mark.parametrize("count", [0, 1, 3, 4])

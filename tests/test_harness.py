@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coamoeba.catalog import hyperplane_b, line_b
-from coamoeba.cycles import build_cycle, contains2
+from coamoeba.cycles import build_cycle, contains2, prisms_d3
 from coamoeba.harness import (
     certify_discriminant,
     conjecture_experiment_d3,
@@ -69,18 +69,18 @@ def test_rational_grid_deterministic():
 def test_residue_hyperplane_family():
     for d in range(2, 6):
         m = Matroid(hyperplane_b(d))
-        worst, witness = residue_check(hyperplane_poly(d), m, 25)
-        assert worst == 0
+        worst, witness, checked = residue_check(hyperplane_poly(d), m, 25)
+        assert worst == 0 and checked == 25
 
 
 def test_residue_sixline(m6, big_d):
-    worst, _ = residue_check(big_d, m6, 20)
-    assert worst == 0
+    worst, _, checked = residue_check(big_d, m6, 20)
+    assert worst == 0 and checked == 20
 
 
 def test_residue_constant_one(m6):
     one = parse("1", ("p", "q", "r"))
-    worst, witness = residue_check(one, m6, 5)
+    worst, witness, _ = residue_check(one, m6, 5)
     assert worst == 1
     assert witness is not None
 
@@ -114,6 +114,16 @@ def test_certify_ok(m6, big_d):
     assert report["max_residue"] == "0"
 
 
+def test_certify_reports_grid_shortfall(m_line):
+    # the d = 2 grid has 14^2 points, 182 of them off the arrangement
+    f = parse("x+y+1", ("x", "y"))
+    report = certify_discriminant(f, m_line, 500)
+    assert report["status"] == "incomplete"
+    assert report["max_residue"] == "0" and report["roundtrip_passed"]
+    assert report["residue_checked"] == report["roundtrip_checked"] == 182
+    assert certify_discriminant(f, m_line, 182)["status"] == "ok"
+
+
 def test_certify_erratum_reports_residue(m6, big_d):
     terms = dict(big_d.terms)
     key = next(iter(terms))
@@ -130,9 +140,15 @@ def test_conjecture_experiment_plane(m_plane):
     assert report.n_valid == 1500
     again = conjecture_experiment_d3(m_plane, 1500, tol=1e-6, seed=11)
     assert report == again
+    flats = [flat for flat, _ in report.coverage_per_prism]
+    assert flats == [p.hyperplane_flat for p in prisms_d3(m_plane)]
+    # every sample lies in some prism, so each one is claimed exactly once
+    assert sum(k for _, k in report.coverage_per_prism) == 1500
+    assert all(k > 0 for _, k in report.coverage_per_prism[:3])
 
 
 def test_conjecture_experiment_zero_points(m_plane):
     report = conjecture_experiment_d3(m_plane, 0, tol=1e-6, seed=0)
     assert report.n_valid == 0
+    assert [k for _, k in report.coverage_per_prism] == [0, 0, 0, 0]
     assert report.inside_fraction == 1.0
