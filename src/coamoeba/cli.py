@@ -90,10 +90,7 @@ def _load(path, kind):
 
 
 def _matroid_from(args) -> tuple[Matroid, dict]:
-    config = _load(args.config, VectorConfiguration)
-    if not config.n or not config.d:
-        raise InputError("the B configuration is empty")
-    return Matroid(config), {"config": args.config}
+    return Matroid(_load(args.config, VectorConfiguration)), {"config": args.config}
 
 
 def _count(text: str) -> int:

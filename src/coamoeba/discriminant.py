@@ -15,6 +15,7 @@ transversally (type 2).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,32 +141,23 @@ def non_splitting_flags(m: Matroid) -> list[FlagOfFlats]:
     """Complete flags whose partial form-sums escape every previous span.
 
     A flag F_1 < ... < F_(d-1) qualifies when for each j the sum of the
-    vectors in F_j does not lie in the span of F_(j-1); the configuration is
-    nondefective exactly when one exists.
+    vectors in F_j does not lie in the span of F_(j-1) (F_0 is the corank-0
+    flat, whose span is 0); the configuration is nondefective exactly when
+    one exists.  The flags come in ``tropical.complete_flags`` order.
     """
     if any(m.config.row_sum()):
         raise NonzeroSum("non-splitting flags assume rows summing to zero")
-    d = m.rank
-    by_corank = {k: m.flats_of_corank(k) for k in range(1, d)}
-    results: list[FlagOfFlats] = []
 
-    def extend(chain):
-        k = len(chain)
-        if k == d - 1:
-            results.append(FlagOfFlats(tuple(reversed(chain))))
-            return
-        prev = chain[-1]
-        for flat in by_corank.get(k + 1, ()):
-            if not (flat.forms > prev.forms):
-                continue
-            if in_span(form_sum(m, flat.forms), prev.space_basis):
-                continue
-            extend(chain + [flat])
+    @functools.cache
+    def splits(prev: Flat, flat: Flat) -> bool:
+        return in_span(form_sum(m, flat.forms), prev.space_basis)
 
-    for flat in by_corank.get(1, ()):
-        if any(form_sum(m, flat.forms)):
-            extend([flat])
-    return results
+    zero = m.flats()[0]
+    return [
+        flag
+        for flag in tropical.complete_flags(m)
+        if not any(map(splits, (zero,) + flag.flats[::-1], flag.flats[::-1]))
+    ]
 
 
 def nondefective(m: Matroid | VectorConfiguration) -> bool:
@@ -218,7 +210,6 @@ def tdiscr_rays(m: Matroid) -> list[TropRay]:
     """Type-1 rays: primitive directions of the nonzero flacet sums b_L."""
     if not m.is_connected():
         raise Disconnected("tropical discriminant rays need a connected matroid")
-    essentials = {f.forms for f in essential_flacets(m)}
     rays = []
     for flat in m.flacets():
         b_l = form_sum(m, flat.forms)
@@ -229,7 +220,7 @@ def tdiscr_rays(m: Matroid) -> list[TropRay]:
                 direction=la.primitive(b_l),
                 kind="type1",
                 flat=flat,
-                essential=flat.forms in essentials,
+                essential=flat.dim(m.rank) >= 2,
             )
         )
     return rays

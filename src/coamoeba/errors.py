@@ -38,6 +38,10 @@ class ZeroVector(InputError):
     """A vector configuration contains a zero row."""
 
 
+class EmptyConfiguration(InputError):
+    """A vector configuration has no vectors, or vectors in Z^0."""
+
+
 # --- matroids and fans ------------------------------------------------------
 
 class Disconnected(InputError):

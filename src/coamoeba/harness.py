@@ -32,7 +32,7 @@ from .discriminant import (
     projectively_equal,
     psi_exact,
 )
-from .errors import Defective, DimensionNot3
+from .errors import Defective, DimensionNot3, InputError
 from .matroid import Flat, Matroid
 from .polynomial import SparsePoly, evaluate_exact
 
@@ -78,6 +78,8 @@ def sample_coamoeba(m: Matroid, n: int, seed: int) -> np.ndarray:
 
     Points are Arg(psi(y)) in (-pi, pi]^d for complex standard normal y.
     """
+    if n < 0 or seed < 0:
+        raise InputError(f"sample size and seed must be non-negative, got {n}, {seed}")
     bmat = np.array(m.config.matrix, dtype=float)
     if n == 0:
         return np.empty((0, m.config.d))

@@ -281,12 +281,6 @@ def solve_integer(m, v):
     return tuple(int(c) for c in x)
 
 
-def solve_in_row_span(basis: IntMatrix, target: IntVector):
-    """Coefficients c with c @ basis = target, or None.  Rows independent."""
-    x = solve_unique_rational(transpose(basis), target)
-    return x
-
-
 def matrices_to_json(m) -> list[list[str]]:
     """Arbitrary-precision-safe JSON form: decimal strings."""
     return [[str(int(x)) for x in row] for row in m]

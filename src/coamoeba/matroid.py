@@ -10,10 +10,10 @@ L; closure is computed that way, from one integer kernel.  Connectivity
 uses the basis-exchange graph: vertices are elements, with an edge b -- b'
 whenever some basis through b stays a basis after swapping b for b'.
 
-Restriction and contraction follow the hyperplane-arrangement picture:
-``restrict_to_flat`` produces the images B|_L of the non-vanishing vectors in
-the quotient lattice M / L_perp, while ``contract_flat`` rewrites the
-vanishing vectors in coordinates on their own span.
+Minors by a flat F are read off the bases of M: the bases B with
+|B & F| = r(F) (``bases_through``) give the bases B & F of the restriction
+M|F and B - F of the contraction M/F.  ``restrict_to_flat`` builds the
+contraction's vectors B|_L in the quotient lattice M / L_perp for the cycles.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from . import intlinalg as la
 from .configuration import VectorConfiguration
-from .errors import Disconnected, InvariantError, NotSpanning, ZeroVector
+from .errors import Disconnected, EmptyConfiguration, InvariantError
+from .errors import NotSpanning, ZeroVector
 
 
 def in_span(v, space_basis) -> bool:
@@ -44,6 +45,28 @@ def _parallel_groups(matrix) -> dict[la.IntVector, list[int]]:
         neg = tuple(-x for x in key)
         groups.setdefault(neg if neg in groups else key, []).append(i)
     return groups
+
+
+def _connected(ground: frozenset[int], bases) -> bool:
+    """Is the basis-exchange graph of ``bases`` on a nonempty ``ground`` connected?"""
+    adj: dict[int, set[int]] = {i: set() for i in ground}
+    for basis in bases:
+        outside = ground - basis
+        for b in basis:
+            rest = basis - {b}
+            for b2 in outside:
+                if rest | {b2} in bases:
+                    adj[b].add(b2)
+                    adj[b2].add(b)
+    start = min(ground)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for j in adj[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(ground)
 
 
 @dataclass(frozen=True)
@@ -84,9 +107,6 @@ class FlagOfFlats:
     def form_chain(self) -> tuple[frozenset[int], ...]:
         return tuple(f.forms for f in self.flats)
 
-    def is_complete(self, d: int) -> bool:
-        return [f.corank for f in self.flats] == list(range(d - 1, 0, -1))
-
 
 @dataclass(frozen=True)
 class ParallelMerge:
@@ -109,6 +129,8 @@ class Matroid:
     """Immutable matroid of a spanning configuration of nonzero vectors."""
 
     def __init__(self, config: VectorConfiguration):
+        if not config.n or not config.d:
+            raise EmptyConfiguration("a matroid needs a vector in Z^d, d >= 1")
         if any(not any(row) for row in config.matrix):
             raise ZeroVector("configuration contains a zero vector")
         self.config = config
@@ -175,39 +197,25 @@ class Matroid:
     def flats_of_corank(self, corank: int) -> list[Flat]:
         return [f for f in self.flats() if f.corank == corank]
 
-    # -- connectivity ----------------------------------------------------------
+    # -- minors and connectivity ---------------------------------------------
 
-    def exchange_graph(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {i: set() for i in range(self.n)}
-        for basis in self.bases:
-            outside = [i for i in range(self.n) if i not in basis]
-            for b in basis:
-                rest = basis - {b}
-                for b2 in outside:
-                    if rest | {b2} in self.bases:
-                        adj[b].add(b2)
-                        adj[b2].add(b)
-        return adj
+    def bases_through(self, *flats: Flat) -> frozenset[frozenset[int]]:
+        """The bases B with |B & F| = r(F) for every given flat F.
+
+        For one flat, B & F and B - F are the bases of M|F and M/F; for a
+        complete flag, they are the bases of maximal weight inside its cone.
+        """
+        return frozenset(
+            b for b in self.bases if all(len(b & f.forms) == f.corank for f in flats)
+        )
 
     def is_connected(self) -> bool:
         """Single component of the basis-exchange graph."""
-        if self._connected is not None:
-            return self._connected
-        if self.n == 0:
-            self._connected = True
-            return True
-        adj = self.exchange_graph()
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        self._connected = len(seen) == self.n
+        if self._connected is None:
+            self._connected = _connected(frozenset(range(self.n)), self.bases)
         return self._connected
 
-    # -- restriction / contraction ---------------------------------------------
+    # -- restriction ------------------------------------------------------------
 
     def perp_basis(self, flat: Flat) -> la.LatticeBasis:
         """Saturation of the Z-span of the flat's forms (the lattice L_perp)."""
@@ -235,32 +243,23 @@ class Matroid:
             labels.append(self.config.labels[i])
         return VectorConfiguration(la.as_matrix(rows), tuple(labels)), proj
 
-    def contract_flat(self, flat: Flat) -> VectorConfiguration:
-        """The vectors of the flat, written on a basis of their own span."""
-        span = la.integer_kernel(la.as_matrix(flat.space_basis)).matrix()
-        rows = []
-        labels = []
-        for i in sorted(flat.forms):
-            coeffs = la.solve_in_row_span(span, self.config.matrix[i])
-            if coeffs is None or any(c.denominator != 1 for c in coeffs):
-                raise InvariantError("a flat vector is not integral on its span")
-            rows.append(tuple(int(c) for c in coeffs))
-            labels.append(self.config.labels[i])
-        return VectorConfiguration(la.as_matrix(rows), tuple(labels))
-
     # -- flacets -----------------------------------------------------------------
 
     def flacets(self) -> list[Flat]:
-        """Proper nonzero flats whose form-set and restriction are both connected."""
+        """Proper nonzero flats F with both M|F and M/F connected.
+
+        Both minors are read from the bases through F: B & F on the ground
+        set F, and B - F on the rest.
+        """
         if not self.is_connected():
             raise Disconnected("flacets are defined for connected configurations")
+        ground = frozenset(range(self.n))
         out = []
         for flat in self.proper_flats():
-            inner = Matroid(self.contract_flat(flat))
-            if not inner.is_connected():
-                continue
-            restricted, _ = self.restrict_to_flat(flat)
-            if Matroid(restricted).is_connected():
+            through = self.bases_through(flat)
+            inner = {b & flat.forms for b in through}
+            outer = {b - flat.forms for b in through}
+            if _connected(flat.forms, inner) and _connected(ground - flat.forms, outer):
                 out.append(flat)
         return out
 

@@ -10,7 +10,9 @@ A loopless weight induces a flag of flats: the strict level sets (read from
 the top value down) must each be closed.  Flags index the cones of the fine
 subdivision; grouping the complete flags by their induced matroid recovers
 the coarse (Bergman) cones, whose rays are the indicator vectors of the
-flacets.
+flacets.  Any weight inside the cone of a complete flag F_1 > ... > F_(d-1)
+induces the bases B with |B & F_i| = r(F_i) for all i (Ardila-Klivans 2006,
+Feichtner-Sturmfels 2005), which ``Matroid.bases_through`` reads directly.
 """
 
 from __future__ import annotations
@@ -142,8 +144,16 @@ def all_flags(m: Matroid) -> list[FlagOfFlats]:
 
 
 def complete_flags(m: Matroid) -> list[FlagOfFlats]:
-    """Flags containing a flat of every corank rank-1 .. 1 (fine maximal cones)."""
-    out = [f for f in all_flags(m) if f.is_complete(m.rank)]
+    """Flags containing a flat of every corank rank-1 .. 1 (fine maximal cones).
+
+    Chains grow from the corank-0 flat; a flat of corank k + 1 extends a
+    chain whose last flat's forms it contains.
+    """
+    chains: list[tuple[Flat, ...]] = [(m.flats()[0],)]
+    for corank in range(1, m.rank):
+        level = m.flats_of_corank(corank)
+        chains = [c + (f,) for c in chains for f in level if f.forms > c[-1].forms]
+    out = [FlagOfFlats(tuple(reversed(c[1:]))) for c in chains]
     return sorted(out, key=lambda f: tuple(sorted(flat.forms) for flat in f.flats))
 
 
@@ -177,8 +187,7 @@ def maximal_cones(m: Matroid) -> list[BergmanCone]:
     flacet_list = m.flacets()
     groups: dict[frozenset[frozenset[int]], list[FlagOfFlats]] = {}
     for flag in complete_flags(m):
-        ind = induced_matroid(m, interior_weight(flag, m.n))
-        groups.setdefault(ind.max_bases, []).append(flag)
+        groups.setdefault(m.bases_through(*flag.flats), []).append(flag)
     cones = []
     for max_bases, flags in groups.items():
         spanning = tuple(

@@ -2,8 +2,9 @@
 
 None of these is used by the library: each recomputes a library result by a
 different method (Fraction Gauss-Jordan elimination, rank-based closure,
-chain enumeration, circuit enumeration) on inputs small enough for brute
-force.  ``random_zero_sum_matroid`` draws the inputs.
+chain enumeration, circuit enumeration, minors built as vectors) on inputs
+small enough for brute force.  ``random_zero_sum_matroid`` and
+``connected_matroids`` draw the inputs.
 """
 
 import itertools
@@ -26,6 +27,17 @@ def random_zero_sum_matroid(rng, n, d) -> Matroid:
             return Matroid(VectorConfiguration.from_rows(rows))
         except NotSpanning:
             continue
+
+
+def connected_matroids(rng) -> list[Matroid]:
+    """Six seeded random connected matroids: two each of (7,4), (7,5), (8,3)."""
+    out = []
+    for n, d in ((7, 4), (7, 4), (7, 5), (7, 5), (8, 3), (8, 3)):
+        m = random_zero_sum_matroid(rng, n, d)
+        while not m.is_connected():
+            m = random_zero_sum_matroid(rng, n, d)
+        out.append(m)
+    return out
 
 
 def gauss_jordan(m) -> tuple[list[list[Fraction]], list[int]]:
@@ -137,3 +149,20 @@ def connected_via_circuits(config) -> bool:
         if not any(i in c and j in c for c in circuits):
             return False
     return True
+
+
+def flacets_by_minors(m: Matroid) -> list[Flat]:
+    """Flacets from the vectors of both minors, tested by circuits.
+
+    A proper flat is a flacet when the rows of its forms, and the images
+    ``restrict_to_flat`` gives of the other rows, are both connected.
+    """
+    out = []
+    for flat in m.proper_flats():
+        inner = VectorConfiguration.from_rows(
+            [m.config.matrix[i] for i in sorted(flat.forms)]
+        )
+        restricted, _ = m.restrict_to_flat(flat)
+        if connected_via_circuits(inner) and connected_via_circuits(restricted):
+            out.append(flat)
+    return out

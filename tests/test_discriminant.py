@@ -26,6 +26,7 @@ from coamoeba.discriminant import (
 from coamoeba.errors import DimensionNot3, OnArrangement, SingularPoint
 from coamoeba.matroid import Matroid, merge_parallel
 from coamoeba.polynomial import parse
+from coamoeba.tropical import complete_flags
 from oracles import non_splitting_by_rank, random_zero_sum_matroid
 
 
@@ -179,6 +180,12 @@ def test_non_splitting_flags_match_rank_oracle(m6, m_plane):
     for m in matroids:
         got = {flag.form_chain() for flag in non_splitting_flags(m)}
         assert got == non_splitting_by_rank(m.config)
+
+
+def test_non_splitting_flags_in_complete_flag_order(m6):
+    flags = non_splitting_flags(m6)
+    kept = set(flags)
+    assert flags == [f for f in complete_flags(m6) if f in kept]
 
 
 def test_non_splitting_flats_include_hyperplanes(m6):

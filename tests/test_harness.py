@@ -8,6 +8,7 @@ import pytest
 
 from coamoeba.catalog import hyperplane_b, line_b
 from coamoeba.cycles import build_cycle, contains2, prisms_d3
+from coamoeba.errors import InputError
 from coamoeba.harness import (
     certify_discriminant,
     conjecture_experiment_d3,
@@ -48,6 +49,16 @@ def test_sampling_prefix_across_chunk_boundary(m6):
 
 def test_sampling_empty(m6):
     assert sample_coamoeba(m6, 0, seed=0).shape == (0, 3)
+
+
+def test_sampling_rejects_negative_size(m6):
+    with pytest.raises(InputError):
+        sample_coamoeba(m6, -1, seed=0)
+
+
+def test_sampling_rejects_negative_seed(m6):
+    with pytest.raises(InputError):
+        sample_coamoeba(m6, 5, seed=-1)
 
 
 def test_line_samples_lie_in_cycle(m_line):

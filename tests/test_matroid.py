@@ -8,9 +8,15 @@ import pytest
 
 from coamoeba.catalog import line_b, plane_b
 from coamoeba.configuration import VectorConfiguration
-from coamoeba.errors import NotSpanning, ZeroVector
+from coamoeba.errors import EmptyConfiguration, NotSpanning, ZeroVector
 from coamoeba.matroid import Matroid, merge_parallel
-from oracles import connected_via_circuits, flats_by_rank, random_zero_sum_matroid
+from oracles import (
+    connected_matroids,
+    connected_via_circuits,
+    flacets_by_minors,
+    flats_by_rank,
+    random_zero_sum_matroid,
+)
 
 
 def test_sixline_bases(m6):
@@ -34,6 +40,12 @@ def test_parallel_classes():
 def test_build_rejects_zero_row():
     with pytest.raises(ZeroVector):
         Matroid(VectorConfiguration.from_rows([[1, 0], [0, 0]]))
+
+
+def test_build_rejects_empty():
+    for rows in ([], [[], []]):
+        with pytest.raises(EmptyConfiguration):
+            Matroid(VectorConfiguration.from_rows(rows))
 
 
 def test_build_rejects_nonspanning():
@@ -172,25 +184,41 @@ def test_restrict_annihilates_span(m6):
             )
 
 
-def test_contract_triple_point(m6):
+def test_bases_through_triple_point(m6):
+    # the restriction to {b1, b2, b4} is a rank-2 line with three points
     flat = m6.closure({0, 1, 3})
-    contracted = m6.contract_flat(flat)
-    assert contracted.labels == ("b1", "b2", "b4")
-    assert contracted.d == 2
-    sub = Matroid(contracted)
-    assert sub.rank == 2 and len(sub.bases) == 3
+    assert m6.labels_of(flat.forms) == ("b1", "b2", "b4")
+    assert flat.corank == 2
+    inner = {b & flat.forms for b in m6.bases_through(flat)}
+    assert inner == {frozenset(p) for p in itertools.combinations(flat.forms, 2)}
 
 
-def test_contract_hyperplane(m6):
+def test_bases_through_hyperplane(m6):
     flat = m6.closure({0})
-    contracted = m6.contract_flat(flat)
-    assert contracted.labels == ("b1",)
-    assert contracted.d == 1
+    assert m6.labels_of(flat.forms) == ("b1",)
+    assert flat.corank == 1
+    through = m6.bases_through(flat)
+    assert {b & flat.forms for b in through} == {frozenset({0})}
+    assert through == {b for b in m6.bases if 0 in b}
 
 
-def test_contract_other_triple_point(m6):
+def test_bases_through_other_triple_point(m6):
     flat = m6.closure({1, 2, 5})
-    assert m6.contract_flat(flat).labels == ("b2", "b3", "b6")
+    assert m6.labels_of(flat.forms) == ("b2", "b3", "b6")
+    assert len({b & flat.forms for b in m6.bases_through(flat)}) == 3
+
+
+def test_flacets_match_minor_oracle(m6, m_plane, m_line):
+    # contracting b4 of this one leaves a disconnected M/F with M|F connected
+    quotient_split = Matroid(
+        VectorConfiguration.from_rows(
+            [[1, -1, 1], [1, 1, -1], [0, 1, -1], [2, 1, -1], [-2, 1, 2], [-2, -3, 0]]
+        )
+    )
+    matroids = [m6, m_plane, m_line, quotient_split]
+    matroids += connected_matroids(random.Random(44))
+    for m in matroids:
+        assert m.flacets() == flacets_by_minors(m)
 
 
 def test_merge_parallel_sum():

@@ -1,6 +1,7 @@
 """Weights, flags, the tropical set, and the Bergman fan."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from coamoeba.tropical import (
     weight,
     weight_to_flag,
 )
+from oracles import connected_matroids
 
 
 def test_induced_matroid_with_loop(m6):
@@ -124,6 +126,25 @@ def test_maximal_cones_partition_complete_flags(m6):
     cones = maximal_cones(m6)
     flags = [flag for c in cones for flag in c.flags]
     assert len(flags) == len(complete_flags(m6))
+
+
+def test_flag_bases_are_induced_matroid_bases(m6, m_plane, m_line):
+    matroids = [m6, m_plane, m_line] + connected_matroids(random.Random(44))
+    for m in matroids:
+        for flag in complete_flags(m):
+            ind = induced_matroid(m, interior_weight(flag, m.n))
+            assert m.bases_through(*flag.flats) == ind.max_bases
+
+
+def test_complete_flags_are_the_complete_chains(m6, m_plane):
+    for m in (m6, m_plane):
+        coranks = list(range(m.rank - 1, 0, -1))
+        chains = {
+            f.form_chain()
+            for f in all_flags(m)
+            if [g.corank for g in f.flats] == coranks
+        }
+        assert {f.form_chain() for f in complete_flags(m)} == chains
 
 
 def test_tropical_set_equals_union_of_flag_cones(m6, m_line, m_plane):
