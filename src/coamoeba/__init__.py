@@ -55,7 +55,6 @@ from .harness import (
 from .matroid import Flat, FlagOfFlats, Matroid, merge_parallel
 from .polynomial import (
     SparsePoly,
-    evaluate_complex,
     evaluate_exact,
     format_poly,
     initial_form,

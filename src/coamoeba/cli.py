@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from . import intlinalg as la
 from . import serialize as io
 from .catalog import sixline_discriminant
 from .configuration import PointConfiguration, VectorConfiguration, gale_dual, validate_a
@@ -98,6 +97,14 @@ def _count(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite, non-negative float."""
+    value = float(text)  # argparse reports a ValueError as a usage error
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+    return value
 
 
 def _flat_labels(m: Matroid, flat) -> list[str]:
@@ -369,7 +376,7 @@ def build_parser() -> _Parser:
     p = add("member", _cmd_member, help="membership of an angle tuple")
     p.add_argument("config")
     p.add_argument("--theta", required=True, help="angles: radians or a/b*pi")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     p = add("sample", _cmd_sample, help="sample the coamoeba to CSV")
     p.add_argument("config")
@@ -381,7 +388,7 @@ def build_parser() -> _Parser:
     p.add_argument("--poly", help="polynomial file; six-line discriminant by default")
     p.add_argument("-n", type=_count, default=20, help="exact grid points")
     p.add_argument("--samples", type=_count, default=2000)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--seed", type=_count, default=0)
 
     return parser

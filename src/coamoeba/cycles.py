@@ -37,7 +37,6 @@ from .errors import (
     InputError,
     InvariantError,
     NonIntegralDegree,
-    NonSimplePolygon,
     NonzeroSum,
     ParallelRows,
     WrongLength,
@@ -101,31 +100,13 @@ class Polygon:
                     return False
         return True
 
-    def winding(self, point: Point) -> int:
-        """Winding number of the boundary cycle around an off-boundary point."""
-        x, y = Fraction(point[0]), Fraction(point[1])
-        w = 0
-        pts = self.vertices
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-            if y1 <= y:
-                if y2 > y and _orient((x1, y1), (x2, y2), (x, y)) > 0:
-                    w += 1
-            elif y2 <= y and _orient((x1, y1), (x2, y2), (x, y)) < 0:
-                w -= 1
-        return w
-
     def contains(self, point: Point) -> bool:
         """Exact membership in the cycle support: boundary or nonzero winding.
 
         Winding semantics keeps self-intersecting shells meaningful; for a
         simple polygon this is ordinary closed membership.
         """
-        x, y = Fraction(point[0]), Fraction(point[1])
-        pts = self.vertices
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-            if _on_segment((x, y), ((x1, y1), (x2, y2))):
-                return True
-        return self.winding(point) != 0
+        return _winding(self.vertices, Fraction(point[0]), Fraction(point[1])) != 0
 
     def float_vertices(self) -> tuple[tuple[float, float], ...]:
         return self._float_vertices
@@ -133,6 +114,26 @@ class Polygon:
 
 def _orient(a: Point, b: Point, c: Point) -> Fraction:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _winding(verts, x, y) -> int | None:
+    """Winding number of the closed polygon ``verts`` around (x, y), or None
+    when (x, y) lies on an edge.  One pass over the edges computes the
+    orientation of each edge whose closed y-range holds y once; the
+    arithmetic is the same for Fraction and float vertices."""
+    w = 0
+    x1, y1 = verts[-1]
+    for x2, y2 in verts:
+        if y1 <= y <= y2 or y2 <= y <= y1:
+            orient = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+            if orient == 0 and (x1 <= x <= x2 or x2 <= x <= x1):
+                return None
+            if y1 <= y < y2 and orient > 0:
+                w += 1
+            elif y2 <= y < y1 and orient < 0:
+                w -= 1
+        x1, y1 = x2, y2
+    return w
 
 
 def _on_segment(p: Point, seg) -> bool:
@@ -306,9 +307,7 @@ def half_coamoeba_from_vertex(f: VectorConfiguration, v: Point, f1) -> Polygon:
     return plus
 
 
-def half_coamoeba_cycles(
-    f: VectorConfiguration, strict: bool = False
-) -> tuple[Polygon, Polygon]:
+def half_coamoeba_cycles(f: VectorConfiguration) -> tuple[Polygon, Polygon]:
     """The upper half-coamoeba polygon and its reflection through the origin.
 
     The start vertex is the lexicographically largest admissible vertex (one
@@ -316,13 +315,10 @@ def half_coamoeba_cycles(
     pi*f_i in the clockwise-line order described in the module docstring.
 
     With five or more generators the shell can self-intersect; the boundary
-    is still the correct cycle, and membership is by winding number.  Pass
-    ``strict=True`` to raise NonSimplePolygon instead (never repaired).
+    is still the correct cycle, and membership is by winding number.
     """
     v, f1 = max(start_vertices(f), key=lambda t: t[0])
     plus = half_coamoeba_from_vertex(f, v, f1)
-    if strict and not plus.is_simple():
-        raise NonSimplePolygon("half-coamoeba boundary self-intersects")
     return plus, plus.reflect()
 
 
@@ -358,7 +354,7 @@ def degree_dH(z: Polygon, plus: Polygon, minus: Polygon) -> int:
     return int(deg)
 
 
-def build_cycle(b2: VectorConfiguration, strict: bool = False) -> CoamoebaCycle:
+def build_cycle(b2: VectorConfiguration) -> CoamoebaCycle:
     """Merge parallels, build the three polygons, and record degree and shift."""
     if b2.d != 2:
         raise InputError(f"a 2D coamoeba cycle needs d = 2, got d = {b2.d}")
@@ -372,7 +368,7 @@ def build_cycle(b2: VectorConfiguration, strict: bool = False) -> CoamoebaCycle:
         shift[0] ^= rec.arg_shift_pi[0]
         shift[1] ^= rec.arg_shift_pi[1]
     z = zonotope(reduced)
-    plus, minus = half_coamoeba_cycles(reduced, strict=strict)
+    plus, minus = half_coamoeba_cycles(reduced)
     return CoamoebaCycle(
         zonotope=z,
         plus=plus,
@@ -407,22 +403,8 @@ def _point_segment_dist(px, py, ax, ay, bx, by) -> float:
     return math.hypot(dx, dy)
 
 
-def _poly_contains_float(verts, px, py) -> bool:
-    w = 0
-    k = len(verts)
-    for i in range(k):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % k]
-        if y1 <= py:
-            if y2 > py and (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) > 0:
-                w += 1
-        elif y2 <= py and (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) < 0:
-            w -= 1
-    return w != 0
-
-
 def _poly_dist_float(verts, px, py) -> float:
-    if _poly_contains_float(verts, px, py):
+    if _winding(verts, px, py) != 0:
         return 0.0
     k = len(verts)
     return min(

@@ -15,6 +15,7 @@ transversally (type 2).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .errors import (
     Defective,
     DimensionNot3,
     Disconnected,
+    InputError,
     NearArrangement,
     NonzeroSum,
     OnArrangement,
@@ -34,7 +36,7 @@ from .errors import (
     WrongLength,
 )
 from .matroid import Flat, FlagOfFlats, Matroid, in_span
-from .polynomial import SparsePoly, evaluate_complex, evaluate_exact, partial_derivative
+from .polynomial import SparsePoly
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,16 @@ def psi_exact(h: HornKapranovMap, y) -> tuple[Fraction, ...]:
 
 
 def psi_complex(h: HornKapranovMap, y, threshold: float = 1e-12) -> tuple[complex, ...]:
-    """Floating value of psi; rejects points numerically on the arrangement."""
+    """Floating value of psi; rejects points numerically on the arrangement.
+
+    Raises InputError when a coordinate of the point or of its image is not
+    finite (the image can overflow even at a finite point).
+    """
     yv = [complex(v) for v in y]
     if len(yv) != h.d:
         raise WrongLength(f"point has {len(yv)} coordinates, expected {h.d}")
+    if not all(map(cmath.isfinite, yv)):
+        raise InputError(f"point coordinates must be finite, got {tuple(yv)}")
     norm = max(abs(v) for v in yv) or 1.0
     pairings = []
     for i, row in enumerate(h.b.matrix):
@@ -91,26 +99,41 @@ def psi_complex(h: HornKapranovMap, y, threshold: float = 1e-12) -> tuple[comple
             raise NearArrangement(h.b.labels[i])
         pairings.append(val)
     out = []
-    for j in range(h.d):
-        v = 1 + 0j
-        for val, row in zip(pairings, h.b.matrix):
-            v *= val ** row[j]
-        out.append(v)
+    try:
+        for j in range(h.d):
+            v = 1 + 0j
+            for val, row in zip(pairings, h.b.matrix):
+                v *= val ** row[j]
+            out.append(v)
+    except OverflowError:
+        pass  # out stays short of d coordinates
+    if len(out) < h.d or not all(map(cmath.isfinite, out)):
+        raise InputError(f"psi overflows at {tuple(yv)}")
     return tuple(out)
 
 
 def log_gauss(f: SparsePoly, y):
     """[y_1 df/dy_1 : ... : y_d df/dy_d], scaled by its first nonzero coordinate.
 
-    Accepts exact rational or complex points.  Raises SingularPoint when all
+    By the Euler operator, y_j df/dy_j is the sum of e_j * c * y^e over the
+    terms c * y^e of f, so one walk over the terms, evaluating each monomial
+    once, gives every coordinate.  Complex coordinates stay complex and all
+    others are read exactly as Fractions.  Raises WrongLength when the point
+    does not have one coordinate per variable, and SingularPoint when all
     coordinates vanish (the projective point is undefined there).
     """
-    exact = all(not isinstance(v, complex) for v in y)
-    coords = []
-    for j, var in enumerate(f.variables):
-        df = partial_derivative(f, var)
-        val = evaluate_exact(df, y) if exact else evaluate_complex(df, y)
-        coords.append((Fraction(y[j]) if exact else y[j]) * val)
+    point = [v if isinstance(v, complex) else Fraction(v) for v in y]
+    if len(point) != len(f.variables):
+        raise WrongLength("point length must match the number of variables")
+    coords = [0] * len(point)
+    for exps, coeff in f.terms:
+        value = coeff
+        for x, e in zip(point, exps):
+            if e:
+                value *= x**e
+        for j, e in enumerate(exps):
+            if e:
+                coords[j] += e * value
     lead = next((c for c in coords if c != 0), None)
     if lead is None:
         raise SingularPoint("all logarithmic partials vanish")

@@ -114,9 +114,5 @@ class DegenerateZonotope(InputError):
     """Fewer than two independent generators; the zonotope has no area."""
 
 
-class NonSimplePolygon(InvariantError):
-    """A constructed boundary cycle self-intersects; reported, never repaired."""
-
-
 class NonIntegralDegree(InvariantError):
     """Total cycle area is not an integer multiple of a fundamental domain."""

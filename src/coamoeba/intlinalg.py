@@ -193,10 +193,6 @@ class LatticeBasis:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    @property
-    def primitive_flags(self) -> tuple[bool, ...]:
-        return tuple(vec_gcd(v) == 1 for v in self.vectors)
-
     def matrix(self) -> IntMatrix:
         return as_matrix(self.vectors)
 

@@ -180,10 +180,14 @@ class Matroid:
         while frontier:
             nxt: dict[frozenset[int], Flat] = {}
             for flat in frontier:
+                # the covers of a flat partition the rest of the ground set,
+                # so each label outside it needs closing only once
+                covered = set(flat.forms)
                 for i in range(self.n):
-                    if i in flat.forms:
+                    if i in covered:
                         continue
                     bigger = self.closure(flat.forms | {i})
+                    covered |= bigger.forms
                     if bigger.forms not in by_forms and bigger.forms not in nxt:
                         nxt[bigger.forms] = bigger
             by_forms.update(nxt)

@@ -115,20 +115,6 @@ def evaluate_exact(p: SparsePoly, point) -> Fraction:
     return total
 
 
-def evaluate_complex(p: SparsePoly, point) -> complex:
-    """Double-precision value at a complex point."""
-    pt = [complex(x) for x in point]
-    if len(pt) != len(p.variables):
-        raise WrongLength("point length must match the number of variables")
-    total = 0j
-    for exps, coeff in p.terms:
-        v = complex(coeff)
-        for x, e in zip(pt, exps):
-            v *= x**e
-        total += v
-    return total
-
-
 def partial_derivative(p: SparsePoly, var: str) -> SparsePoly:
     j = p._var_index(var)
     out: dict[Exponents, Fraction] = {}

@@ -17,7 +17,6 @@ Feichtner-Sturmfels 2005), which ``Matroid.bases_through`` reads directly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -190,14 +189,10 @@ def maximal_cones(m: Matroid) -> list[BergmanCone]:
         groups.setdefault(m.bases_through(*flag.flats), []).append(flag)
     cones = []
     for max_bases, flags in groups.items():
-        spanning = tuple(
-            flat
-            for flat in flacet_list
-            if any(
-                flag_cone_contains(fl, indicator(m.n, flat.forms), strict=False)
-                for fl in flags
-            )
-        )
+        # the indicator of F lies in the closed cone of G_1 > ... > G_k exactly
+        # when F is E, some G_i or empty, and a flacet is neither E nor empty
+        on_flags = {flat for fl in flags for flat in fl.flats}
+        spanning = tuple(flat for flat in flacet_list if flat in on_flags)
         cones.append(
             BergmanCone(
                 flags=tuple(flags), spanning_flacets=spanning, max_bases=max_bases

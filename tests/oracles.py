@@ -2,18 +2,21 @@
 
 None of these is used by the library: each recomputes a library result by a
 different method (Fraction Gauss-Jordan elimination, rank-based closure,
-chain enumeration, circuit enumeration, minors built as vectors) on inputs
-small enough for brute force.  ``random_zero_sum_matroid`` and
-``connected_matroids`` draw the inputs.
+chain enumeration, circuit enumeration, minors built as vectors, derivative
+polynomials, two-pass polygon membership) on inputs small enough for brute
+force.  ``random_zero_sum_matroid`` and ``connected_matroids`` draw the
+inputs.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from coamoeba import intlinalg as la
 from coamoeba.configuration import VectorConfiguration
-from coamoeba.errors import NotSpanning
+from coamoeba.errors import NotSpanning, SingularPoint
 from coamoeba.matroid import Flat, Matroid
+from coamoeba.polynomial import evaluate_exact, partial_derivative
 
 
 def random_zero_sum_matroid(rng, n, d) -> Matroid:
@@ -166,3 +169,60 @@ def flacets_by_minors(m: Matroid) -> list[Flat]:
         if connected_via_circuits(inner) and connected_via_circuits(restricted):
             out.append(flat)
     return out
+
+
+def polygon_contains_two_pass(vertices, point) -> bool:
+    """Exact closed membership by two passes over the edges.
+
+    First any edge through the point (zero orientation, point in the edge's
+    box) puts it on the boundary, hence inside; otherwise the boundary's
+    winding number around the point decides.
+    """
+    x, y = Fraction(point[0]), Fraction(point[1])
+
+    def orient(a, b):
+        return (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
+
+    edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+    for a, b in edges:
+        if (
+            orient(a, b) == 0
+            and min(a[0], b[0]) <= x <= max(a[0], b[0])
+            and min(a[1], b[1]) <= y <= max(a[1], b[1])
+        ):
+            return True
+    w = 0
+    for a, b in edges:
+        if a[1] <= y:
+            if b[1] > y and orient(a, b) > 0:
+                w += 1
+        elif b[1] <= y and orient(a, b) < 0:
+            w -= 1
+    return w != 0
+
+
+def contains2_two_pass(cycle, theta_pi) -> bool:
+    """``contains2_exact`` with every translate tested by the two-pass oracle."""
+    px = Fraction(theta_pi[0]) + cycle.arg_shift_pi[0]
+    py = Fraction(theta_pi[1]) + cycle.arg_shift_pi[1]
+    for poly in (cycle.plus, cycle.minus):
+        xs = [v[0] for v in poly.vertices]
+        ys = [v[1] for v in poly.vertices]
+        for ax in range(math.ceil((min(xs) - px) / 2), math.floor((max(xs) - px) / 2) + 1):
+            for ay in range(math.ceil((min(ys) - py) / 2), math.floor((max(ys) - py) / 2) + 1):
+                if polygon_contains_two_pass(poly.vertices, (px + 2 * ax, py + 2 * ay)):
+                    return True
+    return False
+
+
+def log_gauss_by_partials(f, y):
+    """``log_gauss`` at a rational point from the derivative polynomials:
+    y_j * df/dy_j for each variable, scaled by the first nonzero one."""
+    coords = [
+        Fraction(y_j) * evaluate_exact(partial_derivative(f, var), y)
+        for y_j, var in zip(y, f.variables)
+    ]
+    lead = next((c for c in coords if c != 0), None)
+    if lead is None:
+        raise SingularPoint("all logarithmic partials vanish")
+    return tuple(c / lead for c in coords)

@@ -174,6 +174,15 @@ def test_bad_point_or_theta_exits_2(paths, capsys):
     assert main(["psi", paths["b"], "--point", "1,2", "--exact"]) == 2
     assert main(["psi", paths["b"], "--point", "1,2"]) == 2
     assert main(["gauss", paths["d"], "--point", "1,2"]) == 2
+    for point in ("nan,1,1", "inf,1,1", "1e308,1e308,1e308"):
+        assert main(["psi", paths["b"], "--point", point]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_bad_tol_exits_64(paths, capsys):
+    for tol in ("nan", "inf", "-1"):
+        assert main(["member", paths["b"], "--theta", "1,1,1", "--tol", tol]) == 64
+        assert main(["verify", paths["b"], "-n", "1", "--tol", tol]) == 64
     assert capsys.readouterr().out == ""
 
 
@@ -251,14 +260,23 @@ SUBCOMMANDS = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _exit_code(argv, capsys):
-    """main's exit code; fails on any exception or traceback text."""
+    """main's exit code; fails on any exception or traceback text, and on a
+    successful run whose stdout is not strict JSON (no NaN or Infinity)."""
     try:
         code = main(argv)
-    except SystemExit as exc:  # argparse --help
-        code = exc.code
-    err = capsys.readouterr().err
+    except SystemExit as exc:  # argparse --help prints text, not JSON
+        code, out_is_json = exc.code, False
+    else:
+        out_is_json = code == 0
+    out, err = capsys.readouterr()
     assert "Traceback" not in err, (argv, err)
+    if out_is_json:
+        json.loads(out, parse_constant=_reject_constant)
     return code
 
 
@@ -294,6 +312,8 @@ def test_fuzz_malformed_options(paths, capsys, tmp_path):
         [], ["--help"], ["bogus"], ["gale"], ["member", plane], ["psi", plane],
         ["psi", plane, "--point", ""], ["psi", plane, "--point", "0,0,0", "--exact"],
         ["psi", plane, "--point", "nan,1,1"], ["psi", plane, "--point", "1,,2"],
+        ["psi", plane, "--point", "inf,1,1"], ["psi", plane, "--point", "1e308,1e308,1e308"],
+        ["psi", b6, "--point", "1e200,2e200,3e200"],
         ["gauss", poly2, "--point", "0,0"], ["gauss", poly2, "--point", "1e400,1"],
         ["initial-form", poly2, "-w", ""], ["initial-form", poly2, "-w", "1"],
         ["initial-form", poly2, "-w", "1,2,3"], ["initial-form", poly2, "-w", "nan,1"],
@@ -301,6 +321,11 @@ def test_fuzz_malformed_options(paths, capsys, tmp_path):
         ["member", plane, "--theta", "inf,1,1"], ["member", plane, "--theta", "1e308,1e308,1e308"],
         ["member", line, "--theta", "nan,1"], ["member", line, "--theta", "inf,1"],
         ["member", line, "--theta", "1/0*pi,1"], ["member", plane, "--theta", "1,1,1", "--tol", "x"],
+        ["member", plane, "--theta", "1,1,1", "--tol", "nan"],
+        ["member", line, "--theta", "1,1", "--tol", "inf"],
+        ["member", line, "--theta", "1,1", "--tol", "-1e-9"],
+        ["verify", plane, "-n", "3", "--samples", "5", "--tol", "nan"],
+        ["verify", plane, "-n", "3", "--samples", "5", "--tol", "-inf"],
         ["sample", plane, "-n", "-5", "-o", f"{tmp_path}/c.csv"], ["sample", plane, "-n", "1.5"],
         ["sample", plane, "-n", "3"], ["sample", plane, "-n", "3", "-o", str(tmp_path)],
         ["sample", plane, "-n", "3", "--seed", "-1", "-o", f"{tmp_path}/c.csv"],

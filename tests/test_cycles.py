@@ -37,6 +37,7 @@ from coamoeba.errors import (
     WrongLength,
 )
 from coamoeba.matroid import Matroid, merge_parallel
+from oracles import contains2_two_pass
 
 
 def shoelace(vertices):
@@ -56,6 +57,7 @@ def pair_det_area(gens):
 
 
 FH = VectorConfiguration.from_rows([[3, 0], [0, 1], [-1, -2], [-2, 1]])
+FIVE = VectorConfiguration.from_rows([[1, 0], [0, 2], [-1, -1], [1, 4], [-1, -5]])
 
 
 def test_line_zonotope():
@@ -182,25 +184,44 @@ def test_choice_of_start_vertex_is_immaterial():
 
 
 def test_five_generator_shell():
-    five = VectorConfiguration.from_rows([[1, 0], [0, 2], [-1, -1], [1, 4], [-1, -5]])
-    cyc = build_cycle(five)
-    assert not cyc.simple_boundary
+    cyc = build_cycle(FIVE)
+    assert cyc.simple_boundary is False
     assert cyc.zonotope.area() == 26
     assert cyc.plus.area() == 1
     assert cyc.degree == 7
-    from coamoeba.errors import NonSimplePolygon
 
-    with pytest.raises(NonSimplePolygon):
-        build_cycle(five, strict=True)
+
+def test_contains2_exact_matches_two_pass_oracle():
+    rng = random.Random(29)
+    grid = [
+        (Fraction(rng.randint(-24, 24), q), Fraction(rng.randint(-24, 24), q))
+        for q in (1, 2, 3, 4, 6, 7, 12)
+        for _ in range(60)
+    ]
+    sixline_bases = [p.base for p in prisms_d3(Matroid(sixline_b()))]
+    answers = set()
+    for cycle in [build_cycle(line_b()), build_cycle(FH), build_cycle(FIVE)] + sixline_bases:
+        boundary = []
+        for poly in (cycle.plus, cycle.minus):
+            verts = poly.vertices
+            for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+                boundary += [(x1, y1), ((x1 + x2) / 2, (y1 + y2) / 2)]
+        for x, y in grid + boundary:
+            theta = (x - cycle.arg_shift_pi[0], y - cycle.arg_shift_pi[1])
+            got = contains2_exact(cycle, theta)
+            assert got == contains2_two_pass(cycle, theta), (cycle, theta)
+            answers.add(got)
+            # the boundary is inside the closed cycle
+            assert got or (x, y) not in boundary
+    assert answers == {True, False}
 
 
 def test_five_generator_membership_against_sampled_coamoeba():
     # every point of the parameterized curve must land inside the cycle
     import numpy as np
 
-    five = VectorConfiguration.from_rows([[1, 0], [0, 2], [-1, -1], [1, 4], [-1, -5]])
-    cyc = build_cycle(five)
-    fm = np.array(five.matrix, dtype=float)
+    cyc = build_cycle(FIVE)
+    fm = np.array(FIVE.matrix, dtype=float)
     rng = np.random.default_rng(6)
     y = rng.standard_normal((400, 2)) + 1j * rng.standard_normal((400, 2))
     pair = y @ fm.T

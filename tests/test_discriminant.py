@@ -23,11 +23,11 @@ from coamoeba.discriminant import (
     tdiscr_fan_d3,
     tdiscr_rays,
 )
-from coamoeba.errors import DimensionNot3, OnArrangement, SingularPoint
+from coamoeba.errors import DimensionNot3, InputError, OnArrangement, SingularPoint, WrongLength
 from coamoeba.matroid import Matroid, merge_parallel
-from coamoeba.polynomial import parse
+from coamoeba.polynomial import SparsePoly, parse
 from coamoeba.tropical import complete_flags
-from oracles import non_splitting_by_rank, random_zero_sum_matroid
+from oracles import log_gauss_by_partials, non_splitting_by_rank, random_zero_sum_matroid
 
 
 def test_psi_hyperplane_formula():
@@ -104,6 +104,57 @@ def test_psi_complex_conjugation(b6):
         conj = psi_complex(h, tuple(v.conjugate() for v in y))
         for a, b in zip(image, conj):
             assert abs(a.conjugate() - b) < 1e-9 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize(
+    "point", [(float("nan"), 1, 1), (1, float("inf"), 1), (1e308, 1e308, 1e308), (1e200, 2e200, 3e200)]
+)
+def test_psi_complex_rejects_non_finite(b6, point):
+    # the last two are finite points whose image overflows
+    with pytest.raises(InputError):
+        psi_complex(HornKapranovMap(b6), point)
+
+
+def test_log_gauss_euler_operator_matches_partials():
+    rng = random.Random(71)
+    singular = 0
+    for _ in range(200):
+        nv = rng.randint(1, 4)
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            exps = tuple(rng.randint(0, 4) for _ in range(nv))
+            if sum(exps) <= 4:  # degree at most 4
+                terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        f = SparsePoly.from_dict("wxyz"[:nv], terms)
+        y = tuple(
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+            for _ in range(nv)
+        )
+        try:
+            expected = log_gauss_by_partials(f, y)
+        except SingularPoint:
+            singular += 1
+            with pytest.raises(SingularPoint):
+                log_gauss(f, y)
+            continue
+        got = log_gauss(f, y)
+        assert got == expected and all(type(c) is Fraction for c in got)
+    assert 0 < singular < 100  # zero and constant polynomials occur
+
+
+def test_log_gauss_complex_point_matches_exact(big_d):
+    y = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    exact = log_gauss(big_d, y)
+    approx = log_gauss(big_d, tuple(complex(v) for v in y))
+    for a, e in zip(approx, exact):
+        assert type(a) is complex
+        assert abs(a - float(e)) <= 1e-9 * abs(float(e))
+
+
+def test_log_gauss_rejects_wrong_length(big_d):
+    for y in ((1, 2), (1, 2, 3, 4), (1j, 2j)):
+        with pytest.raises(WrongLength):
+            log_gauss(big_d, y)
 
 
 def test_log_gauss_hyperplane():

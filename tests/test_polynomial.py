@@ -10,7 +10,6 @@ from coamoeba.catalog import SIXLINE_DISCRIMINANT_TEXT
 from coamoeba.errors import PolySyntaxError, UnknownVariable
 from coamoeba.polynomial import (
     SparsePoly,
-    evaluate_complex,
     evaluate_exact,
     format_poly,
     initial_form,
@@ -87,12 +86,6 @@ def test_evaluate_product_property():
         assert evaluate_exact(p * q, point) == evaluate_exact(p, point) * evaluate_exact(
             q, point
         )
-
-
-def test_evaluate_complex_close_to_exact(big_d):
-    exact = evaluate_exact(big_d, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
-    approx = evaluate_complex(big_d, (0.5, 1 / 3, 0.2))
-    assert abs(approx - float(exact)) < 1e-9
 
 
 def test_derivatives():

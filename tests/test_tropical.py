@@ -128,6 +128,22 @@ def test_maximal_cones_partition_complete_flags(m6):
     assert len(flags) == len(complete_flags(m6))
 
 
+def test_spanning_flacets_are_the_closed_cone_filter(m6, m_plane, m_line):
+    matroids = [m6, m_plane, m_line] + connected_matroids(random.Random(44))
+    for m in matroids:
+        flacets = m.flacets()
+        for cone in maximal_cones(m):
+            expected = tuple(
+                flat
+                for flat in flacets
+                if any(
+                    flag_cone_contains(fl, indicator(m.n, flat.forms), strict=False)
+                    for fl in cone.flags
+                )
+            )
+            assert cone.spanning_flacets == expected
+
+
 def test_flag_bases_are_induced_matroid_bases(m6, m_plane, m_line):
     matroids = [m6, m_plane, m_line] + connected_matroids(random.Random(44))
     for m in matroids:
