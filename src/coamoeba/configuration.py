@@ -114,8 +114,8 @@ def validate_a(a: PointConfiguration) -> ValidationReport:
     u = la.solve_integer(la.as_matrix(cols), (1,) * a.n) if a.m and full_rank else None
     kernel = la.integer_kernel(a.matrix)
     pyramid = any(
-        all(vec[i] == 0 for vec in kernel.vectors) for i in range(a.n)
-    ) if kernel.vectors else False
+        all(vec[i] == 0 for vec in kernel) for i in range(a.n)
+    ) if kernel else False
     return ValidationReport(spans=spans, u=u, pyramid=pyramid)
 
 
@@ -131,9 +131,9 @@ def gale_dual(a: PointConfiguration) -> VectorConfiguration:
     if report.u is None:
         raise NoAffineHyperplane("no primitive covector evaluates to 1 on all points")
     kernel = la.integer_kernel(a.matrix)
-    if not kernel.vectors:
+    if not kernel:
         raise InputError("the points are affinely independent: the Gale dual has d = 0")
-    b = VectorConfiguration(la.transpose(kernel.matrix()), a.labels)
+    b = VectorConfiguration(la.transpose(kernel), a.labels)
     if any(b.row_sum()):
         raise InvariantError("Gale dual rows do not sum to zero")
     return b

@@ -1,9 +1,9 @@
 """Polyhedral 2D discriminant coamoebas and the d = 3 prism decomposition.
 
 Everything planar lives in the universal cover of the torus, with
-coordinates measured in units of pi (so all vertices of the cycles below are
-exact integers or rationals).  A 2D discriminant coamoeba is encoded by
-three polygons:
+coordinates measured in units of pi, so every vertex of the cycles below, a
+partial sum of integer generators, is an exact integer.  A 2D discriminant
+coamoeba is encoded by three polygons:
 
 * the zonotope, the Minkowski sum of the segments [0, pi*f] over the merged
   generators f (which sum to zero, so it is centrally symmetric);
@@ -16,7 +16,7 @@ three polygons:
 The closed coamoeba on the torus is the image of the two half-coamoebas; the
 three cycles together cover exactly ``degree`` fundamental domains.  A prism
 lifts a 2D cycle to a 3D phase-limit-set component through the quotient
-chart of a hyperplane flat.
+chart of a hyperplane flat, which is the flat's own kernel basis.
 """
 
 from __future__ import annotations
@@ -44,50 +44,46 @@ from .errors import (
 )
 from .matroid import Flat, Matroid, merge_parallel
 
-Point = tuple[Fraction, Fraction]
+Point = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class Polygon:
-    """Closed simple polygon in the universal cover, coordinates in pi units.
+    """Closed simple polygon in the universal cover, integer coordinates in
+    pi units.
 
-    The exact bounding box and the float vertices and bounding box are
-    computed once, at construction, for the membership and distance tests.
+    The bounding box and the float vertices are computed once, at
+    construction, for the membership and distance tests.
     """
 
     vertices: tuple[Point, ...]
     _bbox: tuple = field(init=False, repr=False, compare=False)
     _float_vertices: tuple = field(init=False, repr=False, compare=False)
-    _float_bbox: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = [p[0] for p in self.vertices]
         ys = [p[1] for p in self.vertices]
-        box = (min(xs), max(xs), min(ys), max(ys))
-        object.__setattr__(self, "_bbox", box)
+        object.__setattr__(self, "_bbox", (min(xs), max(xs), min(ys), max(ys)))
         object.__setattr__(
             self, "_float_vertices", tuple((float(x), float(y)) for x, y in self.vertices)
         )
-        object.__setattr__(self, "_float_bbox", tuple(float(v) for v in box))
 
     def signed_area(self) -> Fraction:
         """Shoelace area in pi^2 units; positive means counterclockwise."""
-        total = Fraction(0)
         pts = self.vertices
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-            total += x1 * y2 - x2 * y1
-        return total / 2
+        total = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
+        return Fraction(total, 2)
 
     def area(self) -> Fraction:
         return abs(self.signed_area())
 
-    def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def bbox(self) -> tuple[int, int, int, int]:
         return self._bbox
 
     def reflect(self) -> "Polygon":
         return Polygon(tuple((-x, -y) for x, y in self.vertices))
 
-    def translate(self, dx: Fraction, dy: Fraction) -> "Polygon":
+    def translate(self, dx: int, dy: int) -> "Polygon":
         return Polygon(tuple((x + dx, y + dy) for x, y in self.vertices))
 
     def is_simple(self) -> bool:
@@ -112,7 +108,7 @@ class Polygon:
         return self._float_vertices
 
 
-def _orient(a: Point, b: Point, c: Point) -> Fraction:
+def _orient(a: Point, b: Point, c: Point) -> int:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
@@ -120,7 +116,7 @@ def _winding(verts, x, y) -> int | None:
     """Winding number of the closed polygon ``verts`` around (x, y), or None
     when (x, y) lies on an edge.  One pass over the edges computes the
     orientation of each edge whose closed y-range holds y once; the
-    arithmetic is the same for Fraction and float vertices."""
+    arithmetic is the same for exact and float coordinates."""
     w = 0
     x1, y1 = verts[-1]
     for x2, y2 in verts:
@@ -222,13 +218,13 @@ def zonotope(f: VectorConfiguration) -> Polygon:
     Requires nonzero pairwise non-parallel rows with zero sum; the result is
     centrally symmetric about the origin.
     """
-    gens = [tuple(int(x) for x in row) for row in f.matrix]
+    gens = f.matrix
     _check_generators(gens)
-    edges = sorted([g for g in gens] + [tuple(-x for x in g) for g in gens], key=_angle_key)
+    edges = sorted(list(gens) + [tuple(-x for x in g) for g in gens], key=_angle_key)
     first = edges[0]
     # outward normal of the first edge; its support set gives the edge's tail
     normal = (first[1], -first[0])
-    tail = [Fraction(0), Fraction(0)]
+    tail = [0, 0]
     for g in gens:
         if g[0] * normal[0] + g[1] * normal[1] > 0:
             tail[0] += g[0]
@@ -238,7 +234,7 @@ def zonotope(f: VectorConfiguration) -> Polygon:
     for e in edges[:-1]:
         cur = [cur[0] + e[0], cur[1] + e[1]]
         verts.append(tuple(cur))
-    poly = Polygon(tuple((Fraction(x), Fraction(y)) for x, y in verts))
+    poly = Polygon(tuple(verts))
     if poly.signed_area() <= 0:
         raise DegenerateZonotope("zonotope has nonpositive area")
     return poly
@@ -246,7 +242,7 @@ def zonotope(f: VectorConfiguration) -> Polygon:
 
 def _line_key(v) -> tuple[int, int]:
     """Canonical upper-half direction of the line spanned by v."""
-    x, y = int(v[0]), int(v[1])
+    x, y = v
     if y < 0 or (y == 0 and x < 0):
         x, y = -x, -y
     return (x, y)
@@ -259,15 +255,13 @@ def start_vertices(f: VectorConfiguration) -> list[tuple[Point, la.IntVector]]:
     per generator.
     """
     z = zonotope(f)
-    gens = [tuple(int(x) for x in row) for row in f.matrix]
     out = []
-    k = len(z.vertices)
     for i, v in enumerate(z.vertices):
         prev = z.vertices[i - 1]
-        incoming = (int(v[0] - prev[0]), int(v[1] - prev[1]))
-        if incoming in gens:
+        incoming = (v[0] - prev[0], v[1] - prev[1])
+        if incoming in f.matrix:
             out.append((v, incoming))
-    if len(out) != len(gens):
+    if len(out) != f.n:
         raise InvariantError("zonotope lacks a start vertex for some generator")
     return out
 
@@ -293,15 +287,14 @@ def _clockwise_line_order(f1, rest):
 
 def half_coamoeba_from_vertex(f: VectorConfiguration, v: Point, f1) -> Polygon:
     """The walk v, v - pi f_1, v - pi(f_1+f_2), ... for a given start vertex."""
-    gens = [tuple(int(x) for x in row) for row in f.matrix]
-    rest = [g for g in gens if g != tuple(f1)]
+    rest = [g for g in f.matrix if g != tuple(f1)]
     ordered = [tuple(f1)] + _clockwise_line_order(f1, rest)
     verts = [v]
     cur = v
     for g in ordered[:-1]:
         cur = (cur[0] - g[0], cur[1] - g[1])
         verts.append(cur)
-    plus = Polygon(tuple((Fraction(x), Fraction(y)) for x, y in verts))
+    plus = Polygon(tuple(verts))
     if plus.signed_area() < 0:
         plus = Polygon(tuple(reversed(plus.vertices)))
     return plus
@@ -388,7 +381,7 @@ def _require_angles(theta, count: int) -> None:
 
 
 def _translates(poly: Polygon, px: float, py: float, pad: float):
-    xmin, xmax, ymin, ymax = poly._float_bbox
+    xmin, xmax, ymin, ymax = poly._bbox
     axs = range(math.ceil((xmin - px - pad) / 2), math.floor((xmax - px + pad) / 2) + 1)
     ays = range(math.ceil((ymin - py - pad) / 2), math.floor((ymax - py + pad) / 2) + 1)
     return itertools.product(axs, ays)
@@ -473,8 +466,8 @@ class Prism:
     """A 3D phase-limit-set component: the preimage of a 2D cycle.
 
     ``projection`` is the 2 x 3 quotient chart by the hyperplane's normal
-    sublattice; membership of an angle triple is membership of its projected
-    angle pair in ``base``.
+    sublattice, which is the flat's ``space_basis``; membership of an angle
+    triple is membership of its projected angle pair in ``base``.
     """
 
     hyperplane_flat: Flat
@@ -539,7 +532,7 @@ def _chart_distances(poly: Polygon, px: np.ndarray, py: np.ndarray, window) -> n
     the points reach (``window`` bounds the points: x_lo, x_hi, y_lo, y_hi),
     with the same arithmetic in the same order.
     """
-    xmin, xmax, ymin, ymax = poly._float_bbox
+    xmin, xmax, ymin, ymax = poly._bbox
     x_lo, x_hi, y_lo, y_hi = window
     axs = np.arange(
         math.ceil((xmin - x_hi - _PAD) / 2), math.floor((xmax - x_lo + _PAD) / 2) + 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,18 +84,24 @@ def psi_exact(h: HornKapranovMap, y) -> tuple[Fraction, ...]:
 def psi_complex(h: HornKapranovMap, y, threshold: float = 1e-12) -> tuple[complex, ...]:
     """Floating value of psi; rejects points numerically on the arrangement.
 
-    Raises InputError when a coordinate of the point or of its image is not
-    finite (the image can overflow even at a finite point).
+    psi is homogeneous of degree 0, so the point is first scaled by the power
+    of two that brings its largest coordinate part into [1/2, 1): the scaling
+    is exact in binary floating point and leaves the value unchanged, so huge
+    and tiny points evaluate without over- or underflow.  Raises InputError
+    when a coordinate of the point or of its image is not finite (the image
+    can still overflow near the arrangement).
     """
     yv = [complex(v) for v in y]
     if len(yv) != h.d:
         raise WrongLength(f"point has {len(yv)} coordinates, expected {h.d}")
     if not all(map(cmath.isfinite, yv)):
         raise InputError(f"point coordinates must be finite, got {tuple(yv)}")
-    norm = max(abs(v) for v in yv) or 1.0
+    k = math.frexp(max(max(abs(v.real), abs(v.imag)) for v in yv))[1]
+    scaled = [complex(math.ldexp(v.real, -k), math.ldexp(v.imag, -k)) for v in yv]
+    norm = max(abs(v) for v in scaled) or 1.0
     pairings = []
     for i, row in enumerate(h.b.matrix):
-        val = sum(c * x for c, x in zip(row, yv))
+        val = sum(c * x for c, x in zip(row, scaled))
         if abs(val) < threshold * norm:
             raise NearArrangement(h.b.labels[i])
         pairings.append(val)
@@ -105,8 +112,8 @@ def psi_complex(h: HornKapranovMap, y, threshold: float = 1e-12) -> tuple[comple
             for val, row in zip(pairings, h.b.matrix):
                 v *= val ** row[j]
             out.append(v)
-    except OverflowError:
-        pass  # out stays short of d coordinates
+    except (OverflowError, ZeroDivisionError):
+        pass  # a power over- or underflowed; out stays short of d coordinates
     if len(out) < h.d or not all(map(cmath.isfinite, out)):
         raise InputError(f"psi overflows at {tuple(yv)}")
     return tuple(out)

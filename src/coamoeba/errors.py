@@ -30,10 +30,6 @@ class NoAffineHyperplane(InputError):
     """No primitive covector evaluates to 1 on every point of the configuration."""
 
 
-class NotSaturated(InputError):
-    """A sublattice basis was required to be saturated but is not."""
-
-
 class ZeroVector(InputError):
     """A vector configuration contains a zero row."""
 

@@ -14,18 +14,12 @@ reproducible:
   unique for a given row lattice, which is what makes golden tests possible.
 * ``integer_kernel`` returns the HNF-canonical basis of the saturated kernel
   lattice.
-* ``quotient_projection`` by a saturated sublattice S of Z^r pairs with the
-  canonical basis of the orthogonal kernel {v : <v, s> = 0 for all s in S};
-  it kills exactly S and is surjective onto Z^(r-k).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-from .errors import InvariantError, NotSaturated
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -178,26 +172,7 @@ def lattices_equal(a, b) -> bool:
     return row_lattice_basis(a) == row_lattice_basis(b)
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
-    """A basis of a sublattice of Z^ambient_rank.
-
-    ``saturated`` asserts the spanned subgroup equals its saturation (the
-    intersection of its rational span with the ambient lattice).
-    """
-
-    ambient_rank: int
-    vectors: tuple[IntVector, ...]
-    saturated: bool
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def matrix(self) -> IntMatrix:
-        return as_matrix(self.vectors)
-
-
-def integer_kernel(m: IntMatrix, cols: int | None = None) -> LatticeBasis:
+def integer_kernel(m: IntMatrix, cols: int | None = None) -> tuple[IntVector, ...]:
     """Saturated basis of {v in Z^cols : m @ v = 0}, HNF-canonical.
 
     Computed from the row HNF of the transpose: the transform rows paired
@@ -208,41 +183,10 @@ def integer_kernel(m: IntMatrix, cols: int | None = None) -> LatticeBasis:
     m = as_matrix(m)
     ncols = len(m[0]) if m else (cols or 0)
     if not m or ncols == 0:
-        return LatticeBasis(ncols, tuple(identity(ncols)), True)
+        return identity(ncols)
     h, u = hermite_normal_form(transpose(m))
     kern = [u[i] for i in range(len(h)) if not any(h[i])]
-    basis = row_lattice_basis(kern) if kern else ()
-    return LatticeBasis(ncols, basis, True)
-
-
-def is_saturated(vectors, ambient_rank: int) -> bool:
-    """Does the row span equal its saturation in Z^ambient_rank?"""
-    vecs = as_matrix(vectors)
-    if not vecs:
-        return True
-    sat = integer_kernel(
-        integer_kernel(vecs).matrix(), cols=ambient_rank
-    ).vectors
-    return lattices_equal(vecs, sat)
-
-
-def quotient_projection(ambient_rank: int, sub: LatticeBasis) -> IntMatrix:
-    """Integer chart for Z^ambient / <sub>, as an (ambient-k) x ambient matrix.
-
-    Rows are the canonical basis of the orthogonal kernel of ``sub``; the map
-    kills exactly the sublattice and is surjective because a saturated
-    sublattice has coprime maximal minors.
-    """
-    if sub.vectors and len(sub.vectors[0]) != ambient_rank:
-        raise ValueError("sublattice vectors have wrong ambient rank")
-    if not sub.saturated or not is_saturated(sub.vectors, ambient_rank):
-        raise NotSaturated(f"sublattice of Z^{ambient_rank} is not saturated")
-    if not sub.vectors:
-        return identity(ambient_rank)
-    proj = integer_kernel(sub.matrix(), cols=ambient_rank).matrix()
-    if len(proj) != ambient_rank - len(sub.vectors):
-        raise InvariantError("quotient chart has the wrong number of rows")
-    return proj
+    return row_lattice_basis(kern) if kern else ()
 
 
 def solve_unique_rational(m, v):

@@ -13,7 +13,8 @@ whenever some basis through b stays a basis after swapping b for b'.
 Minors by a flat F are read off the bases of M: the bases B with
 |B & F| = r(F) (``bases_through``) give the bases B & F of the restriction
 M|F and B - F of the contraction M/F.  ``restrict_to_flat`` builds the
-contraction's vectors B|_L in the quotient lattice M / L_perp for the cycles.
+contraction's vectors B|_L for the cycles by pairing each vector with the
+flat's own kernel basis, which is the quotient chart of M / L_perp.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ class Matroid:
         """
         d = self.config.d
         rows = [self.config.matrix[i] for i in sorted(forms)]
-        space = la.integer_kernel(rows, cols=d).vectors
+        space = la.integer_kernel(rows, cols=d)
         closed = frozenset(
             i for i, row in enumerate(self.config.matrix) if in_span(row, space)
         )
@@ -221,20 +222,15 @@ class Matroid:
 
     # -- restriction ------------------------------------------------------------
 
-    def perp_basis(self, flat: Flat) -> la.LatticeBasis:
-        """Saturation of the Z-span of the flat's forms (the lattice L_perp)."""
-        sub = la.integer_kernel(la.as_matrix(flat.space_basis))
-        if len(sub.vectors) != flat.corank:
-            raise InvariantError("perp lattice rank differs from the flat's corank")
-        return sub
-
     def restrict_to_flat(self, flat: Flat) -> tuple[VectorConfiguration, la.IntMatrix]:
         """Images B|_L of the non-vanishing vectors in M / L_perp.
 
-        The projection is the canonical quotient chart; the images are all
-        nonzero because the flat is closed.
+        The chart is the flat's ``space_basis``, the canonical basis of
+        L & Z^d: pairing with it kills exactly the saturation of the span of
+        the forms and maps Z^d onto Z^dim(L).  The images are all nonzero
+        because the flat is closed.
         """
-        proj = la.quotient_projection(self.config.d, self.perp_basis(flat))
+        proj = la.as_matrix(flat.space_basis)
         rows = []
         labels = []
         for i in range(self.n):

@@ -1,12 +1,11 @@
 """Slow, independent reference implementations that the tests compare against.
 
 None of these is used by the library: each recomputes a library result by a
-different method (Fraction Gauss-Jordan elimination, rank-based closure,
-chain enumeration, circuit enumeration, minors built as vectors, derivative
-polynomials, two-pass polygon membership) on inputs small enough for brute
-force.  ``random_zero_sum_matroid`` and ``connected_matroids`` draw the
-inputs.
-"""
+different method (Fraction Gauss-Jordan elimination, quotient charts by a
+double kernel, rank-based closure, chain enumeration, circuit enumeration,
+minors built as vectors, derivative polynomials, two-pass polygon
+membership) on inputs small enough for brute force.
+``random_zero_sum_matroid`` and ``connected_matroids`` draw the inputs."""
 
 import itertools
 import math
@@ -79,6 +78,35 @@ def solve_reference(m, v):
     return tuple(rows[k][-1] for k in range(ncols))
 
 
+def is_saturated(vectors, ambient_rank: int) -> bool:
+    """Does the row span equal its saturation in Z^ambient_rank?"""
+    vecs = la.as_matrix(vectors)
+    if not vecs:
+        return True
+    sat = la.integer_kernel(la.integer_kernel(vecs), cols=ambient_rank)
+    return la.lattices_equal(vecs, sat)
+
+
+def quotient_projection(ambient_rank: int, sub) -> la.IntMatrix:
+    """Integer chart for Z^ambient / <sub>, as an (ambient-k) x ambient matrix.
+
+    ``sub`` is a basis of a saturated sublattice S; the rows are the
+    canonical basis of its orthogonal kernel {v : <v, s> = 0 for s in S},
+    so the map kills exactly S and is surjective, because a saturated
+    sublattice has coprime maximal minors.
+    """
+    if sub and len(sub[0]) != ambient_rank:
+        raise ValueError("sublattice vectors have wrong ambient rank")
+    if not is_saturated(sub, ambient_rank):
+        raise ValueError(f"sublattice of Z^{ambient_rank} is not saturated")
+    if not sub:
+        return la.identity(ambient_rank)
+    proj = la.integer_kernel(sub, cols=ambient_rank)
+    if len(proj) != ambient_rank - len(sub):
+        raise ValueError("quotient chart has the wrong number of rows")
+    return proj
+
+
 def flats_by_rank(config) -> list[Flat]:
     """All flats, as the rank-based closures of every subset of the labels."""
     rows = config.matrix
@@ -93,7 +121,7 @@ def flats_by_rank(config) -> list[Flat]:
             )
             if closed not in flats:
                 space = la.integer_kernel([rows[i] for i in sorted(closed)], cols=d)
-                flats[closed] = Flat(closed, r, space.vectors)
+                flats[closed] = Flat(closed, r, space)
     return sorted(flats.values(), key=Flat.sort_key)
 
 

@@ -174,9 +174,21 @@ def test_bad_point_or_theta_exits_2(paths, capsys):
     assert main(["psi", paths["b"], "--point", "1,2", "--exact"]) == 2
     assert main(["psi", paths["b"], "--point", "1,2"]) == 2
     assert main(["gauss", paths["d"], "--point", "1,2"]) == 2
-    for point in ("nan,1,1", "inf,1,1", "1e308,1e308,1e308"):
+    for point in ("nan,1,1", "inf,1,1"):
         assert main(["psi", paths["b"], "--point", point]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_psi_at_huge_and_tiny_points(paths, capsys):
+    # psi is degree-0: 1e200 and 1e-200 times (1, 2, 3) have the image of (1, 2, 3)
+    assert main(["psi", paths["b"], "--point", "1,2,3"]) == 0
+    want = json.loads(capsys.readouterr().out)["psi"]
+    for point in ("1e200,2e200,3e200", "1e-200,2e-200,3e-200"):
+        assert main(["psi", paths["b"], "--point", point]) == 0
+        got = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["psi"]
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            assert abs(complex(*a) - complex(*b)) <= 1e-12 * abs(complex(*b))
 
 
 def test_bad_tol_exits_64(paths, capsys):
@@ -313,7 +325,7 @@ def test_fuzz_malformed_options(paths, capsys, tmp_path):
         ["psi", plane, "--point", ""], ["psi", plane, "--point", "0,0,0", "--exact"],
         ["psi", plane, "--point", "nan,1,1"], ["psi", plane, "--point", "1,,2"],
         ["psi", plane, "--point", "inf,1,1"], ["psi", plane, "--point", "1e308,1e308,1e308"],
-        ["psi", b6, "--point", "1e200,2e200,3e200"],
+        ["psi", b6, "--point", "1e200,2e200,3e200"], ["psi", b6, "--point", "1e-200,2e-200,3e-200"],
         ["gauss", poly2, "--point", "0,0"], ["gauss", poly2, "--point", "1e400,1"],
         ["initial-form", poly2, "-w", ""], ["initial-form", poly2, "-w", "1"],
         ["initial-form", poly2, "-w", "1,2,3"], ["initial-form", poly2, "-w", "nan,1"],

@@ -37,7 +37,7 @@ from coamoeba.errors import (
     WrongLength,
 )
 from coamoeba.matroid import Matroid, merge_parallel
-from oracles import contains2_two_pass
+from oracles import contains2_two_pass, random_zero_sum_matroid
 
 
 def shoelace(vertices):
@@ -198,6 +198,11 @@ def test_contains2_exact_matches_two_pass_oracle():
         for q in (1, 2, 3, 4, 6, 7, 12)
         for _ in range(60)
     ]
+    # independent denominators, and magnitudes that reach other translates
+    for _ in range(240):
+        qx, qy = rng.randint(1, 13), rng.randint(1, 13)
+        x = Fraction(rng.randint(-5 * qx, 5 * qx), qx)
+        grid.append((x, Fraction(rng.randint(-5 * qy, 5 * qy), qy)))
     sixline_bases = [p.base for p in prisms_d3(Matroid(sixline_b()))]
     answers = set()
     for cycle in [build_cycle(line_b()), build_cycle(FH), build_cycle(FIVE)] + sixline_bases:
@@ -214,6 +219,25 @@ def test_contains2_exact_matches_two_pass_oracle():
             # the boundary is inside the closed cycle
             assert got or (x, y) not in boundary
     assert answers == {True, False}
+
+
+def test_cycle_vertices_are_ints():
+    # each vertex is a partial sum of integer generators
+    bases = [build_cycle(config) for config in (line_b(), FH, FIVE)]
+    for config in (plane_b(), sixline_b(), RANDOM93):
+        bases += [p.base for p in prisms_d3(Matroid(config))]
+    rng = random.Random(83)
+    drawn = 0
+    while drawn < 2:
+        try:
+            bases += [p.base for p in prisms_d3(random_zero_sum_matroid(rng, 9, 3))]
+        except InputError:  # disconnected or defective
+            continue
+        drawn += 1
+    for cycle in bases:
+        for poly in (cycle.zonotope, cycle.plus, cycle.minus):
+            assert all(type(v) is int for vertex in poly.vertices for v in vertex)
+            assert all(type(v) is int for v in poly.bbox())
 
 
 def test_five_generator_membership_against_sampled_coamoeba():

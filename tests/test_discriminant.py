@@ -107,12 +107,41 @@ def test_psi_complex_conjugation(b6):
 
 
 @pytest.mark.parametrize(
-    "point", [(float("nan"), 1, 1), (1, float("inf"), 1), (1e308, 1e308, 1e308), (1e200, 2e200, 3e200)]
+    "point",
+    [
+        (float("nan"), 1, 1),
+        (1, float("inf"), 1),
+        (1, 1, complex(0, float("nan"))),
+        (1, complex(float("-inf"), 2), 1),
+    ],
 )
 def test_psi_complex_rejects_non_finite(b6, point):
-    # the last two are finite points whose image overflows
     with pytest.raises(InputError):
         psi_complex(HornKapranovMap(b6), point)
+
+
+def test_psi_complex_power_underflow_is_input_error():
+    # near the b4 hyperplane <b4, y> is about 1e-10: its 61st power underflows
+    # to 0, so the power -61 overflows and must be an input error, not a
+    # ZeroDivisionError
+    b = VectorConfiguration.from_rows([[1, 0], [0, 1], [60, 1], [-61, -2]])
+    with pytest.raises(InputError):
+        psi_complex(HornKapranovMap(b), (2, -60.9999999999))
+
+
+def test_psi_complex_is_exactly_scale_invariant(b6):
+    # psi is degree-0 and the point is normalised by a power of two, so
+    # scaling by 2^600 or 2^-600 (exact in floating point) changes no bit
+    h = HornKapranovMap(b6)
+    rng = random.Random(47)
+    points = [(1 + 2j, -0.5, 3j), (1, 2, 3)]
+    points += [
+        tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)) for _ in range(20)
+    ]
+    for y in points:
+        image = psi_complex(h, y)
+        for scale in (2**600, 2**-600):
+            assert psi_complex(h, tuple(scale * v for v in y)) == image
 
 
 def test_log_gauss_euler_operator_matches_partials():

@@ -3,7 +3,9 @@
 Inputs live in ``tests/golden/inputs/`` and each case's stdout in
 ``tests/golden/<case>.json``; ``sample`` cases also pin their CSV cloud.
 The comparison is byte for byte and ignores only ``provenance.version``.
-After an intended output change, regenerate with
+The stdout of each script in ``demos/`` is pinned byte for byte in
+``tests/golden/demos/<demo>.txt``.  After an intended output change,
+regenerate with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
@@ -11,6 +13,7 @@ import contextlib
 import io as stdio
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +34,8 @@ from coamoeba.polynomial import parse, write_polynomial_file
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 CONFIGS = {
     "line_a": hyperplane_a(2),
@@ -141,6 +146,23 @@ def test_golden_files_match_cases():
     assert written == set(CASES)
 
 
+def run_demo(script: Path) -> bytes:
+    """A demo's stdout, run as its own process on this checkout's sources."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, check=True
+    ).stdout
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
+def test_demo_output(script):
+    assert run_demo(script) == (GOLDEN / "demos" / f"{script.stem}.txt").read_bytes()
+
+
+def test_demo_goldens_match_demos():
+    assert {p.stem for p in (GOLDEN / "demos").glob("*.txt")} == {p.stem for p in DEMOS}
+
+
 def regenerate() -> None:
     write_inputs()
     for stale in GOLDEN.glob("*.json"):
@@ -152,6 +174,9 @@ def regenerate() -> None:
             (GOLDEN / f"{name}.json").write_text(run_case(name))
     finally:
         os.chdir(cwd)
+    (GOLDEN / "demos").mkdir(exist_ok=True)
+    for script in DEMOS:
+        (GOLDEN / "demos" / f"{script.stem}.txt").write_bytes(run_demo(script))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from coamoeba.catalog import line_b, plane_b
+from coamoeba import intlinalg as la
+from coamoeba.catalog import line_b, plane_b, sixline_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.errors import EmptyConfiguration, NotSpanning, ZeroVector
 from coamoeba.matroid import Matroid, merge_parallel
@@ -15,6 +16,7 @@ from oracles import (
     connected_via_circuits,
     flacets_by_minors,
     flats_by_rank,
+    quotient_projection,
     random_zero_sum_matroid,
 )
 
@@ -182,6 +184,37 @@ def test_restrict_annihilates_span(m6):
                 sum(p * x for p, x in zip(row, m6.config.matrix[i])) == 0
                 for row in proj
             )
+
+
+def test_restrict_to_flat_chart_is_the_quotient_projection():
+    rng = random.Random(41)
+    matroids = [Matroid(sixline_b()), Matroid(plane_b())] + connected_matroids(rng)
+    matroids += [random_zero_sum_matroid(rng, 9, 3) for _ in range(2)]
+    for m in matroids:
+        d = m.config.d
+        for flat in m.proper_flats():
+            restricted, chart = m.restrict_to_flat(flat)
+            forms = [m.config.matrix[i] for i in sorted(flat.forms)]
+            saturation = la.integer_kernel(la.integer_kernel(forms, cols=d), cols=d)
+            assert chart == quotient_projection(d, saturation)
+            assert len(chart) == d - flat.corank
+            # the chart kills every form of the flat and maps Z^d onto Z^dim(L)
+            assert not any(any(la.mat_vec(chart, row)) for row in forms)
+            h, _ = la.hermite_normal_form(la.transpose(chart))
+            assert tuple(row for row in h if any(row)) == la.identity(len(chart))
+            outside = [m.config.matrix[i] for i in range(m.n) if i not in flat.forms]
+            assert restricted.matrix == tuple(la.mat_vec(chart, row) for row in outside)
+
+
+def test_restrict_to_trivial_flats(m6):
+    # the zero flat keeps every vector in the identity chart; the flat of all
+    # of B contracts everything, leaving no vectors and a 0-row chart
+    restricted, chart = m6.restrict_to_flat(m6.closure(frozenset()))
+    assert chart == la.identity(3)
+    assert restricted == m6.config
+    restricted, chart = m6.restrict_to_flat(m6.closure(range(m6.n)))
+    assert chart == ()
+    assert restricted.n == 0 and restricted.labels == ()
 
 
 def test_bases_through_triple_point(m6):
