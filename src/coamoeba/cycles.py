@@ -16,7 +16,7 @@ coamoeba is encoded by three polygons:
 The closed coamoeba on the torus is the image of the two half-coamoebas; the
 three cycles together cover exactly ``degree`` fundamental domains.  A prism
 lifts a 2D cycle to a 3D phase-limit-set component through the quotient
-chart of a hyperplane flat, which is the flat's own kernel basis.
+chart of a hyperplane flat, the kernel basis of the flat's forms.
 """
 
 from __future__ import annotations
@@ -82,9 +82,6 @@ class Polygon:
 
     def reflect(self) -> "Polygon":
         return Polygon(tuple((-x, -y) for x, y in self.vertices))
-
-    def translate(self, dx: int, dy: int) -> "Polygon":
-        return Polygon(tuple((x + dx, y + dy) for x, y in self.vertices))
 
     def is_simple(self) -> bool:
         edges = list(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
@@ -466,7 +463,8 @@ class Prism:
     """A 3D phase-limit-set component: the preimage of a 2D cycle.
 
     ``projection`` is the 2 x 3 quotient chart by the hyperplane's normal
-    sublattice, which is the flat's ``space_basis``; membership of an angle
+    sublattice, the canonical integer kernel basis of the flat's forms
+    (``Matroid.restrict_to_flat``); membership of an angle
     triple is membership of its projected angle pair in ``base``.
     """
 

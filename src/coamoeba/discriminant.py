@@ -36,7 +36,7 @@ from .errors import (
     SingularPoint,
     WrongLength,
 )
-from .matroid import Flat, FlagOfFlats, Matroid, in_span
+from .matroid import Flat, FlagOfFlats, Matroid
 from .polynomial import SparsePoly
 
 
@@ -172,15 +172,18 @@ def non_splitting_flags(m: Matroid) -> list[FlagOfFlats]:
 
     A flag F_1 < ... < F_(d-1) qualifies when for each j the sum of the
     vectors in F_j does not lie in the span of F_(j-1) (F_0 is the corank-0
-    flat, whose span is 0); the configuration is nondefective exactly when
-    one exists.  The flags come in ``tropical.complete_flags`` order.
+    flat, whose span is 0), that is, when appending that sum to the vectors
+    of F_(j-1) raises their rank above its corank.  The configuration is
+    nondefective exactly when such a flag exists.  The flags come in
+    ``tropical.complete_flags`` order.
     """
     if any(m.config.row_sum()):
         raise NonzeroSum("non-splitting flags assume rows summing to zero")
 
     @functools.cache
     def splits(prev: Flat, flat: Flat) -> bool:
-        return in_span(form_sum(m, flat.forms), prev.space_basis)
+        rows = [m.config.matrix[i] for i in prev.forms]
+        return la.rank_rational(rows + [form_sum(m, flat.forms)]) == prev.corank
 
     zero = m.flats()[0]
     return [

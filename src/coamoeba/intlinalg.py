@@ -51,10 +51,6 @@ def mat_vec(m, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
-def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
 def vec_gcd(v) -> int:
     g = 0
     for x in v:

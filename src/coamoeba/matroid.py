@@ -2,11 +2,14 @@
 
 Bases are enumerated by brute force over all rank-sized subsets (the intended
 scale is n <= 16, d <= 6, where exactness and simplicity beat oracle-based
-matroid algorithms).  A flat is stored by its form-set F, the labels whose
-vectors vanish on the subspace L = cap ker(b); its ``corank`` is the rank of
-the span of F, which equals d - dim L.  Because span(F) is the annihilator
-of L, a vector lies in span(F) exactly when it is orthogonal to a basis of
-L; closure is computed that way, from one integer kernel.  Connectivity
+matroid algorithms).  Everything else is read off the bases.  The rank of a
+label set F is the most labels of F inside one basis, and its closure adds
+every label that keeps that rank.  A flat is stored by its form-set F, the
+labels whose vectors vanish on the subspace L = cap ker(b); its ``corank``
+is the rank of F, which equals d - dim L.  The hyperplanes are the closures
+of the (r-1)-subsets of bases, and every flat is an intersection of
+hyperplanes (Oxley, *Matroid Theory*, 1.4), so the lattice of flats is the
+ground set closed under intersection with each hyperplane.  Connectivity
 uses the basis-exchange graph: vertices are elements, with an edge b -- b'
 whenever some basis through b stays a basis after swapping b for b'.
 
@@ -14,7 +17,8 @@ Minors by a flat F are read off the bases of M: the bases B with
 |B & F| = r(F) (``bases_through``) give the bases B & F of the restriction
 M|F and B - F of the contraction M/F.  ``restrict_to_flat`` builds the
 contraction's vectors B|_L for the cycles by pairing each vector with the
-flat's own kernel basis, which is the quotient chart of M / L_perp.
+canonical integer kernel basis of the flat's forms, which is the quotient
+chart of M / L_perp; it is the only linear algebra here besides the bases.
 """
 
 from __future__ import annotations
@@ -25,13 +29,8 @@ from fractions import Fraction
 
 from . import intlinalg as la
 from .configuration import VectorConfiguration
-from .errors import Disconnected, EmptyConfiguration, InvariantError
+from .errors import Disconnected, EmptyConfiguration, InputError, InvariantError
 from .errors import NotSpanning, ZeroVector
-
-
-def in_span(v, space_basis) -> bool:
-    """Is v in the span of the forms vanishing on the subspace with this basis?"""
-    return not any(la.dot(v, k) for k in space_basis)
 
 
 def _parallel_groups(matrix) -> dict[la.IntVector, list[int]]:
@@ -74,14 +73,12 @@ def _connected(ground: frozenset[int], bases) -> bool:
 class Flat:
     """A flat of the matroid, recorded by its form-set.
 
-    ``forms`` are indices into the configuration, ``corank`` is the rank of
-    their span, and ``space_basis`` is the canonical saturated basis of the
-    subspace L on which they all vanish.
+    ``forms`` are indices into the configuration and ``corank`` is their
+    matroid rank, the rank of their span.
     """
 
     forms: frozenset[int]
     corank: int
-    space_basis: tuple[la.IntVector, ...]
 
     def dim(self, d: int) -> int:
         return d - self.corank
@@ -156,44 +153,41 @@ class Matroid:
     def labels_of(self, forms) -> tuple[str, ...]:
         return tuple(self.config.labels[i] for i in sorted(forms))
 
-    def closure(self, forms) -> Flat:
-        """Smallest flat containing ``forms``: all labels inside their span.
+    def rank_of(self, forms) -> int:
+        """The matroid rank r(F): the most labels of F inside one basis."""
+        forms = frozenset(forms)
+        if not forms <= frozenset(range(self.n)):
+            raise InputError(f"labels must lie in range({self.n})")
+        return max(len(b & forms) for b in self.bases)
 
-        The kernel L of the forms depends only on their span, so it is
-        already the closed flat's ``space_basis``.
-        """
-        d = self.config.d
-        rows = [self.config.matrix[i] for i in sorted(forms)]
-        space = la.integer_kernel(rows, cols=d)
-        closed = frozenset(
-            i for i, row in enumerate(self.config.matrix) if in_span(row, space)
-        )
-        return Flat(forms=closed, corank=d - len(space), space_basis=space)
+    def closure(self, forms) -> Flat:
+        """Smallest flat containing ``forms``: every label that keeps its rank."""
+        forms = frozenset(forms)
+        r = self.rank_of(forms)
+        closed = frozenset(i for i in range(self.n) if self.rank_of(forms | {i}) == r)
+        return Flat(forms=closed, corank=r)
 
     def flats(self) -> list[Flat]:
-        """All flats graded by corank, including the empty set and all of B."""
+        """All flats graded by corank, including the empty set and all of B.
+
+        The hyperplane through an independent (r-1)-set I is the set of labels
+        i for which I + i is not a basis.  Intersecting the ground set with
+        each hyperplane in turn, while keeping every earlier intersection,
+        gives the intersections of all sets of hyperplanes: all the flats.
+        """
         if self._flats is not None:
             return self._flats
-        by_forms: dict[frozenset[int], Flat] = {}
-        zero = self.closure(frozenset())
-        by_forms[zero.forms] = zero
-        frontier = [zero]
-        while frontier:
-            nxt: dict[frozenset[int], Flat] = {}
-            for flat in frontier:
-                # the covers of a flat partition the rest of the ground set,
-                # so each label outside it needs closing only once
-                covered = set(flat.forms)
-                for i in range(self.n):
-                    if i in covered:
-                        continue
-                    bigger = self.closure(flat.forms | {i})
-                    covered |= bigger.forms
-                    if bigger.forms not in by_forms and bigger.forms not in nxt:
-                        nxt[bigger.forms] = bigger
-            by_forms.update(nxt)
-            frontier = list(nxt.values())
-        self._flats = sorted(by_forms.values(), key=Flat.sort_key)
+        rests = {b - {x} for b in self.bases for x in b}
+        hyperplanes = {
+            frozenset(i for i in range(self.n) if rest | {i} not in self.bases)
+            for rest in rests
+        }
+        found = {frozenset(range(self.n))}
+        for h in hyperplanes:
+            found |= {f & h for f in found}
+        self._flats = sorted(
+            (Flat(forms=f, corank=self.rank_of(f)) for f in found), key=Flat.sort_key
+        )
         return self._flats
 
     def proper_flats(self) -> list[Flat]:
@@ -225,12 +219,13 @@ class Matroid:
     def restrict_to_flat(self, flat: Flat) -> tuple[VectorConfiguration, la.IntMatrix]:
         """Images B|_L of the non-vanishing vectors in M / L_perp.
 
-        The chart is the flat's ``space_basis``, the canonical basis of
-        L & Z^d: pairing with it kills exactly the saturation of the span of
-        the forms and maps Z^d onto Z^dim(L).  The images are all nonzero
-        because the flat is closed.
+        The chart is the canonical basis of L & Z^d, the integer kernel of
+        the flat's forms: pairing with it kills exactly the saturation of the
+        span of the forms and maps Z^d onto Z^dim(L).  The images are all
+        nonzero because the flat is closed.
         """
-        proj = la.as_matrix(flat.space_basis)
+        d = self.config.d
+        proj = la.integer_kernel([self.config.matrix[i] for i in sorted(flat.forms)], cols=d)
         rows = []
         labels = []
         for i in range(self.n):

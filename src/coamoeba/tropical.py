@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Disconnected, LevelSetNotAFlat, NotInTropical
+from .errors import Disconnected, LevelSetNotAFlat, NotInTropical, WrongLength
 from .matroid import Flat, FlagOfFlats, Matroid
 
 Weight = tuple[Fraction, ...]
@@ -43,7 +43,7 @@ class InducedMatroid:
 def induced_matroid(m: Matroid, w: Weight) -> InducedMatroid:
     """Bases of maximal w-weight, and the elements lying in none of them."""
     if len(w) != m.n:
-        raise ValueError("weight length must match the ground set")
+        raise WrongLength("weight length must match the ground set")
     best = None
     max_bases: list[frozenset[int]] = []
     for basis in m.bases:

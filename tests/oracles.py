@@ -110,7 +110,6 @@ def quotient_projection(ambient_rank: int, sub) -> la.IntMatrix:
 def flats_by_rank(config) -> list[Flat]:
     """All flats, as the rank-based closures of every subset of the labels."""
     rows = config.matrix
-    d = config.d
     flats = {}
     for size in range(len(rows) + 1):
         for sub in itertools.combinations(range(len(rows)), size):
@@ -119,9 +118,7 @@ def flats_by_rank(config) -> list[Flat]:
             closed = frozenset(
                 i for i in range(len(rows)) if rank_reference(span + [rows[i]]) == r
             )
-            if closed not in flats:
-                space = la.integer_kernel([rows[i] for i in sorted(closed)], cols=d)
-                flats[closed] = Flat(closed, r, space)
+            flats.setdefault(closed, Flat(closed, r))
     return sorted(flats.values(), key=Flat.sort_key)
 
 

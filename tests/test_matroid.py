@@ -9,8 +9,8 @@ import pytest
 from coamoeba import intlinalg as la
 from coamoeba.catalog import line_b, plane_b, sixline_b
 from coamoeba.configuration import VectorConfiguration
-from coamoeba.errors import EmptyConfiguration, NotSpanning, ZeroVector
-from coamoeba.matroid import Matroid, merge_parallel
+from coamoeba.errors import EmptyConfiguration, InputError, NotSpanning, ZeroVector
+from coamoeba.matroid import Flat, Matroid, merge_parallel
 from oracles import (
     connected_matroids,
     connected_via_circuits,
@@ -18,7 +18,11 @@ from oracles import (
     flats_by_rank,
     quotient_projection,
     random_zero_sum_matroid,
+    rank_reference,
 )
+
+# a rank-1 configuration, whose only hyperplane is the empty flat
+RANK_ONE = VectorConfiguration.from_rows([[1], [2], [-3]])
 
 
 def test_sixline_bases(m6):
@@ -76,6 +80,33 @@ def test_closure_idempotent_monotone(m6):
         cs, ct = m6.closure(s), m6.closure(t)
         assert m6.closure(cs.forms).forms == cs.forms
         assert cs.forms <= ct.forms
+
+
+def test_closure_and_rank_match_rank_oracle():
+    rng = random.Random(52)
+    matroids = connected_matroids(rng)
+    matroids += [random_zero_sum_matroid(rng, n, 3) for n in (8, 9)]
+    matroids.append(Matroid(RANK_ONE))
+    for m in matroids:
+        rows = m.config.matrix
+        for _ in range(40):
+            s = frozenset(rng.sample(range(m.n), rng.randint(0, m.n)))
+            r = rank_reference([rows[i] for i in sorted(s)])
+            assert m.rank_of(s) == r
+            closed = frozenset(
+                i for i in range(m.n)
+                if rank_reference([rows[i] for i in sorted(s | {i})]) == r
+            )
+            assert m.closure(s) == Flat(closed, r)
+
+
+@pytest.mark.parametrize("label", [-1, 7])
+def test_closure_rejects_labels_outside_the_ground_set(label):
+    m = random_zero_sum_matroid(random.Random(5), 7, 5)
+    with pytest.raises(InputError):
+        m.closure({label})
+    with pytest.raises(InputError):
+        m.rank_of({label})
 
 
 def test_sixline_flats(m6):
@@ -139,6 +170,8 @@ def test_connectivity_matches_circuit_oracle(m6, m_line, m_plane):
 def test_flats_match_rank_closure_oracle(m6):
     rng = random.Random(74)
     matroids = [m6] + [random_zero_sum_matroid(rng, 7, 4) for _ in range(6)]
+    matroids += [random_zero_sum_matroid(rng, n, d) for n, d in ((7, 5), (8, 3), (9, 3))]
+    matroids.append(Matroid(RANK_ONE))
     for m in matroids:
         assert m.flats() == flats_by_rank(m.config)
 

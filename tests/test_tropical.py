@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from coamoeba.errors import LevelSetNotAFlat, NotInTropical
+from coamoeba.errors import LevelSetNotAFlat, NotInTropical, WrongLength
 from coamoeba.tropical import (
     all_flags,
     bergman_rays,
@@ -72,6 +72,15 @@ def test_weight_to_flag_two_step(m6):
 def test_weight_to_flag_rejects_loops(m6):
     with pytest.raises(NotInTropical):
         weight_to_flag(m6, weight([1, 1, 0, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("length", [5, 7])
+def test_weight_of_wrong_length_is_wrong_length(m6, length):
+    w = weight([1] * length)
+    with pytest.raises(WrongLength):
+        induced_matroid(m6, w)
+    with pytest.raises(WrongLength):
+        weight_to_flag(m6, w)
 
 
 def test_flag_cone_contains(m6):
