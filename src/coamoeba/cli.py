@@ -9,6 +9,7 @@ violation, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -142,7 +143,7 @@ def _cmd_matroid_info(args):
         "connected": m.is_connected(),
         "parallel_classes": [sorted(m.labels_of(c)) for c in m.parallel_classes],
         "flats_by_corank": by_corank,
-        "flacets": [_flat_labels(m, f) for f in m.flacets()],
+        "flacets": [_flat_labels(m, f) for f in m.flacets()] if m.is_connected() else None,
     }
     _emit(args, payload, inputs, {})
 
@@ -323,6 +324,7 @@ def _cmd_verify(args):
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="coamoeba", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

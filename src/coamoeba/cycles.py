@@ -21,6 +21,7 @@ chart of a hyperplane flat, the kernel basis of the flat's forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -160,43 +161,20 @@ def _segments_cross(e1, e2, allow_shared_end: bool) -> bool:
 # -- zonotope and half-coamoebas --------------------------------------------------
 
 
-def _angle_key(v: la.IntVector):
-    """Sort key equivalent to the angle of v in [0, 2*pi), exact."""
-    x, y = v
-    if y > 0 or (y == 0 and x > 0):
-        half = 0  # angle in [0, pi)
-    else:
-        half = 1
-    # within a half turn, compare by slope: a before b iff cross(a, b) > 0
-    return (half, _SlopeKey(v))
+def _cross(a, b) -> int:
+    return a[0] * b[1] - a[1] * b[0]
 
 
-class _SlopeKey:
-    """Ascending angle within one half-turn: a < b iff cross(a, b) > 0."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        ax, ay = self.v
-        bx, by = other.v
-        return ax * by - ay * bx > 0
-
-    def __eq__(self, other):
-        ax, ay = self.v
-        bx, by = other.v
-        return ax * by - ay * bx == 0
+def _half_turn(v) -> int:
+    """0 when the angle of v lies in [0, pi), 1 when it lies in [pi, 2*pi)."""
+    return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
 
 
-class _DescSlopeKey(_SlopeKey):
-    """Descending angle within one half-turn."""
-
-    def __lt__(self, other):
-        ax, ay = self.v
-        bx, by = other.v
-        return ax * by - ay * bx < 0
+@functools.cmp_to_key
+def _by_angle(a, b) -> int:
+    """Ascending angle in [0, 2*pi), exact: within a half-turn, a before b
+    iff cross(a, b) > 0."""
+    return _half_turn(a) - _half_turn(b) or -_cross(a, b)
 
 
 def _check_generators(gens) -> None:
@@ -205,7 +183,7 @@ def _check_generators(gens) -> None:
     if any(sum(col) for col in zip(*gens)):
         raise NonzeroSum("generators must sum to zero")
     for u, w in itertools.combinations(gens, 2):
-        if u[0] * w[1] - u[1] * w[0] == 0:
+        if _cross(u, w) == 0:
             raise ParallelRows(f"parallel generators {u} and {w}; merge parallels first")
 
 
@@ -217,7 +195,7 @@ def zonotope(f: VectorConfiguration) -> Polygon:
     """
     gens = f.matrix
     _check_generators(gens)
-    edges = sorted(list(gens) + [tuple(-x for x in g) for g in gens], key=_angle_key)
+    edges = sorted(list(gens) + [tuple(-x for x in g) for g in gens], key=_by_angle)
     first = edges[0]
     # outward normal of the first edge; its support set gives the edge's tail
     normal = (first[1], -first[0])
@@ -272,14 +250,13 @@ def _clockwise_line_order(f1, rest):
     """
     ref = _line_key(f1)
 
-    def key(g):
-        direction = _line_key(g)
-        cross = ref[0] * direction[1] - ref[1] * direction[0]
+    def clockwise(g, h) -> int:
         # lines below the reference angle come first; both groups in
         # descending line angle
-        return (0 if cross < 0 else 1, _DescSlopeKey(direction))
+        a, b = _line_key(g), _line_key(h)
+        return (_cross(ref, a) >= 0) - (_cross(ref, b) >= 0) or _cross(a, b)
 
-    return sorted(rest, key=key)
+    return sorted(rest, key=functools.cmp_to_key(clockwise))
 
 
 def half_coamoeba_from_vertex(f: VectorConfiguration, v: Point, f1) -> Polygon:

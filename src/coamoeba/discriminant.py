@@ -16,7 +16,6 @@ transversally (type 2).
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -174,23 +173,18 @@ def non_splitting_flags(m: Matroid) -> list[FlagOfFlats]:
     vectors in F_j does not lie in the span of F_(j-1) (F_0 is the corank-0
     flat, whose span is 0), that is, when appending that sum to the vectors
     of F_(j-1) raises their rank above its corank.  The configuration is
-    nondefective exactly when such a flag exists.  The flags come in
-    ``tropical.complete_flags`` order.
+    nondefective exactly when such a flag exists.  The escape test prunes
+    the walk of ``tropical.complete_flags``: a splitting link cuts off every
+    chain through it, and the flags come in ``complete_flags`` order.
     """
     if any(m.config.row_sum()):
         raise NonzeroSum("non-splitting flags assume rows summing to zero")
 
-    @functools.cache
-    def splits(prev: Flat, flat: Flat) -> bool:
-        rows = [m.config.matrix[i] for i in prev.forms]
-        return la.rank_rational(rows + [form_sum(m, flat.forms)]) == prev.corank
+    def escapes(lower: Flat, upper: Flat) -> bool:
+        rows = [m.config.matrix[i] for i in lower.forms]
+        return la.rank_rational(rows + [form_sum(m, upper.forms)]) > lower.corank
 
-    zero = m.flats()[0]
-    return [
-        flag
-        for flag in tropical.complete_flags(m)
-        if not any(map(splits, (zero,) + flag.flats[::-1], flag.flats[::-1]))
-    ]
+    return tropical._chains(m, escapes)
 
 
 def nondefective(m: Matroid | VectorConfiguration) -> bool:

@@ -198,15 +198,14 @@ class Matroid:
 
     # -- minors and connectivity ---------------------------------------------
 
-    def bases_through(self, *flats: Flat) -> frozenset[frozenset[int]]:
-        """The bases B with |B & F| = r(F) for every given flat F.
+    def bases_through(self, flat: Flat) -> frozenset[frozenset[int]]:
+        """The bases B with |B & F| = r(F) for the flat F.
 
-        For one flat, B & F and B - F are the bases of M|F and M/F; for a
-        complete flag, they are the bases of maximal weight inside its cone.
+        B & F and B - F are the bases of M|F and M/F; intersected over the
+        flats of a complete flag, these sets give the bases of maximal weight
+        inside its cone.
         """
-        return frozenset(
-            b for b in self.bases if all(len(b & f.forms) == f.corank for f in flats)
-        )
+        return frozenset(b for b in self.bases if len(b & flat.forms) == flat.corank)
 
     def is_connected(self) -> bool:
         """Single component of the basis-exchange graph."""

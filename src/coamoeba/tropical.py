@@ -12,7 +12,8 @@ subdivision; grouping the complete flags by their induced matroid recovers
 the coarse (Bergman) cones, whose rays are the indicator vectors of the
 flacets.  Any weight inside the cone of a complete flag F_1 > ... > F_(d-1)
 induces the bases B with |B & F_i| = r(F_i) for all i (Ardila-Klivans 2006,
-Feichtner-Sturmfels 2005), which ``Matroid.bases_through`` reads directly.
+Feichtner-Sturmfels 2005), the intersection of ``Matroid.bases_through(F_i)``.
+Complete and non-splitting flags come from one walk over chains of flats.
 """
 
 from __future__ import annotations
@@ -142,18 +143,35 @@ def all_flags(m: Matroid) -> list[FlagOfFlats]:
     return flags
 
 
+def _chains(m: Matroid, keep) -> list[FlagOfFlats]:
+    """Complete flags whose every link G < F, from the corank-0 flat up,
+    passes ``keep(G, F)``.
+
+    Each flat lists the flats one corank below it that it contains, that
+    pass ``keep`` and that still reach the corank-0 flat.  Chains grow from
+    the corank r-1 flats down these lists in ``flats()`` order, so they come
+    out sorted by their form-sets, and a failed link prunes its subtree.
+    """
+    levels = [m.flats_of_corank(k) for k in range(m.rank)]
+    below: dict[Flat, list[Flat]] = {levels[0][0]: []}
+    for lower, upper in zip(levels, levels[1:]):
+        for flat in upper:
+            kept = [g for g in lower if g in below and g.forms < flat.forms and keep(g, flat)]
+            if kept:
+                below[flat] = kept
+    chains = [(flat,) for flat in levels[-1] if flat in below]
+    for _ in range(m.rank - 1):
+        chains = [c + (g,) for c in chains for g in below[c[-1]]]
+    return [FlagOfFlats(c[:-1]) for c in chains]
+
+
 def complete_flags(m: Matroid) -> list[FlagOfFlats]:
     """Flags containing a flat of every corank rank-1 .. 1 (fine maximal cones).
 
-    Chains grow from the corank-0 flat; a flat of corank k + 1 extends a
-    chain whose last flat's forms it contains.
+    The walk over chains of flats with every link kept; sorted by the
+    form-sets of their flats, the largest first.
     """
-    chains: list[tuple[Flat, ...]] = [(m.flats()[0],)]
-    for corank in range(1, m.rank):
-        level = m.flats_of_corank(corank)
-        chains = [c + (f,) for c in chains for f in level if f.forms > c[-1].forms]
-    out = [FlagOfFlats(tuple(reversed(c[1:]))) for c in chains]
-    return sorted(out, key=lambda f: tuple(sorted(flat.forms) for flat in f.flats))
+    return _chains(m, lambda lower, upper: True)
 
 
 @dataclass(frozen=True)
@@ -179,14 +197,17 @@ def maximal_cones(m: Matroid) -> list[BergmanCone]:
 
     Weights interior to a fine cone of a complete flag determine the same
     set of maximal bases across the whole coarse cone, so grouping complete
-    flags by that set enumerates the maximal cones exactly.
+    flags by that set enumerates the maximal cones exactly.  A flag's set is
+    the intersection of the base sets of its flats, each computed once.
     """
     if not m.is_connected():
         raise Disconnected("Bergman cones require a connected configuration")
     flacet_list = m.flacets()
+    through = {flat: m.bases_through(flat) for flat in m.proper_flats()}
     groups: dict[frozenset[frozenset[int]], list[FlagOfFlats]] = {}
     for flag in complete_flags(m):
-        groups.setdefault(m.bases_through(*flag.flats), []).append(flag)
+        key = m.bases.intersection(*(through[flat] for flat in flag.flats))
+        groups.setdefault(key, []).append(flag)
     cones = []
     for max_bases, flags in groups.items():
         # the indicator of F lies in the closed cone of G_1 > ... > G_k exactly

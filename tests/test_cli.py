@@ -50,6 +50,18 @@ def test_matroid_info(paths, capsys):
     assert len(data["flacets"]) == 8
 
 
+def test_matroid_info_disconnected_has_null_flacets(capsys, tmp_path):
+    from coamoeba.configuration import VectorConfiguration
+
+    cfg = VectorConfiguration.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]])
+    path = tmp_path / "split.json"
+    path.write_text(io.dump_json(io.config_to_json(cfg)))
+    code, data = run_json(["matroid-info", str(path)], capsys)
+    assert code == 0
+    assert data["connected"] is False and data["flacets"] is None
+    assert data["n_bases"] == 4
+
+
 def test_bergman_and_cones(paths, capsys):
     code, data = run_json(["bergman-rays", paths["b"]], capsys)
     assert code == 0 and len(data["rays"]) == 8
@@ -76,6 +88,17 @@ def test_psi_exact(paths, capsys):
     )
     assert code == 0
     assert data["psi"] == ["3/25", "-9/5", "-1/25"]
+
+
+def test_parser_keeps_no_state_between_calls(paths, capsys):
+    code, data = run_json(["psi", paths["b"], "--point", "1,1,1", "--exact"], capsys)
+    assert code == 0 and data["psi"] == ["3/25", "-9/5", "-1/25"]
+    assert main(["psi", paths["b"], "--exact"]) == 64
+    capsys.readouterr()
+    code, data = run_json(["psi", paths["b"], "--point", "1,1,1"], capsys)
+    assert code == 0
+    assert data["provenance"]["parameters"]["exact"] is False
+    assert all(isinstance(v, list) and len(v) == 2 for v in data["psi"])
 
 
 def test_gauss(paths, capsys):

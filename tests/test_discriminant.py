@@ -262,6 +262,16 @@ def test_non_splitting_flags_match_rank_oracle(m6, m_plane):
         assert got == non_splitting_by_rank(m.config)
 
 
+def test_zero_sum_hyperplane_splits_the_first_link():
+    # {b1, b2} is a corank-1 flat with zero form-sum: the link from the
+    # corank-0 flat to it splits, although {b1, b2} < {b1, b2, b3} escapes
+    cfg = VectorConfiguration.from_rows(
+        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, -1]]
+    )
+    assert non_splitting_by_rank(cfg) == set()
+    assert non_splitting_flags(Matroid(cfg)) == []
+
+
 def test_non_splitting_flags_in_complete_flag_order(m6):
     flags = non_splitting_flags(m6)
     kept = set(flags)

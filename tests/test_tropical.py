@@ -7,7 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from coamoeba.catalog import hyperplane_b
+from coamoeba.configuration import VectorConfiguration
+from coamoeba.discriminant import non_splitting_flags
 from coamoeba.errors import LevelSetNotAFlat, NotInTropical, WrongLength
+from coamoeba.matroid import FlagOfFlats, Matroid
 from coamoeba.tropical import (
     all_flags,
     bergman_rays,
@@ -21,7 +25,7 @@ from coamoeba.tropical import (
     weight,
     weight_to_flag,
 )
-from oracles import connected_matroids
+from oracles import connected_matroids, random_zero_sum_matroid
 
 
 def test_induced_matroid_with_loop(m6):
@@ -156,9 +160,27 @@ def test_spanning_flacets_are_the_closed_cone_filter(m6, m_plane, m_line):
 def test_flag_bases_are_induced_matroid_bases(m6, m_plane, m_line):
     matroids = [m6, m_plane, m_line] + connected_matroids(random.Random(44))
     for m in matroids:
-        for flag in complete_flags(m):
-            ind = induced_matroid(m, interior_weight(flag, m.n))
-            assert m.bases_through(*flag.flats) == ind.max_bases
+        for cone in maximal_cones(m):
+            for flag in cone.flags:
+                ind = induced_matroid(m, interior_weight(flag, m.n))
+                assert cone.max_bases == ind.max_bases
+
+
+def test_complete_flags_come_out_sorted(m6, m_plane, m_line):
+    rng = random.Random(9)
+    matroids = [m6, m_plane, m_line, Matroid(hyperplane_b(4))] + connected_matroids(rng)
+    matroids += [random_zero_sum_matroid(rng, 9, 3) for _ in range(2)]
+    for m in matroids:
+        flags = complete_flags(m)
+        assert flags == sorted(flags, key=lambda f: tuple(sorted(g.forms) for g in f.flats))
+
+
+def test_rank_one_has_the_empty_flag():
+    m = Matroid(VectorConfiguration.from_rows([[1], [2], [-3]]))
+    assert complete_flags(m) == [FlagOfFlats(())]
+    assert non_splitting_flags(m) == [FlagOfFlats(())]
+    (cone,) = maximal_cones(m)
+    assert cone.flags == (FlagOfFlats(()),) and cone.max_bases == m.bases
 
 
 def test_complete_flags_are_the_complete_chains(m6, m_plane):
