@@ -379,7 +379,7 @@ def _poly_dist_float(verts, px, py) -> float:
     )
 
 
-def cycle_distance(cycle: CoamoebaCycle, theta, tol_window: float = 2.0) -> float:
+def cycle_distance(cycle: CoamoebaCycle, theta) -> float:
     """Distance (radians) from an angle pair to the coamoeba cycle on the torus.
 
     Zero when the shifted point lies in some 2 pi Z^2 translate of either
@@ -395,7 +395,7 @@ def cycle_distance(cycle: CoamoebaCycle, theta, tol_window: float = 2.0) -> floa
     best = math.inf
     for poly in (cycle.plus, cycle.minus):
         verts = poly.float_vertices()
-        for ax, ay in _translates(poly, px, py, tol_window):
+        for ax, ay in _translates(poly, px, py, _PAD):
             d = _poly_dist_float([(x - 2 * ax, y - 2 * ay) for x, y in verts], px, py)
             if d < best:
                 best = d
@@ -420,15 +420,9 @@ def contains2_exact(cycle: CoamoebaCycle, theta_pi) -> bool:
     px = Fraction(theta_pi[0]) + cycle.arg_shift_pi[0]
     py = Fraction(theta_pi[1]) + cycle.arg_shift_pi[1]
     for poly in (cycle.plus, cycle.minus):
-        xmin, xmax, ymin, ymax = poly.bbox()
-        ax_lo = math.ceil((xmin - px) / 2)
-        ax_hi = math.floor((xmax - px) / 2)
-        ay_lo = math.ceil((ymin - py) / 2)
-        ay_hi = math.floor((ymax - py) / 2)
-        for ax in range(ax_lo, ax_hi + 1):
-            for ay in range(ay_lo, ay_hi + 1):
-                if poly.contains((px + 2 * ax, py + 2 * ay)):
-                    return True
+        for ax, ay in _translates(poly, px, py, 0):
+            if poly.contains((px + 2 * ax, py + 2 * ay)):
+                return True
     return False
 
 

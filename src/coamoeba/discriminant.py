@@ -166,17 +166,8 @@ def form_sum(m: Matroid, forms) -> la.IntVector:
     return tuple(sum(c) for c in cols) if forms else (0,) * m.config.d
 
 
-def non_splitting_flags(m: Matroid) -> list[FlagOfFlats]:
-    """Complete flags whose partial form-sums escape every previous span.
-
-    A flag F_1 < ... < F_(d-1) qualifies when for each j the sum of the
-    vectors in F_j does not lie in the span of F_(j-1) (F_0 is the corank-0
-    flat, whose span is 0), that is, when appending that sum to the vectors
-    of F_(j-1) raises their rank above its corank.  The configuration is
-    nondefective exactly when such a flag exists.  The escape test prunes
-    the walk of ``tropical.complete_flags``: a splitting link cuts off every
-    chain through it, and the flags come in ``complete_flags`` order.
-    """
+def _escaping_links(m: Matroid) -> dict[Flat, list[Flat]]:
+    """``tropical._links`` over G < F when F's form-sum raises the rank of G."""
     if any(m.config.row_sum()):
         raise NonzeroSum("non-splitting flags assume rows summing to zero")
 
@@ -184,16 +175,33 @@ def non_splitting_flags(m: Matroid) -> list[FlagOfFlats]:
         rows = [m.config.matrix[i] for i in lower.forms]
         return la.rank_rational(rows + [form_sum(m, upper.forms)]) > lower.corank
 
-    return tropical._chains(m, escapes)
+    return tropical._links(m, escapes)
+
+
+def non_splitting_flags(m: Matroid) -> list[FlagOfFlats]:
+    """Complete flags whose partial form-sums escape every previous span.
+
+    A flag F_1 < ... < F_(d-1) qualifies when for each j the sum of the
+    vectors in F_j does not lie in the span of F_(j-1) (F_0 is the corank-0
+    flat, whose span is 0).  The configuration is nondefective exactly when
+    such a flag exists.  The escape test prunes the walk of
+    ``tropical.complete_flags``: a splitting link cuts off every chain
+    through it, and the flags come in ``complete_flags`` order.
+    """
+    return tropical._chains(m, _escaping_links(m))
 
 
 def nondefective(m: Matroid | VectorConfiguration) -> bool:
-    """Does the dual variety fill a hypersurface?  Zero rows mean no."""
+    """Does the dual variety fill a hypersurface?  Zero rows mean no.
+
+    Yes when some corank r-1 flat reaches the corank-0 flat by escaping links.
+    """
     if isinstance(m, VectorConfiguration):
         if any(not any(row) for row in m.matrix):
             return False
         m = Matroid(m)
-    return bool(non_splitting_flags(m))
+    below = _escaping_links(m)
+    return any(flat in below for flat in m.flats_of_corank(m.rank - 1))
 
 
 def non_splitting_flats(m: Matroid) -> list[Flat]:
@@ -262,19 +270,13 @@ def _cross3(u, v):
 
 
 def _in_sector(x, u, w) -> bool:
-    """Is x a nonnegative combination of independent u, w (all in one plane)?"""
-    for i, j in itertools.combinations(range(3), 2):
-        det = u[i] * w[j] - u[j] * w[i]
-        if det:
-            alpha = Fraction(x[i] * w[j] - x[j] * w[i], det)
-            beta = Fraction(u[i] * x[j] - u[j] * x[i], det)
-            break
-    else:
-        return False
-    if alpha < 0 or beta < 0:
-        return False
-    recon = tuple(alpha * a + beta * b for a, b in zip(u, w))
-    return all(r == Fraction(c) for r, c in zip(recon, x))
+    """Is x a nonnegative combination of independent u, w?
+
+    With n = u x w, x = a u + b w exactly when x . n = 0, and then
+    x x w = a n and u x x = b n.
+    """
+    plane, a, b = la.mat_vec((x, _cross3(x, w), _cross3(u, x)), _cross3(u, w))
+    return plane == 0 and a >= 0 and b >= 0
 
 
 def tdiscr_fan_d3(m: Matroid) -> list[TropRay]:

@@ -10,15 +10,16 @@ is the rank of F, which equals d - dim L.  The hyperplanes are the closures
 of the (r-1)-subsets of bases, and every flat is an intersection of
 hyperplanes (Oxley, *Matroid Theory*, 1.4), so the lattice of flats is the
 ground set closed under intersection with each hyperplane.  Connectivity
-uses the basis-exchange graph: vertices are elements, with an edge b -- b'
-whenever some basis through b stays a basis after swapping b for b'.
+reads the fundamental graph of one basis B, joining b in B to e outside B
+when B - b + e is a basis; M is connected exactly when it is (Krogdahl 1977).
 
-Minors by a flat F are read off the bases of M: the bases B with
-|B & F| = r(F) (``bases_through``) give the bases B & F of the restriction
-M|F and B - F of the contraction M/F.  ``restrict_to_flat`` builds the
-contraction's vectors B|_L for the cycles by pairing each vector with the
-canonical integer kernel basis of the flat's forms, which is the quotient
-chart of M / L_perp; it is the only linear algebra here besides the bases.
+Minors by a flat F are read off one basis B with |B & F| = r(F): B & F is a
+basis of the restriction M|F and B - F one of the contraction M/F, and a
+swap inside F or inside E - F keeps a basis of the minor exactly when it
+keeps one of M.  ``restrict_to_flat`` builds the contraction's vectors B|_L
+for the cycles by pairing each vector with the canonical integer kernel
+basis of the flat's forms, which is the quotient chart of M / L_perp; it is
+the only linear algebra here besides the bases.
 """
 
 from __future__ import annotations
@@ -47,25 +48,21 @@ def _parallel_groups(matrix) -> dict[la.IntVector, list[int]]:
     return groups
 
 
-def _connected(ground: frozenset[int], bases) -> bool:
-    """Is the basis-exchange graph of ``bases`` on a nonempty ``ground`` connected?"""
-    adj: dict[int, set[int]] = {i: set() for i in ground}
-    for basis in bases:
-        outside = ground - basis
-        for b in basis:
-            rest = basis - {b}
-            for b2 in outside:
-                if rest | {b2} in bases:
-                    adj[b].add(b2)
-                    adj[b2].add(b)
+def _connected(ground: frozenset[int], basis: frozenset[int], bases) -> bool:
+    """Is the fundamental graph of ``basis`` on a nonempty ``ground`` connected?
+
+    x -- y when exactly one of them lies in ``basis`` and swapping them gives
+    another member of ``bases``.
+    """
     start = min(ground)
     seen = {start}
     stack = [start]
     while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
+        x = stack.pop()
+        for y in ground - seen:
+            if (x in basis) != (y in basis) and basis ^ {x, y} in bases:
+                seen.add(y)
+                stack.append(y)
     return len(seen) == len(ground)
 
 
@@ -208,9 +205,10 @@ class Matroid:
         return frozenset(b for b in self.bases if len(b & flat.forms) == flat.corank)
 
     def is_connected(self) -> bool:
-        """Single component of the basis-exchange graph."""
+        """Single component of the fundamental graph of any one basis."""
         if self._connected is None:
-            self._connected = _connected(frozenset(range(self.n)), self.bases)
+            basis = next(iter(self.bases))
+            self._connected = _connected(frozenset(range(self.n)), basis, self.bases)
         return self._connected
 
     # -- restriction ------------------------------------------------------------
@@ -242,18 +240,16 @@ class Matroid:
     def flacets(self) -> list[Flat]:
         """Proper nonzero flats F with both M|F and M/F connected.
 
-        Both minors are read from the bases through F: B & F on the ground
-        set F, and B - F on the rest.
+        One basis B with |B & F| = r(F) serves both: the minors' fundamental
+        graphs are M's graph of B induced on F and on E - F.
         """
         if not self.is_connected():
             raise Disconnected("flacets are defined for connected configurations")
         ground = frozenset(range(self.n))
         out = []
         for flat in self.proper_flats():
-            through = self.bases_through(flat)
-            inner = {b & flat.forms for b in through}
-            outer = {b - flat.forms for b in through}
-            if _connected(flat.forms, inner) and _connected(ground - flat.forms, outer):
+            basis = next(b for b in self.bases if len(b & flat.forms) == flat.corank)
+            if all(_connected(s, basis, self.bases) for s in (flat.forms, ground - flat.forms)):
                 out.append(flat)
         return out
 

@@ -143,14 +143,10 @@ def all_flags(m: Matroid) -> list[FlagOfFlats]:
     return flags
 
 
-def _chains(m: Matroid, keep) -> list[FlagOfFlats]:
-    """Complete flags whose every link G < F, from the corank-0 flat up,
-    passes ``keep(G, F)``.
-
-    Each flat lists the flats one corank below it that it contains, that
-    pass ``keep`` and that still reach the corank-0 flat.  Chains grow from
-    the corank r-1 flats down these lists in ``flats()`` order, so they come
-    out sorted by their form-sets, and a failed link prunes its subtree.
+def _links(m: Matroid, keep) -> dict[Flat, list[Flat]]:
+    """Each flat that reaches the corank-0 flat by links G < F passing
+    ``keep(G, F)``, with the flats one corank below it that it contains,
+    that pass ``keep`` and that reach it too, in ``flats()`` order.
     """
     levels = [m.flats_of_corank(k) for k in range(m.rank)]
     below: dict[Flat, list[Flat]] = {levels[0][0]: []}
@@ -159,7 +155,16 @@ def _chains(m: Matroid, keep) -> list[FlagOfFlats]:
             kept = [g for g in lower if g in below and g.forms < flat.forms and keep(g, flat)]
             if kept:
                 below[flat] = kept
-    chains = [(flat,) for flat in levels[-1] if flat in below]
+    return below
+
+
+def _chains(m: Matroid, below: dict[Flat, list[Flat]]) -> list[FlagOfFlats]:
+    """The complete flags down the links ``below`` of ``_links``.
+
+    Chains grow from the corank r-1 flats in ``flats()`` order, so they come
+    out sorted by their form-sets, and a failed link has pruned its subtree.
+    """
+    chains = [(flat,) for flat in m.flats_of_corank(m.rank - 1) if flat in below]
     for _ in range(m.rank - 1):
         chains = [c + (g,) for c in chains for g in below[c[-1]]]
     return [FlagOfFlats(c[:-1]) for c in chains]
@@ -171,7 +176,7 @@ def complete_flags(m: Matroid) -> list[FlagOfFlats]:
     The walk over chains of flats with every link kept; sorted by the
     form-sets of their flats, the largest first.
     """
-    return _chains(m, lambda lower, upper: True)
+    return _chains(m, _links(m, lambda lower, upper: True))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from coamoeba.catalog import hyperplane_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.discriminant import (
     HornKapranovMap,
+    _cross3,
+    _in_sector,
     essential_flacets,
     form_sum,
     log_gauss,
@@ -234,6 +236,16 @@ def test_opposite_pairs_are_defective():
     assert not nondefective(Matroid(cfg))
 
 
+def test_nondefective_iff_a_non_splitting_flag(m6, m_line, m_plane):
+    cross = VectorConfiguration.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]])
+    fourvec = VectorConfiguration.from_rows([[3, 0], [0, 1], [-1, -2], [-2, 1]])
+    matroids = [m6, m_line, m_plane, Matroid(cross), Matroid(fourvec)]
+    matroids += [Matroid(hyperplane_b(d)) for d in range(1, 5)]
+    assert not nondefective(Matroid(cross))
+    for m in matroids:
+        assert nondefective(m) == bool(non_splitting_flags(m))
+
+
 def test_non_splitting_flags_check_sums(m6):
     from coamoeba import intlinalg as la
 
@@ -333,6 +345,20 @@ def test_tdiscr_fan_d3_type2(m6, m_plane):
     type2 = [r.direction for r in tdiscr_fan_d3(m6) if r.kind == "type2"]
     assert type2 == [(1, 0, 1)]
     assert [r for r in tdiscr_fan_d3(m_plane) if r.kind == "type2"] == []
+
+
+def test_in_sector_on_and_off_the_plane():
+    rng = random.Random(12)
+    for _ in range(2000):
+        u = [rng.randint(-3, 3) for _ in range(3)]
+        w = [rng.randint(-3, 3) for _ in range(3)]
+        n = _cross3(u, w)
+        if not any(n):
+            continue
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        x = [a * p + b * q for p, q in zip(u, w)]
+        assert _in_sector(x, u, w) == (a >= 0 and b >= 0)
+        assert not _in_sector([c + k for c, k in zip(x, n)], u, w)
 
 
 def test_tdiscr_fan_d3_requires_d3(m_line):

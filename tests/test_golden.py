@@ -46,6 +46,8 @@ CONFIGS = {
     "sixline_b": sixline_b(),
     # the four-vector planar configuration of acceptance criterion 7
     "fourvec_b": VectorConfiguration.from_rows([[3, 0], [0, 1], [-1, -2], [-2, 1]]),
+    # two parallel pairs: disconnected and defective
+    "cross_b": VectorConfiguration.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]]),
 }
 POLYS = {
     "sixline_d": sixline_discriminant(),
@@ -73,6 +75,8 @@ def _cases() -> dict[str, list[str]]:
         cases[f"member_{b}"] = ["member", "{%s}" % b, "--theta", "pi,1/2*pi,-1/3*pi"]
         cases[f"psi_{b}_exact"] = ["psi", "{%s}" % b, "--point", "2,-3,5/7", "--exact"]
         cases[f"psi_{b}_complex"] = ["psi", "{%s}" % b, "--point", "1+2j,-0.5,3j"]
+    for cmd in ("matroid-info", "nondefective"):
+        cases[f"{cmd}_cross_b"] = [cmd, "{cross_b}"]
     cases["psi_line_b_exact"] = ["psi", "{line_b}", "--point", "3,-1/2", "--exact"]
     cases["gauss_sixline_d"] = ["gauss", "{sixline_d}", "--point", "3/25,-9/5,-1/25"]
     cases["initial-form_sixline_d_101"] = ["initial-form", "{sixline_d}", "-w", "1,0,1"]

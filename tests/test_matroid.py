@@ -10,7 +10,7 @@ from coamoeba import intlinalg as la
 from coamoeba.catalog import line_b, plane_b, sixline_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.errors import EmptyConfiguration, InputError, NotSpanning, ZeroVector
-from coamoeba.matroid import Flat, Matroid, merge_parallel
+from coamoeba.matroid import Flat, Matroid, _connected, merge_parallel
 from oracles import (
     connected_matroids,
     connected_via_circuits,
@@ -164,7 +164,13 @@ def test_connectivity_matches_circuit_oracle(m6, m_line, m_plane):
             continue
         configs.append(cfg)
     for cfg in configs:
-        assert Matroid(cfg).is_connected() == connected_via_circuits(cfg)
+        m = Matroid(cfg)
+        want = connected_via_circuits(cfg)
+        assert m.is_connected() == want
+        # the fundamental graph of every basis answers alike (Krogdahl 1977)
+        ground = frozenset(range(m.n))
+        for basis in m.bases:
+            assert _connected(ground, basis, m.bases) == want
 
 
 def test_flats_match_rank_closure_oracle(m6):
