@@ -54,30 +54,40 @@ class HornKapranovMap:
         return self.b.d
 
 
+def _psi_integer(h: HornKapranovMap, y) -> tuple[list[int], list[int]]:
+    """psi at an integer point as (nums, dens), coordinate j = nums[j] / dens[j].
+
+    nums[j] is the product of <b,y>^(b_j) over the rows with b_j > 0 and
+    dens[j] that of <b,y>^(-b_j) over the rows with b_j < 0.  Raises
+    OnArrangement naming the first vanishing row.
+    """
+    nums, dens = [1] * h.d, [1] * h.d
+    for label, row in zip(h.b.labels, h.b.matrix):
+        val = sum(c * x for c, x in zip(row, y))
+        if val == 0:
+            raise OnArrangement(label)
+        for j, e in enumerate(row):
+            if e > 0:
+                nums[j] *= val**e
+            elif e < 0:
+                dens[j] *= val ** (-e)
+    return nums, dens
+
+
 def psi_exact(h: HornKapranovMap, y) -> tuple[Fraction, ...]:
     """Exact value of psi at a rational point off the arrangement.
 
-    Coordinate j is the product over rows b of <b,y>^(b_j); negative
-    exponents are exact rational division.  Raises OnArrangement naming the
-    first vanishing row.
+    psi is homogeneous of degree 0, so the point is first scaled by the lcm
+    of its denominators to an integer point; coordinate j is then the
+    product over rows b of <b,y>^(b_j), one integer numerator over one
+    integer denominator.  Raises OnArrangement naming the first vanishing row.
     """
     yv = [Fraction(v) for v in y]
     if len(yv) != h.d:
         raise WrongLength(f"point has {len(yv)} coordinates, expected {h.d}")
-    pairings = []
-    for i, row in enumerate(h.b.matrix):
-        val = sum(Fraction(c) * x for c, x in zip(row, yv))
-        if val == 0:
-            raise OnArrangement(h.b.labels[i])
-        pairings.append(val)
-    out = []
-    for j in range(h.d):
-        v = Fraction(1)
-        for val, row in zip(pairings, h.b.matrix):
-            e = row[j]
-            v *= val**e if e >= 0 else 1 / val ** (-e)
-        out.append(v)
-    return tuple(out)
+    lcm = math.lcm(*(v.denominator for v in yv))
+    nums, dens = _psi_integer(h, [v.numerator * (lcm // v.denominator) for v in yv])
+    return tuple(Fraction(n, d) for n, d in zip(nums, dens))
 
 
 def psi_complex(h: HornKapranovMap, y, threshold: float = 1e-12) -> tuple[complex, ...]:

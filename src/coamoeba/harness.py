@@ -12,7 +12,12 @@ hypersurface (zero certifies vanishing; anything else is evidence of a typo
 in the input polynomial and is reported, never "corrected"), and
 ``gauss_roundtrip`` certifies that the logarithmic Gauss map inverts the
 parameterization at sample points, skipping the measure-zero singular locus
-where the Gauss map is undefined.
+where the Gauss map is undefined.  Both run in integers on one common
+denominator: a grid point y is integral, so psi(y) is one integer over
+another per coordinate, and with f's coefficients cleared once, each term
+of f at psi(y) times one K is an integer.  f(psi(y)) = 0 when those sum to
+zero, and the Euler sums of e_j times the terms are K times the
+logarithmic partials y_j df/dy_j.
 """
 
 from __future__ import annotations
@@ -24,17 +29,10 @@ from fractions import Fraction
 import numpy as np
 
 from .cycles import pls3_distances, prisms_d3
-from .discriminant import (
-    HornKapranovMap,
-    OnArrangement,
-    SingularPoint,
-    log_gauss,
-    projectively_equal,
-    psi_exact,
-)
-from .errors import Defective, DimensionNot3, InputError
+from .discriminant import HornKapranovMap, OnArrangement, _psi_integer, projectively_equal
+from .errors import Defective, DimensionNot3, InputError, WrongLength
 from .matroid import Flat, Matroid
-from .polynomial import SparsePoly, evaluate_exact
+from .polynomial import SparsePoly, _cleared, _term_values
 
 REJECTION_THRESHOLD = 1e-8
 _CHUNK = 2048
@@ -102,6 +100,29 @@ def rational_grid(d: int):
         yield combo
 
 
+def _grid_terms(f: SparsePoly, m: Matroid):
+    """(y, term values, K) of f at psi(y) for the grid points y off the arrangement.
+
+    The term values are integers whose sum is K * f(psi(y)) (see
+    ``polynomial._term_values``); f is cleared once.  Raises WrongLength
+    before any grid point when f does not have one variable per coordinate.
+    """
+    h = HornKapranovMap(m.config)
+    if len(f.variables) != m.config.d:
+        raise WrongLength("point length must match the number of variables")
+    cleared = _cleared(f)
+
+    def walk():
+        for y in rational_grid(m.config.d):
+            try:
+                nums, dens = _psi_integer(h, y)
+            except OnArrangement:
+                continue
+            yield (y, *_term_values(cleared, nums, dens))
+
+    return walk()
+
+
 def residue_check(f: SparsePoly, m: Matroid, n: int):
     """Max |f(psi(y))| over n exact rational grid points, with a witness.
 
@@ -110,21 +131,15 @@ def residue_check(f: SparsePoly, m: Matroid, n: int):
     value is reported for diagnosis.  n_checked falls short of n when the
     finite grid runs out first.
     """
-    h = HornKapranovMap(m.config)
     worst = Fraction(0)
     witness = None
     taken = 0
-    for y in rational_grid(m.config.d):
-        if taken >= n:
-            break
-        try:
-            image = psi_exact(h, y)
-        except OnArrangement:
-            continue
+    for y, values, scale in itertools.islice(_grid_terms(f, m), n):
         taken += 1
-        value = abs(evaluate_exact(f, image))
-        if value > worst:
-            worst = value
+        total = abs(sum(values))
+        # |total / scale| > worst, cross-multiplied
+        if total * worst.denominator > worst.numerator * abs(scale):
+            worst = Fraction(total, abs(scale))
             witness = y
     return worst, witness, taken
 
@@ -140,26 +155,24 @@ class RoundtripResult:
 def gauss_roundtrip(f: SparsePoly, m: Matroid, n: int) -> RoundtripResult:
     """Check log_gauss(f, psi(y)) == y projectively at n exact grid points.
 
-    Points where psi(y) is a singular point of f (all logarithmic partials
-    vanish) are skipped and counted; the inverse statement is generic.
+    By the Euler operator, the sums of e_j times the term values are K times
+    the coordinates y_j df/dy_j, so the projective test is on those
+    integers.  Points where psi(y) is a singular point of f (all logarithmic
+    partials vanish) are skipped and counted; the inverse statement is
+    generic.
     """
-    h = HornKapranovMap(m.config)
+    exponents = list(zip(*(exps for exps, _ in f.terms)))  # one column per variable
     checked = 0
     singular = 0
-    for y in rational_grid(m.config.d):
+    for y, values, _ in _grid_terms(f, m):
         if checked >= n:
             break
-        try:
-            image = psi_exact(h, y)
-        except OnArrangement:
-            continue
-        try:
-            g = log_gauss(f, image)
-        except SingularPoint:
+        coords = [sum(e * v for e, v in zip(column, values)) for column in exponents]
+        if not any(coords):
             singular += 1
             continue
         checked += 1
-        if not projectively_equal(g, tuple(Fraction(c) for c in y)):
+        if not projectively_equal(coords, y):
             return RoundtripResult(False, checked, singular, y)
     return RoundtripResult(True, checked, singular, None)
 

@@ -24,6 +24,7 @@ Newton polytope).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,18 +102,49 @@ class SparsePoly:
         return SparsePoly.from_dict(self.variables, out)
 
 
+def _cleared(p: SparsePoly):
+    """p with its coefficient denominators cleared, for ``_term_values``.
+
+    Returns (L, terms, degrees): L is the lcm of the coefficient
+    denominators, terms pairs each exponent vector with the integer L * c,
+    and degrees holds the top exponent of each variable.
+    """
+    lcm = math.lcm(*(c.denominator for _, c in p.terms))
+    terms = tuple((e, c.numerator * (lcm // c.denominator)) for e, c in p.terms)
+    degrees = tuple(map(max, zip(*(e for e, _ in terms))))  # empty for p = 0
+    return lcm, terms, degrees
+
+
+def _term_values(cleared, nums, dens) -> tuple[list[int], int]:
+    """Each term of p at the point nums[j] / dens[j], times K, and K.
+
+    With K = L * prod_j dens[j]^deg_j, term c * y^e times K is the integer
+    (L * c) * prod_j nums[j]^e_j * dens[j]^(deg_j - e_j).  Each coordinate
+    gets one table of those factors for e_j = 0 .. deg_j, so each factor is
+    computed once per point, not once per term.  The dens must be nonzero.
+    """
+    scale, terms, degrees = cleared
+    tables = []
+    for num, den, k in zip(nums, dens, degrees):
+        tables.append([num**e * den ** (k - e) for e in range(k + 1)])
+        scale *= den**k
+    values = []
+    for exps, value in terms:
+        for e, table in zip(exps, tables):
+            value *= table[e]
+        values.append(value)
+    return values, scale
+
+
 def evaluate_exact(p: SparsePoly, point) -> Fraction:
     """Exact value at a rational point (length must match the variables)."""
     pt = [Fraction(x) for x in point]
     if len(pt) != len(p.variables):
         raise WrongLength("point length must match the number of variables")
-    total = Fraction(0)
-    for exps, coeff in p.terms:
-        v = coeff
-        for x, e in zip(pt, exps):
-            v *= x**e
-        total += v
-    return total
+    values, scale = _term_values(
+        _cleared(p), [x.numerator for x in pt], [x.denominator for x in pt]
+    )
+    return Fraction(sum(values), scale)
 
 
 def partial_derivative(p: SparsePoly, var: str) -> SparsePoly:

@@ -152,7 +152,7 @@ def _links(m: Matroid, keep) -> dict[Flat, list[Flat]]:
     below: dict[Flat, list[Flat]] = {levels[0][0]: []}
     for lower, upper in zip(levels, levels[1:]):
         for flat in upper:
-            kept = [g for g in lower if g in below and g.forms < flat.forms and keep(g, flat)]
+            kept = [g for g in lower if g.forms < flat.forms and g in below and keep(g, flat)]
             if kept:
                 below[flat] = kept
     return below

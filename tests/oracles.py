@@ -4,16 +4,20 @@ None of these is used by the library: each recomputes a library result by a
 different method (Fraction Gauss-Jordan elimination, quotient charts by a
 double kernel, rank-based closure, chain enumeration, circuit enumeration,
 minors built as vectors, derivative polynomials, two-pass polygon
-membership) on inputs small enough for brute force.
+membership, grid certification in Fractions) on inputs small enough for
+brute force.
 ``random_zero_sum_matroid`` and ``connected_matroids`` draw the inputs."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from coamoeba import intlinalg as la
 from coamoeba.configuration import VectorConfiguration
-from coamoeba.errors import NotSpanning, SingularPoint
+from coamoeba.discriminant import log_gauss, projectively_equal
+from coamoeba.errors import NotSpanning, OnArrangement, SingularPoint
+from coamoeba.harness import RoundtripResult, rational_grid
 from coamoeba.matroid import Flat, Matroid
 from coamoeba.polynomial import evaluate_exact, partial_derivative
 
@@ -251,3 +255,79 @@ def log_gauss_by_partials(f, y):
     if lead is None:
         raise SingularPoint("all logarithmic partials vanish")
     return tuple(c / lead for c in coords)
+
+
+@functools.cache
+def psi_by_fractions(config, y) -> tuple[Fraction, ...]:
+    """psi(y) = prod_b <b,y>^b coordinate by coordinate in Fractions.
+
+    Cached for the test session: the grid oracles below revisit the same
+    points for every n.
+    """
+    yv = [Fraction(v) for v in y]
+    pairings = []
+    for label, row in zip(config.labels, config.matrix):
+        val = sum(c * x for c, x in zip(row, yv))
+        if val == 0:
+            raise OnArrangement(label)
+        pairings.append(val)
+    out = []
+    for j in range(config.d):
+        v = Fraction(1)
+        for val, row in zip(pairings, config.matrix):
+            v *= val ** row[j]
+        out.append(v)
+    return tuple(out)
+
+
+def evaluate_by_fractions(f, point) -> Fraction:
+    """f at a rational point, term by term in Fractions."""
+    total = Fraction(0)
+    for exps, coeff in f.terms:
+        v = coeff
+        for x, e in zip(point, exps):
+            v *= Fraction(x) ** e
+        total += v
+    return total
+
+
+def residue_check_by_fractions(f, m, n):
+    """``harness.residue_check`` with psi and f evaluated in Fractions."""
+    worst = Fraction(0)
+    witness = None
+    taken = 0
+    for y in rational_grid(m.config.d):
+        if taken >= n:
+            break
+        try:
+            image = psi_by_fractions(m.config, y)
+        except OnArrangement:
+            continue
+        taken += 1
+        value = abs(evaluate_by_fractions(f, image))
+        if value > worst:
+            worst = value
+            witness = y
+    return worst, witness, taken
+
+
+def gauss_roundtrip_by_fractions(f, m, n) -> RoundtripResult:
+    """``harness.gauss_roundtrip`` with psi in Fractions and ``log_gauss``."""
+    checked = 0
+    singular = 0
+    for y in rational_grid(m.config.d):
+        if checked >= n:
+            break
+        try:
+            image = psi_by_fractions(m.config, y)
+        except OnArrangement:
+            continue
+        try:
+            g = log_gauss(f, image)
+        except SingularPoint:
+            singular += 1
+            continue
+        checked += 1
+        if not projectively_equal(g, tuple(Fraction(c) for c in y)):
+            return RoundtripResult(False, checked, singular, y)
+    return RoundtripResult(True, checked, singular, None)

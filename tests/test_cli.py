@@ -202,6 +202,18 @@ def test_bad_point_or_theta_exits_2(paths, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("variables", ["p q", "p q r s"])
+def test_verify_rejects_wrong_variable_count(paths, capsys, tmp_path, variables):
+    poly = tmp_path / "poly.txt"
+    poly.write_text(f"{variables}\n{variables.replace(' ', '*')} + 1\n")
+    argv = ["verify", paths["b"], "--poly", str(poly), "-n", "3", "--samples", "5"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert "point length must match the number of variables" in err
+
+
 def test_psi_at_huge_and_tiny_points(paths, capsys):
     # psi is degree-0: 1e200 and 1e-200 times (1, 2, 3) have the image of (1, 2, 3)
     assert main(["psi", paths["b"], "--point", "1,2,3"]) == 0

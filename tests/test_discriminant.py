@@ -73,6 +73,22 @@ def test_psi_homogeneous_degree_zero(b6):
         assert all(v != 0 for v in image)
 
 
+def test_psi_exact_scale_invariant_with_mixed_denominators(b6):
+    rng = random.Random(43)
+    h = HornKapranovMap(b6)
+    for _ in range(40):
+        y = tuple(
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12)) for _ in range(3)
+        )
+        q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        try:
+            image = psi_exact(h, y)
+        except OnArrangement:
+            continue
+        assert psi_exact(h, tuple(q * v for v in y)) == image
+        assert psi_exact(h, tuple(str(v) for v in y)) == image
+
+
 def test_psi_on_arrangement_names_row(b6):
     h = HornKapranovMap(b6)
     with pytest.raises(OnArrangement) as err:

@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from coamoeba.catalog import (
 )
 from coamoeba.cli import main
 from coamoeba.configuration import VectorConfiguration
-from coamoeba.polynomial import parse, write_polynomial_file
+from coamoeba.polynomial import SparsePoly, parse, write_polynomial_file
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -49,9 +50,19 @@ CONFIGS = {
     # two parallel pairs: disconnected and defective
     "cross_b": VectorConfiguration.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]]),
 }
+
+
+def _shift_leading(f: SparsePoly, delta: Fraction) -> SparsePoly:
+    terms = dict(f.terms)
+    terms[f.terms[0][0]] += delta
+    return SparsePoly.from_dict(f.variables, terms)
+
+
 POLYS = {
     "sixline_d": sixline_discriminant(),
     "plane_d": parse("x+y+z+1", ("x", "y", "z")),
+    # a wrong discriminant with a rational coefficient: verify reports an erratum
+    "sixline_wrong": _shift_leading(sixline_discriminant(), Fraction(1, 3)),
 }
 
 _B2 = ("line_b", "fourvec_b")
@@ -88,6 +99,10 @@ def _cases() -> dict[str, list[str]]:
         ]
     cases["verify_sixline_b"] = [
         "verify", "{sixline_b}", "--poly", "{sixline_d}", "-n", "6", "--samples", "300",
+        "--seed", "3",
+    ]
+    cases["verify_sixline_b_wrong"] = [
+        "verify", "{sixline_b}", "--poly", "{sixline_wrong}", "-n", "6", "--samples", "300",
         "--seed", "3",
     ]
     cases["verify_plane_b"] = [

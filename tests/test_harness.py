@@ -1,14 +1,16 @@
 """Sampling determinism, residue certification, Gauss roundtrips, experiments."""
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from coamoeba.catalog import hyperplane_b, line_b
+from coamoeba.catalog import hyperplane_b, line_b, sixline_b, sixline_discriminant
 from coamoeba.cycles import build_cycle, contains2, prisms_d3
-from coamoeba.errors import InputError
+from coamoeba.errors import InputError, WrongLength
 from coamoeba.harness import (
     certify_discriminant,
     conjecture_experiment_d3,
@@ -19,6 +21,11 @@ from coamoeba.harness import (
 )
 from coamoeba.matroid import Matroid
 from coamoeba.polynomial import SparsePoly, parse
+from oracles import (
+    gauss_roundtrip_by_fractions,
+    random_zero_sum_matroid,
+    residue_check_by_fractions,
+)
 
 
 def hyperplane_poly(d):
@@ -163,3 +170,81 @@ def test_conjecture_experiment_zero_points(m_plane):
     assert report.n_valid == 0
     assert [k for _, k in report.coverage_per_prism] == [0, 0, 0, 0]
     assert report.inside_fraction == 1.0
+
+
+@pytest.mark.parametrize("check", [residue_check, gauss_roundtrip, certify_discriminant])
+@pytest.mark.parametrize("variables", [("p", "q"), ("p", "q", "r", "s")])
+def test_wrong_variable_count_is_wrong_length(m6, check, variables):
+    f = parse("*".join(variables) + " + 1", variables)
+    with pytest.raises(WrongLength):
+        check(f, m6, 5)
+
+
+def _shifted(f, delta):
+    """f with delta added to the coefficient of its leading term."""
+    terms = dict(f.terms)
+    terms[f.terms[0][0]] += delta
+    return SparsePoly.from_dict(f.variables, terms)
+
+
+def _random_poly(rng, d):
+    variables = tuple(f"x{i + 1}" for i in range(d))
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = tuple(rng.randint(0, 3) for _ in range(d))
+        terms[exps] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+    return SparsePoly.from_dict(variables, terms)
+
+
+def _differential_cases():
+    cases = [(f"hyperplane{d}", Matroid(hyperplane_b(d)), hyperplane_poly(d)) for d in range(2, 6)]
+    m6, big_d = Matroid(sixline_b()), sixline_discriminant()
+    cases += [
+        ("sixline", m6, big_d),
+        ("sixline+1", m6, _shifted(big_d, 1)),
+        ("sixline+1/3", m6, _shifted(big_d, Fraction(1, 3))),
+        ("one", m6, parse("1", big_d.variables)),
+        ("zero", m6, SparsePoly.zero(big_d.variables)),
+    ]
+    rng = random.Random(10)
+    for i in range(20):
+        d = rng.choice([2, 3, 3, 4])
+        m = random_zero_sum_matroid(rng, rng.randint(d + 2, d + 4), d)
+        cases.append((f"random{i}", m, _random_poly(rng, d)))
+    return cases
+
+
+DIFFERENTIAL = _differential_cases()
+
+
+@pytest.mark.parametrize("name, m, f", DIFFERENTIAL, ids=[c[0] for c in DIFFERENTIAL])
+def test_certification_matches_fraction_oracle(name, m, f):
+    for n in (5, 20, 100, 500):
+        assert residue_check(f, m, n) == residue_check_by_fractions(f, m, n), n
+        assert gauss_roundtrip(f, m, n) == gauss_roundtrip_by_fractions(f, m, n), n
+
+
+def test_certification_builds_no_fraction_per_point(m6, big_d):
+    made = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is Fraction.__new__.__code__:
+            made.append(event)
+
+    sys.setprofile(profile)
+    try:
+        residue = residue_check(big_d, m6, 100)
+        roundtrip = gauss_roundtrip(big_d, m6, 100)
+    finally:
+        sys.setprofile(None)
+    assert residue[0] == 0 and roundtrip.passed and roundtrip.n_checked == 100
+    assert len(made) <= 1  # the initial zero residue
+
+
+def test_zero_polynomial_is_singular_everywhere(m6):
+    zero = SparsePoly.zero(("p", "q", "r"))
+    result = gauss_roundtrip(zero, m6, 5000)
+    assert result.passed and result.n_checked == 0
+    assert result.n_singular_skipped == 2520
+    report = certify_discriminant(zero, m6, 20)
+    assert report["status"] == "incomplete" and report["max_residue"] == "0"
