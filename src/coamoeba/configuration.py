@@ -69,9 +69,6 @@ class VectorConfiguration:
     def d(self) -> int:
         return len(self.matrix[0]) if self.matrix else 0
 
-    def row(self, i: int) -> la.IntVector:
-        return self.matrix[i]
-
     def row_sum(self) -> la.IntVector:
         return tuple(sum(col) for col in zip(*self.matrix)) if self.matrix else ()
 

@@ -7,10 +7,12 @@ coamoeba is encoded by three polygons:
 
 * the zonotope, the Minkowski sum of the segments [0, pi*f] over the merged
   generators f (which sum to zero, so it is centrally symmetric);
-* the upper half-coamoeba: starting from the lexicographically largest
-  vertex v of the zonotope, whose incoming counterclockwise edge is pi*f_1,
-  walk v, v - pi*f_1, v - pi*(f_1+f_2), ... with f_2, ..., f_r ordered by
-  the lines their generators span, taken clockwise from the line of f_1;
+* the upper half-coamoeba: from the lexicographically largest vertex v of
+  the zonotope whose incoming counterclockwise edge is a generator pi*f_1,
+  walk back along the zonotope's edges, v, v - pi*f_1, v - pi*(f_1+f_2),
+  ..., where pi*f_2, ..., pi*f_r are the r - 1 edges before pi*f_1, each
+  negated generator flipped back to its generator; they span every other
+  line once, clockwise from the line of f_1;
 * the lower half-coamoeba, its reflection through the origin.
 
 The closed coamoeba on the torus is the image of the two half-coamoebas; the
@@ -36,7 +38,6 @@ from .errors import (
     DegenerateZonotope,
     DimensionNot3,
     InputError,
-    InvariantError,
     NonIntegralDegree,
     NonzeroSum,
     ParallelRows,
@@ -187,12 +188,9 @@ def _check_generators(gens) -> None:
             raise ParallelRows(f"parallel generators {u} and {w}; merge parallels first")
 
 
-def zonotope(f: VectorConfiguration) -> Polygon:
-    """Boundary of the Minkowski sum of [0, pi*b] over the rows, CCW.
-
-    Requires nonzero pairwise non-parallel rows with zero sum; the result is
-    centrally symmetric about the origin.
-    """
+def _zonotope_edges(f: VectorConfiguration) -> tuple[Polygon, list[Point]]:
+    """The zonotope of the rows and its edges sorted by angle: the edge
+    ``edges[i - 1]`` enters vertex ``i``."""
     gens = f.matrix
     _check_generators(gens)
     edges = sorted(list(gens) + [tuple(-x for x in g) for g in gens], key=_by_angle)
@@ -212,61 +210,37 @@ def zonotope(f: VectorConfiguration) -> Polygon:
     poly = Polygon(tuple(verts))
     if poly.signed_area() <= 0:
         raise DegenerateZonotope("zonotope has nonpositive area")
-    return poly
+    return poly, edges
 
 
-def _line_key(v) -> tuple[int, int]:
-    """Canonical upper-half direction of the line spanned by v."""
-    x, y = v
-    if y < 0 or (y == 0 and x < 0):
-        x, y = -x, -y
-    return (x, y)
+def zonotope(f: VectorConfiguration) -> Polygon:
+    """Boundary of the Minkowski sum of [0, pi*b] over the rows, CCW.
 
-
-def start_vertices(f: VectorConfiguration) -> list[tuple[Point, la.IntVector]]:
-    """Vertices of the zonotope whose incoming CCW edge is a positive generator.
-
-    These are the admissible start vertices for the half-coamoeba walk, one
-    per generator.
+    Requires nonzero pairwise non-parallel rows with zero sum; the result is
+    centrally symmetric about the origin.
     """
-    z = zonotope(f)
-    out = []
-    for i, v in enumerate(z.vertices):
-        prev = z.vertices[i - 1]
-        incoming = (v[0] - prev[0], v[1] - prev[1])
-        if incoming in f.matrix:
-            out.append((v, incoming))
-    if len(out) != f.n:
-        raise InvariantError("zonotope lacks a start vertex for some generator")
-    return out
+    return _zonotope_edges(f)[0]
 
 
-def _clockwise_line_order(f1, rest):
-    """Generators ordered by their lines, clockwise from the line of f1.
+def _half_coamoeba(f: VectorConfiguration, z: Polygon, edges: list[Point]) -> Polygon:
+    """The walk from the lexicographically largest vertex v whose incoming
+    edge is a generator f_1, back along the n - 1 edges before it.
 
-    For upper-half canonical directions with reference angle a and line
-    angle b, the clockwise displacement (a - b) mod pi sorts the lines with
-    b < a first and both groups by descending b; exact via cross products.
+    The 2n edges hold every line twice, as g and -g, so the n edges ending
+    at v meet each line once, clockwise from the line of f_1; the walk
+    subtracts the generator of each, the edge itself or its negation.
     """
-    ref = _line_key(f1)
-
-    def clockwise(g, h) -> int:
-        # lines below the reference angle come first; both groups in
-        # descending line angle
-        a, b = _line_key(g), _line_key(h)
-        return (_cross(ref, a) >= 0) - (_cross(ref, b) >= 0) or _cross(a, b)
-
-    return sorted(rest, key=functools.cmp_to_key(clockwise))
-
-
-def half_coamoeba_from_vertex(f: VectorConfiguration, v: Point, f1) -> Polygon:
-    """The walk v, v - pi f_1, v - pi(f_1+f_2), ... for a given start vertex."""
-    rest = [g for g in f.matrix if g != tuple(f1)]
-    ordered = [tuple(f1)] + _clockwise_line_order(f1, rest)
-    verts = [v]
-    cur = v
-    for g in ordered[:-1]:
-        cur = (cur[0] - g[0], cur[1] - g[1])
+    gens = set(f.matrix)
+    k = max(
+        (i for i in range(len(edges)) if edges[i - 1] in gens),
+        key=lambda i: z.vertices[i],
+    )
+    cur = z.vertices[k]
+    verts = [cur]
+    for j in range(k - 1, k - f.n, -1):
+        e = edges[j]
+        sign = 1 if e in gens else -1
+        cur = (cur[0] - sign * e[0], cur[1] - sign * e[1])
         verts.append(cur)
     plus = Polygon(tuple(verts))
     if plus.signed_area() < 0:
@@ -277,15 +251,14 @@ def half_coamoeba_from_vertex(f: VectorConfiguration, v: Point, f1) -> Polygon:
 def half_coamoeba_cycles(f: VectorConfiguration) -> tuple[Polygon, Polygon]:
     """The upper half-coamoeba polygon and its reflection through the origin.
 
-    The start vertex is the lexicographically largest admissible vertex (one
-    whose incoming CCW edge is a positive generator); the walk subtracts
-    pi*f_i in the clockwise-line order described in the module docstring.
+    The walk, described in the module docstring, starts at the
+    lexicographically largest zonotope vertex whose incoming CCW edge is a
+    generator.
 
     With five or more generators the shell can self-intersect; the boundary
     is still the correct cycle, and membership is by winding number.
     """
-    v, f1 = max(start_vertices(f), key=lambda t: t[0])
-    plus = half_coamoeba_from_vertex(f, v, f1)
+    plus = _half_coamoeba(f, *_zonotope_edges(f))
     return plus, plus.reflect()
 
 
@@ -334,8 +307,9 @@ def build_cycle(b2: VectorConfiguration) -> CoamoebaCycle:
     for rec in merges:
         shift[0] ^= rec.arg_shift_pi[0]
         shift[1] ^= rec.arg_shift_pi[1]
-    z = zonotope(reduced)
-    plus, minus = half_coamoeba_cycles(reduced)
+    z, edges = _zonotope_edges(reduced)
+    plus = _half_coamoeba(reduced, z, edges)
+    minus = plus.reflect()
     return CoamoebaCycle(
         zonotope=z,
         plus=plus,

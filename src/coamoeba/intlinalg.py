@@ -163,11 +163,6 @@ def row_lattice_basis(m) -> IntMatrix:
     return tuple(r for r in h if any(r))
 
 
-def lattices_equal(a, b) -> bool:
-    """Do two row sets span the same sublattice?"""
-    return row_lattice_basis(a) == row_lattice_basis(b)
-
-
 def integer_kernel(m: IntMatrix, cols: int | None = None) -> tuple[IntVector, ...]:
     """Saturated basis of {v in Z^cols : m @ v = 0}, HNF-canonical.
 

@@ -66,18 +66,8 @@ class SparsePoly:
     def zero(variables) -> "SparsePoly":
         return SparsePoly(tuple(variables), ())
 
-    def term_dict(self) -> dict[Exponents, Fraction]:
-        return dict(self.terms)
-
-    def n_terms(self) -> int:
-        return len(self.terms)
-
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def degree_in(self, var: str) -> int:
-        j = self._var_index(var)
-        return max((e[j] for e, _ in self.terms), default=0)
 
     def _var_index(self, var: str) -> int:
         try:
@@ -345,9 +335,3 @@ def read_polynomial_file(path) -> SparsePoly:
     if not body:
         raise PolySyntaxError("polynomial file has no body")
     return parse(body, variables)
-
-
-def write_polynomial_file(path, p: SparsePoly) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(" ".join(p.variables) + "\n")
-        fh.write(format_poly(p) + "\n")

@@ -4,9 +4,10 @@ None of these is used by the library: each recomputes a library result by a
 different method (Fraction Gauss-Jordan elimination, quotient charts by a
 double kernel, rank-based closure, chain enumeration, circuit enumeration,
 minors built as vectors, derivative polynomials, two-pass polygon
-membership, grid certification in Fractions) on inputs small enough for
-brute force.
-``random_zero_sum_matroid`` and ``connected_matroids`` draw the inputs."""
+membership, the half-coamoeba walk from every start vertex, grid
+certification in Fractions) on inputs small enough for brute force.
+``random_zero_sum_matroid`` and ``connected_matroids`` draw the inputs, and
+``write_polynomial_file`` writes polynomial input files."""
 
 import functools
 import itertools
@@ -15,11 +16,27 @@ from fractions import Fraction
 
 from coamoeba import intlinalg as la
 from coamoeba.configuration import VectorConfiguration
+from coamoeba.cycles import (
+    CoamoebaCycle,
+    Point,
+    Polygon,
+    _cross,
+    degree_dH,
+    zonotope,
+)
 from coamoeba.discriminant import log_gauss, projectively_equal
-from coamoeba.errors import NotSpanning, OnArrangement, SingularPoint
+from coamoeba.errors import (
+    InputError,
+    InvariantError,
+    NonzeroSum,
+    NotSpanning,
+    OnArrangement,
+    SingularPoint,
+    ZeroVector,
+)
 from coamoeba.harness import RoundtripResult, rational_grid
-from coamoeba.matroid import Flat, Matroid
-from coamoeba.polynomial import evaluate_exact, partial_derivative
+from coamoeba.matroid import Flat, Matroid, merge_parallel
+from coamoeba.polynomial import evaluate_exact, format_poly, partial_derivative
 
 
 def random_zero_sum_matroid(rng, n, d) -> Matroid:
@@ -88,7 +105,7 @@ def is_saturated(vectors, ambient_rank: int) -> bool:
     if not vecs:
         return True
     sat = la.integer_kernel(la.integer_kernel(vecs), cols=ambient_rank)
-    return la.lattices_equal(vecs, sat)
+    return la.row_lattice_basis(vecs) == la.row_lattice_basis(sat)
 
 
 def quotient_projection(ambient_rank: int, sub) -> la.IntMatrix:
@@ -242,6 +259,107 @@ def contains2_two_pass(cycle, theta_pi) -> bool:
                 if polygon_contains_two_pass(poly.vertices, (px + 2 * ax, py + 2 * ay)):
                     return True
     return False
+
+
+def _line_key(v) -> tuple[int, int]:
+    """Canonical upper-half direction of the line spanned by v."""
+    x, y = v
+    if y < 0 or (y == 0 and x < 0):
+        x, y = -x, -y
+    return (x, y)
+
+
+def start_vertices(f: VectorConfiguration) -> list[tuple[Point, la.IntVector]]:
+    """Vertices of the zonotope whose incoming CCW edge is a positive generator.
+
+    These are the admissible start vertices for the half-coamoeba walk, one
+    per generator.
+    """
+    z = zonotope(f)
+    out = []
+    for i, v in enumerate(z.vertices):
+        prev = z.vertices[i - 1]
+        incoming = (v[0] - prev[0], v[1] - prev[1])
+        if incoming in f.matrix:
+            out.append((v, incoming))
+    if len(out) != f.n:
+        raise InvariantError("zonotope lacks a start vertex for some generator")
+    return out
+
+
+def _clockwise_line_order(f1, rest):
+    """Generators ordered by their lines, clockwise from the line of f1.
+
+    For upper-half canonical directions with reference angle a and line
+    angle b, the clockwise displacement (a - b) mod pi sorts the lines with
+    b < a first and both groups by descending b; exact via cross products.
+    """
+    ref = _line_key(f1)
+
+    def clockwise(g, h) -> int:
+        # lines below the reference angle come first; both groups in
+        # descending line angle
+        a, b = _line_key(g), _line_key(h)
+        return (_cross(ref, a) >= 0) - (_cross(ref, b) >= 0) or _cross(a, b)
+
+    return sorted(rest, key=functools.cmp_to_key(clockwise))
+
+
+def half_coamoeba_from_vertex(f: VectorConfiguration, v: Point, f1) -> Polygon:
+    """The walk v, v - pi f_1, v - pi(f_1+f_2), ... for a given start vertex."""
+    rest = [g for g in f.matrix if g != tuple(f1)]
+    ordered = [tuple(f1)] + _clockwise_line_order(f1, rest)
+    verts = [v]
+    cur = v
+    for g in ordered[:-1]:
+        cur = (cur[0] - g[0], cur[1] - g[1])
+        verts.append(cur)
+    plus = Polygon(tuple(verts))
+    if plus.signed_area() < 0:
+        plus = Polygon(tuple(reversed(plus.vertices)))
+    return plus
+
+
+def half_coamoeba_by_start_vertices(f: VectorConfiguration) -> tuple[Polygon, Polygon]:
+    """``half_coamoeba_cycles`` by a second zonotope, its start vertices and a
+    sort of the generators by line: the walk from the lex-max start vertex."""
+    v, f1 = max(start_vertices(f), key=lambda t: t[0])
+    plus = half_coamoeba_from_vertex(f, v, f1)
+    return plus, plus.reflect()
+
+
+def build_cycle_by_start_vertices(b2: VectorConfiguration) -> CoamoebaCycle:
+    """``build_cycle`` with the half-coamoebas of
+    ``half_coamoeba_by_start_vertices``."""
+    if b2.d != 2:
+        raise InputError(f"a 2D coamoeba cycle needs d = 2, got d = {b2.d}")
+    if not all(any(row) for row in b2.matrix):
+        raise ZeroVector("configuration contains a zero vector")
+    if any(b2.row_sum()):
+        raise NonzeroSum("rows must sum to zero")
+    reduced, merges = merge_parallel(b2)
+    shift = [0, 0]
+    for rec in merges:
+        shift[0] ^= rec.arg_shift_pi[0]
+        shift[1] ^= rec.arg_shift_pi[1]
+    z = zonotope(reduced)
+    plus, minus = half_coamoeba_by_start_vertices(reduced)
+    return CoamoebaCycle(
+        zonotope=z,
+        plus=plus,
+        minus=minus,
+        degree=degree_dH(z, plus, minus),
+        arg_shift_pi=(shift[0], shift[1]),
+        simple_boundary=plus.is_simple(),
+    )
+
+
+def write_polynomial_file(path, p) -> None:
+    """A polynomial file as ``polynomial.read_polynomial_file`` reads it: the
+    variables on line 1, the polynomial on line 2."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(" ".join(p.variables) + "\n")
+        fh.write(format_poly(p) + "\n")
 
 
 def log_gauss_by_partials(f, y):

@@ -7,7 +7,7 @@ import pytest
 from coamoeba import serialize as io
 from coamoeba.catalog import sixline_a, sixline_b, sixline_discriminant
 from coamoeba.cli import main
-from coamoeba.polynomial import write_polynomial_file
+from oracles import write_polynomial_file
 
 
 @pytest.fixture()

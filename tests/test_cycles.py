@@ -20,11 +20,9 @@ from coamoeba.cycles import (
     cycle_distance,
     degree_dH,
     half_coamoeba_cycles,
-    half_coamoeba_from_vertex,
     pls3_distance,
     pls3_distances,
     prisms_d3,
-    start_vertices,
     zonotope,
 )
 from coamoeba.errors import (
@@ -37,7 +35,14 @@ from coamoeba.errors import (
     WrongLength,
 )
 from coamoeba.matroid import Matroid, merge_parallel
-from oracles import contains2_two_pass, random_zero_sum_matroid
+from oracles import (
+    build_cycle_by_start_vertices,
+    contains2_two_pass,
+    half_coamoeba_by_start_vertices,
+    half_coamoeba_from_vertex,
+    random_zero_sum_matroid,
+    start_vertices,
+)
 
 
 def shoelace(vertices):
@@ -181,6 +186,48 @@ def test_choice_of_start_vertex_is_immaterial():
                 )
                 answers.add(contains2(cyc, theta, tol=1e-9))
             assert len(answers) == 1
+
+
+def _outcome(fn, *args):
+    """The result of fn, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_edge_walk_matches_start_vertex_walk():
+    rng = random.Random(11)
+    built = 0
+    for trial in range(3000):
+        n = 2 + trial % 8
+        rows = [[rng.randint(-6, 6) for _ in range(2)] for _ in range(n - 1)]
+        rows.append([-sum(col) for col in zip(*rows)])
+        config = VectorConfiguration.from_rows(rows)
+        cycle = _outcome(build_cycle, config)
+        assert cycle == _outcome(build_cycle_by_start_vertices, config)
+        built += isinstance(cycle, cycles.CoamoebaCycle)
+        configs = [config]
+        if all(any(row) for row in rows):
+            configs.append(merge_parallel(config)[0])
+        for f in configs:
+            assert _outcome(half_coamoeba_cycles, f) == _outcome(
+                half_coamoeba_by_start_vertices, f
+            )
+    assert built >= 2000
+
+
+def test_build_cycle_checks_generators_once(monkeypatch):
+    calls = []
+    check = cycles._check_generators
+
+    def counted(gens):
+        calls.append(gens)
+        return check(gens)
+
+    monkeypatch.setattr(cycles, "_check_generators", counted)
+    build_cycle(FH)
+    assert len(calls) == 1
 
 
 def test_five_generator_shell():

@@ -31,7 +31,8 @@ from coamoeba.catalog import (
 )
 from coamoeba.cli import main
 from coamoeba.configuration import VectorConfiguration
-from coamoeba.polynomial import SparsePoly, parse, write_polynomial_file
+from coamoeba.polynomial import SparsePoly, parse
+from oracles import write_polynomial_file
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"

@@ -20,12 +20,12 @@ from coamoeba.polynomial import (
 
 def test_parse_simple():
     p = parse("x+y+1")
-    assert p.n_terms() == 3
+    assert len(p.terms) == 3
     assert p.variables == ("x", "y")
 
 
 def test_parse_zero():
-    assert parse("0").n_terms() == 0
+    assert len(parse("0").terms) == 0
     assert format_poly(parse("0", ("x",))) == "0"
 
 
@@ -34,7 +34,7 @@ def test_discriminant_term_count_independent_tally(big_d):
     text = SIXLINE_DISCRIMINANT_TEXT
     monomials = [t for t in re.split(r"(?=[+-])", text) if t.strip()]
     assert len(monomials) == 40
-    assert big_d.n_terms() == 40
+    assert len(big_d.terms) == 40
     assert big_d.variables == ("p", "q", "r")
 
 
@@ -97,7 +97,8 @@ def test_derivatives():
 
 def test_derivative_degree_drop(big_d):
     dp = partial_derivative(big_d, "p")
-    assert dp.degree_in("p") == big_d.degree_in("p") - 1
+    j = big_d.variables.index("p")
+    assert max(e[j] for e, _ in dp.terms) == max(e[j] for e, _ in big_d.terms) - 1
 
 
 def test_initial_form_matches_printed_factored_display(big_d):
@@ -153,7 +154,7 @@ def test_parse_errors():
 
 def test_juxtaposition_and_rational_coefficients():
     p = parse("3/4x^2y - 2y + x*y", ("x", "y"))
-    assert p.term_dict() == {
+    assert dict(p.terms) == {
         (2, 1): Fraction(3, 4),
         (0, 1): Fraction(-2),
         (1, 1): Fraction(1),
