@@ -11,6 +11,7 @@ regenerate with
 
 import contextlib
 import io as stdio
+import json
 import os
 import re
 import subprocess
@@ -50,6 +51,11 @@ CONFIGS = {
     "fourvec_b": VectorConfiguration.from_rows([[3, 0], [0, 1], [-1, -2], [-2, 1]]),
     # two parallel pairs: disconnected and defective
     "cross_b": VectorConfiguration.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+    # connected, with labels that JSON must escape: non-ASCII, quote, backslash, tab
+    "escaped_b": VectorConfiguration.from_rows(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [-2, -2, -1]],
+        labels=("é", "θ", 'say "hi"', "back\\slash", "tab\there"),
+    ),
 }
 
 
@@ -89,6 +95,8 @@ def _cases() -> dict[str, list[str]]:
         cases[f"psi_{b}_complex"] = ["psi", "{%s}" % b, "--point", "1+2j,-0.5,3j"]
     for cmd in ("matroid-info", "nondefective"):
         cases[f"{cmd}_cross_b"] = [cmd, "{cross_b}"]
+    for cmd in ("matroid-info", "fine-cones"):
+        cases[f"{cmd}_escaped_b"] = [cmd, "{escaped_b}"]
     cases["psi_line_b_exact"] = ["psi", "{line_b}", "--point", "3,-1/2", "--exact"]
     cases["gauss_sixline_d"] = ["gauss", "{sixline_d}", "--point", "3/25,-9/5,-1/25"]
     cases["initial-form_sixline_d_101"] = ["initial-form", "{sixline_d}", "-w", "1,0,1"]
@@ -164,6 +172,16 @@ def test_golden_output(name, tmp_path, monkeypatch):
 def test_golden_files_match_cases():
     written = {p.stem for p in GOLDEN.glob("*.json")}
     assert written == set(CASES)
+
+
+_JSON_FILES = sorted([*GOLDEN.glob("*.json"), *INPUTS.glob("*.json")])
+
+
+@pytest.mark.parametrize("path", _JSON_FILES, ids=lambda p: p.relative_to(GOLDEN).as_posix())
+def test_golden_is_stdlib_json(path):
+    """Every golden is in the stdlib's format, whatever emitter wrote it."""
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def run_demo(script: Path) -> bytes:
