@@ -112,6 +112,11 @@ def _flat_labels(m: Matroid, flat) -> list[str]:
     return sorted(m.labels_of(flat.forms))
 
 
+def _labels_by_flat(m: Matroid) -> dict:
+    """Every flat's sorted labels, one list per flat for the payload to share."""
+    return {flat: _flat_labels(m, flat) for flat in m.flats()}
+
+
 # -- subcommand implementations ---------------------------------------------------
 
 
@@ -134,25 +139,27 @@ def _cmd_validate(args):
 
 def _cmd_matroid_info(args):
     m, inputs = _matroid_from(args)
+    labels = _labels_by_flat(m)
     by_corank: dict[str, list] = {}
-    for flat in m.flats():
-        by_corank.setdefault(str(flat.corank), []).append(_flat_labels(m, flat))
+    for flat, flat_labels in labels.items():
+        by_corank.setdefault(str(flat.corank), []).append(flat_labels)
     payload = {
         "rank": m.rank,
         "n_bases": len(m.bases),
         "connected": m.is_connected(),
         "parallel_classes": [sorted(m.labels_of(c)) for c in m.parallel_classes],
         "flats_by_corank": by_corank,
-        "flacets": [_flat_labels(m, f) for f in m.flacets()] if m.is_connected() else None,
+        "flacets": [labels[f] for f in m.flacets()] if m.is_connected() else None,
     }
     _emit(args, payload, inputs, {})
 
 
 def _cmd_bergman_rays(args):
     m, inputs = _matroid_from(args)
+    labels = _labels_by_flat(m)
     payload = {
         "rays": [
-            {"flat": _flat_labels(m, flat), "indicator": [str(x) for x in w]}
+            {"flat": labels[flat], "indicator": [str(x) for x in w]}
             for flat, w in bergman_rays(m)
         ]
     }
@@ -161,14 +168,13 @@ def _cmd_bergman_rays(args):
 
 def _cmd_fine_cones(args):
     m, inputs = _matroid_from(args)
+    labels = _labels_by_flat(m)
     cones = []
     for cone in maximal_cones(m):
         cones.append(
             {
-                "spanning_rays": [_flat_labels(m, f) for f in cone.spanning_flacets],
-                "flags": [
-                    [_flat_labels(m, f) for f in flag.flats] for flag in cone.flags
-                ],
+                "spanning_rays": [labels[f] for f in cone.spanning_flacets],
+                "flags": [[labels[f] for f in flag.flats] for flag in cone.flags],
             }
         )
     payload = {"maximal_cones": cones, "n_maximal_cones": len(cones)}
@@ -178,12 +184,13 @@ def _cmd_fine_cones(args):
 def _cmd_tdiscr_rays(args):
     m, inputs = _matroid_from(args)
     rays = tdiscr_fan_d3(m) if m.config.d == 3 else tdiscr_rays(m)
+    labels = _labels_by_flat(m)
     payload = {
         "rays": [
             {
                 "direction": list(r.direction),
                 "type": r.kind,
-                "flat": _flat_labels(m, r.flat) if r.flat else None,
+                "flat": labels[r.flat] if r.flat else None,
                 "essential": r.essential,
             }
             for r in rays

@@ -264,6 +264,8 @@ def merge_parallel(
     induced argument shift (0 for a positive constant, pi on the odd
     coordinates of eta for a negative one).  The total row sum is preserved.
     """
+    if any(not any(row) for row in config.matrix):
+        raise ZeroVector("configuration contains a zero vector")
     rows: list[la.IntVector] = []
     labels: list[str] = []
     merges: list[ParallelMerge] = []

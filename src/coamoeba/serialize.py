@@ -6,6 +6,13 @@ Angles are emitted twice: as IEEE doubles in radians for plotting, and as
 exact rational-multiple-of-pi strings like "3/4*pi" where exactness is
 available.  All emitters sort keys and use fixed formatting so outputs are
 byte-identical across runs.
+
+``dump_json`` writes exactly the bytes of ``json.dumps(payload, indent=2,
+sort_keys=True)`` without the stdlib's pure-Python indenting encoder: strings
+go through the C ``encode_basestring_ascii``, and the text of a list of
+strings is built once per list object and depth.  A payload holding any
+other type, or a non-string key, is handed to ``json.dumps`` whole, so its
+bytes and errors are the stdlib's.
 """
 
 from __future__ import annotations
@@ -123,8 +130,65 @@ def provenance(version: str, inputs: dict[str, str], parameters: dict) -> dict:
     }
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+class _Unhandled(Exception):
+    """The payload holds a value that only ``json.dumps`` writes."""
+
+
+def _json_text(value, indent: str, memo: dict) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it at ``indent``."""
+    kind = type(value)
+    if kind is str:
+        return _ESCAPE(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        key = (id(value), indent)
+        text = memo.get(key)
+        if text is not None:
+            return text
+        inner = indent + "  "
+        if all(type(x) is str for x in value):
+            memo[key] = text = _block("[]", map(_ESCAPE, value), indent)
+            return text
+        return _block("[]", [_json_text(x, inner, memo) for x in value], indent)
+    if kind is dict:
+        if not value:
+            return "{}"
+        if any(type(k) is not str for k in value):
+            raise _Unhandled
+        inner = indent + "  "
+        items = [f"{_ESCAPE(k)}: {_json_text(value[k], inner, memo)}" for k in sorted(value)]
+        return _block("{}", items, indent)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise _Unhandled
+
+
+def _block(brackets: str, items, indent: str) -> str:
+    """``items`` one per line, two spaces right of ``indent``, inside ``brackets``."""
+    inner = indent + "  "
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def dump_json(payload: dict, path=None) -> str:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = _json_text(payload, "", {}) + "\n"
+    except (_Unhandled, RecursionError):  # RecursionError: a cycle, as the stdlib reports it
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -323,6 +323,12 @@ def test_merge_parallel_no_parallels(b6):
     assert merges == ()
 
 
+def test_merge_parallel_rejects_zero_row():
+    cfg = VectorConfiguration.from_rows([[1, 2], [0, 0], [-1, -2]])
+    with pytest.raises(ZeroVector, match="zero vector"):
+        merge_parallel(cfg)
+
+
 def test_merge_parallel_preserves_row_sum():
     rng = random.Random(123)
     for _ in range(30):
