@@ -149,10 +149,10 @@ def _json_text(value, indent: str, memo: dict) -> str:
         text = memo.get(key)
         if text is not None:
             return text
-        inner = indent + "  "
         if all(type(x) is str for x in value):
             memo[key] = text = _block("[]", map(_ESCAPE, value), indent)
             return text
+        inner = indent + "  "
         return _block("[]", [_json_text(x, inner, memo) for x in value], indent)
     if kind is dict:
         if not value:
@@ -167,8 +167,10 @@ def _json_text(value, indent: str, memo: dict) -> str:
     if kind is float:
         if value != value:
             return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
         return float.__repr__(value)
     if value is None:
         return "null"
