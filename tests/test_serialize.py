@@ -120,8 +120,3 @@ def test_dump_json_cycle_raises_like_stdlib():
     payload = {"loop": loop}
     assert _outcome(io.dump_json, payload) == _outcome(_stdlib, payload)
 
-
-def test_dump_json_writes_path(tmp_path):
-    path = tmp_path / "out.json"
-    text = io.dump_json({"b": ["é"], "a": 1}, path)
-    assert path.read_text(encoding="utf-8") == text == _stdlib({"b": ["é"], "a": 1})
