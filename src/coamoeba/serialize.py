@@ -189,7 +189,7 @@ def _block(brackets: str, items, indent: str) -> str:
 def dump_json(payload: dict, path=None) -> str:
     try:
         text = _json_text(payload, "", {}) + "\n"
-    except (_Unhandled, RecursionError):  # RecursionError: a cycle, as the stdlib reports it
+    except (_Unhandled, RecursionError):  # a cycle recurses; json.dumps reports it as such
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:

@@ -11,7 +11,7 @@ from coamoeba import serialize as io
 
 _PIECES = [
     "", "a", "b1", "é", "θ", "日本", "\U0001f600", '"', "\\", "/", "\t", "\n", "\r",
-    "\b", "\f", "\x00", "\x1f", "\x7f", " ", "\ud800", "\udfff", "﻿",
+    "\b", "\f", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff", "\ufeff",
 ]
 _FLOATS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 1e-7, 0.1, 1 / 3,
