@@ -13,6 +13,7 @@ import contextlib
 import io as stdio
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from coamoeba.catalog import (
 from coamoeba.cli import main
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.polynomial import SparsePoly, parse
-from oracles import write_polynomial_file
+from oracles import random_zero_sum_matroid, write_polynomial_file
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -56,6 +57,10 @@ CONFIGS = {
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [-2, -2, -1]],
         labels=("é", "θ", 'say "hi"', "back\\slash", "tab\there"),
     ),
+    # seeded random connected zero-sum configurations at the fan benchmark's
+    # sizes: 62 flats at d = 4 and 100 flats at d = 5
+    "n7d4_b": random_zero_sum_matroid(random.Random("n7d4/2"), 7, 4).config,
+    "n7d5_b": random_zero_sum_matroid(random.Random("n7d5/0"), 7, 5).config,
 }
 
 
@@ -97,6 +102,9 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{cmd}_cross_b"] = [cmd, "{cross_b}"]
     for cmd in ("matroid-info", "fine-cones"):
         cases[f"{cmd}_escaped_b"] = [cmd, "{escaped_b}"]
+    for cmd in ("matroid-info", "fine-cones", "tdiscr-rays", "nondefective"):
+        for b in ("n7d4_b", "n7d5_b"):
+            cases[f"{cmd}_{b}"] = [cmd, "{%s}" % b]
     cases["psi_line_b_exact"] = ["psi", "{line_b}", "--point", "3,-1/2", "--exact"]
     cases["gauss_sixline_d"] = ["gauss", "{sixline_d}", "--point", "3/25,-9/5,-1/25"]
     cases["initial-form_sixline_d_101"] = ["initial-form", "{sixline_d}", "-w", "1,0,1"]
