@@ -16,6 +16,7 @@ transversally (type 2).
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -177,13 +178,23 @@ def form_sum(m: Matroid, forms) -> la.IntVector:
 
 
 def _escaping_links(m: Matroid) -> dict[Flat, list[Flat]]:
-    """``tropical._links`` over G < F when F's form-sum raises the rank of G."""
+    """``tropical._links`` over G < F when F's form-sum raises the rank of G.
+
+    Each lower flat's vectors are brought to echelon form once, and each
+    upper flat's form-sum is reduced against those rows in integers: it
+    escapes the span exactly when something is left.
+    """
     if any(m.config.row_sum()):
         raise NonzeroSum("non-splitting flags assume rows summing to zero")
+    echelon = functools.cache(lambda g: la._echelon([m.config.matrix[i] for i in g.forms]))
+    total = functools.cache(lambda f: form_sum(m, f.forms))
 
     def escapes(lower: Flat, upper: Flat) -> bool:
-        rows = [m.config.matrix[i] for i in lower.forms]
-        return la.rank_rational(rows + [form_sum(m, upper.forms)]) > lower.corank
+        s = total(upper)
+        for row, col in zip(*echelon(lower)):
+            if s[col]:
+                s = [row[col] * x - s[col] * y for x, y in zip(s, row)]
+        return any(s)
 
     return tropical._links(m, escapes)
 

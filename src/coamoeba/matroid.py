@@ -1,25 +1,29 @@
 """The rational vector matroid of a configuration B.
 
-Bases are enumerated by brute force over all rank-sized subsets (the intended
-scale is n <= 16, d <= 6, where exactness and simplicity beat oracle-based
-matroid algorithms).  Everything else is read off the bases.  The rank of a
-label set F is the most labels of F inside one basis, and its closure adds
-every label that keeps that rank.  A flat is stored by its form-set F, the
-labels whose vectors vanish on the subspace L = cap ker(b); its ``corank``
-is the rank of F, which equals d - dim L.  The hyperplanes are the closures
-of the (r-1)-subsets of bases, and every flat is an intersection of
-hyperplanes (Oxley, *Matroid Theory*, 1.4), so the lattice of flats is the
-ground set closed under intersection with each hyperplane.  Connectivity
-reads the fundamental graph of one basis B, joining b in B to e outside B
-when B - b + e is a basis; M is connected exactly when it is (Krogdahl 1977).
+Bases are enumerated by brute force over all rank-sized subsets (the
+intended scale is n <= 16, d <= 6, where exactness and simplicity beat
+oracle-based matroid algorithms).  Everything else is read off the bases,
+kept as int masks (bit i for label i) in a fixed order, so label sets meet
+by ``&``, ``^`` and ``bit_count``.  The rank of a label set F is the most
+labels of F inside one basis, and its closure adds every label that keeps
+that rank.  A flat is stored by its form-set F, the labels whose vectors
+vanish on the subspace L = cap ker(b); its ``corank`` is the rank of F,
+which equals d - dim L.  The hyperplanes are the closures of the
+(r-1)-subsets of bases, and every flat is an intersection of hyperplanes
+(Oxley, *Matroid Theory*, 1.4), so the lattice of flats is the ground set
+closed under intersection with each hyperplane.  Connectivity reads the
+fundamental graph of one basis B, joining b in B to e outside B when
+B - b + e is a basis; M is connected exactly when it is (Krogdahl 1977).
 
 Minors by a flat F are read off one basis B with |B & F| = r(F): B & F is a
 basis of the restriction M|F and B - F one of the contraction M/F, and a
 swap inside F or inside E - F keeps a basis of the minor exactly when it
-keeps one of M.  ``restrict_to_flat`` builds the contraction's vectors B|_L
-for the cycles by pairing each vector with the canonical integer kernel
-basis of the flat's forms, which is the quotient chart of M / L_perp; it is
-the only linear algebra here besides the bases.
+keeps one of M.  The bases B with |B & F| = r(F) form an int over basis
+indices (bit k for the k-th basis), so those common to the flats of a flag
+are one AND.  ``restrict_to_flat`` builds the contraction's vectors B|_L for
+the cycles by pairing each vector with the canonical integer kernel basis of
+the flat's forms, which is the quotient chart of M / L_perp; it is the only
+linear algebra here besides the bases.
 """
 
 from __future__ import annotations
@@ -48,22 +52,32 @@ def _parallel_groups(matrix) -> dict[la.IntVector, list[int]]:
     return groups
 
 
-def _connected(ground: frozenset[int], basis: frozenset[int], bases) -> bool:
+def _mask(labels) -> int:
+    return sum(1 << i for i in labels)
+
+
+def _labels(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _connected(ground: int, basis: int, bases) -> bool:
     """Is the fundamental graph of ``basis`` on a nonempty ``ground`` connected?
 
-    x -- y when exactly one of them lies in ``basis`` and swapping them gives
-    another member of ``bases``.
+    Label sets are masks.  x -- y when exactly one of them lies in ``basis``
+    and swapping them gives another member of ``bases``.
     """
-    start = min(ground)
-    seen = {start}
-    stack = [start]
+    seen = ground & -ground
+    stack = [seen]
     while stack:
         x = stack.pop()
-        for y in ground - seen:
-            if (x in basis) != (y in basis) and basis ^ {x, y} in bases:
-                seen.add(y)
+        others = ground & ~seen & (~basis if x & basis else basis)
+        while others:
+            y = others & -others
+            others ^= y
+            if basis ^ x ^ y in bases:
+                seen |= y
                 stack.append(y)
-    return len(seen) == len(ground)
+    return seen == ground
 
 
 @dataclass(frozen=True)
@@ -95,8 +109,7 @@ class FlagOfFlats:
     flats: tuple[Flat, ...]
 
     def __post_init__(self):
-        forms = [f.forms for f in self.flats]
-        if any(not (forms[i] > forms[i + 1]) for i in range(len(forms) - 1)):
+        if any(not inner.forms < outer.forms for outer, inner in itertools.pairwise(self.flats)):
             raise ValueError("form-sets must strictly decrease along the flag")
 
     def form_chain(self) -> tuple[frozenset[int], ...]:
@@ -133,11 +146,14 @@ class Matroid:
         self.rank = la.rank_rational(config.matrix)
         if self.rank != config.d:
             raise NotSpanning("rows do not span the ambient space")
-        self.bases = frozenset(
-            frozenset(sub)
+        subs = [
+            sub
             for sub in itertools.combinations(range(self.n), self.rank)
             if la.rank_rational([config.matrix[i] for i in sub]) == self.rank
-        )
+        ]
+        self.bases = frozenset(map(frozenset, subs))
+        self._masks = tuple(map(_mask, subs))
+        self._mask_set = frozenset(self._masks)
         self.parallel_classes = self._parallel_classes()
         self._flats: list[Flat] | None = None
         self._connected: bool | None = None
@@ -155,7 +171,10 @@ class Matroid:
         forms = frozenset(forms)
         if not forms <= frozenset(range(self.n)):
             raise InputError(f"labels must lie in range({self.n})")
-        return max(len(b & forms) for b in self.bases)
+        return self._rank(_mask(forms))
+
+    def _rank(self, mask: int) -> int:
+        return max((b & mask).bit_count() for b in self._masks)
 
     def closure(self, forms) -> Flat:
         """Smallest flat containing ``forms``: every label that keeps its rank."""
@@ -174,16 +193,16 @@ class Matroid:
         """
         if self._flats is not None:
             return self._flats
-        rests = {b - {x} for b in self.bases for x in b}
+        rests = {b ^ 1 << x for b in self._masks for x in range(self.n) if b >> x & 1}
         hyperplanes = {
-            frozenset(i for i in range(self.n) if rest | {i} not in self.bases)
+            _mask(i for i in range(self.n) if rest | 1 << i not in self._mask_set)
             for rest in rests
         }
-        found = {frozenset(range(self.n))}
+        found = {(1 << self.n) - 1}
         for h in hyperplanes:
             found |= {f & h for f in found}
         self._flats = sorted(
-            (Flat(forms=f, corank=self.rank_of(f)) for f in found), key=Flat.sort_key
+            (Flat(forms=_labels(f), corank=self._rank(f)) for f in found), key=Flat.sort_key
         )
         return self._flats
 
@@ -202,13 +221,21 @@ class Matroid:
         flats of a complete flag, these sets give the bases of maximal weight
         inside its cone.
         """
-        return frozenset(b for b in self.bases if len(b & flat.forms) == flat.corank)
+        return self._bases_of(self._through(flat))
+
+    def _through(self, flat: Flat) -> int:
+        """Bit k set when the k-th basis B has |B & F| = r(F)."""
+        f = _mask(flat.forms)
+        return _mask(k for k, b in enumerate(self._masks) if (b & f).bit_count() == flat.corank)
+
+    def _bases_of(self, bits: int) -> frozenset[frozenset[int]]:
+        """The bases whose indices are set in ``bits``."""
+        return frozenset(_labels(b) for k, b in enumerate(self._masks) if bits >> k & 1)
 
     def is_connected(self) -> bool:
         """Single component of the fundamental graph of any one basis."""
         if self._connected is None:
-            basis = next(iter(self.bases))
-            self._connected = _connected(frozenset(range(self.n)), basis, self.bases)
+            self._connected = _connected((1 << self.n) - 1, self._masks[0], self._mask_set)
         return self._connected
 
     # -- restriction ------------------------------------------------------------
@@ -245,11 +272,12 @@ class Matroid:
         """
         if not self.is_connected():
             raise Disconnected("flacets are defined for connected configurations")
-        ground = frozenset(range(self.n))
+        ground = (1 << self.n) - 1
         out = []
         for flat in self.proper_flats():
-            basis = next(b for b in self.bases if len(b & flat.forms) == flat.corank)
-            if all(_connected(s, basis, self.bases) for s in (flat.forms, ground - flat.forms)):
+            f = _mask(flat.forms)
+            basis = next(b for b in self._masks if (b & f).bit_count() == flat.corank)
+            if all(_connected(s, basis, self._mask_set) for s in (f, ground ^ f)):
                 out.append(flat)
         return out
 

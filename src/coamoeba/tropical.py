@@ -12,7 +12,8 @@ subdivision; grouping the complete flags by their induced matroid recovers
 the coarse (Bergman) cones, whose rays are the indicator vectors of the
 flacets.  Any weight inside the cone of a complete flag F_1 > ... > F_(d-1)
 induces the bases B with |B & F_i| = r(F_i) for all i (Ardila-Klivans 2006,
-Feichtner-Sturmfels 2005), the intersection of ``Matroid.bases_through(F_i)``.
+Feichtner-Sturmfels 2005), the intersection of ``Matroid.bases_through(F_i)``:
+the AND of the flats' ints over basis indices.
 Complete and non-splitting flags come from one walk over chains of flats.
 """
 
@@ -203,25 +204,28 @@ def maximal_cones(m: Matroid) -> list[BergmanCone]:
     Weights interior to a fine cone of a complete flag determine the same
     set of maximal bases across the whole coarse cone, so grouping complete
     flags by that set enumerates the maximal cones exactly.  A flag's set is
-    the intersection of the base sets of its flats, each computed once.
+    the AND of the ints over basis indices of its flats, each computed once;
+    -1, every bit set, stands for all bases.
     """
     if not m.is_connected():
         raise Disconnected("Bergman cones require a connected configuration")
     flacet_list = m.flacets()
-    through = {flat: m.bases_through(flat) for flat in m.proper_flats()}
-    groups: dict[frozenset[frozenset[int]], list[FlagOfFlats]] = {}
+    through = {flat: m._through(flat) for flat in m.proper_flats()}
+    groups: dict[int, list[FlagOfFlats]] = {}
     for flag in complete_flags(m):
-        key = m.bases.intersection(*(through[flat] for flat in flag.flats))
+        key = -1
+        for flat in flag.flats:
+            key &= through[flat]
         groups.setdefault(key, []).append(flag)
     cones = []
-    for max_bases, flags in groups.items():
+    for bits, flags in groups.items():
         # the indicator of F lies in the closed cone of G_1 > ... > G_k exactly
         # when F is E, some G_i or empty, and a flacet is neither E nor empty
         on_flags = {flat for fl in flags for flat in fl.flats}
         spanning = tuple(flat for flat in flacet_list if flat in on_flags)
         cones.append(
             BergmanCone(
-                flags=tuple(flags), spanning_flacets=spanning, max_bases=max_bases
+                flags=tuple(flags), spanning_flacets=spanning, max_bases=m._bases_of(bits)
             )
         )
     return sorted(

@@ -5,7 +5,10 @@ different method (Fraction Gauss-Jordan elimination, quotient charts by a
 double kernel, rank-based closure, chain enumeration, circuit enumeration,
 minors built as vectors, derivative polynomials, two-pass polygon
 membership, the half-coamoeba walk from every start vertex, grid
-certification in Fractions) on inputs small enough for brute force.
+certification in Fractions) on inputs small enough for brute force.  The
+``*_by_sets`` functions keep the matroid's earlier bodies, which read ranks,
+flats, connectivity and cone groups off frozensets of labels instead of
+bit masks, and ``escaping_links_by_rank`` tests each link by its own rank.
 ``random_zero_sum_matroid`` and ``connected_matroids`` draw the inputs, and
 ``write_polynomial_file`` writes polynomial input files."""
 
@@ -15,6 +18,7 @@ import math
 from fractions import Fraction
 
 from coamoeba import intlinalg as la
+from coamoeba import tropical
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.cycles import (
     CoamoebaCycle,
@@ -24,7 +28,7 @@ from coamoeba.cycles import (
     degree_dH,
     zonotope,
 )
-from coamoeba.discriminant import log_gauss, projectively_equal
+from coamoeba.discriminant import form_sum, log_gauss, projectively_equal
 from coamoeba.errors import (
     InputError,
     InvariantError,
@@ -35,7 +39,7 @@ from coamoeba.errors import (
     ZeroVector,
 )
 from coamoeba.harness import RoundtripResult, rational_grid
-from coamoeba.matroid import Flat, Matroid, merge_parallel
+from coamoeba.matroid import Flat, FlagOfFlats, Matroid, merge_parallel
 from coamoeba.polynomial import evaluate_exact, format_poly, partial_derivative
 
 
@@ -215,6 +219,89 @@ def flacets_by_minors(m: Matroid) -> list[Flat]:
         if connected_via_circuits(inner) and connected_via_circuits(restricted):
             out.append(flat)
     return out
+
+
+def rank_by_sets(m: Matroid, forms) -> int:
+    """r(F) as the most labels of F inside one basis, on frozensets."""
+    return max(len(b & frozenset(forms)) for b in m.bases)
+
+
+def flats_by_sets(m: Matroid) -> list[Flat]:
+    """The ground set closed under intersection with each hyperplane, where
+    the hyperplane through an independent (r-1)-set I is the set of labels i
+    for which I + i is not a basis."""
+    rests = {b - {x} for b in m.bases for x in b}
+    hyperplanes = {
+        frozenset(i for i in range(m.n) if rest | {i} not in m.bases) for rest in rests
+    }
+    found = {frozenset(range(m.n))}
+    for h in hyperplanes:
+        found |= {f & h for f in found}
+    return sorted((Flat(f, rank_by_sets(m, f)) for f in found), key=Flat.sort_key)
+
+
+def connected_by_sets(ground: frozenset[int], basis: frozenset[int], bases) -> bool:
+    """Is the fundamental graph of ``basis`` on a nonempty ``ground`` connected?
+
+    x -- y when exactly one of them lies in ``basis`` and swapping them gives
+    another member of ``bases``.
+    """
+    start = min(ground)
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in ground - seen:
+            if (x in basis) != (y in basis) and basis ^ {x, y} in bases:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(ground)
+
+
+def flacets_by_sets(m: Matroid) -> list[Flat]:
+    """Proper flats F whose graph of one basis B with |B & F| = r(F) is
+    connected on F and on E - F."""
+    ground = frozenset(range(m.n))
+    out = []
+    for flat in m.proper_flats():
+        basis = next(b for b in m.bases if len(b & flat.forms) == flat.corank)
+        if all(connected_by_sets(s, basis, m.bases) for s in (flat.forms, ground - flat.forms)):
+            out.append(flat)
+    return out
+
+
+def bases_through_by_sets(m: Matroid, flat: Flat) -> frozenset[frozenset[int]]:
+    return frozenset(b for b in m.bases if len(b & flat.forms) == flat.corank)
+
+
+def maximal_cones_by_sets(m: Matroid) -> list[tropical.BergmanCone]:
+    """``tropical.maximal_cones`` with each complete flag keyed by the
+    intersection of its flats' base sets, frozensets of frozensets."""
+    flacet_list = m.flacets()
+    through = {flat: bases_through_by_sets(m, flat) for flat in m.proper_flats()}
+    groups: dict[frozenset[frozenset[int]], list[FlagOfFlats]] = {}
+    for flag in tropical.complete_flags(m):
+        key = m.bases.intersection(*(through[flat] for flat in flag.flats))
+        groups.setdefault(key, []).append(flag)
+    cones = []
+    for max_bases, flags in groups.items():
+        on_flags = {flat for fl in flags for flat in fl.flats}
+        spanning = tuple(flat for flat in flacet_list if flat in on_flags)
+        cones.append(tropical.BergmanCone(tuple(flags), spanning, max_bases))
+    return sorted(
+        cones, key=lambda c: tuple(sorted(tuple(sorted(f.forms)) for f in c.spanning_flacets))
+    )
+
+
+def escaping_links_by_rank(m: Matroid) -> dict[Flat, list[Flat]]:
+    """``tropical._links`` over G < F when the rank of G's vectors plus F's
+    form-sum exceeds r(G), one elimination per link."""
+
+    def escapes(lower: Flat, upper: Flat) -> bool:
+        rows = [m.config.matrix[i] for i in lower.forms]
+        return la.rank_rational(rows + [form_sum(m, upper.forms)]) > lower.corank
+
+    return tropical._links(m, escapes)
 
 
 def polygon_contains_two_pass(vertices, point) -> bool:

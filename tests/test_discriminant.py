@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from coamoeba import intlinalg as la
 from coamoeba.catalog import hyperplane_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.discriminant import (
@@ -288,6 +289,17 @@ def test_non_splitting_flags_match_rank_oracle(m6, m_plane):
     for m in matroids:
         got = {flag.form_chain() for flag in non_splitting_flags(m)}
         assert got == non_splitting_by_rank(m.config)
+
+
+def test_nondefective_echelons_each_flat_at_most_once(monkeypatch):
+    rng = random.Random("n7d5/0")  # the (7,5) fan golden: 100 flats
+    m = random_zero_sum_matroid(rng, 7, 5)
+    calls = []
+    echelon = la._echelon
+    monkeypatch.setattr(la, "_echelon", lambda rows: calls.append(1) or echelon(rows))
+    assert nondefective(m)
+    assert len(m.flats()) == 100
+    assert len(calls) <= len(m.flats())
 
 
 def test_zero_sum_hyperplane_splits_the_first_link():

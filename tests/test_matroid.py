@@ -10,14 +10,22 @@ from coamoeba import intlinalg as la
 from coamoeba.catalog import line_b, plane_b, sixline_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.errors import EmptyConfiguration, InputError, NotSpanning, ZeroVector
-from coamoeba.matroid import Flat, Matroid, _connected, merge_parallel
+from coamoeba.discriminant import non_splitting_flags, nondefective
+from coamoeba.matroid import Flat, FlagOfFlats, Matroid, _connected, merge_parallel
+from coamoeba.tropical import _chains, maximal_cones
 from oracles import (
+    bases_through_by_sets,
     connected_matroids,
     connected_via_circuits,
+    escaping_links_by_rank,
     flacets_by_minors,
+    flacets_by_sets,
     flats_by_rank,
+    flats_by_sets,
+    maximal_cones_by_sets,
     quotient_projection,
     random_zero_sum_matroid,
+    rank_by_sets,
     rank_reference,
 )
 
@@ -168,9 +176,38 @@ def test_connectivity_matches_circuit_oracle(m6, m_line, m_plane):
         want = connected_via_circuits(cfg)
         assert m.is_connected() == want
         # the fundamental graph of every basis answers alike (Krogdahl 1977)
-        ground = frozenset(range(m.n))
-        for basis in m.bases:
-            assert _connected(ground, basis, m.bases) == want
+        masks = {sum(1 << i for i in basis) for basis in m.bases}
+        for basis in masks:
+            assert _connected((1 << m.n) - 1, basis, masks) == want
+
+
+def test_flag_forms_must_strictly_decrease(m6):
+    big, small = m6.closure({0, 1, 3}), m6.closure({0})
+    assert FlagOfFlats((big, small)).flats == (big, small)
+    for flats in ((big, big), (small, big), (big, small, small), (small, m6.closure({1}))):
+        with pytest.raises(ValueError, match="strictly decrease"):
+            FlagOfFlats(flats)
+
+
+@pytest.mark.parametrize(
+    "n, d, seed", [(5, 2, 1), (6, 3, 2), (7, 3, 3), (7, 4, 4), (8, 3, 5), (8, 4, 6), (9, 4, 7)]
+)
+def test_masks_match_frozenset_oracles(n, d, seed):
+    rng = random.Random(seed)
+    m = random_zero_sum_matroid(rng, n, d)
+    while not m.is_connected():
+        m = random_zero_sum_matroid(rng, n, d)
+    for _ in range(20):
+        forms = {i for i in range(n) if rng.random() < 0.5}
+        assert m.rank_of(forms) == rank_by_sets(m, forms)
+    assert m.flats() == flats_by_sets(m)
+    assert m.flacets() == flacets_by_sets(m)
+    for flat in m.flats():
+        assert m.bases_through(flat) == bases_through_by_sets(m, flat)
+    assert maximal_cones(m) == maximal_cones_by_sets(m)
+    links = escaping_links_by_rank(m)
+    assert non_splitting_flags(m) == _chains(m, links)
+    assert nondefective(m) == any(f in links for f in m.flats_of_corank(m.rank - 1))
 
 
 def test_flats_match_rank_closure_oracle(m6):
