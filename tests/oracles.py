@@ -277,7 +277,7 @@ def bases_through_by_sets(m: Matroid, flat: Flat) -> frozenset[frozenset[int]]:
 def maximal_cones_by_sets(m: Matroid) -> list[tropical.BergmanCone]:
     """``tropical.maximal_cones`` with each complete flag keyed by the
     intersection of its flats' base sets, frozensets of frozensets."""
-    flacet_list = m.flacets()
+    flacet_list = flacets_by_sets(m)
     through = {flat: bases_through_by_sets(m, flat) for flat in m.proper_flats()}
     groups: dict[frozenset[frozenset[int]], list[FlagOfFlats]] = {}
     for flag in tropical.complete_flags(m):

@@ -9,8 +9,8 @@ import pytest
 from coamoeba import intlinalg as la
 from coamoeba.catalog import line_b, plane_b, sixline_b
 from coamoeba.configuration import VectorConfiguration
-from coamoeba.errors import EmptyConfiguration, InputError, NotSpanning, ZeroVector
 from coamoeba.discriminant import non_splitting_flags, nondefective
+from coamoeba.errors import EmptyConfiguration, InputError, NotSpanning, ZeroVector
 from coamoeba.matroid import Flat, FlagOfFlats, Matroid, _connected, merge_parallel
 from coamoeba.tropical import _chains, maximal_cones
 from oracles import (
