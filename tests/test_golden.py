@@ -122,6 +122,11 @@ def _cases() -> dict[str, list[str]]:
         "verify", "{sixline_b}", "--poly", "{sixline_wrong}", "-n", "6", "--samples", "300",
         "--seed", "3",
     ]
+    # the verify benchmark's sizes: 100 grid points, 400 samples
+    cases["verify_sixline_b_n100"] = [
+        "verify", "{sixline_b}", "--poly", "{sixline_d}", "-n", "100", "--samples", "400",
+        "--seed", "3",
+    ]
     cases["verify_plane_b"] = [
         "verify", "{plane_b}", "--poly", "{plane_d}", "-n", "6", "--samples", "300"
     ]
