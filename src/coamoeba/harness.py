@@ -5,6 +5,8 @@ within 1e-8 * ||y|| of the hyperplane arrangement, and maps through the
 Horn-Kapranov parameterization and the coordinatewise argument.  Chunks are
 drawn in order, each from its own stream seeded with seed + chunk_index, so
 the first k points for a seed do not depend on how many are requested.
+Each chunk is drawn and tested in full, but psi is evaluated only on the
+rows returned.
 
 Exact checks walk a fixed small-integer grid: ``residue_check`` reports the
 largest exact value of a candidate defining polynomial on the parameterized
@@ -12,12 +14,13 @@ hypersurface (zero certifies vanishing; anything else is evidence of a typo
 in the input polynomial and is reported, never "corrected"), and
 ``gauss_roundtrip`` certifies that the logarithmic Gauss map inverts the
 parameterization at sample points, skipping the measure-zero singular locus
-where the Gauss map is undefined.  Both run in integers on one common
-denominator: a grid point y is integral, so psi(y) is one integer over
-another per coordinate, and with f's coefficients cleared once, each term
-of f at psi(y) times one K is an integer.  f(psi(y)) = 0 when those sum to
-zero, and the Euler sums of e_j times the terms are K times the
-logarithmic partials y_j df/dy_j.
+where the Gauss map is undefined.  The two checks share one grid walk,
+which computes each point once for both and stops when both are done.
+They run in integers on one common denominator: a grid point y is
+integral, so psi(y) is one integer over another per coordinate, and with
+f's coefficients cleared once, each term of f at psi(y) times one K is an
+integer.  f(psi(y)) = 0 when those sum to zero, and the Euler sums of e_j
+times the terms are K times the logarithmic partials y_j df/dy_j.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .polynomial import SparsePoly, _cleared, _term_values
 
 REJECTION_THRESHOLD = 1e-8
 _CHUNK = 2048
+_ZERO = Fraction(0)  # the residue before any point; shared, so no Fraction per call
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,15 @@ class SampleReport:
     coverage_per_prism: tuple[tuple[Flat, int], ...]
 
 
-def _sample_chunk(bmat: np.ndarray, seed: int, chunk_index: int, size: int) -> np.ndarray:
-    """Arguments of psi at ``size`` random points, arrangement rejections dropped."""
+def _sample_chunk(
+    bmat: np.ndarray, seed: int, chunk_index: int, size: int, need: int
+) -> np.ndarray:
+    """Arguments of psi at the first ``need`` of ``size`` random points that
+    are off the arrangement (fewer when the chunk has fewer).
+
+    The whole chunk is drawn and tested, so the stream and the rejections do
+    not depend on ``need``; psi is evaluated only on the rows returned.
+    """
     rng = np.random.default_rng(seed + chunk_index)
     y = rng.standard_normal((size, bmat.shape[1])) + 1j * rng.standard_normal(
         (size, bmat.shape[1])
@@ -63,7 +74,7 @@ def _sample_chunk(bmat: np.ndarray, seed: int, chunk_index: int, size: int) -> n
     pair = y @ bmat.T  # <b_a, y> per row a
     norms = np.linalg.norm(y, axis=1)
     keep = np.all(np.abs(pair) >= REJECTION_THRESHOLD * norms[:, None], axis=1)
-    pair = pair[keep]
+    pair = pair[keep][:need]
     d = bmat.shape[1]
     psi = np.empty((pair.shape[0], d), dtype=complex)
     for j in range(d):
@@ -84,9 +95,9 @@ def sample_coamoeba(m: Matroid, n: int, seed: int) -> np.ndarray:
     chunks: list[np.ndarray] = []
     total = 0
     while total < n:
-        chunks.append(_sample_chunk(bmat, seed, len(chunks), _CHUNK))
+        chunks.append(_sample_chunk(bmat, seed, len(chunks), _CHUNK, n - total))
         total += len(chunks[-1])
-    return np.concatenate(chunks)[:n]
+    return np.concatenate(chunks)
 
 
 def rational_grid(d: int):
@@ -123,6 +134,47 @@ def _grid_terms(f: SparsePoly, m: Matroid):
     return walk()
 
 
+def _certify_walk(f: SparsePoly, m: Matroid, n_residue: int, n_roundtrip: int):
+    """The residue and roundtrip checks on one walk of ``_grid_terms``.
+
+    The residue check takes the first n_residue grid points off the
+    arrangement; the roundtrip takes points until n_roundtrip nonsingular
+    ones are checked or one fails.  Each point's psi and term values feed
+    both, and the walk stops when both are done.  Returns
+    ((max_residue, witness_point, n_checked), RoundtripResult).
+    """
+    if n_residue < 0 or n_roundtrip < 0:
+        raise InputError(f"grid sizes must be non-negative, got {n_residue}, {n_roundtrip}")
+    grid = _grid_terms(f, m)  # raises WrongLength before any point
+    exponents = list(zip(*(exps for exps, _ in f.terms)))  # one column per variable
+    worst = _ZERO
+    witness = None
+    taken = checked = singular = 0
+    counterexample = None
+    roundtrip_done = n_roundtrip == 0
+    for y, values, scale in grid if n_residue or n_roundtrip else ():
+        if taken < n_residue:
+            taken += 1
+            total = abs(sum(values))
+            # |total / scale| > worst, cross-multiplied
+            if total * worst.denominator > worst.numerator * abs(scale):
+                worst = Fraction(total, abs(scale))
+                witness = y
+        if not roundtrip_done:
+            coords = [sum(e * v for e, v in zip(column, values)) for column in exponents]
+            if not any(coords):
+                singular += 1
+            else:
+                checked += 1
+                if not projectively_equal(coords, y):
+                    counterexample = y
+                roundtrip_done = counterexample is not None or checked == n_roundtrip
+        if taken == n_residue and roundtrip_done:
+            break
+    roundtrip = RoundtripResult(counterexample is None, checked, singular, counterexample)
+    return (worst, witness, taken), roundtrip
+
+
 def residue_check(f: SparsePoly, m: Matroid, n: int):
     """Max |f(psi(y))| over n exact rational grid points, with a witness.
 
@@ -131,17 +183,7 @@ def residue_check(f: SparsePoly, m: Matroid, n: int):
     value is reported for diagnosis.  n_checked falls short of n when the
     finite grid runs out first.
     """
-    worst = Fraction(0)
-    witness = None
-    taken = 0
-    for y, values, scale in itertools.islice(_grid_terms(f, m), n):
-        taken += 1
-        total = abs(sum(values))
-        # |total / scale| > worst, cross-multiplied
-        if total * worst.denominator > worst.numerator * abs(scale):
-            worst = Fraction(total, abs(scale))
-            witness = y
-    return worst, witness, taken
+    return _certify_walk(f, m, n, 0)[0]
 
 
 @dataclass(frozen=True)
@@ -161,33 +203,20 @@ def gauss_roundtrip(f: SparsePoly, m: Matroid, n: int) -> RoundtripResult:
     partials vanish) are skipped and counted; the inverse statement is
     generic.
     """
-    exponents = list(zip(*(exps for exps, _ in f.terms)))  # one column per variable
-    checked = 0
-    singular = 0
-    for y, values, _ in _grid_terms(f, m):
-        if checked >= n:
-            break
-        coords = [sum(e * v for e, v in zip(column, values)) for column in exponents]
-        if not any(coords):
-            singular += 1
-            continue
-        checked += 1
-        if not projectively_equal(coords, y):
-            return RoundtripResult(False, checked, singular, y)
-    return RoundtripResult(True, checked, singular, None)
+    return _certify_walk(f, m, 0, n)[1]
 
 
 def certify_discriminant(f: SparsePoly, m: Matroid, n: int = 20) -> dict:
     """Residue and roundtrip certification combined, with erratum diagnosis.
 
-    status is "erratum" when the polynomial does not vanish on the image or
-    the Gauss map does not invert, with the exact residue recorded, and the
-    caller should treat downstream identities as inconclusive.  Otherwise it
-    is "incomplete" when the grid ran out before either check covered n
-    points, and "ok" when both did.
+    Both checks share one grid walk.  status is "erratum" when the
+    polynomial does not vanish on the image or the Gauss map does not
+    invert, with the exact residue recorded, and the caller should treat
+    downstream identities as inconclusive.  Otherwise it is "incomplete"
+    when the grid ran out before either check covered n points, and "ok"
+    when both did.
     """
-    residue, witness, residue_checked = residue_check(f, m, n)
-    roundtrip = gauss_roundtrip(f, m, n)
+    (residue, witness, residue_checked), roundtrip = _certify_walk(f, m, n, n)
     if residue != 0 or not roundtrip.passed:
         status = "erratum"
     elif min(residue_checked, roundtrip.n_checked) < n:

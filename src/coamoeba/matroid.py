@@ -29,7 +29,7 @@ linear algebra here besides the bases.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import intlinalg as la
@@ -90,6 +90,14 @@ class Flat:
 
     forms: frozenset[int]
     corank: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the value the generated __hash__ gave, computed once per flat
+        object.__setattr__(self, "_hash", hash((self.forms, self.corank)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def dim(self, d: int) -> int:
         return d - self.corank

@@ -5,7 +5,8 @@ different method (Fraction Gauss-Jordan elimination, quotient charts by a
 double kernel, rank-based closure, chain enumeration, circuit enumeration,
 minors built as vectors, derivative polynomials, two-pass polygon
 membership, the half-coamoeba walk from every start vertex, grid
-certification in Fractions) on inputs small enough for brute force.  The
+certification in Fractions, two grid walks, sampling with psi on every
+accepted row of a chunk) on inputs small enough for brute force.  The
 ``*_by_sets`` functions keep the matroid's earlier bodies, which read ranks,
 flats, connectivity and cone groups off frozensets of labels instead of
 bit masks, and ``escaping_links_by_rank`` tests each link by its own rank.
@@ -16,6 +17,8 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from coamoeba import intlinalg as la
 from coamoeba import tropical
@@ -38,7 +41,7 @@ from coamoeba.errors import (
     SingularPoint,
     ZeroVector,
 )
-from coamoeba.harness import RoundtripResult, rational_grid
+from coamoeba.harness import _CHUNK, REJECTION_THRESHOLD, RoundtripResult, rational_grid
 from coamoeba.matroid import Flat, FlagOfFlats, Matroid, merge_parallel
 from coamoeba.polynomial import evaluate_exact, format_poly, partial_derivative
 
@@ -536,3 +539,59 @@ def gauss_roundtrip_by_fractions(f, m, n) -> RoundtripResult:
         if not projectively_equal(g, tuple(Fraction(c) for c in y)):
             return RoundtripResult(False, checked, singular, y)
     return RoundtripResult(True, checked, singular, None)
+
+
+def certify_by_fractions(f, m, n) -> dict:
+    """``harness.certify_discriminant`` from the two Fraction oracles, each on
+    its own grid walk."""
+    residue, witness, residue_checked = residue_check_by_fractions(f, m, n)
+    roundtrip = gauss_roundtrip_by_fractions(f, m, n)
+    if residue != 0 or not roundtrip.passed:
+        status = "erratum"
+    elif min(residue_checked, roundtrip.n_checked) < n:
+        status = "incomplete"
+    else:
+        status = "ok"
+    return {
+        "status": status,
+        "max_residue": str(residue),
+        "residue_checked": residue_checked,
+        "residue_witness": list(witness) if witness else None,
+        "roundtrip_passed": roundtrip.passed,
+        "roundtrip_checked": roundtrip.n_checked,
+        "roundtrip_singular_skipped": roundtrip.n_singular_skipped,
+        "roundtrip_counterexample": list(roundtrip.counterexample)
+        if roundtrip.counterexample
+        else None,
+    }
+
+
+def _full_sample_chunk(bmat, seed, chunk_index, size):
+    """Arguments of psi at every one of ``size`` random points off the arrangement."""
+    rng = np.random.default_rng(seed + chunk_index)
+    y = rng.standard_normal((size, bmat.shape[1])) + 1j * rng.standard_normal(
+        (size, bmat.shape[1])
+    )
+    pair = y @ bmat.T  # <b_a, y> per row a
+    norms = np.linalg.norm(y, axis=1)
+    keep = np.all(np.abs(pair) >= REJECTION_THRESHOLD * norms[:, None], axis=1)
+    pair = pair[keep]
+    d = bmat.shape[1]
+    psi = np.empty((pair.shape[0], d), dtype=complex)
+    for j in range(d):
+        psi[:, j] = np.prod(pair ** bmat[:, j], axis=1)
+    return np.angle(psi)
+
+
+def sample_coamoeba_by_full_chunks(m, n, seed):
+    """``harness.sample_coamoeba`` evaluating psi on every accepted row of
+    each chunk and cutting the result to n rows at the end."""
+    bmat = np.array(m.config.matrix, dtype=float)
+    if n == 0:
+        return np.empty((0, m.config.d))
+    chunks = []
+    total = 0
+    while total < n:
+        chunks.append(_full_sample_chunk(bmat, seed, len(chunks), _CHUNK))
+        total += len(chunks[-1])
+    return np.concatenate(chunks)[:n]

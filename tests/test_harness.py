@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coamoeba.catalog import hyperplane_b, line_b, sixline_b, sixline_discriminant
+from coamoeba import harness
+from coamoeba.catalog import hyperplane_b, line_b, plane_b, sixline_b, sixline_discriminant
 from coamoeba.cycles import build_cycle, contains2, prisms_d3
 from coamoeba.errors import InputError, WrongLength
 from coamoeba.harness import (
@@ -22,9 +23,11 @@ from coamoeba.harness import (
 from coamoeba.matroid import Matroid
 from coamoeba.polynomial import SparsePoly, parse
 from oracles import (
+    certify_by_fractions,
     gauss_roundtrip_by_fractions,
     random_zero_sum_matroid,
     residue_check_by_fractions,
+    sample_coamoeba_by_full_chunks,
 )
 
 
@@ -66,6 +69,26 @@ def test_sampling_rejects_negative_size(m6):
 def test_sampling_rejects_negative_seed(m6):
     with pytest.raises(InputError):
         sample_coamoeba(m6, 5, seed=-1)
+
+
+SAMPLED = {
+    "sixline": sixline_b(),
+    "plane": plane_b(),
+    "line": line_b(),
+    "n9d3": random_zero_sum_matroid(random.Random("n9d3/0"), 9, 3).config,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_sampling_matches_full_chunk_oracle(name):
+    # psi only on the rows returned gives the same bits as psi on every
+    # accepted row, across chunk boundaries (2048 points per chunk)
+    m = Matroid(SAMPLED[name])
+    for seed in range(40):
+        for n in (1, 7, 150, 2047, 2048, 2049, 5000):
+            got = sample_coamoeba(m, n, seed)
+            want = sample_coamoeba_by_full_chunks(m, n, seed)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, n)
 
 
 def test_line_samples_lie_in_cycle(m_line):
@@ -224,6 +247,33 @@ def test_certification_matches_fraction_oracle(name, m, f):
         assert gauss_roundtrip(f, m, n) == gauss_roundtrip_by_fractions(f, m, n), n
 
 
+@pytest.mark.parametrize("name, m, f", DIFFERENTIAL, ids=[c[0] for c in DIFFERENTIAL])
+def test_certify_matches_two_walk_oracle(name, m, f):
+    for n in (0, 1, 5, 20, 100, 500):
+        assert certify_discriminant(f, m, n) == certify_by_fractions(f, m, n), n
+
+
+def test_certify_computes_each_grid_point_once(m6, big_d, monkeypatch):
+    calls = []
+
+    def counted(h, y):
+        calls.append(y)
+        return psi_integer(h, y)
+
+    psi_integer = harness._psi_integer
+    monkeypatch.setattr(harness, "_psi_integer", counted)
+    report = certify_discriminant(big_d, m6, 100)
+    assert report["status"] == "ok"
+    assert report["roundtrip_checked"] + report["roundtrip_singular_skipped"] == 110
+    assert len(calls) == len(set(calls)) <= 117  # two walks made 225 calls
+
+
+@pytest.mark.parametrize("check", [residue_check, gauss_roundtrip, certify_discriminant])
+def test_negative_grid_size_is_input_error(m6, big_d, check):
+    with pytest.raises(InputError):
+        check(big_d, m6, -1)
+
+
 def test_certification_builds_no_fraction_per_point(m6, big_d):
     made = []
 
@@ -235,9 +285,11 @@ def test_certification_builds_no_fraction_per_point(m6, big_d):
     try:
         residue = residue_check(big_d, m6, 100)
         roundtrip = gauss_roundtrip(big_d, m6, 100)
+        report = certify_discriminant(big_d, m6, 100)
     finally:
         sys.setprofile(None)
     assert residue[0] == 0 and roundtrip.passed and roundtrip.n_checked == 100
+    assert report["status"] == "ok"
     assert len(made) <= 1  # the initial zero residue
 
 
