@@ -134,6 +134,14 @@ def _grid_terms(f: SparsePoly, m: Matroid):
     return walk()
 
 
+@dataclass(frozen=True)
+class RoundtripResult:
+    passed: bool
+    n_checked: int
+    n_singular_skipped: int
+    counterexample: tuple | None
+
+
 def _certify_walk(f: SparsePoly, m: Matroid, n_residue: int, n_roundtrip: int):
     """The residue and roundtrip checks on one walk of ``_grid_terms``.
 
@@ -152,7 +160,7 @@ def _certify_walk(f: SparsePoly, m: Matroid, n_residue: int, n_roundtrip: int):
     taken = checked = singular = 0
     counterexample = None
     roundtrip_done = n_roundtrip == 0
-    for y, values, scale in grid if n_residue or n_roundtrip else ():
+    for y, values, scale in grid if n_residue or n_roundtrip else ():  # no point for n = 0
         if taken < n_residue:
             taken += 1
             total = abs(sum(values))
@@ -184,14 +192,6 @@ def residue_check(f: SparsePoly, m: Matroid, n: int):
     finite grid runs out first.
     """
     return _certify_walk(f, m, n, 0)[0]
-
-
-@dataclass(frozen=True)
-class RoundtripResult:
-    passed: bool
-    n_checked: int
-    n_singular_skipped: int
-    counterexample: tuple | None
 
 
 def gauss_roundtrip(f: SparsePoly, m: Matroid, n: int) -> RoundtripResult:
