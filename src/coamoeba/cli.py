@@ -265,9 +265,10 @@ def _cmd_member(args):
     elif config.d == 3:
         m = Matroid(config)
         prisms = prisms_d3(m)
-        radians = tuple(
-            float(t) * math.pi if exact else float(t) for t in theta
-        )
+        try:
+            radians = tuple(float(t) * math.pi if exact else float(t) for t in theta)
+        except OverflowError:
+            raise InputError(f"angles {args.theta} overflow in radians") from None
         inside, witness = contains_pls3(prisms, radians, tol=args.tol)
         payload = {
             "inside": inside,

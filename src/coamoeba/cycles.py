@@ -328,11 +328,12 @@ def _require_angles(theta, count: int) -> None:
         raise WrongLength(f"expected {count} angles, got {len(theta)}")
 
 
-def _translates(poly: Polygon, px: float, py: float, pad: float):
+def _window(poly: Polygon, x_lo, x_hi, y_lo, y_hi, pad) -> tuple[range, range]:
+    """ax and ay ranges of the translates by 2 pi (ax, ay) within pad of the box."""
     xmin, xmax, ymin, ymax = poly._bbox
-    axs = range(math.ceil((xmin - px - pad) / 2), math.floor((xmax - px + pad) / 2) + 1)
-    ays = range(math.ceil((ymin - py - pad) / 2), math.floor((ymax - py + pad) / 2) + 1)
-    return itertools.product(axs, ays)
+    axs = range(math.ceil((xmin - x_hi - pad) / 2), math.floor((xmax - x_lo + pad) / 2) + 1)
+    ays = range(math.ceil((ymin - y_hi - pad) / 2), math.floor((ymax - y_lo + pad) / 2) + 1)
+    return axs, ays
 
 
 def _point_segment_dist(px, py, ax, ay, bx, by) -> float:
@@ -369,7 +370,7 @@ def cycle_distance(cycle: CoamoebaCycle, theta) -> float:
     best = math.inf
     for poly in (cycle.plus, cycle.minus):
         verts = poly.float_vertices()
-        for ax, ay in _translates(poly, px, py, _PAD):
+        for ax, ay in itertools.product(*_window(poly, px, px, py, py, _PAD)):
             d = _poly_dist_float([(x - 2 * ax, y - 2 * ay) for x, y in verts], px, py)
             if d < best:
                 best = d
@@ -394,7 +395,7 @@ def contains2_exact(cycle: CoamoebaCycle, theta_pi) -> bool:
     px = Fraction(theta_pi[0]) + cycle.arg_shift_pi[0]
     py = Fraction(theta_pi[1]) + cycle.arg_shift_pi[1]
     for poly in (cycle.plus, cycle.minus):
-        for ax, ay in _translates(poly, px, py, 0):
+        for ax, ay in itertools.product(*_window(poly, px, px, py, py, 0)):
             if poly.contains((px + 2 * ax, py + 2 * ay)):
                 return True
     return False
@@ -433,9 +434,10 @@ def prisms_d3(m: Matroid) -> list[Prism]:
 
 
 def _project_theta(prism: Prism, theta) -> tuple[float, float]:
-    return tuple(
-        sum(c * t for c, t in zip(row, theta)) for row in prism.projection
-    )
+    pair = tuple(sum(c * t for c, t in zip(row, theta)) for row in prism.projection)
+    if not all(map(math.isfinite, pair)):
+        raise InputError(f"angles {tuple(theta)} overflow in the chart of a prism")
+    return pair
 
 
 def contains_pls3(prisms, theta, tol: float = 1e-9):
@@ -445,6 +447,8 @@ def contains_pls3(prisms, theta, tol: float = 1e-9):
     point, or None.
     """
     _require_angles(theta, 3)
+    if not all(map(math.isfinite, theta)):
+        raise InputError(f"angles must be finite, got {tuple(theta)}")
     for prism in prisms:
         if contains2(prism.base, _project_theta(prism, theta), tol):
             return True, prism
@@ -457,32 +461,35 @@ def pls3_distance(prisms, theta) -> float:
     return float(pls3_distances(prisms, [theta])[0][0])
 
 
-# Points per kernel block.  The block's temporaries hold points x translates
-# x edges floats, so this bounds the kernel's memory whatever the number of
-# points.
-_BLOCK = 64
+# Kernel block size in points x translates x edges: a block takes as many
+# points as fit when each counts every translate a point of [-1, 1]^2 reaches,
+# so each float temporary of the kernel holds at most this many values.
+_BLOCK = 16_000
 # Translate window padding in pi units.  Every point lies within sqrt(2) of a
 # 2 pi Z^2 translate of any vertex, so a translate whose bounding box is
 # farther than this in some coordinate is never the nearest one.
 _PAD = 2.0
 
 
-def _chart_distances(poly: Polygon, px: np.ndarray, py: np.ndarray, window) -> np.ndarray:
+def _block_points(poly: Polygon) -> int:
+    """Points per kernel block for the shell ``poly``, at least one."""
+    axs, ays = _window(poly, -1, 1, -1, 1, _PAD)
+    return max(1, _BLOCK // (len(axs) * len(ays) * len(poly.vertices)))
+
+
+def _chart_distances(poly: Polygon, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Distances (pi units) from wrapped chart points to the 2 pi Z^2 translates
     of one shell: zero where some translate winds around the point.
 
-    Batched form of ``_poly_dist_float`` over every translate the windows of
-    the points reach (``window`` bounds the points: x_lo, x_hi, y_lo, y_hi),
-    with the same arithmetic in the same order.
+    Batched form of ``_poly_dist_float`` over every translate that a block's
+    windows reach, with the same arithmetic in the same order; the distance
+    half runs only on the points that no translate winds around.
     """
-    xmin, xmax, ymin, ymax = poly._bbox
-    x_lo, x_hi, y_lo, y_hi = window
-    axs = np.arange(
-        math.ceil((xmin - x_hi - _PAD) / 2), math.floor((xmax - x_lo + _PAD) / 2) + 1
-    )
-    ays = np.arange(
-        math.ceil((ymin - y_hi - _PAD) / 2), math.floor((ymax - y_lo + _PAD) / 2) + 1
-    )
+    size = _block_points(poly)
+    if len(px) > size:
+        blocks = [(px[i : i + size], py[i : i + size]) for i in range(0, len(px), size)]
+        return np.concatenate([_chart_distances(poly, x, y) for x, y in blocks])
+    axs, ays = _window(poly, px.min(), px.max(), py.min(), py.max(), _PAD)
     verts = np.array(poly._float_vertices)
     # translates x edges: tails (x1, y1) and heads (x2, y2)
     x1 = (verts[:, 0] - 2.0 * np.repeat(axs, len(ays))[:, None])[None]
@@ -495,11 +502,13 @@ def _chart_distances(poly: Polygon, px: np.ndarray, py: np.ndarray, window) -> n
     orient = vx * wy - vy * wx
     up = (y1 <= py) & (y2 > py) & (orient > 0)
     down = (y1 > py) & (y2 <= py) & (orient < 0)
-    inside = (up.sum(axis=2) != down.sum(axis=2)).any(axis=1)
-    seg2 = vx * vx + vy * vy
-    t = np.clip((wx * vx + wy * vy) / np.where(seg2 == 0, 1.0, seg2), 0.0, 1.0)
-    dist = np.hypot(px - (x1 + t * vx), py - (y1 + t * vy)).min(axis=(1, 2))
-    dist[inside] = 0.0
+    outside = (up.sum(axis=2) == down.sum(axis=2)).all(axis=1)
+    dist = np.zeros(len(px))
+    if outside.any():
+        px, py, wx, wy = px[outside], py[outside], wx[outside], wy[outside]
+        seg2 = vx * vx + vy * vy
+        t = np.clip((wx * vx + wy * vy) / np.where(seg2 == 0, 1.0, seg2), 0.0, 1.0)
+        dist[outside] = np.hypot(px - (x1 + t * vx), py - (y1 + t * vy)).min(axis=(1, 2))
     return dist
 
 
@@ -512,23 +521,26 @@ def pls3_distances(prisms, points, tol: float = 0.0) -> tuple[np.ndarray, np.nda
     and ``witness[i]`` is the index of the first prism within ``tol`` of the
     point, the prism ``contains_pls3`` returns, or -1 if there is none.
 
-    Points go through in blocks of ``_BLOCK``; a point stops being tested
-    once its distance is exactly 0, while points merely within ``tol`` go on
-    to the remaining prisms so that their distances stay exact.
+    Prism by prism, the points in play go through the plus shell and those
+    it leaves at a nonzero distance through the minus shell, in blocks (see
+    ``_BLOCK``).  A point is dropped once its distance is exactly 0; points
+    merely within ``tol`` go on to the remaining prisms, so distances stay exact.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise WrongLength(f"expected a k x 3 array of angle triples, got shape {points.shape}")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise InputError(f"angles must be finite, got {tuple(points[~finite][0].tolist())}")
     distance = np.full(len(points), math.inf)
     witness = np.full(len(points), -1)
-    for start in range(0, len(points), _BLOCK):
-        block = points[start : start + _BLOCK]
-        best = distance[start : start + _BLOCK]
-        first = witness[start : start + _BLOCK]
-        active = np.arange(len(block))
-        for index, prism in enumerate(prisms):
-            theta = block[active]
-            cycle = prism.base
+    active = np.arange(len(points))
+    for index, prism in enumerate(prisms):
+        if not len(active):
+            break
+        theta = points[active]
+        cycle = prism.base
+        with np.errstate(over="ignore", invalid="ignore"):
             # elementwise in the order of _project_theta, not a matmul, so
             # the chart coordinates match the one-point path bit for bit
             px, py = (
@@ -537,16 +549,16 @@ def pls3_distances(prisms, points, tol: float = 0.0) -> tuple[np.ndarray, np.nda
             )
             px -= 2 * np.floor((px + 1) / 2)
             py -= 2 * np.floor((py + 1) / 2)
-            window = (px.min(), px.max(), py.min(), py.max())
-            if not math.isfinite(sum(window)):
-                raise InputError("angles must be finite")
-            d = np.minimum(
-                _chart_distances(cycle.plus, px, py, window),
-                _chart_distances(cycle.minus, px, py, window),
-            ) * math.pi
-            first[active[(first[active] < 0) & (d <= tol)]] = index
-            best[active] = np.minimum(best[active], d)
-            active = active[best[active] != 0.0]
-            if not len(active):
-                break
+        overflow = np.isnan(px + py)  # wrapped finite coordinates lie in [-1, 1]
+        if overflow.any():
+            bad = tuple(theta[overflow][0].tolist())
+            raise InputError(f"angles {bad} overflow in the chart of a prism")
+        d = _chart_distances(cycle.plus, px, py)
+        rest = d != 0.0
+        if rest.any():
+            d[rest] = np.minimum(d[rest], _chart_distances(cycle.minus, px[rest], py[rest]))
+        d *= math.pi
+        witness[active[(witness[active] < 0) & (d <= tol)]] = index
+        distance[active] = np.minimum(distance[active], d)
+        active = active[distance[active] != 0.0]
     return distance, witness

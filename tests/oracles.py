@@ -6,7 +6,8 @@ double kernel, rank-based closure, chain enumeration, circuit enumeration,
 minors built as vectors, derivative polynomials, two-pass polygon
 membership, the half-coamoeba walk from every start vertex, grid
 certification in Fractions, two grid walks, sampling with psi on every
-accepted row of a chunk) on inputs small enough for brute force.  The
+accepted row of a chunk, the prism kernel in fixed 64-point blocks with
+both shells on every point) on inputs small enough for brute force.  The
 ``*_by_sets`` functions keep the matroid's earlier bodies, which read ranks,
 flats, connectivity and cone groups off frozensets of labels instead of
 bit masks, and ``escaping_links_by_rank`` tests each link by its own rank.
@@ -24,6 +25,7 @@ from coamoeba import intlinalg as la
 from coamoeba import tropical
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.cycles import (
+    _PAD,
     CoamoebaCycle,
     Point,
     Polygon,
@@ -595,3 +597,68 @@ def sample_coamoeba_by_full_chunks(m, n, seed):
         chunks.append(_full_sample_chunk(bmat, seed, len(chunks), _CHUNK))
         total += len(chunks[-1])
     return np.concatenate(chunks)[:n]
+
+
+def _chart_distances_full(poly: Polygon, px, py, window):
+    """Winding and point-to-segment distance of every point against every
+    translate the window (x_lo, x_hi, y_lo, y_hi) reaches, zeroed where a
+    translate winds around the point."""
+    xmin, xmax, ymin, ymax = poly.bbox()
+    x_lo, x_hi, y_lo, y_hi = window
+    axs = np.arange(
+        math.ceil((xmin - x_hi - _PAD) / 2), math.floor((xmax - x_lo + _PAD) / 2) + 1
+    )
+    ays = np.arange(
+        math.ceil((ymin - y_hi - _PAD) / 2), math.floor((ymax - y_lo + _PAD) / 2) + 1
+    )
+    verts = np.array(poly.float_vertices())
+    x1 = (verts[:, 0] - 2.0 * np.repeat(axs, len(ays))[:, None])[None]
+    y1 = (verts[:, 1] - 2.0 * np.tile(ays, len(axs))[:, None])[None]
+    x2 = np.roll(x1, -1, axis=2)
+    y2 = np.roll(y1, -1, axis=2)
+    vx, vy = x2 - x1, y2 - y1
+    px, py = px[:, None, None], py[:, None, None]
+    wx, wy = px - x1, py - y1
+    orient = vx * wy - vy * wx
+    up = (y1 <= py) & (y2 > py) & (orient > 0)
+    down = (y1 > py) & (y2 <= py) & (orient < 0)
+    inside = (up.sum(axis=2) != down.sum(axis=2)).any(axis=1)
+    seg2 = vx * vx + vy * vy
+    t = np.clip((wx * vx + wy * vy) / np.where(seg2 == 0, 1.0, seg2), 0.0, 1.0)
+    dist = np.hypot(px - (x1 + t * vx), py - (y1 + t * vy)).min(axis=(1, 2))
+    dist[inside] = 0.0
+    return dist
+
+
+def pls3_distances_by_fixed_blocks(prisms, points, tol=0.0):
+    """``cycles.pls3_distances`` through blocks of 64 points, each block
+    running every prism in turn and both shells on all its points still in
+    play, with one translate window per block and prism."""
+    points = np.asarray(points, dtype=float)
+    distance = np.full(len(points), math.inf)
+    witness = np.full(len(points), -1)
+    for start in range(0, len(points), 64):
+        block = points[start : start + 64]
+        best = distance[start : start + 64]
+        first = witness[start : start + 64]
+        active = np.arange(len(block))
+        for index, prism in enumerate(prisms):
+            theta = block[active]
+            cycle = prism.base
+            px, py = (
+                (a0 * theta[:, 0] + a1 * theta[:, 1] + a2 * theta[:, 2]) / math.pi + shift
+                for (a0, a1, a2), shift in zip(prism.projection, cycle.arg_shift_pi)
+            )
+            px -= 2 * np.floor((px + 1) / 2)
+            py -= 2 * np.floor((py + 1) / 2)
+            window = (px.min(), px.max(), py.min(), py.max())
+            d = np.minimum(
+                _chart_distances_full(cycle.plus, px, py, window),
+                _chart_distances_full(cycle.minus, px, py, window),
+            ) * math.pi
+            first[active[(first[active] < 0) & (d <= tol)]] = index
+            best[active] = np.minimum(best[active], d)
+            active = active[best[active] != 0.0]
+            if not len(active):
+                break
+    return distance, witness

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from coamoeba import serialize as io
-from coamoeba.catalog import sixline_a, sixline_b, sixline_discriminant
+from coamoeba.catalog import plane_b, sixline_a, sixline_b, sixline_discriminant
 from coamoeba.cli import main
 from oracles import write_polynomial_file
 
@@ -200,6 +200,24 @@ def test_bad_point_or_theta_exits_2(paths, capsys):
     for point in ("nan,1,1", "inf,1,1"):
         assert main(["psi", paths["b"], "--point", point]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_member_3d_names_the_input_angles(paths, capsys, tmp_path):
+    plane = tmp_path / "plane_b.json"
+    plane.write_text(io.dump_json(io.config_to_json(plane_b())))
+    cases = [
+        # bare rationals are multiples of pi: 1e308 * pi is no float
+        (paths["b"], "1e308,1e308,1e308", "angles must be finite, got (inf, inf, inf)"),
+        (paths["b"], "1e400,0,0", "angles 1e400,0,0 overflow in radians"),
+        (paths["b"], "nan,0,1", "angles must be finite, got (nan, 0.0, 1.0)"),
+        (str(plane), "4e307,0,-4e307", "overflow in the chart of a prism"),
+    ]
+    for config, theta, message in cases:
+        assert main(["member", config, "--theta", theta]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        assert message in err
 
 
 @pytest.mark.parametrize("variables", ["p q", "p q r s"])

@@ -1,8 +1,10 @@
 """Zonotopes, half-coamoeba cycles, membership, and prisms."""
 
+import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -34,12 +36,14 @@ from coamoeba.errors import (
     ParallelRows,
     WrongLength,
 )
+from coamoeba.harness import sample_coamoeba
 from coamoeba.matroid import Matroid, merge_parallel
 from oracles import (
     build_cycle_by_start_vertices,
     contains2_two_pass,
     half_coamoeba_by_start_vertices,
     half_coamoeba_from_vertex,
+    pls3_distances_by_fixed_blocks,
     random_zero_sum_matroid,
     start_vertices,
 )
@@ -405,6 +409,27 @@ def test_prism_membership_rejects_wrong_angle_count(m_plane, count):
             pls3_distance(prisms, theta)
 
 
+def test_prism_queries_name_the_input_angles(m_plane):
+    prisms = prisms_d3(m_plane)
+    for theta in [(math.nan, 0.0, 1.0), (0.0, 1.0, -math.inf)]:
+        message = re.escape(f"angles must be finite, got {theta}")
+        with pytest.raises(InputError, match=message):
+            contains_pls3(prisms, theta)
+        with pytest.raises(InputError, match=message):
+            pls3_distances(prisms, [(0.1, 0.2, 0.3), theta])
+    # finite, but no earlier prism contains it and theta_1 - theta_3
+    # overflows in the chart of the plane's fourth prism
+    theta = (4e307 * math.pi, 0.0, -4e307 * math.pi)
+    assert prisms[3].projection[0] == (1, 0, -1)
+    message = re.escape(f"angles {theta} overflow in the chart of a prism")
+    with pytest.raises(InputError, match=message):
+        contains_pls3(prisms, theta)
+    with pytest.raises(InputError, match=message):
+        pls3_distances(prisms, [(0.1, 0.2, 0.3), theta])
+    with pytest.raises(InputError, match=message):
+        pls3_distance(prisms, theta)
+
+
 # a nondefective random (9,3) configuration with nine prisms of degrees 12 to 109
 RANDOM93 = VectorConfiguration.from_rows(
     [[2, -2, 1], [2, 0, -2], [-1, 2, 2], [2, -1, 1], [-2, 1, -2], [-1, 0, 2],
@@ -430,7 +455,8 @@ def test_pls3_distances_match_scalar_path(config, n, some_outside):
     prisms = prisms_d3(Matroid(config))
     rng = np.random.default_rng(7)
     points = rng.uniform(-math.pi, math.pi, (n, 3))
-    assert n % cycles._BLOCK != 0
+    # every point is in play at the first prism, so its last block is partial
+    assert n % cycles._block_points(prisms[0].base.plus) != 0
     # with the wide tolerance many points lie within tol of one prism but
     # inside a later one, which must still be tested
     for tol in (1e-6, 0.5):
@@ -444,6 +470,46 @@ def test_pls3_distances_match_scalar_path(config, n, some_outside):
     if some_outside:
         # about half the torus lies outside, so the distance branch runs
         assert 0.3 < np.mean(ref_distance > 1e-6) < 0.7
+
+
+@functools.cache
+def kernel_case(name):
+    """(prisms, points): the uniform points of the scalar-path test above,
+    or RANDOM93's own coamoeba samples."""
+    if name == "random93_samples":
+        m = Matroid(RANDOM93)
+        return prisms_d3(m), sample_coamoeba(m, 150, 3)
+    config, n = {
+        "plane_b": (plane_b(), 400), "sixline_b": (sixline_b(), 300), "random93": (RANDOM93, 150)
+    }[name]
+    points = np.random.default_rng(7).uniform(-math.pi, math.pi, (n, 3))
+    return prisms_d3(Matroid(config)), points
+
+
+KERNEL_CASES = ["plane_b", "sixline_b", "random93", "random93_samples"]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.5])
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_pls3_distances_equal_fixed_block_kernel(case, tol):
+    prisms, points = kernel_case(case)
+    distance, witness = pls3_distances(prisms, points, tol)
+    ref_distance, ref_witness = pls3_distances_by_fixed_blocks(prisms, points, tol)
+    assert np.array_equal(distance, ref_distance)
+    assert np.array_equal(witness, ref_witness)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_pls3_distances_independent_of_blocking(case, monkeypatch):
+    prisms, points = kernel_case(case)
+    monkeypatch.setattr(cycles, "_BLOCK", 1)
+    assert {cycles._block_points(p.base.plus) for p in prisms} == {1}
+    one_point = pls3_distances(prisms, points, 0.5)
+    monkeypatch.setattr(cycles, "_BLOCK", 10**9)
+    assert min(cycles._block_points(p.base.plus) for p in prisms) >= len(points)
+    one_block = pls3_distances(prisms, points, 0.5)
+    assert np.array_equal(one_point[0], one_block[0])
+    assert np.array_equal(one_point[1], one_block[1])
 
 
 def test_pls3_distances_zero_and_one_point(m_plane):
