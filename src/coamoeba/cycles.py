@@ -72,9 +72,7 @@ class Polygon:
 
     def signed_area(self) -> Fraction:
         """Shoelace area in pi^2 units; positive means counterclockwise."""
-        pts = self.vertices
-        total = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
-        return Fraction(total, 2)
+        return Fraction(_twice_area(self.vertices), 2)
 
     def area(self) -> Fraction:
         return abs(self.signed_area())
@@ -87,9 +85,13 @@ class Polygon:
 
     def is_simple(self) -> bool:
         edges = list(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
+        boxes = [(*sorted((a[0], b[0])), *sorted((a[1], b[1]))) for a, b in edges]
         k = len(edges)
-        for i in range(k):
+        for i, (xlo, xhi, ylo, yhi) in enumerate(boxes):
             for j in range(i + 1, k):
+                lo_x, hi_x, lo_y, hi_y = boxes[j]
+                if lo_x > xhi or hi_x < xlo or lo_y > yhi or hi_y < ylo:
+                    continue  # disjoint bounding boxes: the edges cannot meet
                 adjacent = j == i + 1 or (i == 0 and j == k - 1)
                 if _segments_cross(edges[i], edges[j], allow_shared_end=adjacent):
                     return False
@@ -105,6 +107,11 @@ class Polygon:
 
     def float_vertices(self) -> tuple[tuple[float, float], ...]:
         return self._float_vertices
+
+
+def _twice_area(pts) -> int:
+    """Twice the signed shoelace area of the closed polygon ``pts``."""
+    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
 
 
 def _orient(a: Point, b: Point, c: Point) -> int:
@@ -207,10 +214,9 @@ def _zonotope_edges(f: VectorConfiguration) -> tuple[Polygon, list[Point]]:
     for e in edges[:-1]:
         cur = [cur[0] + e[0], cur[1] + e[1]]
         verts.append(tuple(cur))
-    poly = Polygon(tuple(verts))
-    if poly.signed_area() <= 0:
+    if _twice_area(verts) <= 0:
         raise DegenerateZonotope("zonotope has nonpositive area")
-    return poly, edges
+    return Polygon(tuple(verts)), edges
 
 
 def zonotope(f: VectorConfiguration) -> Polygon:
@@ -242,10 +248,9 @@ def _half_coamoeba(f: VectorConfiguration, z: Polygon, edges: list[Point]) -> Po
         sign = 1 if e in gens else -1
         cur = (cur[0] - sign * e[0], cur[1] - sign * e[1])
         verts.append(cur)
-    plus = Polygon(tuple(verts))
-    if plus.signed_area() < 0:
-        plus = Polygon(tuple(reversed(plus.vertices)))
-    return plus
+    if _twice_area(verts) < 0:
+        verts.reverse()
+    return Polygon(tuple(verts))
 
 
 def half_coamoeba_cycles(f: VectorConfiguration) -> tuple[Polygon, Polygon]:
@@ -287,11 +292,12 @@ def degree_dH(z: Polygon, plus: Polygon, minus: Polygon) -> int:
     Areas are unsigned shoelace values, which count winding multiplicity on
     self-intersecting shells; that is what makes the quotient integral.
     """
-    total = z.area() + plus.area() + minus.area()
-    deg = total / 4
-    if deg.denominator != 1 or deg < 1:
+    twice = sum(abs(_twice_area(p.vertices)) for p in (z, plus, minus))
+    deg, rem = divmod(twice, 8)
+    if rem or deg < 1:
+        total = Fraction(twice, 2)
         raise NonIntegralDegree(f"cycle areas sum to {total} pi^2, not a multiple of 4")
-    return int(deg)
+    return deg
 
 
 def build_cycle(b2: VectorConfiguration) -> CoamoebaCycle:

@@ -19,6 +19,7 @@ import cmath
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,7 +178,7 @@ def form_sum(m: Matroid, forms) -> la.IntVector:
     return tuple(sum(c) for c in cols) if forms else (0,) * m.config.d
 
 
-def _escaping_links(m: Matroid) -> dict[Flat, list[Flat]]:
+def _escaping_links(m: Matroid) -> Iterator[tuple[Flat, list[Flat]]]:
     """``tropical._links`` over G < F when F's form-sum raises the rank of G.
 
     Each lower flat's vectors are brought to echelon form once, and each
@@ -209,20 +210,19 @@ def non_splitting_flags(m: Matroid) -> list[FlagOfFlats]:
     ``tropical.complete_flags``: a splitting link cuts off every chain
     through it, and the flags come in ``complete_flags`` order.
     """
-    return tropical._chains(m, _escaping_links(m))
+    return tropical._chains(m, dict(_escaping_links(m)))
 
 
 def nondefective(m: Matroid | VectorConfiguration) -> bool:
     """Does the dual variety fill a hypersurface?  Zero rows mean no.
 
-    Yes when some corank r-1 flat reaches the corank-0 flat by escaping links.
+    Yes at the first corank r-1 flat the walk of escaping links reaches.
     """
     if isinstance(m, VectorConfiguration):
         if any(not any(row) for row in m.matrix):
             return False
         m = Matroid(m)
-    below = _escaping_links(m)
-    return any(flat in below for flat in m.flats_of_corank(m.rank - 1))
+    return any(flat.corank == m.rank - 1 for flat, _ in _escaping_links(m))
 
 
 def non_splitting_flats(m: Matroid) -> list[Flat]:

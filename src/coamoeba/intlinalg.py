@@ -52,10 +52,7 @@ def mat_vec(m, v):
 
 
 def vec_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*v)
 
 
 def primitive(v: IntVector) -> IntVector:

@@ -1,14 +1,16 @@
 """The rational vector matroid of a configuration B.
 
-Bases are enumerated by brute force over all rank-sized subsets (the
-intended scale is n <= 16, d <= 6, where exactness and simplicity beat
-oracle-based matroid algorithms).  Everything else is read off the bases,
-kept as int masks (bit i for label i) in a fixed order, so label sets meet
-by ``&``, ``^`` and ``bit_count``.  The rank of a label set F is the most
-labels of F inside one basis, and its closure adds every label that keeps
-that rank.  A flat is stored by its form-set F, the labels whose vectors
-vanish on the subspace L = cap ker(b); its ``corank`` is the rank of F,
-which equals d - dim L.  The hyperplanes are the closures of the
+Bases come from one sweep of integer minors: the k x k minors on the first
+k columns, one per k-subset of rows, give those of the (k+1)-subsets by
+Laplace expansion along column k, and a d-subset is a basis exactly when its
+minor is nonzero (the intended scale is n <= 16, d <= 6, where exactness
+and simplicity beat oracle-based matroid algorithms).  Everything else is
+read off the bases, kept as int masks (bit i for label i) in a fixed order,
+so label sets meet by ``&``, ``^`` and ``bit_count``.  The rank of a label
+set F is the most labels of F inside one basis, and its closure adds every
+label that keeps that rank.  A flat is stored by its form-set F, the labels
+whose vectors vanish on the subspace L = cap ker(b); its ``corank`` is the
+rank of F, which equals d - dim L.  The hyperplanes are the closures of the
 (r-1)-subsets of bases, and every flat is an intersection of hyperplanes
 (Oxley, *Matroid Theory*, 1.4), so the lattice of flats is the ground set
 closed under intersection with each hyperplane.  Connectivity reads the
@@ -28,7 +30,9 @@ linear algebra here besides the bases.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,6 +62,29 @@ def _mask(labels) -> int:
 
 def _labels(mask: int) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _basis_masks(matrix, d: int) -> tuple[int, ...]:
+    """The d-subsets of rows with a nonzero minor, in ``combinations`` order:
+    the sweep of the module docstring, keeping only nonzero minors."""
+    bits = [1 << i for i in range(len(matrix))]
+    minors = {0: 1}
+    for k in range(d):
+        column = {bit: row[k] for bit, row in zip(bits, matrix)}
+        level = {}
+        for sub in itertools.combinations(bits, k + 1):
+            mask = sum(sub)
+            total = 0
+            sign = 1 - 2 * (k & 1)  # (-1)^(p + k) at row position p = 0
+            for bit in sub:
+                minor = minors.get(mask ^ bit)
+                if minor:
+                    total += sign * column[bit] * minor
+                sign = -sign
+            if total:
+                level[mask] = total
+        minors = level
+    return tuple(minors)
 
 
 def _connected(ground: int, basis: int, bases) -> bool:
@@ -154,22 +181,18 @@ class Matroid:
         self.rank = la.rank_rational(config.matrix)
         if self.rank != config.d:
             raise NotSpanning("rows do not span the ambient space")
-        subs = [
-            sub
-            for sub in itertools.combinations(range(self.n), self.rank)
-            if la.rank_rational([config.matrix[i] for i in sub]) == self.rank
-        ]
-        self.bases = frozenset(map(frozenset, subs))
-        self._masks = tuple(map(_mask, subs))
+        self._masks = _basis_masks(config.matrix, self.rank)
         self._mask_set = frozenset(self._masks)
-        self.parallel_classes = self._parallel_classes()
+        self.parallel_classes = tuple(map(frozenset, _parallel_groups(config.matrix).values()))
         self._flats: list[Flat] | None = None
         self._connected: bool | None = None
 
     # -- basic structure -----------------------------------------------------
 
-    def _parallel_classes(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(v) for v in _parallel_groups(self.config.matrix).values())
+    @functools.cached_property
+    def bases(self) -> frozenset[frozenset[int]]:
+        """The bases as label sets, built when first read."""
+        return frozenset(map(_labels, self._masks))
 
     def labels_of(self, forms) -> tuple[str, ...]:
         return tuple(self.config.labels[i] for i in sorted(forms))
@@ -305,28 +328,22 @@ def merge_parallel(
     rows: list[la.IntVector] = []
     labels: list[str] = []
     merges: list[ParallelMerge] = []
-    d = config.d
     for eta, members in _parallel_groups(config.matrix).items():
+        if len(members) == 1:
+            rows.append(config.matrix[members[0]])
+            labels.append(config.labels[members[0]])
+            continue
+        j = next(k for k, e in enumerate(eta) if e)
         qs = []
         for i in members:
             row = config.matrix[i]
-            j = next(k for k in range(d) if eta[k])
             q, rem = divmod(row[j], eta[j])
             if rem or tuple(q * e for e in eta) != row:
                 raise InvariantError("parallel class member is not a multiple of eta")
             qs.append(q)
         total = sum(qs)
-        merged = tuple(total * e for e in eta)
         member_labels = tuple(config.labels[i] for i in members)
-        if len(members) == 1:
-            rows.append(config.matrix[members[0]])
-            labels.append(member_labels[0])
-            continue
-        constant = Fraction(1)
-        for q in qs:
-            constant *= Fraction(q) ** q
-        if total:
-            constant /= Fraction(total) ** total
+        constant = math.prod(Fraction(q) ** q for q in qs) / Fraction(total or 1) ** total
         shift = tuple((e % 2) if constant < 0 else 0 for e in eta)
         merges.append(
             ParallelMerge(
@@ -338,11 +355,9 @@ def merge_parallel(
             )
         )
         if total:
-            rows.append(merged)
+            rows.append(tuple(total * e for e in eta))
             labels.append("+".join(member_labels))
-    reduced = VectorConfiguration(la.as_matrix(rows), tuple(labels))
-    kept_sum = tuple(sum(r[j] for r in rows) for j in range(d))
-    if kept_sum != config.row_sum():
+    reduced = VectorConfiguration(tuple(rows), tuple(labels))
+    if (reduced.row_sum() or (0,) * config.d) != config.row_sum():
         raise InvariantError("merging parallel classes changed the row sum")
     return reduced, tuple(merges)
-

@@ -100,6 +100,8 @@ def config_from_json(data):
         if kind is None:
             raise InputError(f"unknown configuration role {role!r}")
         labels = tuple(str(x) for x in data["labels"])
+        if repeated := sorted({x for i, x in enumerate(labels) if x in labels[:i]}):
+            raise InputError(f"labels must be distinct, repeated: {', '.join(repeated)}")
         return kind(la.matrix_from_json(data["matrix"]), labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed configuration JSON: {exc}") from exc

@@ -19,6 +19,7 @@ Complete and non-splitting flags come from one walk over chains of flats.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,23 +145,25 @@ def all_flags(m: Matroid) -> list[FlagOfFlats]:
     return flags
 
 
-def _links(m: Matroid, keep) -> dict[Flat, list[Flat]]:
+def _links(m: Matroid, keep) -> Iterator[tuple[Flat, list[Flat]]]:
     """Each flat that reaches the corank-0 flat by links G < F passing
     ``keep(G, F)``, with the flats one corank below it that it contains,
-    that pass ``keep`` and that reach it too, in ``flats()`` order.
+    that pass ``keep`` and that reach it too, in ``flats()`` order; lazily,
+    by corank, so a caller can stop at the first flat it wants.
     """
     levels = [m.flats_of_corank(k) for k in range(m.rank)]
-    below: dict[Flat, list[Flat]] = {levels[0][0]: []}
+    reached = {levels[0][0]}
+    yield levels[0][0], []
     for lower, upper in zip(levels, levels[1:]):
         for flat in upper:
-            kept = [g for g in lower if g.forms < flat.forms and g in below and keep(g, flat)]
+            kept = [g for g in lower if g.forms < flat.forms and g in reached and keep(g, flat)]
             if kept:
-                below[flat] = kept
-    return below
+                reached.add(flat)
+                yield flat, kept
 
 
 def _chains(m: Matroid, below: dict[Flat, list[Flat]]) -> list[FlagOfFlats]:
-    """The complete flags down the links ``below`` of ``_links``.
+    """The complete flags down the links ``below``, a dict of ``_links``.
 
     Chains grow from the corank r-1 flats in ``flats()`` order, so they come
     out sorted by their form-sets, and a failed link has pruned its subtree.
@@ -177,7 +180,7 @@ def complete_flags(m: Matroid) -> list[FlagOfFlats]:
     The walk over chains of flats with every link kept; sorted by the
     form-sets of their flats, the largest first.
     """
-    return _chains(m, _links(m, lambda lower, upper: True))
+    return _chains(m, dict(_links(m, lambda lower, upper: True)))
 
 
 @dataclass(frozen=True)

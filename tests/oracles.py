@@ -1,28 +1,31 @@
 """Slow, independent reference implementations that the tests compare against.
 
 None of these is used by the library: each recomputes a library result by a
-different method (Fraction Gauss-Jordan elimination, quotient charts by a
-double kernel, rank-based closure, chain enumeration, circuit enumeration,
-minors built as vectors, derivative polynomials, two-pass polygon
-membership, the half-coamoeba walk from every start vertex, grid
-certification in Fractions, two grid walks, sampling with psi on every
-accepted row of a chunk, the prism kernel in fixed 64-point blocks with
-both shells on every point) on inputs small enough for brute force.  The
-``*_by_sets`` functions keep the matroid's earlier bodies, which read ranks,
-flats, connectivity and cone groups off frozensets of labels instead of
-bit masks, and ``escaping_links_by_rank`` tests each link by its own rank.
-``random_zero_sum_matroid`` and ``connected_matroids`` draw the inputs, and
-``write_polynomial_file`` writes polynomial input files."""
+different method (Fraction Gauss-Jordan elimination, bases by one echelon
+per subset, quotient charts by a double kernel, rank-based closure, chain
+enumeration, circuit enumeration, minors built as vectors, derivative
+polynomials, two-pass polygon membership, the half-coamoeba walk from every
+start vertex, grid certification in Fractions, two grid walks, sampling with
+psi on every accepted row of a chunk, the prism kernel in fixed 64-point
+blocks with both shells on every point) on inputs small enough for brute
+force.  The ``*_by_sets`` functions keep the matroid's earlier bodies, which
+read ranks, flats, connectivity and cone groups off frozensets of labels
+instead of bit masks, and ``escaping_links_by_rank`` tests each link by its
+own rank.  ``random_zero_sum_matroid``, ``connected_matroids`` and
+``sweep_configs`` draw the inputs, and ``write_polynomial_file`` writes
+polynomial input files."""
 
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 
 from coamoeba import intlinalg as la
 from coamoeba import tropical
+from coamoeba.catalog import hyperplane_b, line_b, plane_b, sixline_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.cycles import (
     _PAD,
@@ -70,6 +73,25 @@ def connected_matroids(rng) -> list[Matroid]:
             m = random_zero_sum_matroid(rng, n, d)
         out.append(m)
     return out
+
+
+def sweep_configs() -> list[VectorConfiguration]:
+    """Zero-sum inputs for the bases and nondefectivity oracles: the catalog,
+    three seeded random configurations each of (7,4), (7,5), (9,3), (10,5)
+    and (12,4), one with repeated and parallel rows, and one with entries
+    near 10^20 whose first three rows are dependent."""
+    configs = [line_b(), plane_b(), sixline_b()] + [hyperplane_b(d) for d in range(1, 6)]
+    rng = random.Random(16)
+    for n, d in ((7, 4), (7, 5), (9, 3), (10, 5), (12, 4)):
+        configs += [random_zero_sum_matroid(rng, n, d).config for _ in range(3)]
+    big = 10**20
+    for rows in (
+        [[1, 0, 0], [1, 0, 0], [-2, 0, 0], [0, 1, 0], [0, 2, 0], [0, 0, 1], [1, 1, 1]],
+        [[big, 1, 0], [1, big, 0], [big + 1, big + 1, 0], [0, 0, 1], [big, -1, big], [7, 3, -big]],
+    ):
+        rows.append([-sum(col) for col in zip(*rows)])
+        configs.append(VectorConfiguration.from_rows(rows))
+    return configs
 
 
 def gauss_jordan(m) -> tuple[list[list[Fraction]], list[int]]:
@@ -226,6 +248,17 @@ def flacets_by_minors(m: Matroid) -> list[Flat]:
     return out
 
 
+def basis_masks_by_rank(config) -> tuple[int, ...]:
+    """The d-subsets of rows of full rank, each by its own echelon, as masks
+    in ``combinations`` order."""
+    d = config.d
+    return tuple(
+        sum(1 << i for i in sub)
+        for sub in itertools.combinations(range(config.n), d)
+        if la.rank_rational([config.matrix[i] for i in sub]) == d
+    )
+
+
 def rank_by_sets(m: Matroid, forms) -> int:
     """r(F) as the most labels of F inside one basis, on frozensets."""
     return max(len(b & frozenset(forms)) for b in m.bases)
@@ -306,7 +339,7 @@ def escaping_links_by_rank(m: Matroid) -> dict[Flat, list[Flat]]:
         rows = [m.config.matrix[i] for i in lower.forms]
         return la.rank_rational(rows + [form_sum(m, upper.forms)]) > lower.corank
 
-    return tropical._links(m, escapes)
+    return dict(tropical._links(m, escapes))
 
 
 def polygon_contains_two_pass(vertices, point) -> bool:

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, golden-file stability."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +31,7 @@ def run_json(args, capsys):
 def test_gale_writes_dual(paths, capsys):
     out = str(paths["dir"] / "dual.json")
     assert main(["gale", paths["a"], "-o", out]) == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     assert data["matrix"] == io.config_to_json(sixline_b())["matrix"]
     assert "provenance" in data and data["provenance"]["version"]
 
@@ -266,6 +267,19 @@ def test_malformed_config_exits_2(text, capsys, tmp_path):
     bad.write_text(text)
     assert main(["matroid-info", str(bad)]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "command, role, rows",
+    [("matroid-info", "B", [[1, 0], [0, 1], [-1, -1]]), ("gale", "A", [[1, 1, 1], [0, 1, 2]])],
+)
+def test_repeated_labels_exit_2(command, role, rows, capsys, tmp_path):
+    # the flacets of B would list ["a"] twice, and no reader could tell them apart
+    bad = tmp_path / "repeated.json"
+    bad.write_text(_config_text(role, rows, labels=["a", "a", "c"]))
+    assert main([command, str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "repeated: a" in err and "Traceback" not in err
 
 
 # -- fuzz: malformed inputs never escape as tracebacks ------------------------------

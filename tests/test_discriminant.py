@@ -13,6 +13,7 @@ from coamoeba.configuration import VectorConfiguration
 from coamoeba.discriminant import (
     HornKapranovMap,
     _cross3,
+    _escaping_links,
     _in_sector,
     essential_flacets,
     form_sum,
@@ -30,7 +31,12 @@ from coamoeba.errors import DimensionNot3, InputError, OnArrangement, SingularPo
 from coamoeba.matroid import Matroid, merge_parallel
 from coamoeba.polynomial import SparsePoly, parse
 from coamoeba.tropical import complete_flags
-from oracles import log_gauss_by_partials, non_splitting_by_rank, random_zero_sum_matroid
+from oracles import (
+    log_gauss_by_partials,
+    non_splitting_by_rank,
+    random_zero_sum_matroid,
+    sweep_configs,
+)
 
 
 def test_psi_hyperplane_formula():
@@ -310,6 +316,23 @@ def test_zero_sum_hyperplane_splits_the_first_link():
     )
     assert non_splitting_by_rank(cfg) == set()
     assert non_splitting_flags(Matroid(cfg)) == []
+
+
+DEFECTIVE = [
+    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, -1]],
+    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+    [[1, 0], [-1, 0], [0, 1], [0, -1]],
+    [[1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, -1, -1, -1]],
+]
+
+
+def test_nondefective_matches_the_whole_link_walk():
+    defective = [VectorConfiguration.from_rows(rows) for rows in DEFECTIVE]
+    for config in sweep_configs() + defective:
+        m = Matroid(config)
+        links = dict(_escaping_links(m))
+        assert nondefective(m) == any(f in links for f in m.flats_of_corank(m.rank - 1))
+    assert not any(nondefective(Matroid(config)) for config in defective)
 
 
 def test_non_splitting_flags_in_complete_flag_order(m6):

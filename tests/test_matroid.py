@@ -15,6 +15,7 @@ from coamoeba.matroid import Flat, FlagOfFlats, Matroid, _connected, merge_paral
 from coamoeba.tropical import _chains, maximal_cones
 from oracles import (
     bases_through_by_sets,
+    basis_masks_by_rank,
     connected_matroids,
     connected_via_circuits,
     escaping_links_by_rank,
@@ -27,6 +28,7 @@ from oracles import (
     random_zero_sum_matroid,
     rank_by_sets,
     rank_reference,
+    sweep_configs,
 )
 
 # a rank-1 configuration, whose only hyperplane is the empty flat
@@ -39,6 +41,24 @@ def test_sixline_bases(m6):
         frozenset(c) for c in itertools.combinations(range(6), 3)
     } - m6.bases
     assert dependent == {frozenset({0, 1, 3}), frozenset({1, 2, 5})}
+
+
+def test_bases_match_one_echelon_per_subset():
+    configs = sweep_configs() + [RANK_ONE]
+    configs.append(VectorConfiguration.from_rows([[2, 0], [2, 0], [-1, 0], [0, 3], [0, -3]]))
+    for config in configs:
+        m = Matroid(config)
+        assert m._masks == basis_masks_by_rank(config)
+        assert m.bases == {frozenset(i for i in range(m.n) if b >> i & 1) for b in m._masks}
+
+
+def test_matroid_ranks_the_configuration_once(monkeypatch):
+    config = sweep_configs()[-1]
+    calls = []
+    rank = la.rank_rational
+    monkeypatch.setattr(la, "rank_rational", lambda rows: calls.append(1) or rank(rows))
+    m = Matroid(config)
+    assert len(calls) == 1 and len(m.bases) > 1
 
 
 def test_identity_rows_single_basis():
