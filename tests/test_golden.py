@@ -61,6 +61,9 @@ CONFIGS = {
     # sizes: 62 flats at d = 4 and 100 flats at d = 5
     "n7d4_b": random_zero_sum_matroid(random.Random("n7d4/2"), 7, 4).config,
     "n7d5_b": random_zero_sum_matroid(random.Random("n7d5/0"), 7, 5).config,
+    # a wider rung: 476 bases, 255 flats and 1132 complete flags, so the
+    # matroid's ints over basis indices reach 1904 bits
+    "n12d4_b": random_zero_sum_matroid(random.Random("n12d4/0"), 12, 4).config,
 }
 
 
@@ -103,7 +106,7 @@ def _cases() -> dict[str, list[str]]:
     for cmd in ("matroid-info", "fine-cones"):
         cases[f"{cmd}_escaped_b"] = [cmd, "{escaped_b}"]
     for cmd in ("matroid-info", "fine-cones", "tdiscr-rays", "nondefective"):
-        for b in ("n7d4_b", "n7d5_b"):
+        for b in ("n7d4_b", "n7d5_b", "n12d4_b"):
             cases[f"{cmd}_{b}"] = [cmd, "{%s}" % b]
     cases["psi_line_b_exact"] = ["psi", "{line_b}", "--point", "3,-1/2", "--exact"]
     cases["gauss_sixline_d"] = ["gauss", "{sixline_d}", "--point", "3/25,-9/5,-1/25"]
