@@ -20,12 +20,18 @@ B - b + e is a basis; M is connected exactly when it is (Krogdahl 1977).
 Minors by a flat F are read off one basis B with |B & F| = r(F): B & F is a
 basis of the restriction M|F and B - F one of the contraction M/F, and a
 swap inside F or inside E - F keeps a basis of the minor exactly when it
-keeps one of M.  The bases B with |B & F| = r(F) form an int over basis
-indices (bit k for the k-th basis), so those common to the flats of a flag
-are one AND.  ``restrict_to_flat`` builds the contraction's vectors B|_L for
-the cycles by pairing each vector with the canonical integer kernel basis of
-the flat's forms, which is the quotient chart of M / L_perp; it is the only
-linear algebra here besides the bases.
+keeps one of M.  ``restrict_to_flat`` builds the contraction's vectors B|_L
+for the cycles by pairing each vector with the canonical integer kernel
+basis of the flat's forms, which is the quotient chart of M / L_perp; it is
+the only linear algebra here besides the bases.
+
+Counts over all bases are bit-sliced: with w = r.bit_length() + 1, field k
+(bits w*k .. w*k + w - 1) of label i's column is 1 when the k-th basis holds
+i, so the columns of F sum to |B_k & F| in field k.  That count is at most
+r < 2^(w-1), so adding 2^(w-1) - t to every field sets its top bit exactly
+when the count is at least t, and no field reaches 2^w to carry into the
+next.  r(F) is the largest t whose test sets a top bit; the test at t = r(F)
+marks the bases with |B & F| = r(F), so those common to a flag are one AND.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -60,8 +67,16 @@ def _mask(labels) -> int:
     return sum(1 << i for i in labels)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a nonnegative ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _labels(mask: int) -> frozenset[int]:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return frozenset(_bits(mask))
 
 
 def _basis_masks(matrix, d: int) -> tuple[int, ...]:
@@ -147,6 +162,13 @@ class FlagOfFlats:
         if any(not inner.forms < outer.forms for outer, inner in itertools.pairwise(self.flats)):
             raise ValueError("form-sets must strictly decrease along the flag")
 
+    @classmethod
+    def _linked(cls, flats: tuple[Flat, ...]) -> FlagOfFlats:
+        """The flag of a chain whose every link its walk has already checked."""
+        flag = object.__new__(cls)
+        object.__setattr__(flag, "flats", flats)
+        return flag
+
     def form_chain(self) -> tuple[frozenset[int], ...]:
         return tuple(f.forms for f in self.flats)
 
@@ -183,6 +205,16 @@ class Matroid:
             raise NotSpanning("rows do not span the ambient space")
         self._masks = _basis_masks(config.matrix, self.rank)
         self._mask_set = frozenset(self._masks)
+        # the bit-sliced columns of the module docstring, w bits per basis
+        w = self._w = self.rank.bit_length() + 1
+        self._cols = [0] * self.n
+        for k, b in enumerate(self._masks):
+            bit = 1 << w * k
+            for i in _bits(b):
+                self._cols[i] |= bit
+        ones = ((1 << w * len(self._masks)) - 1) // ((1 << w) - 1)
+        self._tops = ones << w - 1
+        self._offsets = [ones * ((1 << w - 1) - t) for t in range(self.rank + 1)]
         self.parallel_classes = tuple(map(frozenset, _parallel_groups(config.matrix).values()))
         self._flats: list[Flat] | None = None
         self._connected: bool | None = None
@@ -202,10 +234,19 @@ class Matroid:
         forms = frozenset(forms)
         if not forms <= frozenset(range(self.n)):
             raise InputError(f"labels must lie in range({self.n})")
-        return self._rank(_mask(forms))
+        return self._rank(forms)
 
-    def _rank(self, mask: int) -> int:
-        return max((b & mask).bit_count() for b in self._masks)
+    def _counts(self, labels) -> int:
+        """|B_k & F| in field k for the label set F."""
+        return sum(self._cols[i] for i in labels)
+
+    def _rank(self, labels) -> int:
+        """The largest t <= |F| whose test at t sets a top bit."""
+        counts = self._counts(labels)
+        t = min(len(labels), self.rank)
+        while not (counts + self._offsets[t]) & self._tops:
+            t -= 1
+        return t
 
     def closure(self, forms) -> Flat:
         """Smallest flat containing ``forms``: every label that keeps its rank."""
@@ -218,23 +259,24 @@ class Matroid:
         """All flats graded by corank, including the empty set and all of B.
 
         The hyperplane through an independent (r-1)-set I is the set of labels
-        i for which I + i is not a basis.  Intersecting the ground set with
-        each hyperplane in turn, while keeping every earlier intersection,
-        gives the intersections of all sets of hyperplanes: all the flats.
+        i for which I + i is not a basis, the complement of the x with B - x = I.
+        Intersecting the ground set with each hyperplane in turn, while keeping
+        every earlier intersection, gives the intersections of all sets of
+        hyperplanes: all the flats.
         """
         if self._flats is not None:
             return self._flats
-        rests = {b ^ 1 << x for b in self._masks for x in range(self.n) if b >> x & 1}
-        hyperplanes = {
-            _mask(i for i in range(self.n) if rest | 1 << i not in self._mask_set)
-            for rest in rests
-        }
-        found = {(1 << self.n) - 1}
+        extends: dict[int, int] = {}
+        for b in self._masks:
+            for x in _bits(b):
+                extends[b ^ 1 << x] = extends.get(b ^ 1 << x, 0) | 1 << x
+        ground = (1 << self.n) - 1
+        hyperplanes = {ground ^ e for e in extends.values()}
+        found = {ground}
         for h in hyperplanes:
             found |= {f & h for f in found}
-        self._flats = sorted(
-            (Flat(forms=_labels(f), corank=self._rank(f)) for f in found), key=Flat.sort_key
-        )
+        forms = map(_labels, found)
+        self._flats = sorted((Flat(f, self._rank(f)) for f in forms), key=Flat.sort_key)
         return self._flats
 
     def proper_flats(self) -> list[Flat]:
@@ -255,13 +297,17 @@ class Matroid:
         return self._bases_of(self._through(flat))
 
     def _through(self, flat: Flat) -> int:
-        """Bit k set when the k-th basis B has |B & F| = r(F)."""
-        f = _mask(flat.forms)
-        return _mask(k for k, b in enumerate(self._masks) if (b & f).bit_count() == flat.corank)
+        """The top bit of field k set when the k-th basis B has |B & F| = r(F)."""
+        return (self._counts(flat.forms) + self._offsets[flat.corank]) & self._tops
 
     def _bases_of(self, bits: int) -> frozenset[frozenset[int]]:
-        """The bases whose indices are set in ``bits``."""
-        return frozenset(_labels(b) for k, b in enumerate(self._masks) if bits >> k & 1)
+        """The bases whose fields' top bits are set in ``bits`` (-1: all)."""
+        return frozenset(_labels(self._masks[p // self._w]) for p in _bits(bits & self._tops))
+
+    def _witness(self, flat: Flat) -> int:
+        """The first basis B with |B & F| = r(F): the lowest top bit of ``_through``."""
+        through = self._through(flat)
+        return self._masks[((through & -through).bit_length() - 1) // self._w]
 
     def is_connected(self) -> bool:
         """Single component of the fundamental graph of any one basis."""
@@ -307,7 +353,7 @@ class Matroid:
         out = []
         for flat in self.proper_flats():
             f = _mask(flat.forms)
-            basis = next(b for b in self._masks if (b & f).bit_count() == flat.corank)
+            basis = self._witness(flat)
             if all(_connected(s, basis, self._mask_set) for s in (f, ground ^ f)):
                 out.append(flat)
         return out

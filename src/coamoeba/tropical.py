@@ -110,15 +110,6 @@ def flag_cone_contains(flag: FlagOfFlats, w: Weight, strict: bool = True) -> boo
     return True
 
 
-def interior_weight(flag: FlagOfFlats, n: int) -> Weight:
-    """A canonical weight in the relative interior: depth in the chain."""
-    depth = [0] * n
-    for flat in flag.form_chain():
-        for i in flat:
-            depth[i] += 1
-    return weight(depth)
-
-
 def bergman_rays(m: Matroid) -> list[tuple[Flat, Weight]]:
     """One ray per flacet: the indicator of its form-set, modulo lineality."""
     if not m.is_connected():
@@ -171,7 +162,7 @@ def _chains(m: Matroid, below: dict[Flat, list[Flat]]) -> list[FlagOfFlats]:
     chains = [(flat,) for flat in m.flats_of_corank(m.rank - 1) if flat in below]
     for _ in range(m.rank - 1):
         chains = [c + (g,) for c in chains for g in below[c[-1]]]
-    return [FlagOfFlats(c[:-1]) for c in chains]
+    return [FlagOfFlats._linked(c[:-1]) for c in chains]
 
 
 def complete_flags(m: Matroid) -> list[FlagOfFlats]:

@@ -10,10 +10,13 @@ psi on every accepted row of a chunk, the prism kernel in fixed 64-point
 blocks with both shells on every point) on inputs small enough for brute
 force.  The ``*_by_sets`` functions keep the matroid's earlier bodies, which
 read ranks, flats, connectivity and cone groups off frozensets of labels
-instead of bit masks, and ``escaping_links_by_rank`` tests each link by its
-own rank.  ``random_zero_sum_matroid``, ``connected_matroids`` and
-``sweep_configs`` draw the inputs, and ``write_polynomial_file`` writes
-polynomial input files."""
+instead of bit masks, the ``*_by_masks`` functions read ranks, bases through
+a flat and witness bases off the masks one basis at a time instead of the
+bit-sliced columns, ``escaping_links_by_rank`` tests each link by its own
+rank, and ``interior_weight`` gives a point inside a flag's cone.
+``random_zero_sum_matroid``, ``connected_matroids`` and ``sweep_configs``
+draw the inputs, and ``write_polynomial_file`` writes polynomial input
+files."""
 
 import functools
 import itertools
@@ -308,6 +311,37 @@ def flacets_by_sets(m: Matroid) -> list[Flat]:
     return out
 
 
+def rank_by_masks(m: Matroid, mask: int) -> int:
+    """``Matroid._rank``, one basis at a time."""
+    return max((b & mask).bit_count() for b in m._masks)
+
+
+def through_by_masks(m: Matroid, flat: Flat) -> int:
+    """``Matroid._through``, one basis at a time: the top bit of field k set
+    when the k-th basis meets F in r(F) labels."""
+    f = sum(1 << i for i in flat.forms)
+    return sum(
+        1 << m._w * (k + 1) - 1
+        for k, b in enumerate(m._masks)
+        if (b & f).bit_count() == flat.corank
+    )
+
+
+def bases_of_by_masks(m: Matroid, bits: int) -> frozenset[frozenset[int]]:
+    """``Matroid._bases_of``, one basis at a time."""
+    return frozenset(
+        frozenset(i for i in range(m.n) if b >> i & 1)
+        for k, b in enumerate(m._masks)
+        if bits >> m._w * (k + 1) - 1 & 1
+    )
+
+
+def witness_by_masks(m: Matroid, flat: Flat) -> int:
+    """``Matroid._witness``: the first basis meeting F in r(F) labels."""
+    f = sum(1 << i for i in flat.forms)
+    return next(b for b in m._masks if (b & f).bit_count() == flat.corank)
+
+
 def bases_through_by_sets(m: Matroid, flat: Flat) -> frozenset[frozenset[int]]:
     return frozenset(b for b in m.bases if len(b & flat.forms) == flat.corank)
 
@@ -329,6 +363,16 @@ def maximal_cones_by_sets(m: Matroid) -> list[tropical.BergmanCone]:
     return sorted(
         cones, key=lambda c: tuple(sorted(tuple(sorted(f.forms)) for f in c.spanning_flacets))
     )
+
+
+def interior_weight(flag: FlagOfFlats, n: int) -> tropical.Weight:
+    """A canonical weight in the relative interior of a flag's cone: each
+    label's depth in the chain."""
+    depth = [0] * n
+    for flat in flag.form_chain():
+        for i in flat:
+            depth[i] += 1
+    return tropical.weight(depth)
 
 
 def escaping_links_by_rank(m: Matroid) -> dict[Flat, list[Flat]]:

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from coamoeba import intlinalg as la
-from coamoeba.catalog import line_b, plane_b, sixline_b
+from coamoeba.catalog import hyperplane_b, line_b, plane_b, sixline_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.discriminant import non_splitting_flags, nondefective
 from coamoeba.errors import EmptyConfiguration, InputError, NotSpanning, ZeroVector
 from coamoeba.matroid import Flat, FlagOfFlats, Matroid, _connected, merge_parallel
-from coamoeba.tropical import _chains, maximal_cones
+from coamoeba.tropical import _chains, complete_flags, maximal_cones
 from oracles import (
+    bases_of_by_masks,
     bases_through_by_sets,
     basis_masks_by_rank,
     connected_matroids,
@@ -26,9 +27,12 @@ from oracles import (
     maximal_cones_by_sets,
     quotient_projection,
     random_zero_sum_matroid,
+    rank_by_masks,
     rank_by_sets,
     rank_reference,
     sweep_configs,
+    through_by_masks,
+    witness_by_masks,
 )
 
 # a rank-1 configuration, whose only hyperplane is the empty flat
@@ -228,6 +232,43 @@ def test_masks_match_frozenset_oracles(n, d, seed):
     links = escaping_links_by_rank(m)
     assert non_splitting_flags(m) == _chains(m, links)
     assert nondefective(m) == any(f in links for f in m.flats_of_corank(m.rank - 1))
+
+
+def test_bit_sliced_counts_match_one_basis_at_a_time():
+    # hyperplane_b(d) has fields of w = 2, 3, 4, 4 and 5 bits, and at d = 1,
+    # 3 and 7 the whole ground set fills each field to 2^(w-1) - 1
+    configs = sweep_configs() + [hyperplane_b(d) for d in (1, 3, 4, 7, 8)]
+    rng = random.Random(17)
+    for config in configs:
+        m = Matroid(config)
+        assert m._w == m.rank.bit_length() + 1
+        for _ in range(30):
+            mask = rng.getrandbits(m.n)
+            forms = {i for i in range(m.n) if mask >> i & 1}
+            assert m._rank(forms) == rank_by_masks(m, mask)
+        assert m._rank(range(m.n)) == m.rank
+        assert m._bases_of(-1) == m.bases
+        for flat in m.flats():
+            mask = sum(1 << i for i in flat.forms)
+            assert m._rank(flat.forms) == rank_by_masks(m, mask) == flat.corank
+            through = m._through(flat)
+            assert through == through_by_masks(m, flat)
+            assert m._bases_of(through) == bases_of_by_masks(m, through)
+            assert m._witness(flat) == witness_by_masks(m, flat)
+        lines = [m._through(f) for f in m.flats_of_corank(m.rank - 1)]
+        for a, b in zip(lines, lines[1:]):
+            assert m._bases_of(a & b) == bases_of_by_masks(m, a & b)
+
+
+def test_walked_flags_pass_the_public_check():
+    # the walk builds its flags unchecked; each must be one FlagOfFlats accepts
+    for config in sweep_configs():
+        m = Matroid(config)
+        flags = complete_flags(m) + non_splitting_flags(m)
+        if m.is_connected():
+            flags += [flag for cone in maximal_cones(m) for flag in cone.flags]
+        for flag in flags:
+            assert type(flag) is FlagOfFlats and flag == FlagOfFlats(flag.flats)
 
 
 def test_flats_match_rank_closure_oracle(m6):

@@ -20,12 +20,11 @@ from coamoeba.tropical import (
     in_tropical,
     indicator,
     induced_matroid,
-    interior_weight,
     maximal_cones,
     weight,
     weight_to_flag,
 )
-from oracles import connected_matroids, random_zero_sum_matroid
+from oracles import connected_matroids, interior_weight, random_zero_sum_matroid
 
 
 def test_induced_matroid_with_loop(m6):
