@@ -8,13 +8,16 @@ Times ``Matroid()``, ``flats``, ``flacets``, ``complete_flags``,
 catalog configurations and on seeded random zero-sum configurations at
 fixed (n, d) rungs.  Each repeat builds a fresh matroid and runs the stages
 in that order, so ``flats`` is timed on its first call and the later stages
-find the flats and connectivity cached.  A stage reports the median of its
-repeats.  A stage that overruns ``--timeout`` seconds is recorded as timed
-out, and the rung's later stages are skipped.
+find the flats and connectivity cached.  A run records each stage's median
+over its REPEATS repeats.  A stage call that overruns ``--timeout`` seconds is
+recorded as a timeout, and the rung's remaining calls are skipped.
 
 ``--src`` picks the ``coamoeba`` sources to time, so a second checkout can
-be timed into another column of the same file.  The file keeps each rung's
-seed and its counts (bases, flats, complete flags, cones); a column whose
+be timed into another column of the same file.  Naming a column again adds
+a run to it, and the column's summary is each stage's median over its runs:
+runs of the two columns in alternation even out a machine whose speed
+drifts.  The file keeps each rung's seed and its counts (bases, flats,
+complete and non-splitting flags, cones, nondefectivity); a run whose
 counts differ from the file's is refused.  Only the stdlib and the library
 are used.
 """
@@ -35,6 +38,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNGS = ((8, 3), (9, 3), (10, 4), (10, 5), (12, 4), (12, 6))
+REPEATS = 3
 STAGES = (
     "Matroid", "flats", "flacets", "complete_flags", "non_splitting_flags",
     "maximal_cones", "nondefective",
@@ -110,12 +114,13 @@ def stage_calls(lib, config):
     )
 
 
-def time_rung(lib, config, repeats: int, timeout: float) -> tuple[dict, dict]:
-    """Median seconds per stage, and the counts the stages found."""
+def time_rung(lib, config, timeout: float) -> tuple[dict, dict]:
+    """Each stage's median seconds, or "timeout" or "skipped", and the counts
+    the stages found."""
     times: dict[str, list[float]] = {name: [] for name in STAGES}
     results: dict[str, object] = {}
     timed_out = None
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         m = None
         for name, call in stage_calls(lib, config):
             start = time.perf_counter()
@@ -132,17 +137,33 @@ def time_rung(lib, config, repeats: int, timeout: float) -> tuple[dict, dict]:
             break
     stages = {}
     for name in STAGES:
-        if timed_out and (name == timed_out or not times[name]):
-            stages[name] = {"timeout": name == timed_out}
+        if name == timed_out:
+            stages[name] = "timeout"
         else:
-            median = statistics.median(times[name])
-            stages[name] = {"median_s": median, "repeats": len(times[name])}
+            stages[name] = statistics.median(times[name]) if times[name] else "skipped"
     m = results.get("Matroid")
     counts = {"bases": len(m._masks) if m else None}
     for key, name in COUNTED:
         counts[key] = len(results[name]) if name in results else None
     counts["nondefective"] = results.get("nondefective")
     return stages, counts
+
+
+def summary(runs: list[dict]) -> dict:
+    """Per rung and stage, the median over runs of the runs' medians, and how
+    many runs timed out there."""
+    out = {}
+    for name, stages in runs[-1]["rungs"].items():
+        out[name] = {}
+        for stage in stages:
+            values = [run["rungs"][name][stage] for run in runs]
+            seconds = [v for v in values if isinstance(v, float)]
+            out[name][stage] = {
+                "median_s": statistics.median(seconds) if seconds else None,
+                "runs": len(seconds),
+                "timeouts": values.count("timeout"),
+            }
+    return out
 
 
 def environment() -> dict:
@@ -189,41 +210,45 @@ def main(argv=None) -> int:
     parser.add_argument("--column", required=True, help="name of this checkout's column")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="coamoeba sources")
     parser.add_argument("--out", required=True, help="JSON file to add the column to")
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--timeout", type=float, default=30.0, help="seconds per stage call")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or not args.timeout > 0:
-        parser.error("--repeats must be at least 1 and --timeout positive")
+    if not args.timeout > 0:
+        parser.error("--timeout must be positive")
     lib = load_library(args.src)
     try:
         with open(args.out) as f:
             report = json.load(f)
     except FileNotFoundError:
         report = {"script": "bench/ladder.py", "stages": list(STAGES), "rungs": {}, "columns": {}}
-    column = {
-        "repeats": args.repeats,
-        "timeout_s": args.timeout,
-        "environment": environment(),
-        "rungs": {},
-    }
+    run = {}
     for rung in rungs(lib):
         config = rung["config"]
-        stages, counts = time_rung(lib, config, args.repeats, args.timeout)
+        stages, counts = time_rung(lib, config, args.timeout)
         known = report["rungs"].setdefault(
             rung["name"], {"n": config.n, "d": config.d, "seed": rung["seed"], "counts": counts}
         )
-        if known["counts"] != counts:
-            print(f"{rung['name']}: counts {counts} differ from {known['counts']}",
-                  file=sys.stderr)
-            return 1
-        column["rungs"][rung["name"]] = stages
+        # a timed-out stage counts nothing (None); every other count must agree
+        for key, value in counts.items():
+            if value is None:
+                continue
+            if known["counts"].get(key) is None:
+                known["counts"][key] = value
+            elif known["counts"][key] != value:
+                print(f"{rung['name']}: {key} {value} differs from {known['counts'][key]}",
+                      file=sys.stderr)
+                return 1
+        run[rung["name"]] = stages
         line = ", ".join(
-            f"{name} {s['median_s']:.4f}" if "median_s" in s
-            else f"{name} {'timeout' if s['timeout'] else 'skipped'}"
-            for name, s in stages.items()
+            f"{name} {v:.4f}" if isinstance(v, float) else f"{name} {v}"
+            for name, v in stages.items()
         )
         print(f"{rung['name']}: {line}", file=sys.stderr)
-    report["columns"][args.column] = column
+    column = report["columns"].setdefault(args.column, {"runs": []})
+    column["runs"].append(
+        {"repeats": REPEATS, "timeout_s": args.timeout, "environment": environment(),
+         "rungs": run}
+    )
+    column["rungs"] = summary(column["runs"])
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")

@@ -255,8 +255,9 @@ def test_bit_sliced_counts_match_one_basis_at_a_time():
             assert through == through_by_masks(m, flat)
             assert m._bases_of(through) == bases_of_by_masks(m, through)
             assert m._witness(flat) == witness_by_masks(m, flat)
-        lines = [m._through(f) for f in m.flats_of_corank(m.rank - 1)]
-        for a, b in zip(lines, lines[1:]):
+        # cone keys are ANDs of these ints
+        keys = [m._through(f) for f in m.flats_of_corank(m.rank - 1)]
+        for a, b in zip(keys, keys[1:]):
             assert m._bases_of(a & b) == bases_of_by_masks(m, a & b)
 
 
