@@ -204,19 +204,20 @@ def maximal_cones(m: Matroid) -> list[BergmanCone]:
     if not m.is_connected():
         raise Disconnected("Bergman cones require a connected configuration")
     flacet_list = m.flacets()
-    through = {flat: m._through(flat) for flat in m.proper_flats()}
+    # keyed by form-set, which names a flat and caches its hash in C
+    through = {flat.forms: m._through(flat) for flat in m.proper_flats()}
     groups: dict[int, list[FlagOfFlats]] = {}
     for flag in complete_flags(m):
         key = -1
         for flat in flag.flats:
-            key &= through[flat]
+            key &= through[flat.forms]
         groups.setdefault(key, []).append(flag)
     cones = []
     for bits, flags in groups.items():
         # the indicator of F lies in the closed cone of G_1 > ... > G_k exactly
         # when F is E, some G_i or empty, and a flacet is neither E nor empty
-        on_flags = {flat for fl in flags for flat in fl.flats}
-        spanning = tuple(flat for flat in flacet_list if flat in on_flags)
+        on_flags = {flat.forms for fl in flags for flat in fl.flats}
+        spanning = tuple(flat for flat in flacet_list if flat.forms in on_flags)
         cones.append(
             BergmanCone(
                 flags=tuple(flags), spanning_flacets=spanning, max_bases=m._bases_of(bits)
