@@ -191,6 +191,8 @@ def load_library(src: str):
     import coamoeba.matroid as matroid
     import coamoeba.tropical as tropical
 
+    if not os.path.abspath(matroid.__file__).startswith(os.path.abspath(src)):
+        raise SystemExit(f"coamoeba was imported from {matroid.__file__}, not from {src}")
     return argparse.Namespace(
         Matroid=matroid.Matroid,
         VectorConfiguration=configuration.VectorConfiguration,
