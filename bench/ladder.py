@@ -9,7 +9,7 @@ catalog configurations and on seeded random zero-sum configurations at
 fixed (n, d) rungs.  Each repeat builds a fresh matroid and runs the stages
 in that order, so ``flats`` is timed on its first call and the later stages
 find the flats and connectivity cached.  A run records each stage's median
-over its REPEATS repeats.  A stage call that overruns ``--timeout`` seconds is
+over its REPEATS repeats.  A stage call that overruns TIMEOUT seconds is
 recorded as a timeout, and the rung's remaining calls are skipped.
 
 ``--src`` picks the ``coamoeba`` sources to time, so a second checkout can
@@ -39,6 +39,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNGS = ((8, 3), (9, 3), (10, 4), (10, 5), (12, 4), (12, 6))
 REPEATS = 3
+TIMEOUT = 30.0
 STAGES = (
     "Matroid", "flats", "flacets", "complete_flags", "non_splitting_flags",
     "maximal_cones", "nondefective",
@@ -114,7 +115,7 @@ def stage_calls(lib, config):
     )
 
 
-def time_rung(lib, config, timeout: float) -> tuple[dict, dict]:
+def time_rung(lib, config) -> tuple[dict, dict]:
     """Each stage's median seconds, or "timeout" or "skipped", and the counts
     the stages found."""
     times: dict[str, list[float]] = {name: [] for name in STAGES}
@@ -125,7 +126,7 @@ def time_rung(lib, config, timeout: float) -> tuple[dict, dict]:
         for name, call in stage_calls(lib, config):
             start = time.perf_counter()
             try:
-                with deadline(timeout):
+                with deadline(TIMEOUT):
                     value = call(m)
             except StageTimeout:
                 timed_out = name
@@ -142,7 +143,7 @@ def time_rung(lib, config, timeout: float) -> tuple[dict, dict]:
         else:
             stages[name] = statistics.median(times[name]) if times[name] else "skipped"
     m = results.get("Matroid")
-    counts = {"bases": len(m._masks) if m else None}
+    counts = {"bases": len(m.bases) if m else None}
     for key, name in COUNTED:
         counts[key] = len(results[name]) if name in results else None
     counts["nondefective"] = results.get("nondefective")
@@ -212,10 +213,7 @@ def main(argv=None) -> int:
     parser.add_argument("--column", required=True, help="name of this checkout's column")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="coamoeba sources")
     parser.add_argument("--out", required=True, help="JSON file to add the column to")
-    parser.add_argument("--timeout", type=float, default=30.0, help="seconds per stage call")
     args = parser.parse_args(argv)
-    if not args.timeout > 0:
-        parser.error("--timeout must be positive")
     lib = load_library(args.src)
     try:
         with open(args.out) as f:
@@ -225,7 +223,7 @@ def main(argv=None) -> int:
     run = {}
     for rung in rungs(lib):
         config = rung["config"]
-        stages, counts = time_rung(lib, config, args.timeout)
+        stages, counts = time_rung(lib, config)
         known = report["rungs"].setdefault(
             rung["name"], {"n": config.n, "d": config.d, "seed": rung["seed"], "counts": counts}
         )
@@ -247,7 +245,7 @@ def main(argv=None) -> int:
         print(f"{rung['name']}: {line}", file=sys.stderr)
     column = report["columns"].setdefault(args.column, {"runs": []})
     column["runs"].append(
-        {"repeats": REPEATS, "timeout_s": args.timeout, "environment": environment(),
+        {"repeats": REPEATS, "timeout_s": TIMEOUT, "environment": environment(),
          "rungs": run}
     )
     column["rungs"] = summary(column["runs"])

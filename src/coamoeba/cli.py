@@ -145,7 +145,7 @@ def _cmd_matroid_info(args):
         by_corank.setdefault(str(flat.corank), []).append(flat_labels)
     payload = {
         "rank": m.rank,
-        "n_bases": len(m._masks),
+        "n_bases": m.n_bases,
         "connected": m.is_connected(),
         "parallel_classes": [sorted(m.labels_of(c)) for c in m.parallel_classes],
         "flats_by_corank": by_corank,

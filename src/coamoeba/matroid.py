@@ -205,14 +205,16 @@ class Matroid:
             raise NotSpanning("rows do not span the ambient space")
         self._masks = _basis_masks(config.matrix, self.rank)
         self._mask_set = frozenset(self._masks)
-        # the bit-sliced columns of the module docstring, w bits per basis
+        self.n_bases = len(self._masks)
+        # the columns of the module docstring: label i's joins the i-th binary
+        # digits of the bases, last basis first, each widened to w digits
         w = self._w = self.rank.bit_length() + 1
-        self._cols = [0] * self.n
-        for k, b in enumerate(self._masks):
-            bit = 1 << w * k
-            for i in _bits(b):
-                self._cols[i] |= bit
-        ones = ((1 << w * len(self._masks)) - 1) // ((1 << w) - 1)
+        rows = [bin(b | 1 << self.n)[3:] for b in reversed(self._masks)]
+        self._cols = [
+            int("".join(c).replace("0", "0" * w).replace("1", "0" * (w - 1) + "1"), 2)
+            for c in reversed(list(zip(*rows)))
+        ]
+        ones = ((1 << w * self.n_bases) - 1) // ((1 << w) - 1)
         self._tops = ones << w - 1
         self._offsets = [ones * ((1 << w - 1) - t) for t in range(self.rank + 1)]
         self.parallel_classes = tuple(map(frozenset, _parallel_groups(config.matrix).values()))

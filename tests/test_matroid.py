@@ -54,6 +54,7 @@ def test_bases_match_one_echelon_per_subset():
         m = Matroid(config)
         assert m._masks == basis_masks_by_rank(config)
         assert m.bases == {frozenset(i for i in range(m.n) if b >> i & 1) for b in m._masks}
+        assert m.n_bases == len(m.bases)
 
 
 def test_matroid_ranks_the_configuration_once(monkeypatch):
