@@ -1,4 +1,4 @@
-"""Ladder benchmark of the matroid stages, one column per checkout.
+"""Ladder benchmark of the matroid and prism stages, one column per checkout.
 
     python3 bench/ladder.py --column change --out BENCH.json
     python3 bench/ladder.py --column parent --src ../parent/src --out BENCH.json
@@ -6,19 +6,23 @@
 Times ``Matroid()``, ``flats``, ``flacets``, ``complete_flags``,
 ``non_splitting_flags``, ``maximal_cones`` and ``nondefective`` on the
 catalog configurations and on seeded random zero-sum configurations at
-fixed (n, d) rungs.  Each repeat builds a fresh matroid and runs the stages
-in that order, so ``flats`` is timed on its first call and the later stages
-find the flats and connectivity cached.  A run records each stage's median
-over its REPEATS repeats.  A stage call that overruns TIMEOUT seconds is
-recorded as a timeout, and the rung's remaining calls are skipped.
+fixed (n, d) rungs, and on the nondefective d = 3 rungs also ``prisms_d3``,
+``sample_coamoeba`` (SAMPLES points, seed 0) and ``pls3_distances`` of those
+samples (tolerance TOL), the stages of the d = 3 prism experiment; other
+rungs record "n/a" for these.  Each repeat builds a fresh matroid and runs
+the stages in that order, so ``flats`` is timed on its first call and the
+later stages find the flats and connectivity cached.  A run records each
+stage's median over its REPEATS repeats.  A stage call that overruns
+TIMEOUT seconds is recorded as a timeout, and the rung's remaining calls
+are skipped.
 
 ``--src`` picks the ``coamoeba`` sources to time, so a second checkout can
 be timed into another column of the same file.  Naming a column again adds
 a run to it, and the column's summary is each stage's median over its runs:
 runs of the two columns in alternation even out a machine whose speed
 drifts.  The file keeps each rung's seed and its counts (bases, flats,
-complete and non-splitting flags, cones, nondefectivity); a run whose
-counts differ from the file's is refused.  Only the stdlib and the library
+complete and non-splitting flags, cones, nondefectivity, prisms); a run
+whose counts differ from the file's is refused.  Only the stdlib and the library
 are used.
 """
 
@@ -40,14 +44,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNGS = ((8, 3), (9, 3), (10, 4), (10, 5), (12, 4), (12, 6))
 REPEATS = 3
 TIMEOUT = 30.0
+SAMPLES = 150
+TOL = 1e-6
 STAGES = (
     "Matroid", "flats", "flacets", "complete_flags", "non_splitting_flags",
-    "maximal_cones", "nondefective",
+    "maximal_cones", "nondefective", "prisms_d3", "sample_coamoeba", "pls3_distances",
 )
+# the stages that run only on nondefective d = 3 rungs
+PRISM_STAGES = STAGES[-3:]
 # the counts each rung records, besides its bases, and the stages giving them
 COUNTED = (
     ("flats", "flats"), ("complete_flags", "complete_flags"),
     ("non_splitting_flags", "non_splitting_flags"), ("cones", "maximal_cones"),
+    ("prisms", "prisms_d3"),
 )
 
 
@@ -103,43 +112,52 @@ def rungs(lib) -> list[dict]:
 
 
 def stage_calls(lib, config):
-    """The stages in order, each a function of the matroid built so far."""
+    """The stages in order, each a function of the earlier stages' results
+    by name."""
     return (
-        ("Matroid", lambda m: lib.Matroid(config)),
-        ("flats", lambda m: m.flats()),
-        ("flacets", lambda m: m.flacets()),
-        ("complete_flags", lambda m: lib.complete_flags(m)),
-        ("non_splitting_flags", lambda m: lib.non_splitting_flags(m)),
-        ("maximal_cones", lambda m: lib.maximal_cones(m)),
-        ("nondefective", lambda m: lib.nondefective(m)),
+        ("Matroid", lambda r: lib.Matroid(config)),
+        ("flats", lambda r: r["Matroid"].flats()),
+        ("flacets", lambda r: r["Matroid"].flacets()),
+        ("complete_flags", lambda r: lib.complete_flags(r["Matroid"])),
+        ("non_splitting_flags", lambda r: lib.non_splitting_flags(r["Matroid"])),
+        ("maximal_cones", lambda r: lib.maximal_cones(r["Matroid"])),
+        ("nondefective", lambda r: lib.nondefective(r["Matroid"])),
+        ("prisms_d3", lambda r: lib.prisms_d3(r["Matroid"])),
+        ("sample_coamoeba", lambda r: lib.sample_coamoeba(r["Matroid"], SAMPLES, 0)),
+        ("pls3_distances", lambda r: lib.pls3_distances(
+            r["prisms_d3"], r["sample_coamoeba"], TOL)),
     )
 
 
 def time_rung(lib, config) -> tuple[dict, dict]:
-    """Each stage's median seconds, or "timeout" or "skipped", and the counts
-    the stages found."""
+    """Each stage's median seconds, or "timeout", "skipped" or "n/a", and the
+    counts the stages found."""
     times: dict[str, list[float]] = {name: [] for name in STAGES}
     results: dict[str, object] = {}
     timed_out = None
     for _ in range(REPEATS):
-        m = None
+        run: dict[str, object] = {}
         for name, call in stage_calls(lib, config):
+            if name in PRISM_STAGES and (config.d != 3 or not run["nondefective"]):
+                break
             start = time.perf_counter()
             try:
                 with deadline(TIMEOUT):
-                    value = call(m)
+                    run[name] = call(run)
             except StageTimeout:
                 timed_out = name
                 break
             times[name].append(time.perf_counter() - start)
-            results[name] = value
-            m = value if name == "Matroid" else m
+        results.update(run)
         if timed_out:
             break
+    no_prisms = config.d != 3 or results.get("nondefective") is False
     stages = {}
     for name in STAGES:
         if name == timed_out:
             stages[name] = "timeout"
+        elif name in PRISM_STAGES and no_prisms:
+            stages[name] = "n/a"
         else:
             stages[name] = statistics.median(times[name]) if times[name] else "skipped"
     m = results.get("Matroid")
@@ -147,6 +165,7 @@ def time_rung(lib, config) -> tuple[dict, dict]:
     for key, name in COUNTED:
         counts[key] = len(results[name]) if name in results else None
     counts["nondefective"] = results.get("nondefective")
+    counts["prisms"] = "n/a" if stages["prisms_d3"] == "n/a" else counts["prisms"]
     return stages, counts
 
 
@@ -158,6 +177,9 @@ def summary(runs: list[dict]) -> dict:
         out[name] = {}
         for stage in stages:
             values = [run["rungs"][name][stage] for run in runs]
+            if set(values) == {"n/a"}:
+                out[name][stage] = "n/a"
+                continue
             seconds = [v for v in values if isinstance(v, float)]
             out[name][stage] = {
                 "median_s": statistics.median(seconds) if seconds else None,
@@ -187,8 +209,10 @@ def load_library(src: str):
     sys.path.insert(0, os.path.abspath(src))
     import coamoeba.catalog as catalog
     import coamoeba.configuration as configuration
+    import coamoeba.cycles as cycles
     import coamoeba.discriminant as discriminant
     import coamoeba.errors as errors
+    import coamoeba.harness as harness
     import coamoeba.matroid as matroid
     import coamoeba.tropical as tropical
 
@@ -205,6 +229,9 @@ def load_library(src: str):
         maximal_cones=tropical.maximal_cones,
         non_splitting_flags=discriminant.non_splitting_flags,
         nondefective=discriminant.nondefective,
+        prisms_d3=cycles.prisms_d3,
+        sample_coamoeba=harness.sample_coamoeba,
+        pls3_distances=cycles.pls3_distances,
     )
 
 

@@ -103,6 +103,11 @@ def validate_a(a: PointConfiguration) -> ValidationReport:
     primitive.  ``pyramid`` is detected on the Gale side: some coordinate of
     the kernel lattice vanishes identically, i.e. the dual has a zero row.
     """
+    return _validate(a)[0]
+
+
+def _validate(a: PointConfiguration) -> tuple[ValidationReport, la.IntMatrix]:
+    """``validate_a``'s report and the integer kernel of A it reads."""
     cols = la.transpose(a.matrix)
     basis = la.row_lattice_basis(cols)
     full_rank = len(basis) == a.m
@@ -113,7 +118,7 @@ def validate_a(a: PointConfiguration) -> ValidationReport:
     pyramid = any(
         all(vec[i] == 0 for vec in kernel) for i in range(a.n)
     ) if kernel else False
-    return ValidationReport(spans=spans, u=u, pyramid=pyramid)
+    return ValidationReport(spans=spans, u=u, pyramid=pyramid), kernel
 
 
 def gale_dual(a: PointConfiguration) -> VectorConfiguration:
@@ -122,12 +127,11 @@ def gale_dual(a: PointConfiguration) -> VectorConfiguration:
     Raises NotSpanning / NoAffineHyperplane when the configuration is not
     valid.  The rows of the result always sum to zero exactly.
     """
-    report = validate_a(a)
+    report, kernel = _validate(a)
     if not report.spans:
         raise NotSpanning("columns do not generate the ambient lattice")
     if report.u is None:
         raise NoAffineHyperplane("no primitive covector evaluates to 1 on all points")
-    kernel = la.integer_kernel(a.matrix)
     if not kernel:
         raise InputError("the points are affinely independent: the Gale dual has d = 0")
     b = VectorConfiguration(la.transpose(kernel), a.labels)

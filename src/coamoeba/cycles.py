@@ -483,19 +483,29 @@ def _block_points(poly: Polygon) -> int:
     return max(1, _BLOCK // (len(axs) * len(ays) * len(poly.vertices)))
 
 
-def _chart_distances(poly: Polygon, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Distances (pi units) from wrapped chart points to the 2 pi Z^2 translates
-    of one shell: zero where some translate winds around the point.
+def _chart(poly: Polygon, px: np.ndarray, py: np.ndarray, wind: bool) -> np.ndarray:
+    """Per nonempty block of wrapped chart points: with ``wind``, whether some
+    2 pi Z^2 translate of one shell winds around each point; otherwise the
+    distance (pi units) to the translates within ``_PAD`` of the block.
 
-    Batched form of ``_poly_dist_float`` over every translate that a block's
-    windows reach, with the same arithmetic in the same order; the distance
-    half runs only on the points that no translate winds around.
+    Batched forms of ``_winding`` and ``_point_segment_dist`` over the
+    translates a block's window reaches, with the same arithmetic in the same
+    order.  The winding window is padded only by the rounding of orient.  Let
+    u = 2^-53 and R the largest |coordinate| of the shell's box.  A point
+    above or below a translate's box is in no edge's y-range (exact compares).
+    A point g > 0 beside the box, in an edge's y-range, is h >= g along x from
+    the edge's line, so |orient| = |vy| h with vy a nonzero integer; orient's
+    three roundings per product err by under 3.01u |vy| (2|vx| + h), |vx| <= 2R,
+    so every sign is exact once g > 14uR, and the count is 0 as in exact
+    arithmetic.  ``_window``'s bounds err by under 3u(R + 1): the pad 32u(R + 1)
+    leaves every translate it drops more than 14uR away.
     """
     size = _block_points(poly)
     if len(px) > size:
         blocks = [(px[i : i + size], py[i : i + size]) for i in range(0, len(px), size)]
-        return np.concatenate([_chart_distances(poly, x, y) for x, y in blocks])
-    axs, ays = _window(poly, px.min(), px.max(), py.min(), py.max(), _PAD)
+        return np.concatenate([_chart(poly, x, y, wind) for x, y in blocks])
+    pad = (1 + max(map(abs, poly._bbox))) * 2.0**-48 if wind else _PAD
+    axs, ays = _window(poly, px.min(), px.max(), py.min(), py.max(), pad)
     verts = np.array(poly._float_vertices)
     # translates x edges: tails (x1, y1) and heads (x2, y2)
     x1 = (verts[:, 0] - 2.0 * np.repeat(axs, len(ays))[:, None])[None]
@@ -505,17 +515,14 @@ def _chart_distances(poly: Polygon, px: np.ndarray, py: np.ndarray) -> np.ndarra
     vx, vy = x2 - x1, y2 - y1
     px, py = px[:, None, None], py[:, None, None]
     wx, wy = px - x1, py - y1
-    orient = vx * wy - vy * wx
-    up = (y1 <= py) & (y2 > py) & (orient > 0)
-    down = (y1 > py) & (y2 <= py) & (orient < 0)
-    outside = (up.sum(axis=2) == down.sum(axis=2)).all(axis=1)
-    dist = np.zeros(len(px))
-    if outside.any():
-        px, py, wx, wy = px[outside], py[outside], wx[outside], wy[outside]
-        seg2 = vx * vx + vy * vy
-        t = np.clip((wx * vx + wy * vy) / np.where(seg2 == 0, 1.0, seg2), 0.0, 1.0)
-        dist[outside] = np.hypot(px - (x1 + t * vx), py - (y1 + t * vy)).min(axis=(1, 2))
-    return dist
+    if wind:
+        orient = vx * wy - vy * wx
+        up = (y1 <= py) & (y2 > py) & (orient > 0)
+        down = (y1 > py) & (y2 <= py) & (orient < 0)
+        return (up.sum(axis=2) != down.sum(axis=2)).any(axis=1)
+    seg2 = vx * vx + vy * vy
+    t = np.clip((wx * vx + wy * vy) / np.where(seg2 == 0, 1.0, seg2), 0.0, 1.0)
+    return np.hypot(px - (x1 + t * vx), py - (y1 + t * vy)).min(axis=(1, 2))
 
 
 def pls3_distances(prisms, points, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -527,10 +534,11 @@ def pls3_distances(prisms, points, tol: float = 0.0) -> tuple[np.ndarray, np.nda
     and ``witness[i]`` is the index of the first prism within ``tol`` of the
     point, the prism ``contains_pls3`` returns, or -1 if there is none.
 
-    Prism by prism, the points in play go through the plus shell and those
-    it leaves at a nonzero distance through the minus shell, in blocks (see
-    ``_BLOCK``).  A point is dropped once its distance is exactly 0; points
-    merely within ``tol`` go on to the remaining prisms, so distances stay exact.
+    Prism by prism, in blocks (see ``_BLOCK``), the points in play go through
+    the winding tests of both shells (see ``_chart`` for the window), and
+    only those neither winds around get distances.  A point is dropped once its
+    distance is exactly 0; points merely within ``tol`` go on to the remaining
+    prisms, so distances stay exact.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -559,10 +567,13 @@ def pls3_distances(prisms, points, tol: float = 0.0) -> tuple[np.ndarray, np.nda
         if overflow.any():
             bad = tuple(theta[overflow][0].tolist())
             raise InputError(f"angles {bad} overflow in the chart of a prism")
-        d = _chart_distances(cycle.plus, px, py)
-        rest = d != 0.0
-        if rest.any():
-            d[rest] = np.minimum(d[rest], _chart_distances(cycle.minus, px[rest], py[rest]))
+        out = ~_chart(cycle.plus, px, py, True)  # the points neither shell winds around
+        if out.any():
+            out[out] = ~_chart(cycle.minus, px[out], py[out], True)
+        d = np.zeros(len(px))
+        if out.any():
+            x, y = px[out], py[out]
+            d[out] = np.minimum(_chart(cycle.plus, x, y, False), _chart(cycle.minus, x, y, False))
         d *= math.pi
         witness[active[(witness[active] < 0) & (d <= tol)]] = index
         distance[active] = np.minimum(distance[active], d)

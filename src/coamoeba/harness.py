@@ -5,8 +5,9 @@ within 1e-8 * ||y|| of the hyperplane arrangement, and maps through the
 Horn-Kapranov parameterization and the coordinatewise argument.  Chunks are
 drawn in order, each from its own stream seeded with seed + chunk_index, so
 the first k points for a seed do not depend on how many are requested.
-Each chunk is drawn and tested in full, but psi is evaluated only on the
-rows returned.
+Each chunk is drawn and multiplied by B in full, but its rows are tested
+against the arrangement only until enough are kept, and psi is evaluated
+only on the rows returned.
 
 Exact checks walk a fixed small-integer grid: ``residue_check`` reports the
 largest exact value of a candidate defining polynomial on the parameterized
@@ -64,17 +65,21 @@ def _sample_chunk(
     """Arguments of psi at the first ``need`` of ``size`` random points that
     are off the arrangement (fewer when the chunk has fewer).
 
-    The whole chunk is drawn and tested, so the stream and the rejections do
-    not depend on ``need``; psi is evaluated only on the rows returned.
+    The whole chunk is drawn and multiplied (BLAS rounds by the row count),
+    so neither depends on ``need``.  Rows are tested in order, as many at a
+    time as are missing, and psi is evaluated only on the rows returned.
     """
     rng = np.random.default_rng(seed + chunk_index)
     y = rng.standard_normal((size, bmat.shape[1])) + 1j * rng.standard_normal(
         (size, bmat.shape[1])
     )
     pair = y @ bmat.T  # <b_a, y> per row a
-    norms = np.linalg.norm(y, axis=1)
-    keep = np.all(np.abs(pair) >= REJECTION_THRESHOLD * norms[:, None], axis=1)
-    pair = pair[keep][:need]
+    keep, stop = np.zeros(size, dtype=bool), 0  # the rows tested so far and kept
+    while (short := need - np.count_nonzero(keep)) > 0 and stop < size:
+        rows, stop = slice(stop, stop + short), stop + short
+        norms = np.linalg.norm(y[rows], axis=1)
+        keep[rows] = np.all(np.abs(pair[rows]) >= REJECTION_THRESHOLD * norms[:, None], axis=1)
+    pair = pair[keep]
     d = bmat.shape[1]
     psi = np.empty((pair.shape[0], d), dtype=complex)
     for j in range(d):

@@ -27,7 +27,7 @@ IntVector = tuple[int, ...]
 
 def as_matrix(rows) -> IntMatrix:
     """Freeze an iterable of rows into a rectangular tuple-of-tuples."""
-    m = tuple(tuple(int(x) for x in row) for row in rows)
+    m = tuple(tuple(map(int, row)) for row in rows)
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
     return m
@@ -109,16 +109,12 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style HNF.  Returns (h, u) with u unimodular and u @ m = h.
-
-    h is upper echelon with positive pivots; entries above each pivot are
-    reduced into [0, pivot); zero rows sink to the bottom.
-    """
-    m = as_matrix(m)
+def _hnf(m: IntMatrix, transform: bool) -> tuple[list[list[int]], list[list[int]]]:
+    """``hermite_normal_form`` of a frozen m, as lists; without ``transform``
+    u has no columns, so its row operations are empty."""
     k = len(m)
     rows = [list(r) for r in m]
-    u = [list(r) for r in identity(k)]
+    u = [list(r) for r in identity(k)] if transform else [[]] * k
     ncols = len(rows[0]) if rows else 0
     pr = 0
     for col in range(ncols):
@@ -151,13 +147,22 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 rows[i] = [s - q * t for s, t in zip(rows[i], rows[pr])]
                 u[i] = [s - q * t for s, t in zip(u[i], u[pr])]
         pr += 1
-    return as_matrix(rows), as_matrix(u)
+    return rows, u
+
+
+def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style HNF.  Returns (h, u) with u unimodular and u @ m = h.
+
+    h is upper echelon with positive pivots; entries above each pivot are
+    reduced into [0, pivot); zero rows sink to the bottom.
+    """
+    h, u = _hnf(as_matrix(m), True)
+    return as_matrix(h), as_matrix(u)
 
 
 def row_lattice_basis(m) -> IntMatrix:
     """HNF-canonical basis of the lattice spanned by the rows (no zero rows)."""
-    h, _ = hermite_normal_form(as_matrix(m))
-    return tuple(r for r in h if any(r))
+    return tuple(tuple(r) for r in _hnf(as_matrix(m), False)[0] if any(r))
 
 
 def integer_kernel(m: IntMatrix, cols: int | None = None) -> tuple[IntVector, ...]:
@@ -172,7 +177,7 @@ def integer_kernel(m: IntMatrix, cols: int | None = None) -> tuple[IntVector, ..
     ncols = len(m[0]) if m else (cols or 0)
     if not m or ncols == 0:
         return identity(ncols)
-    h, u = hermite_normal_form(transpose(m))
+    h, u = _hnf(transpose(m), True)
     kern = [u[i] for i in range(len(h)) if not any(h[i])]
     return row_lattice_basis(kern) if kern else ()
 

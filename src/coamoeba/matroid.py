@@ -339,7 +339,7 @@ class Matroid:
                 raise InvariantError("image of a vector outside a flat cannot vanish")
             rows.append(image)
             labels.append(self.config.labels[i])
-        return VectorConfiguration(la.as_matrix(rows), tuple(labels)), proj
+        return VectorConfiguration(tuple(rows), tuple(labels)), proj
 
     # -- flacets -----------------------------------------------------------------
 
@@ -370,6 +370,7 @@ def merge_parallel(
     the exact constant it contributes relative to the merged vector and the
     induced argument shift (0 for a positive constant, pi on the odd
     coordinates of eta for a negative one).  The total row sum is preserved.
+    A merged label ("+"-joined) that repeats another raises InputError.
     """
     if any(not any(row) for row in config.matrix):
         raise ZeroVector("configuration contains a zero vector")
@@ -405,6 +406,9 @@ def merge_parallel(
         if total:
             rows.append(tuple(total * e for e in eta))
             labels.append("+".join(member_labels))
+    if len(set(labels)) < len(labels):
+        repeated = next(x for x in labels if labels.count(x) > 1)
+        raise InputError(f"merged labels must be distinct, repeated: {repeated}")
     reduced = VectorConfiguration(tuple(rows), tuple(labels))
     if (reduced.row_sum() or (0,) * config.d) != config.row_sum():
         raise InvariantError("merging parallel classes changed the row sum")

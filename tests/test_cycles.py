@@ -1,5 +1,6 @@
 """Zonotopes, half-coamoeba cycles, membership, and prisms."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -43,6 +44,7 @@ from oracles import (
     contains2_two_pass,
     half_coamoeba_by_start_vertices,
     half_coamoeba_from_vertex,
+    _chart_distances_full,
     pls3_distances_by_fixed_blocks,
     random_zero_sum_matroid,
     start_vertices,
@@ -510,6 +512,66 @@ def test_pls3_distances_independent_of_blocking(case, monkeypatch):
     one_block = pls3_distances(prisms, points, 0.5)
     assert np.array_equal(one_point[0], one_block[0])
     assert np.array_equal(one_point[1], one_block[1])
+
+
+# a zero-sum cycle with coordinates above 10^4 whose shells are slivers: most
+# of the chart lies outside both, and orient there rounds by about 10^-12
+THIN = VectorConfiguration.from_rows([[10000, 1], [-10001, -1], [1, 0]])
+AXES = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+def near_box_sides(poly, offsets=(0.0, 1e-15, 1e-13, 1e-12), directions=AXES):
+    """Points of [-1, 1]^2 on and within 1e-12 of the sides of the translates'
+    bounding boxes: each (vertex x, vertex y) pair moved into the chart, plus
+    each offset times each direction."""
+    # an integer coordinate lands on 0 in the chart when even, on -1 and 1 when odd
+    xs, ys = (
+        {s for c in axis for s in ((-1, 1) if c % 2 else (0,))} for axis in zip(*poly.vertices)
+    )
+    points = {
+        (x + sx * delta, y + sy * delta)
+        for x, y, delta in itertools.product(xs, ys, offsets)
+        for sx, sy in directions
+    }
+    return np.array(sorted(p for p in points if max(map(abs, p)) <= 1))
+
+
+@pytest.mark.parametrize("name", ["thin", "line_b"] + [f"random93_{i}" for i in range(9)])
+def test_chart_winding_window_matches_full_window(name, monkeypatch):
+    if name.startswith("random93"):
+        cycle = prisms_d3(Matroid(RANDOM93))[int(name[-1])].base
+    else:
+        cycle = build_cycle(THIN if name == "thin" else line_b())
+    # one point per block, so each winding window is as narrow as it gets
+    monkeypatch.setattr(cycles, "_BLOCK", 1)
+    for poly in (cycle.plus, cycle.minus):
+        px, py = near_box_sides(poly).T
+        inside = cycles._chart(poly, px, py, True)
+        got = np.zeros(len(px))
+        if not inside.all():
+            got[~inside] = cycles._chart(poly, px[~inside], py[~inside], False)
+        # the oracle winds every translate within _PAD of its window, so
+        # any window gives its answer; small groups keep its arrays small
+        want = np.concatenate([
+            _chart_distances_full(poly, x, y, (x.min(), x.max(), y.min(), y.max()))
+            for x, y in zip(np.array_split(px, len(px) // 8), np.array_split(py, len(py) // 8))
+        ])
+        assert np.array_equal(got, want)
+        if name == "thin":  # both branches run: the slivers miss most points
+            assert 0 < np.count_nonzero(want) < len(want)
+
+
+def test_pls3_distances_near_thin_box_sides_equal_fixed_block_kernel():
+    prism = prisms_d3(Matroid(RANDOM93))[0]
+    thin = dataclasses.replace(prism, projection=((1, 0, 0), (0, 1, 0)), base=build_cycle(THIN))
+    # beside the boxes along x, where orient's rounding can flip a winding
+    shells = (thin.base.plus, thin.base.minus)
+    charts = np.concatenate([near_box_sides(p, (1e-15, 1e-13), AXES[1:3]) for p in shells])
+    # one point per call, so each window is as narrow as it gets
+    for x, y in charts * math.pi:
+        got = pls3_distances([thin], [(x, y, 0.0)], 1e-12)
+        want = pls3_distances_by_fixed_blocks([thin], [(x, y, 0.0)], 1e-12)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_pls3_distances_zero_and_one_point(m_plane):

@@ -22,6 +22,7 @@ from coamoeba.harness import (
 )
 from coamoeba.matroid import Matroid
 from coamoeba.polynomial import SparsePoly, parse
+import oracles
 from oracles import (
     certify_by_fractions,
     gauss_roundtrip_by_fractions,
@@ -85,6 +86,22 @@ def test_sampling_matches_full_chunk_oracle(name):
     # accepted row, across chunk boundaries (2048 points per chunk)
     m = Matroid(SAMPLED[name])
     for seed in range(40):
+        for n in (1, 7, 150, 2047, 2048, 2049, 5000):
+            got = sample_coamoeba(m, n, seed)
+            want = sample_coamoeba_by_full_chunks(m, n, seed)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, n)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_sampling_with_rejections_matches_full_chunk_oracle(name, monkeypatch):
+    # a large threshold rejects rows inside the tested prefix, so more rows
+    # are tested; the oracle imports the threshold by name, so patch both
+    for module in (harness, oracles):
+        monkeypatch.setattr(module, "REJECTION_THRESHOLD", 0.2)
+    m = Matroid(SAMPLED[name])
+    bmat = np.array(m.config.matrix, dtype=float)
+    assert len(oracles._full_sample_chunk(bmat, 0, 0, harness._CHUNK)) < 0.95 * harness._CHUNK
+    for seed in range(8):
         for n in (1, 7, 150, 2047, 2048, 2049, 5000):
             got = sample_coamoeba(m, n, seed)
             want = sample_coamoeba_by_full_chunks(m, n, seed)

@@ -429,6 +429,15 @@ def test_merge_parallel_rejects_zero_row():
         merge_parallel(cfg)
 
 
+def test_merge_parallel_rejects_repeated_merged_label():
+    # a and b merge into "a+b", which is also the label of the third row
+    cfg = VectorConfiguration.from_rows(
+        [[1, 0], [2, 0], [0, 1], [-3, -3], [0, 2]], labels=["a", "b", "c", "a+b", "d"]
+    )
+    with pytest.raises(InputError, match=r"repeated: a\+b"):
+        merge_parallel(cfg)
+
+
 def test_merge_parallel_preserves_row_sum():
     rng = random.Random(123)
     for _ in range(30):
