@@ -5,6 +5,11 @@ of Z^m; it is valid when the columns generate Z^m and lie on an affine
 hyperplane {x : <u, x> = 1} for a primitive covector u.  Its Gale dual B is
 an n x d matrix (d = n - m) whose columns form the canonical (HNF) basis of
 the integer kernel of A; the rows of B are vectors in Z^d that sum to zero.
+Validation reads one Hermite normal form U @ A^T = H, U unimodular: A spans
+Z^m when the nonzero rows of H are the identity, and the rows of U beside
+the zero rows of H span ker(A).  As U is invertible over Z, A^T u = 1
+exactly when H u = U 1: the row sums of U vanish beside the zero rows of H,
+and u solves the triangular top block of H.
 
 Gale duals are only unique up to a unimodular change of kernel basis, so
 equality with any externally given dual is a statement about column
@@ -107,17 +112,17 @@ def validate_a(a: PointConfiguration) -> ValidationReport:
 
 
 def _validate(a: PointConfiguration) -> tuple[ValidationReport, la.IntMatrix]:
-    """``validate_a``'s report and the integer kernel of A it reads."""
-    cols = la.transpose(a.matrix)
-    basis = la.row_lattice_basis(cols)
-    full_rank = len(basis) == a.m
-    spans = full_rank and basis == la.identity(a.m)
-    # below rank m the covector u is not unique, and the solver refuses it
-    u = la.solve_integer(la.as_matrix(cols), (1,) * a.n) if a.m and full_rank else None
-    kernel = la.integer_kernel(a.matrix)
-    pyramid = any(
-        all(vec[i] == 0 for vec in kernel) for i in range(a.n)
-    ) if kernel else False
+    """``validate_a``'s report and the kernel of A, from one HNF of A^T."""
+    h, t = la.hermite_normal_form(la.transpose(a.matrix))
+    rank = sum(map(any, h))
+    sums = [sum(row) for row in t]
+    u = None  # also below rank m, where the covector is not unique
+    if a.m and rank == a.m and not any(sums[rank:]):
+        x = la.solve_unique_rational(h[:rank], sums[:rank])  # already triangular
+        u = tuple(map(int, x)) if all(c.denominator == 1 for c in x) else None
+    kernel = la.row_lattice_basis(t[rank:])
+    pyramid = any(not any(col) for col in zip(*kernel))
+    spans = rank == a.m and h[:rank] == la.identity(a.m)
     return ValidationReport(spans=spans, u=u, pyramid=pyramid), kernel
 
 

@@ -235,6 +235,16 @@ def _half_coamoeba(f: VectorConfiguration, z: Polygon, edges: list[Point]) -> Po
     The 2n edges hold every line twice, as g and -g, so the n edges ending
     at v meet each line once, clockwise from the line of f_1; the walk
     subtracts the generator of each, the edge itself or its negation.
+
+    The walk is counterclockwise.  Reversed and walked twice, it is the
+    2n-gon with edges c_t d_t, where d_0, ..., d_{2n-1} are the zonotope's
+    edges in counterclockwise order and c_t is 1 when d_t is a generator,
+    else -1.  On the weights c with sum c_t d_t = 0, that 2n-gon's area is a
+    quadratic form of signature (1, 2n - 3) (Bavard and Ghys, Geom. Dedicata
+    43 (1992)).  As d_{t+n} = -d_t, shifting c by n reflects the 2n-gon
+    through a point, so the form pairs to zero the c the shift fixes, like
+    the zonotope's c = 1 of positive area, with the c it negates, like the
+    walk's.  It is thus negative on the walk's c: reversed, it is clockwise.
     """
     gens = set(f.matrix)
     k = max(
@@ -248,17 +258,12 @@ def _half_coamoeba(f: VectorConfiguration, z: Polygon, edges: list[Point]) -> Po
         sign = 1 if e in gens else -1
         cur = (cur[0] - sign * e[0], cur[1] - sign * e[1])
         verts.append(cur)
-    if _twice_area(verts) < 0:
-        verts.reverse()
     return Polygon(tuple(verts))
 
 
 def half_coamoeba_cycles(f: VectorConfiguration) -> tuple[Polygon, Polygon]:
-    """The upper half-coamoeba polygon and its reflection through the origin.
-
-    The walk, described in the module docstring, starts at the
-    lexicographically largest zonotope vertex whose incoming CCW edge is a
-    generator.
+    """The upper half-coamoeba polygon (the walk of the module docstring) and
+    its reflection through the origin.
 
     With five or more generators the shell can self-intersect; the boundary
     is still the correct cycle, and membership is by winding number.

@@ -40,6 +40,9 @@ from .errors import (
 from .matroid import Flat, FlagOfFlats, Matroid
 from .polynomial import SparsePoly
 
+# psi_complex's cut-off for |<b, y>| relative to max_j |y_j|
+NEAR_ARRANGEMENT = 1e-12
+
 
 @dataclass(frozen=True)
 class HornKapranovMap:
@@ -92,7 +95,7 @@ def psi_exact(h: HornKapranovMap, y) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, d) for n, d in zip(nums, dens))
 
 
-def psi_complex(h: HornKapranovMap, y, threshold: float = 1e-12) -> tuple[complex, ...]:
+def psi_complex(h: HornKapranovMap, y) -> tuple[complex, ...]:
     """Floating value of psi; rejects points numerically on the arrangement.
 
     psi is homogeneous of degree 0, so the point is first scaled by the power
@@ -113,7 +116,7 @@ def psi_complex(h: HornKapranovMap, y, threshold: float = 1e-12) -> tuple[comple
     pairings = []
     for i, row in enumerate(h.b.matrix):
         val = sum(c * x for c, x in zip(row, scaled))
-        if abs(val) < threshold * norm:
+        if abs(val) < NEAR_ARRANGEMENT * norm:
             raise NearArrangement(h.b.labels[i])
         pairings.append(val)
     out = []

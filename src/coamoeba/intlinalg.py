@@ -51,13 +51,9 @@ def mat_vec(m, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
-def vec_gcd(v) -> int:
-    return gcd(*v)
-
-
 def primitive(v: IntVector) -> IntVector:
     """Divide out the gcd, keeping orientation.  Zero vector stays zero."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     return tuple(x // g for x in v) if g else tuple(v)
 
 
@@ -205,19 +201,3 @@ def solve_unique_rational(m, v):
         y[k] = (det * row[-1] - rest) // row[k]
     return tuple(Fraction(c, det) for c in y)
 
-
-def solve_integer(m, v):
-    """Unique integer solution of m @ x = v, or None (columns independent)."""
-    x = solve_unique_rational(m, v)
-    if x is None or any(c.denominator != 1 for c in x):
-        return None
-    return tuple(int(c) for c in x)
-
-
-def matrices_to_json(m) -> list[list[str]]:
-    """Arbitrary-precision-safe JSON form: decimal strings."""
-    return [[str(int(x)) for x in row] for row in m]
-
-
-def matrix_from_json(data) -> IntMatrix:
-    return as_matrix([[int(x) for x in row] for row in data])

@@ -16,6 +16,7 @@ rank of F, which equals d - dim L.  The hyperplanes are the closures of the
 closed under intersection with each hyperplane.  Connectivity reads the
 fundamental graph of one basis B, joining b in B to e outside B when
 B - b + e is a basis; M is connected exactly when it is (Krogdahl 1977).
+The rows span Q^d exactly when some d-subset has a nonzero minor.
 
 Minors by a flat F are read off one basis B with |B & F| = r(F): B & F is a
 basis of the restriction M|F and B - F one of the contraction M/F, and a
@@ -99,6 +100,8 @@ def _basis_masks(matrix, d: int) -> tuple[int, ...]:
             if total:
                 level[mask] = total
         minors = level
+        if not minors:
+            break  # every larger minor expands into these, so none is nonzero
     return tuple(minors)
 
 
@@ -200,10 +203,10 @@ class Matroid:
             raise ZeroVector("configuration contains a zero vector")
         self.config = config
         self.n = config.n
-        self.rank = la.rank_rational(config.matrix)
-        if self.rank != config.d:
+        self._masks = _basis_masks(config.matrix, config.d)
+        if not self._masks:
             raise NotSpanning("rows do not span the ambient space")
-        self._masks = _basis_masks(config.matrix, self.rank)
+        self.rank = config.d
         self._mask_set = frozenset(self._masks)
         self.n_bases = len(self._masks)
         # the columns of the module docstring: label i's joins the i-th binary

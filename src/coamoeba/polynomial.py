@@ -78,6 +78,8 @@ class SparsePoly:
     # -- arithmetic (only what the library needs) --------------------------------
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
+        if self.variables != other.variables:  # exponents pair by position
+            raise WrongLength(f"variables {self.variables} and {other.variables} differ")
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
@@ -86,6 +88,8 @@ class SparsePoly:
         return SparsePoly.from_dict(self.variables, out)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
+        if self.variables != other.variables:  # exponents pair by position
+            raise WrongLength(f"variables {self.variables} and {other.variables} differ")
         out = dict(self.terms)
         for e, c in other.terms:
             out[e] = out.get(e, Fraction(0)) - c

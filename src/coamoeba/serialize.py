@@ -57,6 +57,11 @@ def angle_json(value: Fraction) -> dict:
     return {"radians": float(value) * math.pi, "exact": pi_string(value)}
 
 
+def matrices_to_json(m) -> list[list[str]]:
+    """Arbitrary-precision-safe JSON form: decimal strings."""
+    return [[str(int(x)) for x in row] for row in m]
+
+
 def polygon_json(poly: Polygon) -> dict:
     return {
         "vertices": [[angle_json(x), angle_json(y)] for x, y in poly.vertices],
@@ -79,7 +84,7 @@ def cycle_json(cycle: CoamoebaCycle) -> dict:
 def prism_json(prism: Prism, labels) -> dict:
     return {
         "hyperplane": sorted(labels[i] for i in prism.hyperplane_flat.forms),
-        "projection": la.matrices_to_json(prism.projection),
+        "projection": matrices_to_json(prism.projection),
         "base": cycle_json(prism.base),
     }
 
@@ -88,7 +93,7 @@ def config_to_json(config) -> dict:
     role = "A" if isinstance(config, PointConfiguration) else "B"
     return {
         "role": role,
-        "matrix": la.matrices_to_json(config.matrix),
+        "matrix": matrices_to_json(config.matrix),
         "labels": list(config.labels),
     }
 
@@ -102,7 +107,7 @@ def config_from_json(data):
         labels = tuple(str(x) for x in data["labels"])
         if repeated := sorted({x for i, x in enumerate(labels) if x in labels[:i]}):
             raise InputError(f"labels must be distinct, repeated: {', '.join(repeated)}")
-        return kind(la.matrix_from_json(data["matrix"]), labels)
+        return kind(la.as_matrix(data["matrix"]), labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed configuration JSON: {exc}") from exc
 

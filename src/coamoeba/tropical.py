@@ -94,20 +94,14 @@ def flag_cone_contains(flag: FlagOfFlats, w: Weight, strict: bool = True) -> boo
     and increase with depth; ``strict=False`` tests the closed cone instead.
     """
     n = len(w)
-    sets = [frozenset(range(n))] + list(flag.form_chain()) + [frozenset()]
-    level_values = []
-    for outer, inner in zip(sets, sets[1:]):
-        diff = outer - inner
-        vals = {w[i] for i in diff}
-        if len(vals) != 1:
-            return False
-        level_values.append(next(iter(vals)))
-    for lo, hi in zip(level_values, level_values[1:]):
-        if strict and not hi > lo:
-            return False
-        if not strict and not hi >= lo:
-            return False
-    return True
+    if flag.flats and max(flag.flats[0].forms, default=-1) >= n:
+        raise WrongLength(f"weight has {n} entries, fewer than the flag's labels")
+    sets = [frozenset(range(n)), *flag.form_chain(), frozenset()]
+    levels = [{w[i] for i in outer - inner} for outer, inner in zip(sets, sets[1:])]
+    if any(len(values) != 1 for values in levels):
+        return False
+    values = [level.pop() for level in levels]
+    return all(hi > lo if strict else hi >= lo for lo, hi in zip(values, values[1:]))
 
 
 def bergman_rays(m: Matroid) -> list[tuple[Flat, Weight]]:

@@ -8,9 +8,10 @@ polynomials, two-pass polygon membership, the half-coamoeba walk from every
 start vertex, grid certification in Fractions, two grid walks, sampling with
 psi on every accepted row of a chunk, the prism kernel in fixed 64-point
 blocks with both shells on every point) on inputs small enough for brute
-force.  The ``*_by_sets`` functions keep the matroid's earlier bodies, which
-read ranks, flats, connectivity and cone groups off frozensets of labels
-instead of bit masks, the ``*_by_masks`` functions read ranks, bases through
+force, and ``validate_by_eliminations`` keeps Gale validation's four
+eliminations.  The ``*_by_sets`` functions keep the matroid's earlier
+bodies, which read ranks, flats, connectivity and cone groups off frozensets
+of labels instead of bit masks, the ``*_by_masks`` functions read ranks, bases through
 a flat and witness bases off the masks one basis at a time instead of the
 bit-sliced columns, ``escaping_links_by_rank`` tests each link by its own
 rank, and ``interior_weight`` gives a point inside a flag's cone.
@@ -29,7 +30,7 @@ import numpy as np
 from coamoeba import intlinalg as la
 from coamoeba import tropical
 from coamoeba.catalog import hyperplane_b, line_b, plane_b, sixline_b
-from coamoeba.configuration import VectorConfiguration
+from coamoeba.configuration import PointConfiguration, ValidationReport, VectorConfiguration
 from coamoeba.cycles import (
     _PAD,
     CoamoebaCycle,
@@ -131,6 +132,26 @@ def solve_reference(m, v):
     if ncols in pivots:
         return None
     return tuple(rows[k][-1] for k in range(ncols))
+
+
+def validate_by_eliminations(a: PointConfiguration) -> tuple[ValidationReport, la.IntMatrix]:
+    """``configuration._validate`` by four eliminations: the lattice basis of
+    the columns, a Bareiss solve of A^T u = 1, the kernel from a second HNF
+    of A^T, and the canonical basis of that kernel."""
+    cols = la.transpose(a.matrix)
+    basis = la.row_lattice_basis(cols)
+    full_rank = len(basis) == a.m
+    spans = full_rank and basis == la.identity(a.m)
+    u = None
+    if a.m and full_rank:
+        x = la.solve_unique_rational(la.as_matrix(cols), (1,) * a.n)
+        if x is not None and all(c.denominator == 1 for c in x):
+            u = tuple(int(c) for c in x)
+    kernel = la.integer_kernel(a.matrix)
+    pyramid = any(
+        all(vec[i] == 0 for vec in kernel) for i in range(a.n)
+    ) if kernel else False
+    return ValidationReport(spans=spans, u=u, pyramid=pyramid), kernel
 
 
 def is_saturated(vectors, ambient_rank: int) -> bool:

@@ -1,6 +1,8 @@
 """Gale duality and configuration validation."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -9,12 +11,14 @@ from coamoeba.catalog import hyperplane_a, hyperplane_b
 from coamoeba.configuration import (
     GalePair,
     PointConfiguration,
+    _validate,
     check_gale_pair,
     gale_dual,
     gale_pair,
     validate_a,
 )
 from coamoeba.errors import NoAffineHyperplane, NotSpanning
+from oracles import validate_by_eliminations
 
 
 def test_validate_sixline(a6):
@@ -99,3 +103,80 @@ def test_gale_pair_roundtrip_random():
         # pyramid detection agrees with a zero row of the dual
         has_zero_row = any(not any(row) for row in pair.b.matrix)
         assert validate_a(a).pyramid == has_zero_row
+
+
+def _random_a(rng, kind: str) -> PointConfiguration:
+    """A seeded A of one kind, its rows mixed by a random unimodular matrix,
+    which keeps its lattice, its rank and whether a covector exists."""
+    m = rng.randint(1, 4)
+    n = m + rng.randint(0, 4)
+    rest = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m - 1)]
+    if kind == "affine":  # a row of ones: u is integral, spanning or not
+        rows = [[1] * n] + rest
+    elif kind == "index":  # the other rows even: u integral, no spanning
+        rows = [[1] * n] + [[2 * x for x in row] for row in rest]
+    elif kind == "scaled":  # a row of c > 1: u has denominator c
+        rows = [[rng.randint(2, 3)] * n] + rest
+    elif kind == "free":  # no row of ones: mostly no covector at all
+        rows = [[rng.randint(-3, 3) for _ in range(n)]] + rest
+    elif kind == "deficient":  # one more row, a combination of the others
+        rows = [[1] * n] + rest
+        coeffs = [rng.randint(-2, 2) for _ in rows]
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)])
+    else:  # pyramid: an apex on a new coordinate
+        rows = [[1] * (n + 1)] + [row + [0] for row in rest] + [[0] * n + [1]]
+    for _ in range(4):
+        i, j = rng.sample(range(len(rows)), 2) if len(rows) > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-2, 2)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            rows[i] = [-x for x in rows[i]]
+    rng.shuffle(rows)
+    return PointConfiguration.from_rows(rows)
+
+
+def test_validate_matches_four_eliminations():
+    pinned = [
+        ([[2]], None),  # u = 1/2
+        ([[2, 0], [0, 3]], None),  # u = (1/2, 1/3)
+        ([[1, 2]], None),  # u * 1 = u * 2 = 1 has no solution
+        ([[1, 1], [0, 2]], (1, 0)),  # integral u, index-2 lattice
+    ]
+    for rows, u in pinned:
+        a = PointConfiguration.from_rows(rows)
+        assert _validate(a) == validate_by_eliminations(a)
+        assert _validate(a)[0].u == u
+    assert la.solve_unique_rational([[2]], (3,)) == (Fraction(3, 2),)
+    rng = random.Random(19)
+    seen = Counter()
+    kinds = ("affine", "index", "scaled", "free", "deficient", "pyramid")
+    for trial in range(2400):
+        a = _random_a(rng, kinds[trial % len(kinds)])
+        report, kernel = _validate(a)
+        assert (report, kernel) == validate_by_eliminations(a)
+        rank = la.rank_rational(a.matrix)
+        if rank < a.m:
+            seen["rank deficient"] += 1
+        elif report.u is not None:
+            seen["spans, integral u" if report.spans else "index > 1, integral u"] += 1
+        elif la.solve_unique_rational(la.transpose(a.matrix), (1,) * a.n) is None:
+            seen["no u"] += 1
+        else:
+            seen["fractional u"] += 1
+        seen["pyramid"] += report.pyramid
+    assert min(seen.values()) >= 100, seen
+
+
+def test_gale_dual_reads_one_hnf(monkeypatch, a6):
+    calls = Counter()
+    names = ("hermite_normal_form", "integer_kernel", "rank_rational", "solve_unique_rational")
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(la, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(la, name, counted)
+    gale_dual(a6)
+    # the covector is one back-substitution in the triangular top block of H
+    assert calls == Counter(hermite_normal_form=1, solve_unique_rational=1)

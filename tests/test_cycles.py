@@ -223,6 +223,29 @@ def test_edge_walk_matches_start_vertex_walk():
     assert built >= 2000
 
 
+def test_walk_is_counterclockwise():
+    """On the configurations of ``test_edge_walk_matches_start_vertex_walk``,
+    merged or not, the upper shell's twice-area is positive as walked."""
+    rng = random.Random(11)
+    walked = 0
+    for trial in range(3000):
+        n = 2 + trial % 8
+        rows = [[rng.randint(-6, 6) for _ in range(2)] for _ in range(n - 1)]
+        rows.append([-sum(col) for col in zip(*rows)])
+        config = VectorConfiguration.from_rows(rows)
+        configs = [config]
+        if all(any(row) for row in rows):
+            configs.append(merge_parallel(config)[0])
+        for f in configs:
+            try:
+                plus, _ = half_coamoeba_cycles(f)
+            except InputError:
+                continue
+            assert cycles._twice_area(plus.vertices) > 0, f.matrix
+            walked += 1
+    assert walked >= 2000
+
+
 def test_build_cycle_checks_generators_once(monkeypatch):
     calls = []
     check = cycles._check_generators

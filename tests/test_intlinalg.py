@@ -163,12 +163,6 @@ def test_quotient_projection_contract():
             assert basis == la.identity(len(proj))
 
 
-def test_solve_integer():
-    assert la.solve_integer([[2, 0], [0, 3]], (4, 9)) == (2, 3)
-    assert la.solve_integer([[2]], (3,)) is None
-    assert la.solve_unique_rational([[2]], (3,)) == (Fraction(3, 2),)
-
-
 def _random_low_rank(rng, rows, cols):
     """Integer combinations of a few random rows, some columns zeroed out.
 

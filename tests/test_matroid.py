@@ -57,13 +57,40 @@ def test_bases_match_one_echelon_per_subset():
         assert m.n_bases == len(m.bases)
 
 
-def test_matroid_ranks_the_configuration_once(monkeypatch):
+def test_matroid_makes_no_rank_rational_call(monkeypatch):
     config = sweep_configs()[-1]
     calls = []
     rank = la.rank_rational
     monkeypatch.setattr(la, "rank_rational", lambda rows: calls.append(1) or rank(rows))
     m = Matroid(config)
-    assert len(calls) == 1 and len(m.bases) > 1
+    assert not calls and len(m.bases) > 1
+
+
+def test_not_spanning_exactly_when_rank_is_short():
+    """Rows of entries in [-2, 2], some combinations of fewer rows, some
+    with d > n: NotSpanning exactly when the rank is below d."""
+    rng = random.Random(19)
+    outcomes = set()
+    for trial in range(1500):
+        n, d = rng.randint(1, 7), rng.randint(1, 5)
+        if trial % 3:
+            rows = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)]
+        else:
+            few = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(max(1, d - 1))]
+            rows = [
+                [sum(rng.randint(-1, 1) * r[j] for r in few) for j in range(d)] for _ in range(n)
+            ]
+        if any(not any(row) for row in rows):
+            continue
+        short = la.rank_rational(rows) < d
+        try:
+            Matroid(VectorConfiguration.from_rows(rows))
+            spans = True
+        except NotSpanning:
+            spans = False
+        assert spans != short, rows
+        outcomes.add((spans, n < d))
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 def test_identity_rows_single_basis():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from coamoeba.catalog import SIXLINE_DISCRIMINANT_TEXT
-from coamoeba.errors import PolySyntaxError, UnknownVariable
+from coamoeba.errors import PolySyntaxError, UnknownVariable, WrongLength
 from coamoeba.polynomial import (
     SparsePoly,
     evaluate_exact,
@@ -159,3 +159,19 @@ def test_juxtaposition_and_rational_coefficients():
         (0, 1): Fraction(-2),
         (1, 1): Fraction(1),
     }
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (("x", ["x"]), ("x*y+1", ["x", "y"])),
+        (("x*y+1", ["x", "y"]), ("x", ["x"])),
+        (("x+2*y", ["x", "y"]), ("x+2*y", ["y", "x"])),
+    ],
+)
+def test_arithmetic_refuses_different_variables(left, right):
+    p, q = parse(*left), parse(*right)
+    for op in (SparsePoly.__mul__, SparsePoly.__sub__):
+        with pytest.raises(WrongLength) as info:
+            op(p, q)
+        assert str(p.variables) in str(info.value) and str(q.variables) in str(info.value)

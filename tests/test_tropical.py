@@ -94,6 +94,16 @@ def test_flag_cone_contains(m6):
     assert not flag_cone_contains(p124, weight([1, 0, 0, 0, 0, 0]))
 
 
+def test_flag_cone_contains_refuses_a_short_weight(m6):
+    flag = complete_flags(m6)[0]
+    top = max(flag.flats[0].forms)
+    with pytest.raises(WrongLength):
+        flag_cone_contains(flag, weight([0, 0, 0]))
+    with pytest.raises(WrongLength):
+        flag_cone_contains(flag, weight([0] * top), strict=False)
+    assert flag_cone_contains(flag, weight([0] * (top + 1)), strict=False)
+
+
 def test_weight_to_flag_result_contains_weight(m6):
     import random
 
