@@ -132,6 +132,11 @@ def gale_dual(a: PointConfiguration) -> VectorConfiguration:
     Raises NotSpanning / NoAffineHyperplane when the configuration is not
     valid.  The rows of the result always sum to zero exactly.
     """
+    return gale_pair(a).b
+
+
+def gale_pair(a: PointConfiguration) -> GalePair:
+    """A, its canonical Gale dual and covector, from one ``_validate``."""
     report, kernel = _validate(a)
     if not report.spans:
         raise NotSpanning("columns do not generate the ambient lattice")
@@ -142,12 +147,6 @@ def gale_dual(a: PointConfiguration) -> VectorConfiguration:
     b = VectorConfiguration(la.transpose(kernel), a.labels)
     if any(b.row_sum()):
         raise InvariantError("Gale dual rows do not sum to zero")
-    return b
-
-
-def gale_pair(a: PointConfiguration) -> GalePair:
-    report = validate_a(a)
-    b = gale_dual(a)
     return GalePair(a=a, b=b, u=report.u)
 
 

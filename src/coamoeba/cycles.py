@@ -278,9 +278,7 @@ class CoamoebaCycle:
 
     ``arg_shift_pi`` carries the argument shift (in pi units, componentwise
     0 or 1) accumulated when parallel generators were merged; membership
-    queries add it before testing the polygons.  ``simple_boundary`` records
-    whether the half-coamoeba shells are simple polygons; either way their
-    supports are taken with winding-number semantics.
+    queries add it before testing the polygons.
     """
 
     zonotope: Polygon
@@ -288,7 +286,13 @@ class CoamoebaCycle:
     minus: Polygon
     degree: int
     arg_shift_pi: tuple[int, int]
-    simple_boundary: bool
+
+    @property
+    def simple_boundary(self) -> bool:
+        """Whether the half-coamoeba shells are simple polygons, read off the
+        plus shell (minus is its reflection).  Either way their supports are
+        taken with winding-number semantics."""
+        return self.plus.is_simple()
 
 
 def degree_dH(z: Polygon, plus: Polygon, minus: Polygon) -> int:
@@ -327,7 +331,6 @@ def build_cycle(b2: VectorConfiguration) -> CoamoebaCycle:
         minus=minus,
         degree=degree_dH(z, plus, minus),
         arg_shift_pi=(shift[0], shift[1]),
-        simple_boundary=plus.is_simple(),
     )
 
 

@@ -184,13 +184,20 @@ class ParallelMerge:
     (prod q_c^{q_c}) / (sum q_c)^{sum q_c} relative to its merged sum; when
     the constant is negative the arguments shift by pi on the odd
     coordinates of eta. ``arg_shift_pi`` holds that shift in units of pi.
+    ``multipliers`` holds the q_c; ``constant`` is computed only when read,
+    as its size grows like |q|^|q|.
     """
 
     labels: tuple[str, ...]
     eta: la.IntVector
-    constant: Fraction
+    multipliers: tuple[int, ...]
     arg_shift_pi: tuple[int, ...]
     removed: bool
+
+    @property
+    def constant(self) -> Fraction:
+        qs = self.multipliers
+        return math.prod(Fraction(q) ** q for q in qs) / Fraction(sum(qs) or 1) ** sum(qs)
 
 
 class Matroid:
@@ -395,13 +402,15 @@ def merge_parallel(
             qs.append(q)
         total = sum(qs)
         member_labels = tuple(config.labels[i] for i in members)
-        constant = math.prod(Fraction(q) ** q for q in qs) / Fraction(total or 1) ** total
-        shift = tuple((e % 2) if constant < 0 else 0 for e in eta)
+        # the constant's sign: q^q < 0 exactly when q is odd and negative,
+        # for each q and for the total in the denominator alike
+        negative = sum(q < 0 and q % 2 == 1 for q in (*qs, total)) % 2
+        shift = tuple(e % 2 if negative else 0 for e in eta)
         merges.append(
             ParallelMerge(
                 labels=member_labels,
                 eta=eta,
-                constant=constant,
+                multipliers=tuple(qs),
                 arg_shift_pi=shift,
                 removed=total == 0,
             )

@@ -10,12 +10,16 @@ Grammar accepted by ``parse``::
     poly   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor (('*')? factor)*          # juxtaposition multiplies
     factor := coeff | var ['^' int | '**' int]
-    coeff  := int [ '/' int ]                  # e.g. 3, -7, 3/4
+    coeff  := int ['/' nonzero int]            # e.g. 3, 3/4
 
 Variables are single tokens.  When a variable list is supplied, a run of
 letters such as ``qr`` is split greedily against it, so displays like
 ``16q^3r^2`` parse as written; without a declared list each maximal
 name run is one variable, collected in order of first appearance.
+
+The ``SparsePoly`` constructor alone merges terms: it sums the coefficients
+of equal exponent vectors and drops zeros, so ``parse``, the arithmetic and
+``partial_derivative`` hand it raw (exponents, coefficient) pairs.
 
 Initial forms use the MIN convention: the terms whose exponent vector
 minimizes the pairing with the given weight (inner normals to a face of the
@@ -36,6 +40,8 @@ Exponents = tuple[int, ...]
 
 @dataclass(frozen=True)
 class SparsePoly:
+    """Terms in canonical order, equal exponent vectors merged, zeros dropped."""
+
     variables: tuple[str, ...]
     terms: tuple[tuple[Exponents, Fraction], ...]
 
@@ -46,9 +52,7 @@ class SparsePoly:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nv or any(e < 0 for e in exps):
                 raise ValueError("bad exponent vector")
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
+            clean[exps] = clean.get(exps, 0) + Fraction(coeff)
         ordered = tuple(
             (e, c)
             for e, c in sorted(clean.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
@@ -80,20 +84,19 @@ class SparsePoly:
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         if self.variables != other.variables:  # exponents pair by position
             raise WrongLength(f"variables {self.variables} and {other.variables} differ")
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return SparsePoly.from_dict(self.variables, out)
+        return SparsePoly(
+            self.variables,
+            tuple(
+                (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                for e1, c1 in self.terms
+                for e2, c2 in other.terms
+            ),
+        )
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         if self.variables != other.variables:  # exponents pair by position
             raise WrongLength(f"variables {self.variables} and {other.variables} differ")
-        out = dict(self.terms)
-        for e, c in other.terms:
-            out[e] = out.get(e, Fraction(0)) - c
-        return SparsePoly.from_dict(self.variables, out)
+        return SparsePoly(self.variables, self.terms + tuple((e, -c) for e, c in other.terms))
 
 
 def _cleared(p: SparsePoly):
@@ -143,16 +146,10 @@ def evaluate_exact(p: SparsePoly, point) -> Fraction:
 
 def partial_derivative(p: SparsePoly, var: str) -> SparsePoly:
     j = p._var_index(var)
-    out: dict[Exponents, Fraction] = {}
-    for exps, coeff in p.terms:
-        if exps[j] == 0:
-            continue
-        e = list(exps)
-        c = coeff * e[j]
-        e[j] -= 1
-        out[tuple(e)] = out.get(tuple(e), Fraction(0)) + c
-    return SparsePoly.from_dict(p.variables, out)
-
+    return SparsePoly(
+        p.variables,
+        tuple((e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j]) for e, c in p.terms if e[j]),
+    )
 
 def initial_form(p: SparsePoly, w) -> SparsePoly:
     """Terms minimizing <w, exponent>; the face of the Newton polytope w exposes."""
@@ -163,8 +160,7 @@ def initial_form(p: SparsePoly, w) -> SparsePoly:
         raise WrongLength("weight length must match the number of variables")
     vals = [sum(a * b for a, b in zip(wv, exps)) for exps, _ in p.terms]
     lo = min(vals)
-    kept = {exps: c for (exps, c), v in zip(p.terms, vals) if v == lo}
-    return SparsePoly.from_dict(p.variables, kept)
+    return SparsePoly(p.variables, tuple(t for t, v in zip(p.terms, vals) if v == lo))
 
 
 # -- text format ----------------------------------------------------------------
@@ -203,82 +199,6 @@ def _tokenize(text: str, variables) -> list[tuple[str, str]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
-        self.i = 0
-        self.variables = variables  # list, grows when inferring
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def parse_poly(self):
-        terms: dict[tuple, Fraction] = {}
-        sign = 1
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        while True:
-            coeff, exps = self.parse_term()
-            key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-            kind, val = self.peek()
-            if kind is None:
-                break
-            if kind == "op" and val in "+-":
-                self.take()
-                sign = -1 if val == "-" else 1
-            else:
-                raise PolySyntaxError(f"expected + or - before token {val!r}")
-        return terms
-
-    def parse_term(self):
-        coeff = Fraction(1)
-        powers: dict[str, int] = {}
-        saw_factor = False
-        expect_factor = False
-        while True:
-            kind, val = self.peek()
-            if kind == "num":
-                self.take()
-                coeff *= Fraction(val)
-                saw_factor = True
-                expect_factor = False
-            elif kind == "var":
-                self.take()
-                exp = 1
-                k2, v2 = self.peek()
-                if k2 == "op" and v2 == "^":
-                    self.take()
-                    k3, v3 = self.take()
-                    if k3 != "num" or "/" in v3:
-                        raise PolySyntaxError("exponent must be a nonnegative integer")
-                    exp = int(v3)
-                powers[val] = powers.get(val, 0) + exp
-                saw_factor = True
-                expect_factor = False
-            elif kind == "op" and val == "*" and saw_factor and not expect_factor:
-                self.take()
-                expect_factor = True
-            else:
-                break
-        if expect_factor:
-            raise PolySyntaxError("dangling '*' without a following factor")
-        if not saw_factor:
-            raise PolySyntaxError("empty term")
-        for v in powers:
-            if v not in self.variables:
-                self.variables.append(v)
-        exps = [powers.get(v, 0) for v in self.variables]
-        return coeff, exps
-
-
 def parse(text: str, variables=None) -> SparsePoly:
     """Parse the documented grammar into a SparsePoly.
 
@@ -286,43 +206,62 @@ def parse(text: str, variables=None) -> SparsePoly:
     letter runs split against it); otherwise variables are collected in
     order of first appearance.
     """
-    declared = list(variables) if variables is not None else None
-    tokens = _tokenize(text, declared)
-    parser = _Parser(tokens, declared if declared is not None else [])
-    raw = parser.parse_poly()
-    final_vars = tuple(parser.variables)
-    terms = {}
-    for exps, coeff in raw.items():
-        padded = tuple(exps) + (0,) * (len(final_vars) - len(exps))
-        terms[padded] = terms.get(padded, Fraction(0)) + coeff
-    return SparsePoly.from_dict(final_vars, terms)
+    names = list(variables) if variables is not None else []
+    tokens = _tokenize(text, None if variables is None else names)
+    if tokens[:1] not in ([("op", "+")], [("op", "-")]):
+        tokens.insert(0, ("op", "+"))  # the leading sign is optional
+    tokens.append(("op", "+"))  # each sign closes the term before it
+    terms = []  # (coefficient, powers) of each closed term
+    sign = None  # the open term's sign, None before the first sign
+    coeff, powers, factor, star, last = Fraction(1), {}, False, False, None
+    it = iter(tokens)
+    for kind, val in it:
+        if kind == "num":
+            try:
+                coeff *= Fraction(val)
+            except ZeroDivisionError:
+                raise PolySyntaxError(f"coefficient {val} has a zero denominator") from None
+            factor, star, last = True, False, None
+        elif kind == "var":
+            powers[val] = powers.get(val, 0) + 1
+            if val not in names:
+                names.append(val)
+            factor, star, last = True, False, val
+        elif val == "^" and last is not None:
+            kind, val = next(it)  # the closing sign guarantees a token
+            if kind != "num" or "/" in val:
+                raise PolySyntaxError("exponent must be a nonnegative integer")
+            powers[last] += int(val) - 1
+            last = None
+        elif val == "*" and factor and not star:
+            star, last = True, None
+        elif val in ("+", "-"):
+            if sign is not None:
+                if star or not factor:
+                    raise PolySyntaxError("dangling '*'" if star else "empty term")
+                terms.append((sign * coeff, powers))
+            sign = -1 if val == "-" else 1
+            coeff, powers, factor, star, last = Fraction(1), {}, False, False, None
+        else:
+            raise PolySyntaxError(f"unexpected {val!r}")
+    return SparsePoly(
+        tuple(names), tuple((tuple(p.get(v, 0) for v in names), c) for c, p in terms)
+    )
 
 
 def format_poly(p: SparsePoly) -> str:
     """Canonical graded-lex rendering; inverse of ``parse`` for this format."""
     if not p.terms:
         return "0"
-    pieces = []
-    for exps, coeff in p.terms:
-        body = []
-        for v, e in zip(p.variables, exps):
-            if e == 1:
-                body.append(v)
-            elif e > 1:
-                body.append(f"{v}^{e}")
-        mag = abs(coeff)
-        if not body:
-            body_txt = str(mag)
-        elif mag == 1:
-            body_txt = "*".join(body)
-        else:
-            body_txt = "*".join([str(mag)] + body)
-        pieces.append(("-" if coeff < 0 else "+", body_txt))
-    sign0, body0 = pieces[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    text = " ".join(
+        f"{'-' if c < 0 else '+'} {_monomial(p.variables, e, abs(c))}" for e, c in p.terms
+    )
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _monomial(variables, exps, mag: Fraction) -> str:
+    factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e]
+    return "*".join(factors if mag == 1 and factors else [str(mag), *factors])
 
 
 def read_polynomial_file(path) -> SparsePoly:

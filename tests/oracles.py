@@ -9,12 +9,15 @@ start vertex, grid certification in Fractions, two grid walks, sampling with
 psi on every accepted row of a chunk, the prism kernel in fixed 64-point
 blocks with both shells on every point) on inputs small enough for brute
 force, and ``validate_by_eliminations`` keeps Gale validation's four
-eliminations.  The ``*_by_sets`` functions keep the matroid's earlier
-bodies, which read ranks, flats, connectivity and cone groups off frozensets
-of labels instead of bit masks, the ``*_by_masks`` functions read ranks, bases through
-a flat and witness bases off the masks one basis at a time instead of the
-bit-sliced columns, ``escaping_links_by_rank`` tests each link by its own
-rank, and ``interior_weight`` gives a point inside a flag's cone.
+eliminations.  ``parse_by_descent`` keeps the recursive-descent polynomial
+parser (one dict of terms per parse, padded and merged again at the end) and
+``format_by_pieces`` the piecewise polynomial rendering.  The ``*_by_sets``
+functions keep the matroid's earlier bodies, which read ranks, flats,
+connectivity and cone groups off frozensets of labels instead of bit masks,
+the ``*_by_masks`` functions read ranks, bases through a flat and witness
+bases off the masks one basis at a time instead of the bit-sliced columns,
+``escaping_links_by_rank`` tests each link by its own rank, and
+``interior_weight`` gives a point inside a flag's cone.
 ``random_zero_sum_matroid``, ``connected_matroids`` and ``sweep_configs``
 draw the inputs, and ``write_polynomial_file`` writes polynomial input
 files."""
@@ -47,12 +50,19 @@ from coamoeba.errors import (
     NonzeroSum,
     NotSpanning,
     OnArrangement,
+    PolySyntaxError,
     SingularPoint,
     ZeroVector,
 )
 from coamoeba.harness import _CHUNK, REJECTION_THRESHOLD, RoundtripResult, rational_grid
 from coamoeba.matroid import Flat, FlagOfFlats, Matroid, merge_parallel
-from coamoeba.polynomial import evaluate_exact, format_poly, partial_derivative
+from coamoeba.polynomial import (
+    SparsePoly,
+    _tokenize,
+    evaluate_exact,
+    format_poly,
+    partial_derivative,
+)
 
 
 def random_zero_sum_matroid(rng, n, d) -> Matroid:
@@ -540,7 +550,6 @@ def build_cycle_by_start_vertices(b2: VectorConfiguration) -> CoamoebaCycle:
         minus=minus,
         degree=degree_dH(z, plus, minus),
         arg_shift_pi=(shift[0], shift[1]),
-        simple_boundary=plus.is_simple(),
     )
 
 
@@ -550,6 +559,129 @@ def write_polynomial_file(path, p) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(p.variables) + "\n")
         fh.write(format_poly(p) + "\n")
+
+
+class _Parser:
+    def __init__(self, tokens, variables):
+        self.tokens = tokens
+        self.i = 0
+        self.variables = variables  # list, grows when inferring
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def parse_poly(self):
+        terms: dict[tuple, Fraction] = {}
+        sign = 1
+        kind, val = self.peek()
+        if kind == "op" and val in "+-":
+            self.take()
+            sign = -1 if val == "-" else 1
+        while True:
+            coeff, exps = self.parse_term()
+            key = tuple(exps)
+            terms[key] = terms.get(key, Fraction(0)) + sign * coeff
+            kind, val = self.peek()
+            if kind is None:
+                break
+            if kind == "op" and val in "+-":
+                self.take()
+                sign = -1 if val == "-" else 1
+            else:
+                raise PolySyntaxError(f"expected + or - before token {val!r}")
+        return terms
+
+    def parse_term(self):
+        coeff = Fraction(1)
+        powers: dict[str, int] = {}
+        saw_factor = False
+        expect_factor = False
+        while True:
+            kind, val = self.peek()
+            if kind == "num":
+                self.take()
+                coeff *= Fraction(val)
+                saw_factor = True
+                expect_factor = False
+            elif kind == "var":
+                self.take()
+                exp = 1
+                k2, v2 = self.peek()
+                if k2 == "op" and v2 == "^":
+                    self.take()
+                    k3, v3 = self.take()
+                    if k3 != "num" or "/" in v3:
+                        raise PolySyntaxError("exponent must be a nonnegative integer")
+                    exp = int(v3)
+                powers[val] = powers.get(val, 0) + exp
+                saw_factor = True
+                expect_factor = False
+            elif kind == "op" and val == "*" and saw_factor and not expect_factor:
+                self.take()
+                expect_factor = True
+            else:
+                break
+        if expect_factor:
+            raise PolySyntaxError("dangling '*' without a following factor")
+        if not saw_factor:
+            raise PolySyntaxError("empty term")
+        for v in powers:
+            if v not in self.variables:
+                self.variables.append(v)
+        exps = [powers.get(v, 0) for v in self.variables]
+        return coeff, exps
+
+
+def parse_by_descent(text: str, variables=None) -> SparsePoly:
+    """``polynomial.parse`` by recursive descent: ``_Parser`` reads each term
+    into a dict keyed by the exponents seen so far, then pads and re-merges.
+
+    With ``variables`` given, the variable set and order are fixed (and
+    letter runs split against it); otherwise variables are collected in
+    order of first appearance.
+    """
+    declared = list(variables) if variables is not None else None
+    tokens = _tokenize(text, declared)
+    parser = _Parser(tokens, declared if declared is not None else [])
+    raw = parser.parse_poly()
+    final_vars = tuple(parser.variables)
+    terms = {}
+    for exps, coeff in raw.items():
+        padded = tuple(exps) + (0,) * (len(final_vars) - len(exps))
+        terms[padded] = terms.get(padded, Fraction(0)) + coeff
+    return SparsePoly.from_dict(final_vars, terms)
+
+
+def format_by_pieces(p: SparsePoly) -> str:
+    """``polynomial.format_poly`` from (sign, body) pieces joined one by one."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for exps, coeff in p.terms:
+        body = []
+        for v, e in zip(p.variables, exps):
+            if e == 1:
+                body.append(v)
+            elif e > 1:
+                body.append(f"{v}^{e}")
+        mag = abs(coeff)
+        if not body:
+            body_txt = str(mag)
+        elif mag == 1:
+            body_txt = "*".join(body)
+        else:
+            body_txt = "*".join([str(mag)] + body)
+        pieces.append(("-" if coeff < 0 else "+", body_txt))
+    sign0, body0 = pieces[0]
+    out = ("-" if sign0 == "-" else "") + body0
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out
 
 
 def log_gauss_by_partials(f, y):

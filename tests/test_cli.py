@@ -377,7 +377,10 @@ def test_fuzz_malformed_files(command, capsys, tmp_path):
         assert _exit_code(argv, capsys) in (0, 2, 64), argv
 
 
-MALFORMED_POLYS = ["", "x y\n", "x y\nx++*y)\n", "x y\nx+z\n", "x y\nx^(1/2)+y\n", "x x\nx+1\n"]
+MALFORMED_POLYS = [
+    "", "x y\n", "x y\nx++*y)\n", "x y\nx+z\n", "x y\nx^(1/2)+y\n", "x x\nx+1\n",
+    "x y\nx + 1/0*y\n",
+]
 
 
 def test_fuzz_malformed_options(paths, capsys, tmp_path):

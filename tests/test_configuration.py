@@ -168,7 +168,7 @@ def test_validate_matches_four_eliminations():
     assert min(seen.values()) >= 100, seen
 
 
-def test_gale_dual_reads_one_hnf(monkeypatch, a6):
+def _counted_eliminations(monkeypatch) -> Counter:
     calls = Counter()
     names = ("hermite_normal_form", "integer_kernel", "rank_rational", "solve_unique_rational")
     for name in names:
@@ -177,6 +177,18 @@ def test_gale_dual_reads_one_hnf(monkeypatch, a6):
             return _f(*args)
 
         monkeypatch.setattr(la, name, counted)
+    return calls
+
+
+def test_gale_dual_reads_one_hnf(monkeypatch, a6):
+    calls = _counted_eliminations(monkeypatch)
     gale_dual(a6)
     # the covector is one back-substitution in the triangular top block of H
     assert calls == Counter(hermite_normal_form=1, solve_unique_rational=1)
+
+
+def test_gale_pair_reads_one_hnf(monkeypatch, a6):
+    calls = _counted_eliminations(monkeypatch)
+    pair = gale_pair(a6)
+    assert calls == Counter(hermite_normal_form=1, solve_unique_rational=1)
+    assert pair.u == validate_a(a6).u and pair.b == gale_dual(a6)

@@ -188,7 +188,6 @@ def test_choice_of_start_vertex_is_immaterial():
                     minus=minus,
                     degree=cyc.degree,
                     arg_shift_pi=cyc.arg_shift_pi,
-                    simple_boundary=plus.is_simple(),
                 )
                 answers.add(contains2(cyc, theta, tol=1e-9))
             assert len(answers) == 1
@@ -265,6 +264,15 @@ def test_five_generator_shell():
     assert cyc.zonotope.area() == 26
     assert cyc.plus.area() == 1
     assert cyc.degree == 7
+
+
+def test_build_cycle_merges_a_huge_multiplier():
+    # the class {q (1, 0), (1, 0)} merges into (q + 1, 0); its constant
+    # q^q / (q + 1)^(q + 1) has millions of digits, and only its sign is read
+    q = 10**6
+    cyc = build_cycle(VectorConfiguration.from_rows([[q, 0], [1, 0], [0, 1], [-(q + 1), -1]]))
+    merged = build_cycle(VectorConfiguration.from_rows([[q + 1, 0], [0, 1], [-(q + 1), -1]]))
+    assert cyc == merged and cyc.arg_shift_pi == (0, 0)
 
 
 def test_contains2_exact_matches_two_pass_oracle():
@@ -364,7 +372,6 @@ def test_arg_shift_enters_membership(m6):
         minus=cyc.minus,
         degree=cyc.degree,
         arg_shift_pi=(0, 0),
-        simple_boundary=cyc.simple_boundary,
     )
     misses = sum(
         0 if contains2(stripped, theta, tol=1e-7) else 1 for theta in np.angle(psi)

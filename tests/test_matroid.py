@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -442,6 +443,22 @@ def test_merge_parallel_cancelling_class():
     even = next(m for m in merges2 if m.labels == ("b3", "b4"))
     # eta = (1, 0), q = (2, -2): constant 2^2 * (-2)^(-2) = 1 > 0
     assert even.constant == Fraction(1) and even.arg_shift_pi == (0, 0)
+
+
+def test_merge_parallel_shift_is_the_constant_sign():
+    # the parity rule against the sign of the Fraction constant, on every
+    # class of 2 to 4 multipliers in [-7, 7] other than 0, along (1, 2)
+    seen = Counter()
+    nonzero = [q for q in range(-7, 8) if q]
+    for k in (2, 3, 4):
+        for qs in itertools.combinations_with_replacement(nonzero, k):
+            cfg = VectorConfiguration.from_rows([[q, 2 * q] for q in qs] + [[0, 1]])
+            _, (rec,) = merge_parallel(cfg)
+            assert sorted(q * rec.eta[0] for q in rec.multipliers) == list(qs)  # eta = +-(1, 2)
+            negative = rec.constant < 0
+            assert rec.arg_shift_pi == ((1, 0) if negative else (0, 0)), qs
+            seen[negative] += 1
+    assert min(seen.values()) >= 1000, seen
 
 
 def test_merge_parallel_no_parallels(b6):

@@ -2,12 +2,13 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from coamoeba.catalog import SIXLINE_DISCRIMINANT_TEXT
-from coamoeba.errors import PolySyntaxError, UnknownVariable, WrongLength
+from coamoeba.errors import InputError, PolySyntaxError, UnknownVariable, WrongLength
 from coamoeba.polynomial import (
     SparsePoly,
     evaluate_exact,
@@ -16,6 +17,7 @@ from coamoeba.polynomial import (
     parse,
     partial_derivative,
 )
+from oracles import format_by_pieces, parse_by_descent
 
 
 def test_parse_simple():
@@ -150,6 +152,78 @@ def test_parse_errors():
         parse("x + ")
     with pytest.raises(PolySyntaxError):
         parse("16qz^2", ("q", "r"))
+    with pytest.raises(PolySyntaxError, match="zero denominator"):
+        parse("x + 1/0*y", ("x", "y"))
+
+
+# whole factors, then single tokens of the grammar's alphabet swapped in
+_FACTORS = ("x", "y^2", "z**3", "q", "r", "p^0", "x1", "qr", "w", "x^10",
+            "3", "3/4", "0", "12 / 5", "0/7", "1/0", "2 3")
+_TOKENS = ("x", "y", "p", "1", "0", "/", "^", "**", "*", "+", "-", " ", "(", ")", "\t", "_", ".")
+_VARIABLE_LISTS = (None, ("x", "y", "z"), ("q", "r", "p"), ("x", "x1", "y"))
+
+
+def _poly_text(rng) -> str:
+    pieces = [rng.choice("+-")] if rng.random() < 0.3 else []
+    for k in range(rng.randint(1, 3)):
+        if k:
+            pieces.append(rng.choice(("+", "-", " + ", " -")))
+        for f in range(rng.randint(1, 3)):
+            if f:
+                pieces.append(rng.choice(("", "*", " ")))
+            pieces.append(rng.choice(_FACTORS))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        pieces[rng.randrange(len(pieces))] = rng.choice(_TOKENS)
+    return "".join(pieces)
+
+
+def _outcome(fn, *args):
+    """The polynomial fn returns, the InputError it raises, or ZeroDivisionError."""
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return exc
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def test_parse_matches_descent_parser():
+    rng = random.Random(20)
+    seen = Counter()
+    for _ in range(100_000):
+        text = _poly_text(rng)
+        for variables in _VARIABLE_LISTS:
+            new = _outcome(parse, text, variables)
+            old = _outcome(parse_by_descent, text, variables)
+            case = (text, variables)
+            if isinstance(old, SparsePoly):
+                assert new == old, case
+                seen["equal"] += 1
+            elif old is ZeroDivisionError:  # the only allowed difference
+                assert isinstance(new, PolySyntaxError), case
+                assert "zero denominator" in str(new), case
+                seen["zero denominator"] += 1
+            else:
+                assert isinstance(new, InputError), case
+                seen["both raise"] += 1
+    assert min(seen.values()) >= 10_000, seen
+
+
+def test_format_matches_pieces(big_d):
+    rng = random.Random(21)
+    polys = [big_d, SparsePoly.zero(("x",))]
+    for _ in range(10_000):
+        variables = ("x", "y", "z")[: rng.randint(0, 3)]
+        terms = [
+            (
+                tuple(rng.choice((0, 0, 1, 1, 2, 11)) for _ in variables),
+                Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 7))),
+            )
+            for _ in range(rng.randint(0, 5))
+        ]
+        polys.append(SparsePoly(variables, tuple(terms)))
+    for p in polys:
+        assert format_poly(p) == format_by_pieces(p)
 
 
 def test_juxtaposition_and_rational_coefficients():
