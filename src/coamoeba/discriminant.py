@@ -184,18 +184,24 @@ def form_sum(m: Matroid, forms) -> la.IntVector:
 def _escaping_links(m: Matroid) -> Iterator[tuple[Flat, list[Flat]]]:
     """``tropical._links`` over G < F when F's form-sum raises the rank of G.
 
-    Each lower flat's vectors are brought to echelon form once, and each
-    upper flat's form-sum is reduced against those rows in integers: it
-    escapes the span exactly when something is left.
+    Each lower flat's vectors are brought to their HNF row basis once, each
+    row with its pivot, its first nonzero entry.  Each upper flat's form-sum
+    is reduced against those rows in integers: it escapes the span exactly
+    when something is left.
     """
     if any(m.config.row_sum()):
         raise NonzeroSum("non-splitting flags assume rows summing to zero")
-    echelon = functools.cache(lambda g: la._echelon([m.config.matrix[i] for i in g.forms]))
+    basis = functools.cache(
+        lambda g: [
+            (row, next(j for j, x in enumerate(row) if x))
+            for row in la.row_lattice_basis([m.config.matrix[i] for i in g.forms])
+        ]
+    )
     total = functools.cache(lambda f: form_sum(m, f.forms))
 
     def escapes(lower: Flat, upper: Flat) -> bool:
         s = total(upper)
-        for row, col in zip(*echelon(lower)):
+        for row, col in basis(lower):
             if s[col]:
                 s = [row[col] * x - s[col] * y for x, y in zip(s, row)]
         return any(s)

@@ -1,9 +1,10 @@
 """Exact integer and rational lattice linear algebra.
 
 Matrices are immutable tuples of tuples (row-major) of Python ints
-(arbitrary precision).  Every rank and rational solve runs through one
-fraction-free (Bareiss) echelon routine whose divisions are exact, so
-``fractions.Fraction`` appears only in the final quotients of a solve.
+(arbitrary precision).  One elimination, the Hermite normal form ``_hnf``,
+gives every rank, rational solve, kernel and lattice basis; its row
+operations are unimodular, so it stays in the integers, and
+``fractions.Fraction`` appears only in the back-substitution of a solve.
 Nothing here ever rounds.
 
 Conventions fixed once so that every downstream coordinate choice is
@@ -57,39 +58,6 @@ def primitive(v: IntVector) -> IntVector:
     return tuple(x // g for x in v) if g else tuple(v)
 
 
-def _echelon(m) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form: (nonzero rows, their pivot columns).
-
-    Bareiss elimination (Math. Comp. 22, 1968): each step divides by the
-    previous pivot, and the division is exact because every entry is a minor
-    of ``m``.  All rows below the pivot are updated, including those with a
-    zero in the pivot column, or a later division would not be exact.
-    """
-    rows = [list(row) for row in m]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    prev = 1
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        p = top[col]
-        for i in range(r + 1, len(rows)):
-            a = rows[i][col]
-            rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
-        prev = p
-        pivots.append(col)
-    return rows[: len(pivots)], pivots
-
-
-def rank_rational(m) -> int:
-    """Rank over Q: the number of pivots of the fraction-free echelon form."""
-    return len(_echelon(m)[1])
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """g, x, y with g = gcd(a,b) >= 0 and x*a + y*b = g."""
     old_r, r = a, b
@@ -106,44 +74,40 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _hnf(m: IntMatrix, transform: bool) -> tuple[list[list[int]], list[list[int]]]:
-    """``hermite_normal_form`` of a frozen m, as lists; without ``transform``
-    u has no columns, so its row operations are empty."""
+    """``hermite_normal_form`` of m, as lists.  The row operations run on
+    [m | I], so the columns past m's carry u; without ``transform`` they run
+    on m alone, and u has no columns."""
     k = len(m)
-    rows = [list(r) for r in m]
-    u = [list(r) for r in identity(k)] if transform else [[]] * k
-    ncols = len(rows[0]) if rows else 0
+    ncols = len(m[0]) if m else 0
+    rows = [[*r, *e] for r, e in zip(m, identity(k) if transform else [()] * k)]
     pr = 0
     for col in range(ncols):
         piv = next((i for i in range(pr, k) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        u[pr], u[piv] = u[piv], u[pr]
-        for i in range(pr + 1, k):
-            if not rows[i][col]:
-                continue
-            a, b = rows[pr][col], rows[i][col]
-            g, x, y = _ext_gcd(a, b)
-            p, q = -(b // g), a // g  # det [[x,y],[p,q]] = 1
-            rows[pr], rows[i] = (
-                [x * s + y * t for s, t in zip(rows[pr], rows[i])],
-                [p * s + q * t for s, t in zip(rows[pr], rows[i])],
-            )
-            u[pr], u[i] = (
-                [x * s + y * t for s, t in zip(u[pr], u[i])],
-                [p * s + q * t for s, t in zip(u[pr], u[i])],
-            )
-        if rows[pr][col] < 0:
-            rows[pr] = [-x for x in rows[pr]]
-            u[pr] = [-x for x in u[pr]]
-        pivot = rows[pr][col]
+        top, rows[piv] = rows[piv], rows[pr]
+        for i in range(piv + 1, k):  # rows pr + 1 .. piv are zero in col
+            low = rows[i]
+            if low[col]:
+                a, b = top[col], low[col]
+                g, x, y = _ext_gcd(a, b)
+                p, q = -(b // g), a // g  # det [[x,y],[p,q]] = 1
+                top, rows[i] = (
+                    [x * s + y * t for s, t in zip(top, low)],
+                    [p * s + q * t for s, t in zip(top, low)],
+                )
+        rows[pr] = top = top if top[col] > 0 else [-x for x in top]
         for i in range(pr):
-            q = rows[i][col] // pivot  # floor division puts entry in [0, pivot)
+            q = rows[i][col] // top[col]  # floor division puts entry in [0, pivot)
             if q:
-                rows[i] = [s - q * t for s, t in zip(rows[i], rows[pr])]
-                u[i] = [s - q * t for s, t in zip(u[i], u[pr])]
+                rows[i] = [s - q * t for s, t in zip(rows[i], top)]
         pr += 1
-    return rows, u
+    return [r[:ncols] for r in rows], [r[ncols:] for r in rows]
+
+
+def rank_rational(m) -> int:
+    """Rank over Q: the number of nonzero rows of the HNF."""
+    return sum(map(any, _hnf(m, False)[0]))
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -182,22 +146,20 @@ def solve_unique_rational(m, v):
     """The unique rational solution x of m @ x = v, or None if inconsistent.
 
     Requires the columns of m to be linearly independent (the solution, when
-    it exists, is then unique).  The augmented matrix is brought to
-    fraction-free echelon form; with D the last pivot, D * x is integral
-    (Cramer's rule), so back-substitution stays in the integers and only the
-    final quotients by D are Fractions.
+    it exists, is then unique), or raises ValueError.  The HNF of the
+    augmented matrix [m | v] has its pivots on the diagonal of its top
+    block exactly when the columns are independent, and a row below that
+    block exactly when v is outside their span; back-substitution in the
+    triangular block gives x in Fractions.
     """
     ncols = len(m[0]) if m else 0
-    rows, pivots = _echelon([list(row) + [y] for row, y in zip(m, v)])
-    if pivots[:ncols] != list(range(ncols)):
+    h = _hnf([list(row) + [y] for row, y in zip(m, v)], False)[0]
+    if len(h) < ncols or not all(h[k][k] for k in range(ncols)):
         raise ValueError("columns are not linearly independent")
-    if ncols in pivots:
+    if any(map(any, h[ncols:])):
         return None
-    det = rows[ncols - 1][ncols - 1] if ncols else 1
-    y = [0] * ncols
+    x = [Fraction(0)] * ncols
     for k in reversed(range(ncols)):
-        row = rows[k]
-        rest = sum(row[j] * y[j] for j in range(k + 1, ncols))
-        y[k] = (det * row[-1] - rest) // row[k]
-    return tuple(Fraction(c, det) for c in y)
-
+        row = h[k]
+        x[k] = Fraction(row[-1] - sum(row[j] * x[j] for j in range(k + 1, ncols)), row[k])
+    return tuple(x)

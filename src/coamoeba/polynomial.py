@@ -170,6 +170,7 @@ _TOKEN = re.compile(r"\s*(?:(\d+\s*/\s*\d+|\d+)|([A-Za-z_]\w*)|(\*\*|[-+*^()]))"
 
 def _tokenize(text: str, variables) -> list[tuple[str, str]]:
     tokens = []
+    longest_first = sorted(variables or (), key=len, reverse=True)
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -184,10 +185,7 @@ def _tokenize(text: str, variables) -> list[tuple[str, str]]:
                 # split a letter run like "qr" greedily against declared names
                 rest = name
                 while rest:
-                    hit = next(
-                        (v for v in sorted(variables, key=len, reverse=True) if rest.startswith(v)),
-                        None,
-                    )
+                    hit = next((v for v in longest_first if rest.startswith(v)), None)
                     if hit is None:
                         raise PolySyntaxError(f"unknown name {rest!r} in {name!r}")
                     tokens.append(("var", hit))
@@ -203,10 +201,15 @@ def parse(text: str, variables=None) -> SparsePoly:
     """Parse the documented grammar into a SparsePoly.
 
     With ``variables`` given, the variable set and order are fixed (and
-    letter runs split against it); otherwise variables are collected in
-    order of first appearance.
+    letter runs split against it); the names must be nonempty and distinct.
+    Otherwise variables are collected in order of first appearance.
     """
     names = list(variables) if variables is not None else []
+    if "" in names:
+        raise PolySyntaxError("empty variable name")
+    if len(set(names)) < len(names):
+        repeated = next(v for i, v in enumerate(names) if v in names[:i])
+        raise PolySyntaxError(f"repeated variable name {repeated!r}")
     tokens = _tokenize(text, None if variables is None else names)
     if tokens[:1] not in ([("op", "+")], [("op", "-")]):
         tokens.insert(0, ("op", "+"))  # the leading sign is optional

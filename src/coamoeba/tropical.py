@@ -14,11 +14,13 @@ flacets.  Any weight inside the cone of a complete flag F_1 > ... > F_(d-1)
 induces the bases B with |B & F_i| = r(F_i) for all i (Ardila-Klivans 2006,
 Feichtner-Sturmfels 2005), the intersection of ``Matroid.bases_through(F_i)``:
 the AND of the flats' ints over basis indices.
-Complete and non-splitting flags come from one walk over chains of flats.
+Complete and non-splitting flags come from one walk over chains of flats,
+and every flag is a subchain of a complete one.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +94,9 @@ def flag_cone_contains(flag: FlagOfFlats, w: Weight, strict: bool = True) -> boo
 
     The weight must be constant on each difference of consecutive form-sets
     and increase with depth; ``strict=False`` tests the closed cone instead.
+    ``w`` needs exactly one entry per label.  A flag does not record the
+    ground set, so a longer ``w`` is not detected: its extra entries join
+    the outermost level, the labels in no flat of the flag.
     """
     n = len(w)
     if flag.flats and max(flag.flats[0].forms, default=-1) >= n:
@@ -112,22 +117,19 @@ def bergman_rays(m: Matroid) -> list[tuple[Flat, Weight]]:
 
 
 def all_flags(m: Matroid) -> list[FlagOfFlats]:
-    """Every flag of proper nonzero flats, the trivial (empty) flag included."""
-    proper = m.proper_flats()
-    flags: list[FlagOfFlats] = [FlagOfFlats(())]
-    # chains built upward: each step picks a flat with strictly smaller form-set
-    def extend(chain):
-        last = chain[-1]
-        for flat in proper:
-            if flat.forms < last.forms:
-                nxt = chain + [flat]
-                flags.append(FlagOfFlats(tuple(nxt)))
-                extend(nxt)
+    """Every flag of proper nonzero flats, the trivial (empty) flag included.
 
-    for flat in proper:
-        flags.append(FlagOfFlats((flat,)))
-        extend([flat])
-    return flags
+    The lattice of flats is graded, so every chain of flats lies in a
+    complete flag: the flags are the subchains of ``complete_flags``, each
+    kept once, the empty flag first.
+    """
+    chains = dict.fromkeys(
+        sub
+        for flag in complete_flags(m)
+        for k in range(len(flag.flats) + 1)
+        for sub in itertools.combinations(flag.flats, k)
+    )
+    return [FlagOfFlats._linked(chain) for chain in chains]
 
 
 def _links(m: Matroid, keep) -> Iterator[tuple[Flat, list[Flat]]]:

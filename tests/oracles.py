@@ -10,8 +10,11 @@ psi on every accepted row of a chunk, the prism kernel in fixed 64-point
 blocks with both shells on every point) on inputs small enough for brute
 force, and ``validate_by_eliminations`` keeps Gale validation's four
 eliminations.  ``parse_by_descent`` keeps the recursive-descent polynomial
-parser (one dict of terms per parse, padded and merged again at the end) and
-``format_by_pieces`` the piecewise polynomial rendering.  The ``*_by_sets``
+parser (one dict of terms per parse, padded and merged again at the end, on
+a tokenizer that sorts the declared names again for each piece of a letter
+run) and ``format_by_pieces`` the piecewise polynomial rendering.
+``all_flags_by_extension`` enumerates the flags by a depth-first search
+that extends each chain by every smaller proper flat.  The ``*_by_sets``
 functions keep the matroid's earlier bodies, which read ranks, flats,
 connectivity and cone groups off frozensets of labels instead of bit masks,
 the ``*_by_masks`` functions read ranks, bases through a flat and witness
@@ -58,7 +61,7 @@ from coamoeba.harness import _CHUNK, REJECTION_THRESHOLD, RoundtripResult, ratio
 from coamoeba.matroid import Flat, FlagOfFlats, Matroid, merge_parallel
 from coamoeba.polynomial import (
     SparsePoly,
-    _tokenize,
+    _TOKEN,
     evaluate_exact,
     format_poly,
     partial_derivative,
@@ -146,7 +149,7 @@ def solve_reference(m, v):
 
 def validate_by_eliminations(a: PointConfiguration) -> tuple[ValidationReport, la.IntMatrix]:
     """``configuration._validate`` by four eliminations: the lattice basis of
-    the columns, a Bareiss solve of A^T u = 1, the kernel from a second HNF
+    the columns, a solve of A^T u = 1, the kernel from a second HNF
     of A^T, and the canonical basis of that kernel."""
     cols = la.transpose(a.matrix)
     basis = la.row_lattice_basis(cols)
@@ -396,6 +399,25 @@ def maximal_cones_by_sets(m: Matroid) -> list[tropical.BergmanCone]:
     )
 
 
+def all_flags_by_extension(m: Matroid) -> list[FlagOfFlats]:
+    """Every flag of proper nonzero flats, the trivial (empty) flag included."""
+    proper = m.proper_flats()
+    flags: list[FlagOfFlats] = [FlagOfFlats(())]
+    # chains built upward: each step picks a flat with strictly smaller form-set
+    def extend(chain):
+        last = chain[-1]
+        for flat in proper:
+            if flat.forms < last.forms:
+                nxt = chain + [flat]
+                flags.append(FlagOfFlats(tuple(nxt)))
+                extend(nxt)
+
+    for flat in proper:
+        flags.append(FlagOfFlats((flat,)))
+        extend([flat])
+    return flags
+
+
 def interior_weight(flag: FlagOfFlats, n: int) -> tropical.Weight:
     """A canonical weight in the relative interior of a flag's cone: each
     label's depth in the chain."""
@@ -561,6 +583,37 @@ def write_polynomial_file(path, p) -> None:
         fh.write(format_poly(p) + "\n")
 
 
+def _tokenize_by_sorting(text: str, variables) -> list[tuple[str, str]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            raise PolySyntaxError(f"unexpected character at position {pos}: {text[pos]!r}")
+        pos = m.end()
+        num, name, op = m.groups()
+        if num is not None:
+            tokens.append(("num", num.replace(" ", "")))
+        elif name is not None:
+            if variables is not None and name not in variables:
+                # split a letter run like "qr" greedily against declared names
+                rest = name
+                while rest:
+                    hit = next(
+                        (v for v in sorted(variables, key=len, reverse=True) if rest.startswith(v)),
+                        None,
+                    )
+                    if hit is None:
+                        raise PolySyntaxError(f"unknown name {rest!r} in {name!r}")
+                    tokens.append(("var", hit))
+                    rest = rest[len(hit):]
+            else:
+                tokens.append(("var", name))
+        else:
+            tokens.append(("op", "^" if op == "**" else op))
+    return tokens
+
+
 class _Parser:
     def __init__(self, tokens, variables):
         self.tokens = tokens
@@ -646,7 +699,7 @@ def parse_by_descent(text: str, variables=None) -> SparsePoly:
     order of first appearance.
     """
     declared = list(variables) if variables is not None else None
-    tokens = _tokenize(text, declared)
+    tokens = _tokenize_by_sorting(text, declared)
     parser = _Parser(tokens, declared if declared is not None else [])
     raw = parser.parse_poly()
     final_vars = tuple(parser.variables)

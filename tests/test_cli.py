@@ -233,6 +233,22 @@ def test_verify_rejects_wrong_variable_count(paths, capsys, tmp_path, variables)
     assert "point length must match the number of variables" in err
 
 
+def test_repeated_variable_names_exit_2(paths, capsys, tmp_path):
+    # both columns of "x x" once read the one name x: gauss printed ["1", "1"]
+    poly, line = tmp_path / "repeated.txt", tmp_path / "line.json"
+    poly.write_text("x x\nx+1\n")
+    line.write_text(_config_text("B", [[1, 0], [0, 1], [-1, -1]]))
+    for argv in (
+        ["gauss", str(poly), "--point", "1,2"],
+        ["initial-form", str(poly), "-w", "1,0"],
+        ["verify", str(line), "--poly", str(poly), "-n", "3", "--samples", "5"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "repeated variable name 'x'" in err, argv
+
+
 def test_psi_at_huge_and_tiny_points(paths, capsys):
     # psi is degree-0: 1e200 and 1e-200 times (1, 2, 3) have the image of (1, 2, 3)
     assert main(["psi", paths["b"], "--point", "1,2,3"]) == 0

@@ -181,6 +181,13 @@ def _random_low_rank(rng, rows, cols):
     ]
 
 
+def _near_1e20(rng, m):
+    """m with each column scaled by +-10**20 plus a small offset: the same
+    rank, and its entries are multiples of numbers near +-10**20."""
+    scale = [rng.choice((-1, 1)) * 10**20 + rng.randint(-9, 9) for _ in (m[0] if m else ())]
+    return [[x * s for x, s in zip(row, scale)] for row in m]
+
+
 def test_rank_matches_gauss_jordan_reference():
     rng = random.Random(2024)
     deficient = 0
@@ -191,6 +198,13 @@ def test_rank_matches_gauss_jordan_reference():
         assert r == rank_reference(m), m
         deficient += r < min(rows, cols)
     assert deficient > 1000
+    for _ in range(500):  # entries near +-10**20, where a float rank is wrong
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = _near_1e20(rng, _random_low_rank(rng, rows, cols))
+        assert la.rank_rational(m) == rank_reference(m), m
+    big = 10**20
+    assert la.rank_rational([[big, big + 1], [big - 1, big]]) == 2  # determinant 1
+    assert la.rank_rational([[big + 1, -big], [2 * big + 2, -2 * big]]) == 1
 
 
 def test_rank_with_skipped_pivot_column():
@@ -202,13 +216,17 @@ def test_rank_with_skipped_pivot_column():
 def test_solve_matches_gauss_jordan_reference():
     rng = random.Random(7)
     outcomes = {"solved": 0, "none": 0, "dependent": 0}
-    for _ in range(3000):
+    for trial in range(3600):
+        big = trial >= 3000  # the last 600 systems have entries near +-10**20
         cols = rng.randint(1, 5)
         if rng.random() < 0.2:
             m = _random_low_rank(rng, cols + rng.randint(0, 2), cols)
+            m = _near_1e20(rng, m) if big else m
         else:
             rows = cols + rng.randint(0, 2)
             m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+            if big:
+                m = [[x + rng.choice((-1, 1)) * 10**20 for x in row] for row in m]
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
         den = 1
         for c in x:

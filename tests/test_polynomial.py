@@ -156,6 +156,14 @@ def test_parse_errors():
         parse("x + 1/0*y", ("x", "y"))
 
 
+def test_declared_names_are_nonempty_and_distinct():
+    # an empty name matches every letter run without consuming it
+    with pytest.raises(PolySyntaxError, match="empty variable name"):
+        parse("x", ("", "y"))
+    with pytest.raises(PolySyntaxError, match="repeated variable name 'x'"):
+        parse("x*x+1", ("x", "x"))
+
+
 # whole factors, then single tokens of the grammar's alphabet swapped in
 _FACTORS = ("x", "y^2", "z**3", "q", "r", "p^0", "x1", "qr", "w", "x^10",
             "3", "3/4", "0", "12 / 5", "0/7", "1/0", "2 3")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from coamoeba.catalog import hyperplane_b
+from coamoeba.catalog import hyperplane_b, line_b, plane_b, sixline_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.discriminant import non_splitting_flags
 from coamoeba.errors import LevelSetNotAFlat, NotInTropical, WrongLength
@@ -24,7 +24,12 @@ from coamoeba.tropical import (
     weight,
     weight_to_flag,
 )
-from oracles import connected_matroids, interior_weight, random_zero_sum_matroid
+from oracles import (
+    all_flags_by_extension,
+    connected_matroids,
+    interior_weight,
+    random_zero_sum_matroid,
+)
 
 
 def test_induced_matroid_with_loop(m6):
@@ -201,6 +206,30 @@ def test_complete_flags_are_the_complete_chains(m6, m_plane):
             if [g.corank for g in f.flats] == coranks
         }
         assert {f.form_chain() for f in complete_flags(m)} == chains
+
+
+def test_all_flags_match_extension_oracle():
+    configs = [line_b(), plane_b(), sixline_b()] + [hyperplane_b(d) for d in range(1, 6)]
+    configs += [
+        VectorConfiguration.from_rows(rows)
+        for rows in (
+            [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, -1]],  # disconnected
+            [[1], [2], [-3]],  # rank 1
+        )
+    ]
+    rng = random.Random(21)
+    matroids = [Matroid(c) for c in configs]
+    matroids += [
+        random_zero_sum_matroid(rng, n, d)
+        for n in range(3, 9)
+        for d in range(2, min(n, 6))
+        for _ in range(2)
+    ]
+    assert not matroids[8].is_connected() and matroids[9].rank == 1
+    for m in matroids:
+        flags, want = all_flags(m), all_flags_by_extension(m)
+        assert len(set(flags)) == len(flags) == len(want), m.config
+        assert set(flags) == set(want), m.config
 
 
 def test_tropical_set_equals_union_of_flag_cones(m6, m_line, m_plane):
