@@ -1,9 +1,11 @@
 """Command-line driver: one subcommand per library capability.
 
-Every run writes machine-readable JSON (or CSV for point clouds) carrying a
-provenance block with input hashes, the package version, and the effective
-parameters.  Exit codes: 0 success, 2 invalid input, 1 internal invariant
-violation, 64 usage error.
+``main`` alone opens input files and writes JSON.  It reads each input named
+on the command line once, as bytes, and hands them to the subcommand; it then
+writes the payload the subcommand returns, with a provenance block that
+hashes those same bytes, to ``-o`` or to stdout (``sample``'s ``-o`` is its
+CSV point cloud).  Exit codes: 0 success, 2 invalid input, 1 internal
+invariant violation, 64 usage error.
 """
 
 from __future__ import annotations
@@ -59,38 +61,30 @@ def _parse_rationals(text: str) -> tuple[Fraction, ...]:
 
 
 def _parse_angles(text: str):
-    """Angles as comma-separated floats (radians) or exact "a/b*pi" strings."""
-    parts = [p.strip() for p in text.split(",")]
-    exact = all(("pi" in p) or _is_rational(p) for p in parts)
-    return _parse_list(text, io.parse_pi_string if exact else float), exact
-
-
-def _is_rational(text: str) -> bool:
+    """Angles as exact multiples of pi ("a/b*pi" strings or bare rationals)
+    when ``parse_pi_string`` reads every part, otherwise floats (radians)."""
     try:
-        Fraction(text)
-        return True
-    except (ValueError, ZeroDivisionError):
-        return False
+        return _parse_list(text, io.parse_pi_string), True
+    except InputError:
+        return _parse_list(text, float), False
 
 
-def _emit(args, payload: dict, inputs: dict, parameters: dict) -> None:
-    payload["provenance"] = io.provenance(__version__, inputs, parameters)
-    text = io.dump_json(payload, getattr(args, "output", None))
-    if not getattr(args, "output", None):
-        sys.stdout.write(text)
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
-def _load(path, kind):
-    """The configuration at ``path``; InputError unless it is a ``kind``."""
-    config = io.load_config(path)
+def _load(args, inputs, kind):
+    """The configuration read from ``args.config``; InputError unless it is a ``kind``."""
+    config = io.load_config(inputs["config"], args.config)
     if not isinstance(config, kind):
         role = "an A (point)" if kind is PointConfiguration else "a B (vector)"
         raise InputError(f"expected {role} configuration")
     return config
 
 
-def _matroid_from(args) -> tuple[Matroid, dict]:
-    return Matroid(_load(args.config, VectorConfiguration)), {"config": args.config}
+def _matroid_from(args, inputs) -> Matroid:
+    return Matroid(_load(args, inputs, VectorConfiguration))
 
 
 def _count(text: str) -> int:
@@ -118,27 +112,29 @@ def _labels_by_flat(m: Matroid) -> dict:
 
 
 # -- subcommand implementations ---------------------------------------------------
+# each takes the parsed arguments and the bytes of its inputs, and returns its
+# JSON payload and the effective parameters for the provenance block
 
 
-def _cmd_gale(args):
-    config = _load(args.config, PointConfiguration)
+def _cmd_gale(args, inputs):
+    config = _load(args, inputs, PointConfiguration)
     b = gale_dual(config)
-    _emit(args, io.config_to_json(b), {"config": args.config}, {})
+    return io.config_to_json(b), {}
 
 
-def _cmd_validate(args):
-    config = _load(args.config, PointConfiguration)
+def _cmd_validate(args, inputs):
+    config = _load(args, inputs, PointConfiguration)
     report = validate_a(config)
     payload = {
         "spans": report.spans,
         "u": list(report.u) if report.u is not None else None,
         "pyramid": report.pyramid,
     }
-    _emit(args, payload, {"config": args.config}, {})
+    return payload, {}
 
 
-def _cmd_matroid_info(args):
-    m, inputs = _matroid_from(args)
+def _cmd_matroid_info(args, inputs):
+    m = _matroid_from(args, inputs)
     labels = _labels_by_flat(m)
     by_corank: dict[str, list] = {}
     for flat, flat_labels in labels.items():
@@ -151,11 +147,11 @@ def _cmd_matroid_info(args):
         "flats_by_corank": by_corank,
         "flacets": [labels[f] for f in m.flacets()] if m.is_connected() else None,
     }
-    _emit(args, payload, inputs, {})
+    return payload, {}
 
 
-def _cmd_bergman_rays(args):
-    m, inputs = _matroid_from(args)
+def _cmd_bergman_rays(args, inputs):
+    m = _matroid_from(args, inputs)
     labels = _labels_by_flat(m)
     payload = {
         "rays": [
@@ -163,11 +159,11 @@ def _cmd_bergman_rays(args):
             for flat, w in bergman_rays(m)
         ]
     }
-    _emit(args, payload, inputs, {})
+    return payload, {}
 
 
-def _cmd_fine_cones(args):
-    m, inputs = _matroid_from(args)
+def _cmd_fine_cones(args, inputs):
+    m = _matroid_from(args, inputs)
     labels = _labels_by_flat(m)
     cones = []
     for cone in maximal_cones(m):
@@ -178,11 +174,11 @@ def _cmd_fine_cones(args):
             }
         )
     payload = {"maximal_cones": cones, "n_maximal_cones": len(cones)}
-    _emit(args, payload, inputs, {})
+    return payload, {}
 
 
-def _cmd_tdiscr_rays(args):
-    m, inputs = _matroid_from(args)
+def _cmd_tdiscr_rays(args, inputs):
+    m = _matroid_from(args, inputs)
     rays = tdiscr_fan_d3(m) if m.config.d == 3 else tdiscr_rays(m)
     labels = _labels_by_flat(m)
     payload = {
@@ -196,17 +192,16 @@ def _cmd_tdiscr_rays(args):
             for r in rays
         ]
     }
-    _emit(args, payload, inputs, {})
+    return payload, {}
 
 
-def _cmd_nondefective(args):
-    m, inputs = _matroid_from(args)
-    payload = {"nondefective": nondefective(m)}
-    _emit(args, payload, inputs, {})
+def _cmd_nondefective(args, inputs):
+    m = _matroid_from(args, inputs)
+    return {"nondefective": nondefective(m)}, {}
 
 
-def _cmd_psi(args):
-    config = _load(args.config, VectorConfiguration)
+def _cmd_psi(args, inputs):
+    config = _load(args, inputs, VectorConfiguration)
     h = HornKapranovMap(config)
     point = _parse_list(args.point, Fraction if args.exact else complex)
     if args.exact:
@@ -218,42 +213,41 @@ def _cmd_psi(args):
             "point": [f"{p.real}+{p.imag}j" for p in point],
             "psi": [[v.real, v.imag] for v in image],
         }
-    _emit(args, payload, {"config": args.config}, {"exact": args.exact})
+    return payload, {"exact": args.exact}
 
 
-def _cmd_gauss(args):
-    f = read_polynomial_file(args.poly)
+def _cmd_gauss(args, inputs):
+    f = read_polynomial_file(inputs["poly"], args.poly)
     point = _parse_rationals(args.point)
     image = log_gauss(f, point)
-    payload = {"point": [str(p) for p in point], "gauss": [str(v) for v in image]}
-    _emit(args, payload, {"poly": args.poly}, {})
+    return {"point": [str(p) for p in point], "gauss": [str(v) for v in image]}, {}
 
 
-def _cmd_initial_form(args):
-    f = read_polynomial_file(args.poly)
+def _cmd_initial_form(args, inputs):
+    f = read_polynomial_file(inputs["poly"], args.poly)
     w = _parse_rationals(args.weight)
     payload = {"weight": [str(x) for x in w], "initial_form": format_poly(initial_form(f, w))}
-    _emit(args, payload, {"poly": args.poly}, {"weight": args.weight})
+    return payload, {"weight": args.weight}
 
 
-def _cmd_coamoeba2(args):
-    config = _load(args.config, VectorConfiguration)
+def _cmd_coamoeba2(args, inputs):
+    config = _load(args, inputs, VectorConfiguration)
     cycle = build_cycle(config)
-    _emit(args, io.cycle_json(cycle), {"config": args.config}, {})
+    return io.cycle_json(cycle), {}
 
 
-def _cmd_pls3(args):
-    m, inputs = _matroid_from(args)
+def _cmd_pls3(args, inputs):
+    m = _matroid_from(args, inputs)
     prisms = prisms_d3(m)
     payload = {
         "prisms": [io.prism_json(p, m.config.labels) for p in prisms],
         "n_prisms": len(prisms),
     }
-    _emit(args, payload, inputs, {})
+    return payload, {}
 
 
-def _cmd_member(args):
-    config = _load(args.config, VectorConfiguration)
+def _cmd_member(args, inputs):
+    config = _load(args, inputs, VectorConfiguration)
     theta, exact = _parse_angles(args.theta)
     if config.d == 2:
         cycle = build_cycle(config)
@@ -273,36 +267,28 @@ def _cmd_member(args):
         payload = {
             "inside": inside,
             "dimension": 3,
-            "witness": sorted(m.labels_of(witness.hyperplane_flat.forms))
-            if witness
-            else None,
+            "witness": _flat_labels(m, witness.hyperplane_flat) if witness else None,
         }
     else:
         raise InputError("member queries support d = 2 or d = 3 only")
-    _emit(args, payload, {"config": args.config}, {"theta": args.theta, "tol": args.tol})
+    return payload, {"theta": args.theta, "tol": args.tol}
 
 
-def _cmd_sample(args):
-    m, inputs = _matroid_from(args)
-    if not args.output:
+def _cmd_sample(args, inputs):
+    m = _matroid_from(args, inputs)
+    if not args.cloud:
         raise InputError("sample requires -o/--output for the CSV point cloud")
     points = sample_coamoeba(m, args.n, args.seed)
-    io.write_csv_cloud(args.output, points)
-    meta = {
-        "n": args.n,
-        "seed": args.seed,
-        "output": args.output,
-    }
-    report = {"written": args.output, "n_points": int(points.shape[0])}
-    report["provenance"] = io.provenance(__version__, inputs, meta)
-    sys.stdout.write(io.dump_json(report))
+    io.write_csv_cloud(args.cloud, points)
+    report = {"written": args.cloud, "n_points": int(points.shape[0])}
+    return report, {"n": args.n, "seed": args.seed, "output": args.cloud}
 
 
-def _cmd_verify(args):
-    m, inputs = _matroid_from(args)
+def _cmd_verify(args, inputs):
+    m = _matroid_from(args, inputs)
     f = (
-        read_polynomial_file(args.poly)
-        if args.poly
+        read_polynomial_file(inputs["poly"], args.poly)
+        if "poly" in inputs
         else sixline_discriminant()
     )
     payload = {}
@@ -322,14 +308,7 @@ def _cmd_verify(args):
             ],
         }
     payload["certification"] = certify_discriminant(f, m, args.n)
-    if args.poly:
-        inputs["poly"] = args.poly
-    _emit(
-        args,
-        payload,
-        inputs,
-        {"n": args.n, "samples": args.samples, "tol": args.tol, "seed": args.seed},
-    )
+    return payload, {"n": args.n, "samples": args.samples, "tol": args.tol, "seed": args.seed}
 
 
 @functools.cache
@@ -388,7 +367,15 @@ def build_parser() -> _Parser:
     p.add_argument("--theta", required=True, help="angles: radians or a/b*pi")
     p.add_argument("--tol", type=_tolerance, default=1e-9)
 
-    p = add("sample", _cmd_sample, help="sample the coamoeba to CSV")
+    # sample's -o names the CSV point cloud, so sample has no JSON output path
+    p = sub.add_parser("sample", help="sample the coamoeba to CSV")
+    p.set_defaults(fn=_cmd_sample, output=None)
+    p.add_argument(
+        "-o",
+        "--output",
+        dest="cloud",
+        help="write the CSV point cloud here (required); the JSON report goes to stdout",
+    )
     p.add_argument("config")
     p.add_argument("-n", type=_count, default=1000)
     p.add_argument("--seed", type=_count, default=0)
@@ -412,7 +399,20 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        args.fn(args)
+        # each input is read once, so its parser and its hash see the same bytes
+        inputs = {
+            name: _read(path)
+            for name in ("config", "poly")
+            if (path := getattr(args, name, None)) is not None
+        }
+        payload, parameters = args.fn(args, inputs)
+        payload["provenance"] = io.provenance(__version__, inputs, parameters)
+        text = io.dump_json(payload)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1

@@ -267,13 +267,13 @@ def _monomial(variables, exps, mag: Fraction) -> str:
     return "*".join(factors if mag == 1 and factors else [str(mag), *factors])
 
 
-def read_polynomial_file(path) -> SparsePoly:
-    """Plain-text polynomial file: variables on line 1, the polynomial after."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise PolySyntaxError(f"{path} is not UTF-8 text: {exc}") from exc
+def read_polynomial_file(data: bytes, source) -> SparsePoly:
+    """A plain-text polynomial file's UTF-8 ``data``, read from ``source``:
+    variables on line 1, the polynomial after."""
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise PolySyntaxError(f"{source} is not UTF-8 text: {exc}") from exc
     if not lines:
         raise PolySyntaxError("empty polynomial file")
     variables = lines[0].replace(",", " ").split()

@@ -7,6 +7,11 @@ exact rational-multiple-of-pi strings like "3/4*pi" where exactness is
 available.  All emitters sort keys and use fixed formatting so outputs are
 byte-identical across runs.
 
+It opens no input and writes no JSON file: ``load_config`` parses, and
+``provenance`` hashes, the bytes that ``cli.main`` read, and ``cli.main``
+writes the text of ``dump_json``.  The one file it opens is the CSV point
+cloud that ``write_csv_cloud`` writes.
+
 ``dump_json`` writes exactly the bytes of ``json.dumps(payload, indent=2,
 sort_keys=True)`` without the stdlib's pure-Python indenting encoder: strings
 go through the C ``encode_basestring_ascii``, and the text of a list of
@@ -112,27 +117,20 @@ def config_from_json(data):
         raise InputError(f"malformed configuration JSON: {exc}") from exc
 
 
-def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return config_from_json(data)
+def load_config(data: bytes, source) -> PointConfiguration | VectorConfiguration:
+    """The configuration in the UTF-8 JSON ``data``, read from ``source``."""
+    try:
+        parsed = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise InputError(f"{source} is not valid JSON: {exc}") from exc
+    return config_from_json(parsed)
 
 
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def provenance(version: str, inputs: dict[str, str], parameters: dict) -> dict:
+def provenance(version: str, inputs: dict[str, bytes], parameters: dict) -> dict:
+    """The version, the SHA-256 of each input's bytes, and the parameters."""
     return {
         "version": version,
-        "input_sha256": {name: sha256_file(path) for name, path in inputs.items()},
+        "input_sha256": {name: hashlib.sha256(data).hexdigest() for name, data in inputs.items()},
         "parameters": parameters,
     }
 
@@ -193,15 +191,11 @@ def _block(brackets: str, items, indent: str) -> str:
     return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 
-def dump_json(payload: dict, path=None) -> str:
+def dump_json(payload: dict) -> str:
     try:
-        text = _json_text(payload, "", {}) + "\n"
+        return _json_text(payload, "", {}) + "\n"
     except (_Unhandled, RecursionError):  # a cycle recurses; json.dumps reports it as such
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_csv_cloud(path, points) -> None:

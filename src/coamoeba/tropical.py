@@ -46,21 +46,21 @@ class InducedMatroid:
 
 
 def induced_matroid(m: Matroid, w: Weight) -> InducedMatroid:
-    """Bases of maximal w-weight, and the elements lying in none of them."""
+    """Bases of maximal w-weight, and the elements lying in none of them.
+
+    A basis B has maximal w-weight exactly when |B & S| = r(S) for each upper
+    level set S = {i : w_i >= v}, v above the smallest value: the AND of the
+    test that ``Matroid.bases_through`` makes for a flat.
+    """
     if len(w) != m.n:
         raise WrongLength("weight length must match the ground set")
-    best = None
-    max_bases: list[frozenset[int]] = []
-    for basis in m.bases:
-        total = sum(w[i] for i in basis)
-        if best is None or total > best:
-            best = total
-            max_bases = [basis]
-        elif total == best:
-            max_bases.append(basis)
-    covered = frozenset().union(*max_bases)
-    loops = frozenset(range(m.n)) - covered
-    return InducedMatroid(max_bases=frozenset(max_bases), loops=loops)
+    bits = -1
+    for v in sorted(set(w))[1:]:
+        upper = [i for i in range(m.n) if w[i] >= v]
+        bits &= (m._counts(upper) + m._offsets[m._rank(upper)]) & m._tops
+    max_bases = m._bases_of(bits)
+    loops = frozenset(range(m.n)).difference(*max_bases)
+    return InducedMatroid(max_bases=max_bases, loops=loops)
 
 
 def in_tropical(m: Matroid, w: Weight) -> bool:

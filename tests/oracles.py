@@ -19,8 +19,9 @@ functions keep the matroid's earlier bodies, which read ranks, flats,
 connectivity and cone groups off frozensets of labels instead of bit masks,
 the ``*_by_masks`` functions read ranks, bases through a flat and witness
 bases off the masks one basis at a time instead of the bit-sliced columns,
-``escaping_links_by_rank`` tests each link by its own rank, and
-``interior_weight`` gives a point inside a flag's cone.
+``escaping_links_by_rank`` tests each link by its own rank,
+``induced_matroid_by_enumeration`` sums the weight of every basis in
+Fractions, and ``interior_weight`` gives a point inside a flag's cone.
 ``random_zero_sum_matroid``, ``connected_matroids`` and ``sweep_configs``
 draw the inputs, and ``write_polynomial_file`` writes polynomial input
 files."""
@@ -55,6 +56,7 @@ from coamoeba.errors import (
     OnArrangement,
     PolySyntaxError,
     SingularPoint,
+    WrongLength,
     ZeroVector,
 )
 from coamoeba.harness import _CHUNK, REJECTION_THRESHOLD, RoundtripResult, rational_grid
@@ -416,6 +418,24 @@ def all_flags_by_extension(m: Matroid) -> list[FlagOfFlats]:
         flags.append(FlagOfFlats((flat,)))
         extend([flat])
     return flags
+
+
+def induced_matroid_by_enumeration(m: Matroid, w: tropical.Weight) -> tropical.InducedMatroid:
+    """Bases of maximal w-weight, and the elements lying in none of them."""
+    if len(w) != m.n:
+        raise WrongLength("weight length must match the ground set")
+    best = None
+    max_bases: list[frozenset[int]] = []
+    for basis in m.bases:
+        total = sum(w[i] for i in basis)
+        if best is None or total > best:
+            best = total
+            max_bases = [basis]
+        elif total == best:
+            max_bases.append(basis)
+    covered = frozenset().union(*max_bases)
+    loops = frozenset(range(m.n)) - covered
+    return tropical.InducedMatroid(max_bases=frozenset(max_bases), loops=loops)
 
 
 def interior_weight(flag: FlagOfFlats, n: int) -> tropical.Weight:

@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, exit codes, golden-file stability."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,6 +152,33 @@ def test_sample_csv(paths, capsys, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "theta1,theta2,theta3"
     assert len(lines) == 11
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("case", ["gauss_from_stdin", "sample_over_its_config"])
+def test_input_sha256_is_of_the_bytes_parsed(case, tmp_path):
+    # the digest once came from a second read of the path after the command ran:
+    # empty for a pipe, and the CSV's when sample's -o overwrote the config
+    if case == "gauss_from_stdin":
+        parsed = b"x y\nx+y+1\n"
+        name, argv = "poly", ["gauss", "/dev/stdin", "--point", "1,2"]
+    else:
+        config = tmp_path / "plane.json"
+        config.write_text(io.dump_json(io.config_to_json(plane_b())))
+        parsed = config.read_bytes()
+        name, argv = "config", ["sample", str(config), "-n", "3", "-o", str(config)]
+    run = subprocess.run(
+        [sys.executable, "-m", "coamoeba.cli", *argv],
+        input=parsed,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        check=True,
+        timeout=120,
+    )
+    digests = json.loads(run.stdout)["provenance"]["input_sha256"]
+    assert digests == {name: hashlib.sha256(parsed).hexdigest()}
 
 
 def test_unknown_subcommand_exits_64(capsys):

@@ -27,6 +27,7 @@ from coamoeba.tropical import (
 from oracles import (
     all_flags_by_extension,
     connected_matroids,
+    induced_matroid_by_enumeration,
     interior_weight,
     random_zero_sum_matroid,
 )
@@ -44,6 +45,23 @@ def test_zero_weight_keeps_all_bases(m6):
     ind = induced_matroid(m6, weight([0] * 6))
     assert ind.max_bases == m6.bases
     assert not ind.loops
+
+
+def test_induced_matroid_matches_enumeration(m6):
+    rng = random.Random(31)
+    matroids = [m6] + [
+        random_zero_sum_matroid(rng, n, d)
+        for n in range(3, 9)
+        for d in range(1, min(n, 6))
+        for _ in range(3)
+    ]
+    for m in matroids:
+        for _ in range(8):
+            # few distinct values, so most weights have ties
+            values = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
+            w = weight(rng.choice(values) for _ in range(m.n))
+            got, want = induced_matroid(m, w), induced_matroid_by_enumeration(m, w)
+            assert (got.max_bases, got.loops) == (want.max_bases, want.loops), (m.config, w)
 
 
 def test_in_tropical(m6):
