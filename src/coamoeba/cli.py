@@ -296,12 +296,7 @@ def _cmd_verify(args, inputs):
         # first, so that a defective B is refused before the slower certification
         report = conjecture_experiment_d3(m, args.samples, tol=args.tol, seed=args.seed)
         payload["prism_experiment"] = {
-            "n_samples": report.n_samples,
-            "n_valid": report.n_valid,
-            "inside_fraction": report.inside_fraction,
-            "max_boundary_distance": report.max_boundary_distance,
-            "seed": report.seed,
-            "tolerance": report.tolerance,
+            **vars(report),
             "coverage_per_prism": [
                 {"flat": _flat_labels(m, flat), "samples": k}
                 for flat, k in report.coverage_per_prism
@@ -316,54 +311,35 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="coamoeba", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, source, help):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
         p.add_argument("-o", "--output", help="write JSON here instead of stdout")
+        p.add_argument(source)
         return p
 
-    p = add("gale", _cmd_gale, help="Gale dual of a point configuration")
-    p.add_argument("config")
+    add("gale", _cmd_gale, "config", "Gale dual of a point configuration")
+    add("validate", _cmd_validate, "config", "spanning/affine/pyramid report for A")
+    add("matroid-info", _cmd_matroid_info, "config", "rank, bases, flats, flacets")
+    add("bergman-rays", _cmd_bergman_rays, "config", "flacet indicator rays")
+    add("fine-cones", _cmd_fine_cones, "config", "maximal cones with their flags")
+    add("tdiscr-rays", _cmd_tdiscr_rays, "config", "tropical discriminant rays")
+    add("nondefective", _cmd_nondefective, "config", "non-splitting flag existence")
 
-    p = add("validate", _cmd_validate, help="spanning/affine/pyramid report for A")
-    p.add_argument("config")
-
-    p = add("matroid-info", _cmd_matroid_info, help="rank, bases, flats, flacets")
-    p.add_argument("config")
-
-    p = add("bergman-rays", _cmd_bergman_rays, help="flacet indicator rays")
-    p.add_argument("config")
-
-    p = add("fine-cones", _cmd_fine_cones, help="maximal cones with their flags")
-    p.add_argument("config")
-
-    p = add("tdiscr-rays", _cmd_tdiscr_rays, help="tropical discriminant rays")
-    p.add_argument("config")
-
-    p = add("nondefective", _cmd_nondefective, help="non-splitting flag existence")
-    p.add_argument("config")
-
-    p = add("psi", _cmd_psi, help="Horn-Kapranov parameterization at a point")
-    p.add_argument("config")
+    p = add("psi", _cmd_psi, "config", "Horn-Kapranov parameterization at a point")
     p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.add_argument("--exact", action="store_true", help="exact rational evaluation")
 
-    p = add("gauss", _cmd_gauss, help="logarithmic Gauss map of a polynomial")
-    p.add_argument("poly")
+    p = add("gauss", _cmd_gauss, "poly", "logarithmic Gauss map of a polynomial")
     p.add_argument("--point", required=True, help="comma-separated rationals")
 
-    p = add("initial-form", _cmd_initial_form, help="min-convention initial form")
-    p.add_argument("poly")
+    p = add("initial-form", _cmd_initial_form, "poly", "min-convention initial form")
     p.add_argument("-w", "--weight", required=True, help="comma-separated weight")
 
-    p = add("coamoeba2", _cmd_coamoeba2, help="2D coamoeba cycle of a planar B")
-    p.add_argument("config")
+    add("coamoeba2", _cmd_coamoeba2, "config", "2D coamoeba cycle of a planar B")
+    add("pls3", _cmd_pls3, "config", "prism decomposition for d = 3")
 
-    p = add("pls3", _cmd_pls3, help="prism decomposition for d = 3")
-    p.add_argument("config")
-
-    p = add("member", _cmd_member, help="membership of an angle tuple")
-    p.add_argument("config")
+    p = add("member", _cmd_member, "config", "membership of an angle tuple")
     p.add_argument("--theta", required=True, help="angles: radians or a/b*pi")
     p.add_argument("--tol", type=_tolerance, default=1e-9)
 
@@ -380,8 +356,7 @@ def build_parser() -> _Parser:
     p.add_argument("-n", type=_count, default=1000)
     p.add_argument("--seed", type=_count, default=0)
 
-    p = add("verify", _cmd_verify, help="residue + Gauss roundtrip + prism experiment")
-    p.add_argument("config")
+    p = add("verify", _cmd_verify, "config", "residue + Gauss roundtrip + prism experiment")
     p.add_argument("--poly", help="polynomial file; six-line discriminant by default")
     p.add_argument("-n", type=_count, default=20, help="exact grid points")
     p.add_argument("--samples", type=_count, default=2000)

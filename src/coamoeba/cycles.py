@@ -33,8 +33,9 @@ import numpy as np
 
 from . import intlinalg as la
 from .configuration import VectorConfiguration
-from .discriminant import essential_flacets, require_nondefective
+from .discriminant import essential_flacets, nondefective
 from .errors import (
+    Defective,
     DegenerateZonotope,
     DimensionNot3,
     InputError,
@@ -437,7 +438,8 @@ def prisms_d3(m: Matroid) -> list[Prism]:
     """One prism per essential flacet (hyperplane with nonzero form-sum)."""
     if m.config.d != 3:
         raise DimensionNot3("prism decomposition is implemented for d = 3 only")
-    require_nondefective(m)
+    if not nondefective(m):
+        raise Defective("configuration is defective")
     prisms = []
     for flat in essential_flacets(m):
         restricted, proj = m.restrict_to_flat(flat)

@@ -27,7 +27,6 @@ from . import intlinalg as la
 from . import tropical
 from .configuration import VectorConfiguration
 from .errors import (
-    Defective,
     DimensionNot3,
     Disconnected,
     InputError,
@@ -242,18 +241,6 @@ def non_splitting_flats(m: Matroid) -> list[Flat]:
     return sorted(seen.values(), key=Flat.sort_key)
 
 
-def essential_flacets(m: Matroid) -> list[Flat]:
-    """Flacets with dim L >= 2 and nonzero form-sum; they index the
-    top-dimensional strata of the phase limit set."""
-    out = []
-    for flat in m.flacets():
-        if flat.dim(m.rank) < 2:
-            continue
-        if any(form_sum(m, flat.forms)):
-            out.append(flat)
-    return out
-
-
 # -- tropical discriminant rays -------------------------------------------------
 
 
@@ -291,6 +278,12 @@ def tdiscr_rays(m: Matroid) -> list[TropRay]:
     return rays
 
 
+def essential_flacets(m: Matroid) -> list[Flat]:
+    """Flacets with dim L >= 2 and b_L != 0, the flats of the essential type-1
+    rays; they index the top-dimensional strata of the phase limit set."""
+    return [r.flat for r in tdiscr_rays(m) if r.essential]
+
+
 def _cross3(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -313,24 +306,23 @@ def tdiscr_fan_d3(m: Matroid) -> list[TropRay]:
     """All rays of a fan structure on the tropical discriminant when d = 3.
 
     Each maximal Bergman cone projects to the planar sector spanned by the
-    images of its two spanning rays.  Sectors in distinct planes can cross
-    in a single ray; any such ray not already among the type-1 images must
-    appear in every fan structure.  Coplanar overlaps refine along existing
-    type-1 rays and contribute nothing new.
+    type-1 directions of its two spanning flacets, positive multiples of
+    their b_L (a flacet with b_L = 0 has no ray, and its cone no sector).
+    Sectors in distinct planes can cross in a single ray; any such ray not
+    already among the type-1 images must appear in every fan structure.
+    Coplanar overlaps refine along existing type-1 rays and contribute
+    nothing new.
     """
     if m.config.d != 3:
         raise DimensionNot3("type-2 ray discovery is implemented for d = 3 only")
     rays = tdiscr_rays(m)
-    type1_dirs = {r.direction for r in rays}
+    type1 = {r.flat: r.direction for r in rays}
     sectors = []
     for cone in tropical.maximal_cones(m):
-        gens = [form_sum(m, f.forms) for f in cone.spanning_flacets]
-        if len(gens) != 2:
-            continue
-        u, w = gens
-        if not any(u) or not any(w) or not any(_cross3(u, w)):
+        gens = [type1.get(f) for f in cone.spanning_flacets]
+        if len(gens) != 2 or None in gens or not any(_cross3(*gens)):
             continue  # image is at most a known type-1 ray
-        sectors.append((u, w))
+        sectors.append(gens)
     new_dirs = []
     for (u1, w1), (u2, w2) in itertools.combinations(sectors, 2):
         n1, n2 = _cross3(u1, w1), _cross3(u2, w2)
@@ -340,15 +332,10 @@ def tdiscr_fan_d3(m: Matroid) -> list[TropRay]:
         for cand in (line, tuple(-x for x in line)):
             if _in_sector(cand, u1, w1) and _in_sector(cand, u2, w2):
                 direction = la.primitive(cand)
-                if direction not in type1_dirs and direction not in new_dirs:
+                if direction not in type1.values() and direction not in new_dirs:
                     new_dirs.append(direction)
     rays.extend(
         TropRay(direction=d, kind="type2", flat=None, essential=False)
         for d in sorted(new_dirs)
     )
     return rays
-
-
-def require_nondefective(m: Matroid) -> None:
-    if not nondefective(m):
-        raise Defective("configuration is defective")

@@ -15,8 +15,8 @@ hypersurface (zero certifies vanishing; anything else is evidence of a typo
 in the input polynomial and is reported, never "corrected"), and
 ``gauss_roundtrip`` certifies that the logarithmic Gauss map inverts the
 parameterization at sample points, skipping the measure-zero singular locus
-where the Gauss map is undefined.  The two checks share one grid walk,
-which computes each point once for both and stops when both are done.
+where the Gauss map is undefined.  ``_certify_walk`` runs both checks on
+one grid walk, computing each point once and stopping when both are done.
 They run in integers on one common denominator: a grid point y is
 integral, so psi(y) is one integer over another per coordinate, and with
 f's coefficients cleared once, each term of f at psi(y) times one K is an
@@ -116,29 +116,6 @@ def rational_grid(d: int):
         yield combo
 
 
-def _grid_terms(f: SparsePoly, m: Matroid):
-    """(y, term values, K) of f at psi(y) for the grid points y off the arrangement.
-
-    The term values are integers whose sum is K * f(psi(y)) (see
-    ``polynomial._term_values``); f is cleared once.  Raises WrongLength
-    before any grid point when f does not have one variable per coordinate.
-    """
-    h = HornKapranovMap(m.config)
-    if len(f.variables) != m.config.d:
-        raise WrongLength("point length must match the number of variables")
-    cleared = _cleared(f)
-
-    def walk():
-        for y in rational_grid(m.config.d):
-            try:
-                nums, dens = _psi_integer(h, y)
-            except OnArrangement:
-                continue
-            yield (y, *_term_values(cleared, nums, dens))
-
-    return walk()
-
-
 @dataclass(frozen=True)
 class RoundtripResult:
     passed: bool
@@ -148,24 +125,36 @@ class RoundtripResult:
 
 
 def _certify_walk(f: SparsePoly, m: Matroid, n_residue: int, n_roundtrip: int):
-    """The residue and roundtrip checks on one walk of ``_grid_terms``.
+    """The residue and roundtrip checks on one walk of ``rational_grid``.
 
-    The residue check takes the first n_residue grid points off the
-    arrangement; the roundtrip takes points until n_roundtrip nonsingular
-    ones are checked or one fails.  Each point's psi and term values feed
-    both, and the walk stops when both are done.  Returns
-    ((max_residue, witness_point, n_checked), RoundtripResult).
+    At each grid point off the arrangement, psi (``_psi_integer``) and f's
+    term values (``_term_values``, f cleared once) are computed once for
+    both checks.  The residue check takes the first n_residue such points,
+    the roundtrip takes points until n_roundtrip nonsingular ones pass or
+    one fails, and the walk stops when both are done.  Before any point it
+    refuses negative sizes, then a nonzero row sum, then a wrong variable
+    count.  Returns ((max_residue, witness_point, n_checked), RoundtripResult).
     """
     if n_residue < 0 or n_roundtrip < 0:
         raise InputError(f"grid sizes must be non-negative, got {n_residue}, {n_roundtrip}")
-    grid = _grid_terms(f, m)  # raises WrongLength before any point
+    h = HornKapranovMap(m.config)
+    if len(f.variables) != m.config.d:
+        raise WrongLength("point length must match the number of variables")
+    cleared = _cleared(f)
     exponents = list(zip(*(exps for exps, _ in f.terms)))  # one column per variable
     worst = _ZERO
     witness = None
     taken = checked = singular = 0
     counterexample = None
     roundtrip_done = n_roundtrip == 0
-    for y, values, scale in grid if n_residue or n_roundtrip else ():  # no point for n = 0
+    for y in rational_grid(m.config.d):
+        if taken == n_residue and roundtrip_done:
+            break
+        try:
+            nums, dens = _psi_integer(h, y)
+        except OnArrangement:
+            continue
+        values, scale = _term_values(cleared, nums, dens)
         if taken < n_residue:
             taken += 1
             total = abs(sum(values))
@@ -182,8 +171,6 @@ def _certify_walk(f: SparsePoly, m: Matroid, n_residue: int, n_roundtrip: int):
                 if not projectively_equal(coords, y):
                     counterexample = y
                 roundtrip_done = counterexample is not None or checked == n_roundtrip
-        if taken == n_residue and roundtrip_done:
-            break
     roundtrip = RoundtripResult(counterexample is None, checked, singular, counterexample)
     return (worst, witness, taken), roundtrip
 

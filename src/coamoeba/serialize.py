@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 from . import intlinalg as la
@@ -45,8 +46,9 @@ def pi_string(value: Fraction) -> str:
 
 
 def parse_pi_string(text: str) -> Fraction:
-    """Inverse of pi_string; also accepts bare rationals as multiples of pi."""
-    text = text.strip().replace(" ", "")
+    """Inverse of pi_string; also accepts bare rationals as multiples of pi.
+    Spaces may stand at the ends and around "*" and "/", nowhere else."""
+    text = re.sub(r"\s*([*/])\s*", r"\1", text.strip())
     if text in ("0", "-0"):
         return Fraction(0)
     if text == "pi":

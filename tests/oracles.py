@@ -21,7 +21,10 @@ the ``*_by_masks`` functions read ranks, bases through a flat and witness
 bases off the masks one basis at a time instead of the bit-sliced columns,
 ``escaping_links_by_rank`` tests each link by its own rank,
 ``induced_matroid_by_enumeration`` sums the weight of every basis in
-Fractions, and ``interior_weight`` gives a point inside a flag's cone.
+Fractions, ``interior_weight`` gives a point inside a flag's cone, and
+``essential_flacets_by_form_sums`` and ``tdiscr_fan_d3_by_form_sums``
+compute each flacet's form-sum b_L again instead of reading the type-1
+rays.
 ``random_zero_sum_matroid``, ``connected_matroids`` and ``sweep_configs``
 draw the inputs, and ``write_polynomial_file`` writes polynomial input
 files."""
@@ -47,7 +50,15 @@ from coamoeba.cycles import (
     degree_dH,
     zonotope,
 )
-from coamoeba.discriminant import form_sum, log_gauss, projectively_equal
+from coamoeba.discriminant import (
+    TropRay,
+    _cross3,
+    _in_sector,
+    form_sum,
+    log_gauss,
+    projectively_equal,
+    tdiscr_rays,
+)
 from coamoeba.errors import (
     InputError,
     InvariantError,
@@ -446,6 +457,48 @@ def interior_weight(flag: FlagOfFlats, n: int) -> tropical.Weight:
         for i in flat:
             depth[i] += 1
     return tropical.weight(depth)
+
+
+def essential_flacets_by_form_sums(m: Matroid) -> list[Flat]:
+    """Flacets with dim L >= 2 and nonzero form-sum."""
+    out = []
+    for flat in m.flacets():
+        if flat.dim(m.rank) < 2:
+            continue
+        if any(form_sum(m, flat.forms)):
+            out.append(flat)
+    return out
+
+
+def tdiscr_fan_d3_by_form_sums(m: Matroid) -> list[TropRay]:
+    """``tdiscr_fan_d3`` with each cone's generators the form-sums b_L."""
+    rays = tdiscr_rays(m)
+    type1_dirs = {r.direction for r in rays}
+    sectors = []
+    for cone in tropical.maximal_cones(m):
+        gens = [form_sum(m, f.forms) for f in cone.spanning_flacets]
+        if len(gens) != 2:
+            continue
+        u, w = gens
+        if not any(u) or not any(w) or not any(_cross3(u, w)):
+            continue
+        sectors.append((u, w))
+    new_dirs = []
+    for (u1, w1), (u2, w2) in itertools.combinations(sectors, 2):
+        n1, n2 = _cross3(u1, w1), _cross3(u2, w2)
+        line = _cross3(n1, n2)
+        if not any(line):
+            continue
+        for cand in (line, tuple(-x for x in line)):
+            if _in_sector(cand, u1, w1) and _in_sector(cand, u2, w2):
+                direction = la.primitive(cand)
+                if direction not in type1_dirs and direction not in new_dirs:
+                    new_dirs.append(direction)
+    rays.extend(
+        TropRay(direction=d, kind="type2", flat=None, essential=False)
+        for d in sorted(new_dirs)
+    )
+    return rays
 
 
 def escaping_links_by_rank(m: Matroid) -> dict[Flat, list[Flat]]:

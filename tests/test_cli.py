@@ -231,6 +231,8 @@ def test_bad_point_or_theta_exits_2(paths, capsys):
     assert main(["gauss", paths["d"], "--point", "1,2"]) == 2
     for point in ("nan,1,1", "inf,1,1"):
         assert main(["psi", paths["b"], "--point", point]) == 2
+    for theta in ("1 2*pi,0,0", "1 2,0,0", "- pi,0,0"):  # a space inside a number
+        assert main(["member", paths["b"], "--theta", theta]) == 2
     assert capsys.readouterr().out == ""
 
 

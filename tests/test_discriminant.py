@@ -32,10 +32,12 @@ from coamoeba.matroid import Matroid, merge_parallel
 from coamoeba.polynomial import SparsePoly, parse
 from coamoeba.tropical import complete_flags
 from oracles import (
+    essential_flacets_by_form_sums,
     log_gauss_by_partials,
     non_splitting_by_rank,
     random_zero_sum_matroid,
     sweep_configs,
+    tdiscr_fan_d3_by_form_sums,
 )
 
 
@@ -396,6 +398,22 @@ def test_tdiscr_fan_d3_type2(m6, m_plane):
     type2 = [r.direction for r in tdiscr_fan_d3(m6) if r.kind == "type2"]
     assert type2 == [(1, 0, 1)]
     assert [r for r in tdiscr_fan_d3(m_plane) if r.kind == "type2"] == []
+
+
+def test_rays_match_form_sum_oracle():
+    # 60 seeded connected (n, 3) matroids, n = 5 .. 9: essential flacets and
+    # type-2 sectors read off the type-1 rays match those from the form-sums
+    rng = random.Random(23)
+    with_type2 = 0
+    for k in range(60):
+        m = random_zero_sum_matroid(rng, 5 + k % 5, 3)
+        while not m.is_connected():
+            m = random_zero_sum_matroid(rng, 5 + k % 5, 3)
+        assert essential_flacets(m) == essential_flacets_by_form_sums(m)
+        rays = tdiscr_fan_d3(m)
+        assert rays == tdiscr_fan_d3_by_form_sums(m)
+        with_type2 += any(r.kind == "type2" for r in rays)
+    assert with_type2 >= 50
 
 
 def test_in_sector_on_and_off_the_plane():

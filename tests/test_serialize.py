@@ -120,3 +120,12 @@ def test_dump_json_cycle_raises_like_stdlib():
     payload = {"loop": loop}
     assert _outcome(io.dump_json, payload) == _outcome(_stdlib, payload)
 
+
+def test_parse_pi_string_spaces():
+    # spaces at the ends and around "*" and "/" are allowed, inside a number not
+    assert io.parse_pi_string("3/4 * pi") == Fraction(3, 4)
+    assert io.parse_pi_string(" -3/4*pi ") == Fraction(-3, 4)
+    assert io.parse_pi_string("3 / 4") == Fraction(3, 4)
+    for text in ("1 2", "1 2*pi", "- pi", "- 3/4*pi"):
+        with pytest.raises(ValueError):
+            io.parse_pi_string(text)
