@@ -327,20 +327,22 @@ def build_parser() -> _Parser:
     add("nondefective", _cmd_nondefective, "config", "non-splitting flag existence")
 
     p = add("psi", _cmd_psi, "config", "Horn-Kapranov parameterization at a point")
-    p.add_argument("--point", required=True, help="comma-separated coordinates")
+    p.add_argument("--point", required=True, help="coordinates (negative first: --point=-1,2,3)")
     p.add_argument("--exact", action="store_true", help="exact rational evaluation")
 
     p = add("gauss", _cmd_gauss, "poly", "logarithmic Gauss map of a polynomial")
-    p.add_argument("--point", required=True, help="comma-separated rationals")
+    p.add_argument("--point", required=True, help="rationals (negative first: --point=-1/2,3)")
 
     p = add("initial-form", _cmd_initial_form, "poly", "min-convention initial form")
-    p.add_argument("-w", "--weight", required=True, help="comma-separated weight")
+    p.add_argument("-w", "--weight", required=True, help="weight (negative first: -w=-1,0,1)")
 
     add("coamoeba2", _cmd_coamoeba2, "config", "2D coamoeba cycle of a planar B")
     add("pls3", _cmd_pls3, "config", "prism decomposition for d = 3")
 
     p = add("member", _cmd_member, "config", "membership of an angle tuple")
-    p.add_argument("--theta", required=True, help="angles: radians or a/b*pi")
+    p.add_argument(
+        "--theta", required=True, help="radians or a/b*pi (negative first: --theta=-pi,0,0)"
+    )
     p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     # sample's -o names the CSV point cloud, so sample has no JSON output path

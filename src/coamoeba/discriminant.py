@@ -234,11 +234,8 @@ def nondefective(m: Matroid | VectorConfiguration) -> bool:
 
 
 def non_splitting_flats(m: Matroid) -> list[Flat]:
-    seen: dict[frozenset[int], Flat] = {}
-    for flag in non_splitting_flags(m):
-        for flat in flag.flats:
-            seen[flat.forms] = flat
-    return sorted(seen.values(), key=Flat.sort_key)
+    flats = {flat for flag in non_splitting_flags(m) for flat in flag.flats}
+    return sorted(flats, key=Flat.sort_key)
 
 
 # -- tropical discriminant rays -------------------------------------------------

@@ -7,13 +7,13 @@ minor is nonzero (the intended scale is n <= 16, d <= 6, where exactness
 and simplicity beat oracle-based matroid algorithms).  Everything else is
 read off the bases, kept as int masks (bit i for label i) in a fixed order,
 so label sets meet by ``&``, ``^`` and ``bit_count``.  The rank of a label
-set F is the most labels of F inside one basis, and its closure adds every
-label that keeps that rank.  A flat is stored by its form-set F, the labels
-whose vectors vanish on the subspace L = cap ker(b); its ``corank`` is the
-rank of F, which equals d - dim L.  The hyperplanes are the closures of the
-(r-1)-subsets of bases, and every flat is an intersection of hyperplanes
-(Oxley, *Matroid Theory*, 1.4), so the lattice of flats is the ground set
-closed under intersection with each hyperplane.  Connectivity reads the
+set F is the most labels of F inside one basis, and its closure adds the
+labels in no basis B with |B & F| = r(F).  A flat is stored by its form-set
+F, the labels whose vectors vanish on the subspace L = cap ker(b); its
+``corank`` is the rank of F, which equals d - dim L.  The hyperplanes are
+the closures of the (r-1)-subsets of bases, and every flat is an
+intersection of hyperplanes (Oxley, *Matroid Theory*, 1.4), so the lattice
+of flats is the ground set closed under intersection with each hyperplane.  Connectivity reads the
 fundamental graph of one basis B, joining b in B to e outside B when
 B - b + e is a basis; M is connected exactly when it is (Krogdahl 1977).
 The rows span Q^d exactly when some d-subset has a nonzero minor.
@@ -31,8 +31,10 @@ Counts over all bases are bit-sliced: with w = r.bit_length() + 1, field k
 i, so the columns of F sum to |B_k & F| in field k.  That count is at most
 r < 2^(w-1), so adding 2^(w-1) - t to every field sets its top bit exactly
 when the count is at least t, and no field reaches 2^w to carry into the
-next.  r(F) is the largest t whose test sets a top bit; the test at t = r(F)
-marks the bases with |B & F| = r(F), so those common to a flag are one AND.
+next.  r(F) is the largest t whose test sets a top bit; ``_tight`` returns
+it with the top bits its test sets, the bases with |B & F| = r(F).  Those
+common to a flag are one AND, and a label is in none when its column,
+shifted onto the top bits, meets none of them.
 """
 
 from __future__ import annotations
@@ -243,29 +245,31 @@ class Matroid:
 
     def rank_of(self, forms) -> int:
         """The matroid rank r(F): the most labels of F inside one basis."""
+        return self.closure(forms).corank
+
+    def closure(self, forms) -> Flat:
+        """Smallest flat containing ``forms``: F and the labels in no basis B
+        with |B & F| = r(F), as any other joins r(F) labels of F in a basis."""
         forms = frozenset(forms)
         if not forms <= frozenset(range(self.n)):
             raise InputError(f"labels must lie in range({self.n})")
-        return self._rank(forms)
+        r, bits = self._tight(forms)
+        return Flat(forms | self._uncovered(bits), r)
 
-    def _counts(self, labels) -> int:
-        """|B_k & F| in field k for the label set F."""
-        return sum(self._cols[i] for i in labels)
-
-    def _rank(self, labels) -> int:
-        """The largest t <= |F| whose test at t sets a top bit."""
-        counts = self._counts(labels)
+    def _tight(self, labels) -> tuple[int, int]:
+        """r(F), the largest t <= |F| whose test at t sets a top bit, and the
+        top bits that test sets: field k's when the k-th basis B has
+        |B & F| = r(F)."""
+        counts = sum(self._cols[i] for i in labels)
         t = min(len(labels), self.rank)
-        while not (counts + self._offsets[t]) & self._tops:
+        while not (bits := (counts + self._offsets[t]) & self._tops):
             t -= 1
-        return t
+        return t, bits
 
-    def closure(self, forms) -> Flat:
-        """Smallest flat containing ``forms``: every label that keeps its rank."""
-        forms = frozenset(forms)
-        r = self.rank_of(forms)
-        closed = frozenset(i for i in range(self.n) if self.rank_of(forms | {i}) == r)
-        return Flat(forms=closed, corank=r)
+    def _uncovered(self, bits: int) -> frozenset[int]:
+        """The labels in no basis whose field's top bit is set in ``bits``."""
+        shift = self._w - 1
+        return frozenset(i for i, col in enumerate(self._cols) if not col << shift & bits)
 
     def flats(self) -> list[Flat]:
         """All flats graded by corank, including the empty set and all of B.
@@ -288,7 +292,7 @@ class Matroid:
         for h in hyperplanes:
             found |= {f & h for f in found}
         forms = map(_labels, found)
-        self._flats = sorted((Flat(f, self._rank(f)) for f in forms), key=Flat.sort_key)
+        self._flats = sorted((Flat(f, self._tight(f)[0]) for f in forms), key=Flat.sort_key)
         return self._flats
 
     def proper_flats(self) -> list[Flat]:
@@ -306,20 +310,11 @@ class Matroid:
         flats of a complete flag, these sets give the bases of maximal weight
         inside its cone.
         """
-        return self._bases_of(self._through(flat))
-
-    def _through(self, flat: Flat) -> int:
-        """The top bit of field k set when the k-th basis B has |B & F| = r(F)."""
-        return (self._counts(flat.forms) + self._offsets[flat.corank]) & self._tops
+        return self._bases_of(self._tight(flat.forms)[1])
 
     def _bases_of(self, bits: int) -> frozenset[frozenset[int]]:
         """The bases whose fields' top bits are set in ``bits`` (-1: all)."""
         return frozenset(_labels(self._masks[p // self._w]) for p in _bits(bits & self._tops))
-
-    def _witness(self, flat: Flat) -> int:
-        """The first basis B with |B & F| = r(F): the lowest top bit of ``_through``."""
-        through = self._through(flat)
-        return self._masks[((through & -through).bit_length() - 1) // self._w]
 
     def is_connected(self) -> bool:
         """Single component of the fundamental graph of any one basis."""
@@ -356,8 +351,8 @@ class Matroid:
     def flacets(self) -> list[Flat]:
         """Proper nonzero flats F with both M|F and M/F connected.
 
-        One basis B with |B & F| = r(F) serves both: the minors' fundamental
-        graphs are M's graph of B induced on F and on E - F.
+        The first basis B with |B & F| = r(F) that ``_tight`` marks serves
+        both: the minors' fundamental graphs are its graph induced on F and E - F.
         """
         if not self.is_connected():
             raise Disconnected("flacets are defined for connected configurations")
@@ -365,7 +360,8 @@ class Matroid:
         out = []
         for flat in self.proper_flats():
             f = _mask(flat.forms)
-            basis = self._witness(flat)
+            bits = self._tight(flat.forms)[1]
+            basis = self._masks[((bits & -bits).bit_length() - 1) // self._w]
             if all(_connected(s, basis, self._mask_set) for s in (f, ground ^ f)):
                 out.append(flat)
         return out

@@ -49,15 +49,9 @@ def parse_pi_string(text: str) -> Fraction:
     """Inverse of pi_string; also accepts bare rationals as multiples of pi.
     Spaces may stand at the ends and around "*" and "/", nowhere else."""
     text = re.sub(r"\s*([*/])\s*", r"\1", text.strip())
-    if text in ("0", "-0"):
-        return Fraction(0)
-    if text == "pi":
-        return Fraction(1)
-    if text == "-pi":
-        return Fraction(-1)
-    if text.endswith("*pi"):
-        return Fraction(text[:-3])
-    return Fraction(text)
+    if text in ("pi", "+pi", "-pi"):
+        return Fraction(text.replace("pi", "1"))
+    return Fraction(text.removesuffix("*pi"))
 
 
 def angle_json(value: Fraction) -> dict:

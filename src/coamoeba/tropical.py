@@ -13,7 +13,7 @@ the coarse (Bergman) cones, whose rays are the indicator vectors of the
 flacets.  Any weight inside the cone of a complete flag F_1 > ... > F_(d-1)
 induces the bases B with |B & F_i| = r(F_i) for all i (Ardila-Klivans 2006,
 Feichtner-Sturmfels 2005), the intersection of ``Matroid.bases_through(F_i)``:
-the AND of the flats' ints over basis indices.
+the AND of the bases each flat's ``Matroid._tight`` marks.
 Complete and non-splitting flags come from one walk over chains of flats,
 and every flag is a subchain of a complete one.
 """
@@ -50,17 +50,14 @@ def induced_matroid(m: Matroid, w: Weight) -> InducedMatroid:
 
     A basis B has maximal w-weight exactly when |B & S| = r(S) for each upper
     level set S = {i : w_i >= v}, v above the smallest value: the AND of the
-    test that ``Matroid.bases_through`` makes for a flat.
+    bases ``Matroid._tight`` marks for each S, -1 (all bases) when w is constant.
     """
     if len(w) != m.n:
         raise WrongLength("weight length must match the ground set")
     bits = -1
     for v in sorted(set(w))[1:]:
-        upper = [i for i in range(m.n) if w[i] >= v]
-        bits &= (m._counts(upper) + m._offsets[m._rank(upper)]) & m._tops
-    max_bases = m._bases_of(bits)
-    loops = frozenset(range(m.n)).difference(*max_bases)
-    return InducedMatroid(max_bases=max_bases, loops=loops)
+        bits &= m._tight([i for i in range(m.n) if w[i] >= v])[1]
+    return InducedMatroid(max_bases=m._bases_of(bits), loops=m._uncovered(bits))
 
 
 def in_tropical(m: Matroid, w: Weight) -> bool:
@@ -194,14 +191,14 @@ def maximal_cones(m: Matroid) -> list[BergmanCone]:
     Weights interior to a fine cone of a complete flag determine the same
     set of maximal bases across the whole coarse cone, so grouping complete
     flags by that set enumerates the maximal cones exactly.  A flag's set is
-    the AND of the ints over basis indices of its flats, each computed once;
-    -1, every bit set, stands for all bases.
+    the AND of the bases ``Matroid._tight`` marks for its flats, each computed
+    once; -1, every bit set, stands for all bases.
     """
     if not m.is_connected():
         raise Disconnected("Bergman cones require a connected configuration")
     flacet_list = m.flacets()
     # keyed by form-set, which names a flat and caches its hash in C
-    through = {flat.forms: m._through(flat) for flat in m.proper_flats()}
+    through = {flat.forms: m._tight(flat.forms)[1] for flat in m.proper_flats()}
     groups: dict[int, list[FlagOfFlats]] = {}
     for flag in complete_flags(m):
         key = -1

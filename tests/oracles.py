@@ -17,8 +17,9 @@ run) and ``format_by_pieces`` the piecewise polynomial rendering.
 that extends each chain by every smaller proper flat.  The ``*_by_sets``
 functions keep the matroid's earlier bodies, which read ranks, flats,
 connectivity and cone groups off frozensets of labels instead of bit masks,
-the ``*_by_masks`` functions read ranks, bases through a flat and witness
-bases off the masks one basis at a time instead of the bit-sliced columns,
+the ``*_by_masks`` functions read ranks, bases through a flat, witness
+bases and the labels in no marked basis off the masks one basis at a time
+instead of the bit-sliced columns,
 ``escaping_links_by_rank`` tests each link by its own rank,
 ``induced_matroid_by_enumeration`` sums the weight of every basis in
 Fractions, ``interior_weight`` gives a point inside a flag's cone, and
@@ -359,13 +360,13 @@ def flacets_by_sets(m: Matroid) -> list[Flat]:
 
 
 def rank_by_masks(m: Matroid, mask: int) -> int:
-    """``Matroid._rank``, one basis at a time."""
+    """The rank ``Matroid._tight`` returns, one basis at a time."""
     return max((b & mask).bit_count() for b in m._masks)
 
 
 def through_by_masks(m: Matroid, flat: Flat) -> int:
-    """``Matroid._through``, one basis at a time: the top bit of field k set
-    when the k-th basis meets F in r(F) labels."""
+    """The bits ``Matroid._tight`` returns, one basis at a time: the top bit
+    of field k set when the k-th basis meets F in r(F) labels."""
     f = sum(1 << i for i in flat.forms)
     return sum(
         1 << m._w * (k + 1) - 1
@@ -384,9 +385,19 @@ def bases_of_by_masks(m: Matroid, bits: int) -> frozenset[frozenset[int]]:
 
 
 def witness_by_masks(m: Matroid, flat: Flat) -> int:
-    """``Matroid._witness``: the first basis meeting F in r(F) labels."""
+    """The basis ``Matroid.flacets`` reads for F: the first meeting F in r(F) labels."""
     f = sum(1 << i for i in flat.forms)
     return next(b for b in m._masks if (b & f).bit_count() == flat.corank)
+
+
+def uncovered_by_masks(m: Matroid, bits: int) -> frozenset[int]:
+    """``Matroid._uncovered``, one basis at a time: the labels in no basis
+    whose field's top bit is set in ``bits``."""
+    covered = 0
+    for k, b in enumerate(m._masks):
+        if bits >> m._w * (k + 1) - 1 & 1:
+            covered |= b
+    return frozenset(i for i in range(m.n) if not covered >> i & 1)
 
 
 def bases_through_by_sets(m: Matroid, flat: Flat) -> frozenset[frozenset[int]]:

@@ -231,9 +231,23 @@ def test_bad_point_or_theta_exits_2(paths, capsys):
     assert main(["gauss", paths["d"], "--point", "1,2"]) == 2
     for point in ("nan,1,1", "inf,1,1"):
         assert main(["psi", paths["b"], "--point", point]) == 2
-    for theta in ("1 2*pi,0,0", "1 2,0,0", "- pi,0,0"):  # a space inside a number
+    for theta in ("1 2*pi,0,0", "1 2,0,0", "- pi,0,0", "+ pi,0,0"):  # a space inside a number
         assert main(["member", paths["b"], "--theta", theta]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_signed_theta_and_point(capsys, tmp_path):
+    plane = tmp_path / "plane_b.json"
+    plane.write_text(io.dump_json(io.config_to_json(plane_b())))
+    code, want = run_json(["member", str(plane), "--theta", "pi,0,0"], capsys)
+    assert code == 0
+    code, got = run_json(["member", str(plane), "--theta", "+pi,0,0"], capsys)
+    assert code == 0 and got["inside"] == want["inside"]
+    # a value that starts with "-" is joined to its option by "=", as README says
+    assert main(["member", str(plane), "--theta=-pi,0,0"]) == 0
+    assert main(["psi", str(plane), "--point=-1,2,3", "--exact"]) == 0
+    assert main(["member", str(plane), "--theta", "-pi,0,0"]) == 64
+    capsys.readouterr()
 
 
 def test_member_3d_names_the_input_angles(paths, capsys, tmp_path):

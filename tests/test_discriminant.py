@@ -296,7 +296,13 @@ def test_non_splitting_flags_match_rank_oracle(m6, m_plane):
     matroids += [random_zero_sum_matroid(rng, 6, 3) for _ in range(4)]
     for m in matroids:
         got = {flag.form_chain() for flag in non_splitting_flags(m)}
-        assert got == non_splitting_by_rank(m.config)
+        want = non_splitting_by_rank(m.config)
+        assert got == want
+        # each form-set of a chain once, sorted by corank and then by labels;
+        # the k-th form-set of a chain, counted from 0, has corank d - 1 - k
+        forms = [flat.forms for flat in non_splitting_flats(m)]
+        key = {f: (m.rank - 1 - k, sorted(f)) for chain in want for k, f in enumerate(chain)}
+        assert forms == sorted(key, key=key.get)
 
 
 def test_nondefective_echelons_each_flat_at_most_once(monkeypatch):

@@ -33,6 +33,7 @@ from oracles import (
     rank_reference,
     sweep_configs,
     through_by_masks,
+    uncovered_by_masks,
     witness_by_masks,
 )
 
@@ -274,20 +275,27 @@ def test_bit_sliced_counts_match_one_basis_at_a_time():
         for _ in range(30):
             mask = rng.getrandbits(m.n)
             forms = {i for i in range(m.n) if mask >> i & 1}
-            assert m._rank(forms) == rank_by_masks(m, mask)
-        assert m._rank(range(m.n)) == m.rank
+            r, bits = m._tight(forms)
+            assert r == rank_by_masks(m, mask)
+            assert bits == through_by_masks(m, Flat(frozenset(forms), r))
+        assert m._tight(range(m.n))[0] == m.rank
         assert m._bases_of(-1) == m.bases
+        assert m._uncovered(-1) == uncovered_by_masks(m, -1) == frozenset()
         for flat in m.flats():
             mask = sum(1 << i for i in flat.forms)
-            assert m._rank(flat.forms) == rank_by_masks(m, mask) == flat.corank
-            through = m._through(flat)
-            assert through == through_by_masks(m, flat)
-            assert m._bases_of(through) == bases_of_by_masks(m, through)
-            assert m._witness(flat) == witness_by_masks(m, flat)
-        # cone keys are ANDs of these ints
-        keys = [m._through(f) for f in m.flats_of_corank(m.rank - 1)]
+            r, bits = m._tight(flat.forms)
+            assert r == rank_by_masks(m, mask) == flat.corank
+            assert bits == through_by_masks(m, flat)
+            assert m._bases_of(bits) == bases_of_by_masks(m, bits)
+            assert m._uncovered(bits) == uncovered_by_masks(m, bits)
+            # the witness basis of flacets: the lowest set bit's field
+            witness = m._masks[((bits & -bits).bit_length() - 1) // m._w]
+            assert witness == witness_by_masks(m, flat)
+        # cone keys and induced matroids are ANDs of these ints
+        keys = [m._tight(f.forms)[1] for f in m.flats_of_corank(m.rank - 1)]
         for a, b in zip(keys, keys[1:]):
             assert m._bases_of(a & b) == bases_of_by_masks(m, a & b)
+            assert m._uncovered(a & b) == uncovered_by_masks(m, a & b)
 
 
 def test_walked_flags_pass_the_public_check():

@@ -126,6 +126,9 @@ def test_parse_pi_string_spaces():
     assert io.parse_pi_string("3/4 * pi") == Fraction(3, 4)
     assert io.parse_pi_string(" -3/4*pi ") == Fraction(-3, 4)
     assert io.parse_pi_string("3 / 4") == Fraction(3, 4)
-    for text in ("1 2", "1 2*pi", "- pi", "- 3/4*pi"):
+    # a sign leads "pi" as it leads a multiple of pi, with no space after it
+    assert io.parse_pi_string("+pi") == io.parse_pi_string("pi") == 1
+    assert io.parse_pi_string("+1/2*pi") == Fraction(1, 2)
+    for text in ("1 2", "1 2*pi", "- pi", "- 3/4*pi", "+ pi", "++pi"):
         with pytest.raises(ValueError):
             io.parse_pi_string(text)
