@@ -9,10 +9,13 @@ catalog configurations and on seeded random zero-sum configurations at
 fixed (n, d) rungs, and on the nondefective d = 3 rungs also ``prisms_d3``,
 ``sample_coamoeba`` (SAMPLES points, seed 0) and ``pls3_distances`` of those
 samples (tolerance TOL), the stages of the d = 3 prism experiment; other
-rungs record "n/a" for these.  Each repeat builds a fresh matroid and runs
-the stages in that order, so ``flats`` is timed on its first call and the
-later stages find the flats and connectivity cached.  A run records each
-stage's median over its REPEATS repeats.  A stage call that overruns
+rungs record "n/a" for these.  On ``sixline_b`` it also times ``certify``,
+``certify_discriminant`` of the six-line discriminant on CERTIFY_GRID grid
+points, the exact certification of ``verify``; other rungs record "n/a".
+Each repeat builds a fresh matroid and runs the stages in that order, so
+``flats`` is timed on its first call and the later stages find the flats
+and connectivity cached.  A run records each stage's median over its
+REPEATS repeats.  A stage call that overruns
 TIMEOUT seconds is recorded as a timeout, and the rung's remaining calls
 are skipped.
 
@@ -21,7 +24,8 @@ be timed into another column of the same file.  Naming a column again adds
 a run to it, and the column's summary is each stage's median over its runs:
 runs of the two columns in alternation even out a machine whose speed
 drifts.  The file keeps each rung's seed and its counts (bases, flats,
-complete and non-splitting flags, cones, nondefectivity, prisms); a run
+complete and non-splitting flags, cones, nondefectivity, prisms, and the
+certification's residue, roundtrip and singular-skip counts); a run
 whose counts differ from the file's is refused.  Only the stdlib and the library
 are used.
 """
@@ -46,9 +50,11 @@ REPEATS = 3
 TIMEOUT = 30.0
 SAMPLES = 150
 TOL = 1e-6
+CERTIFY_GRID = 100
 STAGES = (
     "Matroid", "flats", "flacets", "complete_flags", "non_splitting_flags",
-    "maximal_cones", "nondefective", "prisms_d3", "sample_coamoeba", "pls3_distances",
+    "maximal_cones", "nondefective", "certify",
+    "prisms_d3", "sample_coamoeba", "pls3_distances",
 )
 # the stages that run only on nondefective d = 3 rungs
 PRISM_STAGES = STAGES[-3:]
@@ -58,6 +64,8 @@ COUNTED = (
     ("non_splitting_flags", "non_splitting_flags"), ("cones", "maximal_cones"),
     ("prisms", "prisms_d3"),
 )
+# the counts of the certify stage's report
+CERTIFY_COUNTS = ("residue_checked", "roundtrip_checked", "roundtrip_singular_skipped")
 
 
 class StageTimeout(Exception):
@@ -98,20 +106,23 @@ def random_zero_sum(rng: random.Random, n: int, d: int, lib):
 
 
 def rungs(lib) -> list[dict]:
+    """Each rung's name, seed, configuration and the polynomial its certify
+    stage certifies (None: no certify stage)."""
     out = [
-        {"name": name, "seed": None, "config": make()}
-        for name, make in (
-            ("line_b", lib.line_b), ("plane_b", lib.plane_b), ("sixline_b", lib.sixline_b)
+        {"name": name, "seed": None, "config": make(), "poly": poly}
+        for name, make, poly in (
+            ("line_b", lib.line_b, None), ("plane_b", lib.plane_b, None),
+            ("sixline_b", lib.sixline_b, lib.sixline_discriminant()),
         )
     ]
     for n, d in RUNGS:
         seed = f"ladder/{n},{d}"
         config = random_zero_sum(random.Random(seed), n, d, lib)
-        out.append({"name": f"({n},{d})", "seed": seed, "config": config})
+        out.append({"name": f"({n},{d})", "seed": seed, "config": config, "poly": None})
     return out
 
 
-def stage_calls(lib, config):
+def stage_calls(lib, config, poly):
     """The stages in order, each a function of the earlier stages' results
     by name."""
     return (
@@ -122,6 +133,7 @@ def stage_calls(lib, config):
         ("non_splitting_flags", lambda r: lib.non_splitting_flags(r["Matroid"])),
         ("maximal_cones", lambda r: lib.maximal_cones(r["Matroid"])),
         ("nondefective", lambda r: lib.nondefective(r["Matroid"])),
+        ("certify", lambda r: lib.certify_discriminant(poly, r["Matroid"], CERTIFY_GRID)),
         ("prisms_d3", lambda r: lib.prisms_d3(r["Matroid"])),
         ("sample_coamoeba", lambda r: lib.sample_coamoeba(r["Matroid"], SAMPLES, 0)),
         ("pls3_distances", lambda r: lib.pls3_distances(
@@ -129,7 +141,7 @@ def stage_calls(lib, config):
     )
 
 
-def time_rung(lib, config) -> tuple[dict, dict]:
+def time_rung(lib, config, poly) -> tuple[dict, dict]:
     """Each stage's median seconds, or "timeout", "skipped" or "n/a", and the
     counts the stages found."""
     times: dict[str, list[float]] = {name: [] for name in STAGES}
@@ -137,7 +149,9 @@ def time_rung(lib, config) -> tuple[dict, dict]:
     timed_out = None
     for _ in range(REPEATS):
         run: dict[str, object] = {}
-        for name, call in stage_calls(lib, config):
+        for name, call in stage_calls(lib, config, poly):
+            if name == "certify" and poly is None:
+                continue
             if name in PRISM_STAGES and (config.d != 3 or not run["nondefective"]):
                 break
             start = time.perf_counter()
@@ -156,7 +170,7 @@ def time_rung(lib, config) -> tuple[dict, dict]:
     for name in STAGES:
         if name == timed_out:
             stages[name] = "timeout"
-        elif name in PRISM_STAGES and no_prisms:
+        elif name in PRISM_STAGES and no_prisms or name == "certify" and poly is None:
             stages[name] = "n/a"
         else:
             stages[name] = statistics.median(times[name]) if times[name] else "skipped"
@@ -166,6 +180,9 @@ def time_rung(lib, config) -> tuple[dict, dict]:
         counts[key] = len(results[name]) if name in results else None
     counts["nondefective"] = results.get("nondefective")
     counts["prisms"] = "n/a" if stages["prisms_d3"] == "n/a" else counts["prisms"]
+    report = results.get("certify", {})
+    for key in CERTIFY_COUNTS:
+        counts[key] = "n/a" if stages["certify"] == "n/a" else report.get(key)
     return stages, counts
 
 
@@ -225,6 +242,8 @@ def load_library(src: str):
         line_b=catalog.line_b,
         plane_b=catalog.plane_b,
         sixline_b=catalog.sixline_b,
+        sixline_discriminant=catalog.sixline_discriminant,
+        certify_discriminant=harness.certify_discriminant,
         complete_flags=tropical.complete_flags,
         maximal_cones=tropical.maximal_cones,
         non_splitting_flags=discriminant.non_splitting_flags,
@@ -250,7 +269,7 @@ def main(argv=None) -> int:
     run = {}
     for rung in rungs(lib):
         config = rung["config"]
-        stages, counts = time_rung(lib, config)
+        stages, counts = time_rung(lib, config, rung["poly"])
         known = report["rungs"].setdefault(
             rung["name"], {"n": config.n, "d": config.d, "seed": rung["seed"], "counts": counts}
         )

@@ -23,6 +23,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import intlinalg as la
 from . import tropical
 from .configuration import VectorConfiguration
@@ -58,24 +60,21 @@ class HornKapranovMap:
         return self.b.d
 
 
-def _psi_integer(h: HornKapranovMap, y) -> tuple[list[int], list[int]]:
-    """psi at an integer point as (nums, dens), coordinate j = nums[j] / dens[j].
+def _psi_block(h: HornKapranovMap, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi at integer points, one per row of ``ys``, in object arrays of ints.
 
-    nums[j] is the product of <b,y>^(b_j) over the rows with b_j > 0 and
-    dens[j] that of <b,y>^(-b_j) over the rows with b_j < 0.  Raises
-    OnArrangement naming the first vanishing row.
+    Returns (vanish, nums, dens): vanish[i, a] says <b_a, y_i> = 0, and row
+    k of nums and dens is psi at the k-th row of ys with no vanishing
+    pairing, coordinate j = nums[k, j] / dens[k, j].  nums[k, j] is the
+    product of <b,y>^(b_j) over the rows with b_j > 0 and dens[k, j] that of
+    <b,y>^(-b_j) over the rows with b_j < 0.
     """
-    nums, dens = [1] * h.d, [1] * h.d
-    for label, row in zip(h.b.labels, h.b.matrix):
-        val = sum(c * x for c, x in zip(row, y))
-        if val == 0:
-            raise OnArrangement(label)
-        for j, e in enumerate(row):
-            if e > 0:
-                nums[j] *= val**e
-            elif e < 0:
-                dens[j] *= val ** (-e)
-    return nums, dens
+    b = np.array(h.b.matrix, dtype=object)
+    pair = np.array(ys, dtype=object).reshape(-1, h.d) @ b.T
+    vanish = pair == 0
+    pair = pair[~vanish.any(axis=1), :, None]  # each pairing against b's columns
+    nums, dens = (np.prod(pair ** np.maximum(s * b, 0), axis=1) for s in (1, -1))
+    return vanish, nums, dens
 
 
 def psi_exact(h: HornKapranovMap, y) -> tuple[Fraction, ...]:
@@ -90,8 +89,10 @@ def psi_exact(h: HornKapranovMap, y) -> tuple[Fraction, ...]:
     if len(yv) != h.d:
         raise WrongLength(f"point has {len(yv)} coordinates, expected {h.d}")
     lcm = math.lcm(*(v.denominator for v in yv))
-    nums, dens = _psi_integer(h, [v.numerator * (lcm // v.denominator) for v in yv])
-    return tuple(Fraction(n, d) for n, d in zip(nums, dens))
+    vanish, nums, dens = _psi_block(h, [[v.numerator * (lcm // v.denominator) for v in yv]])
+    if vanish.any():
+        raise OnArrangement(h.b.labels[vanish[0].argmax()])
+    return tuple(map(Fraction, nums[0], dens[0]))
 
 
 def psi_complex(h: HornKapranovMap, y) -> tuple[complex, ...]:
@@ -158,18 +159,6 @@ def log_gauss(f: SparsePoly, y):
     if lead is None:
         raise SingularPoint("all logarithmic partials vanish")
     return tuple(c / lead for c in coords)
-
-
-def projectively_equal(u, v) -> bool:
-    """Exact projective equality via vanishing 2x2 minors."""
-    if len(u) != len(v):
-        return False
-    if all(x == 0 for x in u) or all(x == 0 for x in v):
-        return False
-    for (a, b), (c, e) in itertools.combinations(zip(u, v), 2):
-        if a * e - b * c != 0:
-            return False
-    return True
 
 
 # -- nondefectivity -----------------------------------------------------------

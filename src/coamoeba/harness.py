@@ -16,11 +16,14 @@ in the input polynomial and is reported, never "corrected"), and
 ``gauss_roundtrip`` certifies that the logarithmic Gauss map inverts the
 parameterization at sample points, skipping the measure-zero singular locus
 where the Gauss map is undefined.  ``_certify_walk`` runs both checks on
-one grid walk, computing each point once and stopping when both are done.
-They run in integers on one common denominator: a grid point y is
-integral, so psi(y) is one integer over another per coordinate, and with
-f's coefficients cleared once, each term of f at psi(y) times one K is an
-integer.  f(psi(y)) = 0 when those sum to zero, and the Euler sums of e_j
+one grid walk, in blocks of the fewest points the checks still need, so no
+point is evaluated that the walk does not read.  A block is evaluated at
+once, each value a Python int in a numpy object array, and its points are
+then decided one by one in grid order, the order a point-by-point walk
+takes.  The checks run in integers on one common denominator: a grid point
+y is integral, so psi(y) is one integer over another per coordinate, and
+with f's coefficients cleared once, each term of f at psi(y) times one K
+is an integer.  f(psi(y)) = 0 when those sum to zero, and the Euler sums of e_j
 times the terms are K times the logarithmic partials y_j df/dy_j.
 """
 
@@ -33,10 +36,10 @@ from fractions import Fraction
 import numpy as np
 
 from .cycles import pls3_distances, prisms_d3
-from .discriminant import HornKapranovMap, OnArrangement, _psi_integer, projectively_equal
+from .discriminant import HornKapranovMap, _psi_block
 from .errors import Defective, DimensionNot3, InputError, WrongLength
 from .matroid import Flat, Matroid
-from .polynomial import SparsePoly, _cleared, _term_values
+from .polynomial import SparsePoly, _cleared, _term_block
 
 REJECTION_THRESHOLD = 1e-8
 _CHUNK = 2048
@@ -127,13 +130,15 @@ class RoundtripResult:
 def _certify_walk(f: SparsePoly, m: Matroid, n_residue: int, n_roundtrip: int):
     """The residue and roundtrip checks on one walk of ``rational_grid``.
 
-    At each grid point off the arrangement, psi (``_psi_integer``) and f's
-    term values (``_term_values``, f cleared once) are computed once for
-    both checks.  The residue check takes the first n_residue such points,
-    the roundtrip takes points until n_roundtrip nonsingular ones pass or
-    one fails, and the walk stops when both are done.  Before any point it
-    refuses negative sizes, then a nonzero row sum, then a wrong variable
-    count.  Returns ((max_residue, witness_point, n_checked), RoundtripResult).
+    Each block is the larger of the residue check's and the open roundtrip's
+    shortfall.  On it, psi (``_psi_block``), f's term values (``_term_block``,
+    f cleared once), their sums, the Euler sums and the 2x2 minors of the
+    projective test are computed at once.  The residue check takes the first
+    n_residue points off the arrangement, the roundtrip takes points until
+    n_roundtrip nonsingular ones pass or one fails, and the walk stops when
+    both are done.  Before any point it refuses negative sizes, then a
+    nonzero row sum, then a wrong variable count.  Returns ((max_residue,
+    witness_point, n_checked), RoundtripResult).
     """
     if n_residue < 0 or n_roundtrip < 0:
         raise InputError(f"grid sizes must be non-negative, got {n_residue}, {n_roundtrip}")
@@ -141,36 +146,41 @@ def _certify_walk(f: SparsePoly, m: Matroid, n_residue: int, n_roundtrip: int):
     if len(f.variables) != m.config.d:
         raise WrongLength("point length must match the number of variables")
     cleared = _cleared(f)
-    exponents = list(zip(*(exps for exps, _ in f.terms)))  # one column per variable
-    worst = _ZERO
-    witness = None
+    exponents = cleared[2].astype(object)  # Python ints, so the Euler sums stay exact
+    grid = rational_grid(m.config.d)
+    worst, witness, counterexample = _ZERO, None, None
     taken = checked = singular = 0
-    counterexample = None
     roundtrip_done = n_roundtrip == 0
-    for y in rational_grid(m.config.d):
-        if taken == n_residue and roundtrip_done:
-            break
-        try:
-            nums, dens = _psi_integer(h, y)
-        except OnArrangement:
-            continue
-        values, scale = _term_values(cleared, nums, dens)
-        if taken < n_residue:
-            taken += 1
-            total = abs(sum(values))
-            # |total / scale| > worst, cross-multiplied
-            if total * worst.denominator > worst.numerator * abs(scale):
-                worst = Fraction(total, abs(scale))
-                witness = y
-        if not roundtrip_done:
-            coords = [sum(e * v for e, v in zip(column, values)) for column in exponents]
-            if not any(coords):
-                singular += 1
-            else:
-                checked += 1
-                if not projectively_equal(coords, y):
-                    counterexample = y
-                roundtrip_done = counterexample is not None or checked == n_roundtrip
+    while size := max(n_residue - taken, 0 if roundtrip_done else n_roundtrip - checked):
+        block = list(itertools.islice(grid, size))
+        vanish, nums, dens = _psi_block(h, block)
+        ys = np.array(block, dtype=object).reshape(-1, h.d)[~vanish.any(axis=1)]
+        values, scales = _term_block(cleared, nums, dens)
+        coords = values @ exponents  # K y_j df/dy_j, by the Euler operator
+        # y and coords are projectively equal when y_i coords_j is symmetric in i, j
+        minors = ys[:, :, None] * coords[:, None]
+        inverts = (minors == minors.transpose(0, 2, 1)).all(axis=(1, 2))
+        totals = abs(values.sum(axis=1))  # K |f(psi(y))|
+        rows = zip(map(tuple, ys), totals, abs(scales), coords.any(axis=1), inverts)
+        for y, total, scale, regular, inverted in rows:
+            if taken == n_residue and roundtrip_done:
+                break
+            if taken < n_residue:
+                taken += 1
+                # |total / scale| > worst, cross-multiplied
+                if total * worst.denominator > worst.numerator * scale:
+                    worst = Fraction(total, scale)
+                    witness = y
+            if not roundtrip_done:
+                if not regular:
+                    singular += 1
+                else:
+                    checked += 1
+                    if not inverted:
+                        counterexample = y
+                    roundtrip_done = counterexample is not None or checked == n_roundtrip
+        if len(block) < size:
+            break  # the grid ran out
     roundtrip = RoundtripResult(counterexample is None, checked, singular, counterexample)
     return (worst, witness, taken), roundtrip
 

@@ -33,6 +33,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import PolySyntaxError, UnknownVariable, WrongLength
 
 Exponents = tuple[int, ...]
@@ -100,36 +102,36 @@ class SparsePoly:
 
 
 def _cleared(p: SparsePoly):
-    """p with its coefficient denominators cleared, for ``_term_values``.
+    """p with its coefficient denominators cleared, for ``_term_block``.
 
-    Returns (L, terms, degrees): L is the lcm of the coefficient
-    denominators, terms pairs each exponent vector with the integer L * c,
-    and degrees holds the top exponent of each variable.
+    Returns (L, coeffs, exps, degrees): L is the lcm of the coefficient
+    denominators, coeffs the integers L * c in an object array, exps the
+    exponent vectors as the rows of an integer array, and degrees the top
+    exponent of each variable (0 for p = 0).
     """
     lcm = math.lcm(*(c.denominator for _, c in p.terms))
-    terms = tuple((e, c.numerator * (lcm // c.denominator)) for e, c in p.terms)
-    degrees = tuple(map(max, zip(*(e for e, _ in terms))))  # empty for p = 0
-    return lcm, terms, degrees
+    coeffs = np.array([c.numerator * (lcm // c.denominator) for _, c in p.terms], dtype=object)
+    exps = np.array([e for e, _ in p.terms], dtype=np.intp).reshape(-1, len(p.variables))
+    return lcm, coeffs, exps, exps.max(axis=0, initial=0)
 
 
-def _term_values(cleared, nums, dens) -> tuple[list[int], int]:
-    """Each term of p at the point nums[j] / dens[j], times K, and K.
+def _term_block(cleared, nums, dens) -> tuple[np.ndarray, np.ndarray]:
+    """Each term of p at each point nums[i] / dens[i], times K_i, and each K_i.
 
-    With K = L * prod_j dens[j]^deg_j, term c * y^e times K is the integer
-    (L * c) * prod_j nums[j]^e_j * dens[j]^(deg_j - e_j).  Each coordinate
-    gets one table of those factors for e_j = 0 .. deg_j, so each factor is
-    computed once per point, not once per term.  The dens must be nonzero.
+    With K_i = L * prod_j dens[i, j]^deg_j, term c * y^e times K_i is the
+    integer (L * c) * prod_j nums[i, j]^e_j * dens[i, j]^(deg_j - e_j).
+    Each variable gets one table of those factors for e_j = 0 .. deg_j, and
+    the term values are the (points x terms) product of its columns picked
+    by exps.  Values are Python ints in object arrays; dens must be nonzero.
     """
-    scale, terms, degrees = cleared
-    tables = []
-    for num, den, k in zip(nums, dens, degrees):
-        tables.append([num**e * den ** (k - e) for e in range(k + 1)])
-        scale *= den**k
-    values = []
-    for exps, value in terms:
-        for e, table in zip(exps, tables):
-            value *= table[e]
-        values.append(value)
+    lcm, coeffs, exps, degrees = cleared
+    values = np.repeat(coeffs[None], len(nums), axis=0)
+    scale = np.full(len(nums), lcm, dtype=object)
+    for j, k in enumerate(degrees):
+        powers = np.arange(k + 1)
+        table = nums[:, j, None] ** powers * dens[:, j, None] ** (k - powers)
+        values *= table[:, exps[:, j]]
+        scale *= table[:, 0]  # dens^deg_j
     return values, scale
 
 
@@ -138,10 +140,9 @@ def evaluate_exact(p: SparsePoly, point) -> Fraction:
     pt = [Fraction(x) for x in point]
     if len(pt) != len(p.variables):
         raise WrongLength("point length must match the number of variables")
-    values, scale = _term_values(
-        _cleared(p), [x.numerator for x in pt], [x.denominator for x in pt]
-    )
-    return Fraction(sum(values), scale)
+    parts = np.array([[x.numerator for x in pt], [x.denominator for x in pt]], dtype=object)
+    values, scale = _term_block(_cleared(p), parts[:1], parts[1:])
+    return Fraction(sum(values[0]), scale[0])
 
 
 def partial_derivative(p: SparsePoly, var: str) -> SparsePoly:

@@ -198,7 +198,7 @@ def maximal_cones(m: Matroid) -> list[BergmanCone]:
         raise Disconnected("Bergman cones require a connected configuration")
     flacet_list = m.flacets()
     # keyed by form-set, which names a flat and caches its hash in C
-    through = {flat.forms: m._tight(flat.forms)[1] for flat in m.proper_flats()}
+    through = {flat.forms: m._tight(flat.forms, flat.corank)[1] for flat in m.proper_flats()}
     groups: dict[int, list[FlagOfFlats]] = {}
     for flag in complete_flags(m):
         key = -1

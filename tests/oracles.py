@@ -5,7 +5,10 @@ different method (Fraction Gauss-Jordan elimination, bases by one echelon
 per subset, quotient charts by a double kernel, rank-based closure, chain
 enumeration, circuit enumeration, minors built as vectors, derivative
 polynomials, two-pass polygon membership, the half-coamoeba walk from every
-start vertex, grid certification in Fractions, two grid walks, sampling with
+start vertex, grid certification in Fractions, two grid walks, the
+certification walk one grid point at a time (``psi_integer``,
+``cleared_terms``, ``term_values``, ``projectively_equal``,
+``certify_walk_by_points``), sampling with
 psi on every accepted row of a chunk, the prism kernel in fixed 64-point
 blocks with both shells on every point) on inputs small enough for brute
 force, and ``validate_by_eliminations`` keeps Gale validation's four
@@ -52,12 +55,12 @@ from coamoeba.cycles import (
     zonotope,
 )
 from coamoeba.discriminant import (
+    HornKapranovMap,
     TropRay,
     _cross3,
     _in_sector,
     form_sum,
     log_gauss,
-    projectively_equal,
     tdiscr_rays,
 )
 from coamoeba.errors import (
@@ -933,6 +936,102 @@ def certify_by_fractions(f, m, n) -> dict:
         if roundtrip.counterexample
         else None,
     }
+
+
+def projectively_equal(u, v) -> bool:
+    """Exact projective equality via vanishing 2x2 minors."""
+    if len(u) != len(v):
+        return False
+    if all(x == 0 for x in u) or all(x == 0 for x in v):
+        return False
+    for (a, b), (c, e) in itertools.combinations(zip(u, v), 2):
+        if a * e - b * c != 0:
+            return False
+    return True
+
+
+def psi_integer(h, y) -> tuple[list[int], list[int]]:
+    """``discriminant._psi_block`` at one integer point, as (nums, dens):
+    nums[j] is the product of <b,y>^(b_j) over the rows with b_j > 0 and
+    dens[j] that of <b,y>^(-b_j) over the rows with b_j < 0.  Raises
+    OnArrangement naming the first vanishing row."""
+    nums, dens = [1] * h.d, [1] * h.d
+    for label, row in zip(h.b.labels, h.b.matrix):
+        val = sum(c * x for c, x in zip(row, y))
+        if val == 0:
+            raise OnArrangement(label)
+        for j, e in enumerate(row):
+            if e > 0:
+                nums[j] *= val**e
+            elif e < 0:
+                dens[j] *= val ** (-e)
+    return nums, dens
+
+
+def cleared_terms(p):
+    """p's terms with the coefficient denominators cleared, as (L, terms,
+    degrees): terms pairs each exponent vector with the integer L * c."""
+    lcm = math.lcm(*(c.denominator for _, c in p.terms))
+    terms = tuple((e, c.numerator * (lcm // c.denominator)) for e, c in p.terms)
+    degrees = tuple(map(max, zip(*(e for e, _ in terms))))  # empty for p = 0
+    return lcm, terms, degrees
+
+
+def term_values(cleared, nums, dens) -> tuple[list[int], int]:
+    """``polynomial._term_block`` at one point nums[j] / dens[j]: each term
+    times K = L * prod_j dens[j]^deg_j, from one table of factors
+    num^e * den^(deg - e) per coordinate, and K."""
+    scale, terms, degrees = cleared
+    tables = []
+    for num, den, k in zip(nums, dens, degrees):
+        tables.append([num**e * den ** (k - e) for e in range(k + 1)])
+        scale *= den**k
+    values = []
+    for exps, value in terms:
+        for e, table in zip(exps, tables):
+            value *= table[e]
+        values.append(value)
+    return values, scale
+
+
+def certify_walk_by_points(f, m, n_residue, n_roundtrip):
+    """``harness._certify_walk`` one grid point at a time: psi and the term
+    values from ``psi_integer`` and ``term_values``, the Euler sums and the
+    projective test per point."""
+    if n_residue < 0 or n_roundtrip < 0:
+        raise InputError(f"grid sizes must be non-negative, got {n_residue}, {n_roundtrip}")
+    h = HornKapranovMap(m.config)
+    if len(f.variables) != m.config.d:
+        raise WrongLength("point length must match the number of variables")
+    cleared = cleared_terms(f)
+    exponents = list(zip(*(exps for exps, _ in f.terms)))  # one column per variable
+    worst, witness = Fraction(0), None
+    taken = checked = singular = 0
+    counterexample = None
+    roundtrip_done = n_roundtrip == 0
+    for y in rational_grid(m.config.d):
+        if taken == n_residue and roundtrip_done:
+            break
+        try:
+            nums, dens = psi_integer(h, y)
+        except OnArrangement:
+            continue
+        values, scale = term_values(cleared, nums, dens)
+        if taken < n_residue:
+            taken += 1
+            if Fraction(abs(sum(values)), abs(scale)) > worst:
+                worst, witness = Fraction(abs(sum(values)), abs(scale)), y
+        if not roundtrip_done:
+            coords = [sum(e * v for e, v in zip(column, values)) for column in exponents]
+            if not any(coords):
+                singular += 1
+            else:
+                checked += 1
+                if not projectively_equal(coords, y):
+                    counterexample = y
+                roundtrip_done = counterexample is not None or checked == n_roundtrip
+    roundtrip = RoundtripResult(counterexample is None, checked, singular, counterexample)
+    return (worst, witness, taken), roundtrip
 
 
 def _full_sample_chunk(bmat, seed, chunk_index, size):

@@ -21,7 +21,6 @@ from coamoeba.discriminant import (
     non_splitting_flags,
     non_splitting_flats,
     nondefective,
-    projectively_equal,
     psi_complex,
     psi_exact,
     tdiscr_fan_d3,
@@ -35,6 +34,7 @@ from oracles import (
     essential_flacets_by_form_sums,
     log_gauss_by_partials,
     non_splitting_by_rank,
+    projectively_equal,
     random_zero_sum_matroid,
     sweep_configs,
     tdiscr_fan_d3_by_form_sums,

@@ -1,5 +1,6 @@
 """Sampling determinism, residue certification, Gauss roundtrips, experiments."""
 
+import itertools
 import math
 import random
 import sys
@@ -11,7 +12,8 @@ import pytest
 from coamoeba import harness
 from coamoeba.catalog import hyperplane_b, line_b, plane_b, sixline_b, sixline_discriminant
 from coamoeba.cycles import build_cycle, contains2, prisms_d3
-from coamoeba.errors import InputError, WrongLength
+from coamoeba.discriminant import HornKapranovMap, _psi_block
+from coamoeba.errors import InputError, OnArrangement, WrongLength
 from coamoeba.harness import (
     certify_discriminant,
     conjecture_experiment_d3,
@@ -21,10 +23,11 @@ from coamoeba.harness import (
     sample_coamoeba,
 )
 from coamoeba.matroid import Matroid
-from coamoeba.polynomial import SparsePoly, parse
+from coamoeba.polynomial import SparsePoly, _cleared, _term_block, parse
 import oracles
 from oracles import (
     certify_by_fractions,
+    certify_walk_by_points,
     gauss_roundtrip_by_fractions,
     random_zero_sum_matroid,
     residue_check_by_fractions,
@@ -243,6 +246,7 @@ def _differential_cases():
         ("sixline", m6, big_d),
         ("sixline+1", m6, _shifted(big_d, 1)),
         ("sixline+1/3", m6, _shifted(big_d, Fraction(1, 3))),
+        ("sixline+1/big", m6, _shifted(big_d, Fraction(1, 10**30 + 57))),
         ("one", m6, parse("1", big_d.variables)),
         ("zero", m6, SparsePoly.zero(big_d.variables)),
     ]
@@ -270,19 +274,83 @@ def test_certify_matches_two_walk_oracle(name, m, f):
         assert certify_discriminant(f, m, n) == certify_by_fractions(f, m, n), n
 
 
-def test_certify_computes_each_grid_point_once(m6, big_d, monkeypatch):
-    calls = []
+@pytest.mark.parametrize("name, m, f", DIFFERENTIAL, ids=[c[0] for c in DIFFERENTIAL])
+def test_certify_walk_matches_per_point_oracle(name, m, f):
+    for n in (0, 1, 5, 100, 500):
+        for sizes in ((n, n), (n, 0), (0, n)):
+            want = certify_walk_by_points(f, m, *sizes)
+            assert harness._certify_walk(f, m, *sizes) == want, sizes
 
-    def counted(h, y):
-        calls.append(y)
-        return psi_integer(h, y)
 
-    psi_integer = harness._psi_integer
-    monkeypatch.setattr(harness, "_psi_integer", counted)
-    report = certify_discriminant(big_d, m6, 100)
-    assert report["status"] == "ok"
-    assert report["roundtrip_checked"] + report["roundtrip_singular_skipped"] == 110
-    assert len(calls) == len(set(calls)) <= 117  # two walks made 225 calls
+def test_per_point_oracle_cases_cover_the_walk():
+    # the differential cases skip singular points, run out of grid and find errata
+    walks = {name: certify_walk_by_points(f, m, 500, 500) for name, m, f in DIFFERENTIAL}
+    assert walks["sixline"][1].n_singular_skipped > 0
+    assert walks["hyperplane2"][0][2] == walks["hyperplane2"][1].n_checked == 182 < 500
+    assert walks["sixline+1/big"][0][0].denominator > 10**30
+    assert not walks["sixline+1/big"][1].passed
+
+
+@pytest.mark.parametrize("name, m, f", DIFFERENTIAL, ids=[c[0] for c in DIFFERENTIAL])
+def test_block_cores_match_per_point_oracle(name, m, f):
+    h = HornKapranovMap(m.config)
+    grid = list(itertools.islice(rational_grid(m.config.d), 150))
+    vanish, nums, dens = _psi_block(h, grid)
+    values, scales = _term_block(_cleared(f), nums, dens)
+    cleared, k = oracles.cleared_terms(f), 0
+    for y, row in zip(grid, vanish):
+        try:
+            point = oracles.psi_integer(h, y)
+        except OnArrangement as exc:
+            assert row.any() and h.b.labels[row.argmax()] == exc.label
+            continue
+        assert not row.any()
+        assert (list(nums[k]), list(dens[k])) == point
+        assert (list(values[k]), scales[k]) == oracles.term_values(cleared, *point)
+        k += 1
+    assert k == len(nums) == len(values) == len(scales)
+
+
+def test_block_values_are_python_ints_past_int64(m6, big_d):
+    # six-line term values reach 130 bits at the 117 points of verify -n 100;
+    # an int64 or float array would wrap or round them
+    h = HornKapranovMap(m6.config)
+    vanish, nums, dens = _psi_block(h, list(itertools.islice(rational_grid(3), 117)))
+    cleared = _cleared(big_d)
+    values, scales = _term_block(cleared, nums, dens)
+    sums, coords = values.sum(axis=1), values @ cleared[2].astype(object)
+    for array in (nums, dens, values, scales, sums, coords):
+        assert array.dtype == object
+        assert all(type(v) is int for v in array.flat)
+    for array in (values, scales, coords):
+        assert max(abs(v) for v in array.flat).bit_length() > 63
+
+
+def test_certify_computes_each_grid_point_once(m6, m_plane, big_d, monkeypatch):
+    # each block is the fewest points the walk still needs, so no grid point
+    # is evaluated twice and none that the walk does not read
+    blocks = []
+
+    def counted(h, ys):
+        blocks.append(list(ys))
+        return psi_block(h, ys)
+
+    psi_block = harness._psi_block
+    monkeypatch.setattr(harness, "_psi_block", counted)
+    # on the six-line, two walks evaluated 225 points and the per-point walk 117
+    cases = (
+        (m6, big_d, [100, 16, 1], 117, 10),
+        (m_plane, hyperplane_poly(3), [100, 6], 106, 0),
+    )
+    for m, f, sizes, bound, skipped in cases:
+        blocks.clear()
+        report = certify_discriminant(f, m, 100)
+        assert report["status"] == "ok"
+        assert report["roundtrip_checked"] + report["roundtrip_singular_skipped"] == 100 + skipped
+        assert [len(block) for block in blocks] == sizes
+        points = [y for block in blocks for y in block]
+        assert len(points) == len(set(points)) <= bound
+        assert points == list(itertools.islice(rational_grid(3), len(points)))
 
 
 @pytest.mark.parametrize("check", [residue_check, gauss_roundtrip, certify_discriminant])
