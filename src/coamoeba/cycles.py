@@ -42,6 +42,7 @@ from .errors import (
     NonIntegralDegree,
     NonzeroSum,
     ParallelRows,
+    TooLarge,
     WrongLength,
     ZeroVector,
 )
@@ -343,11 +344,24 @@ def _require_angles(theta, count: int) -> None:
         raise WrongLength(f"expected {count} angles, got {len(theta)}")
 
 
+# The most 2 pi Z^2 translates of one shell a membership window may hold.
+MAX_TRANSLATES = 100_000
+
+
 def _window(poly: Polygon, x_lo, x_hi, y_lo, y_hi, pad) -> tuple[range, range]:
-    """ax and ay ranges of the translates by 2 pi (ax, ay) within pad of the box."""
+    """ax and ay ranges of the translates by 2 pi (ax, ay) within pad of the box.
+
+    Raises TooLarge when the product of the ranges' lengths passes
+    MAX_TRANSLATES, each length read off the range's integer bounds (len
+    overflows past 2^63) and counted as at least 1, as the walks make a
+    tuple of each range.
+    """
     xmin, xmax, ymin, ymax = poly._bbox
     axs = range(math.ceil((xmin - x_hi - pad) / 2), math.floor((xmax - x_lo + pad) / 2) + 1)
     ays = range(math.ceil((ymin - y_hi - pad) / 2), math.floor((ymax - y_lo + pad) / 2) + 1)
+    if max(axs.stop - axs.start, 1) * max(ays.stop - ays.start, 1) > MAX_TRANSLATES:
+        spans = f"{axs.stop - axs.start} x {ays.stop - ays.start} translates"
+        raise TooLarge(f"a shell's window spans {spans}, past the bound of {MAX_TRANSLATES}")
     return axs, ays
 
 

@@ -39,7 +39,7 @@ from .errors import (
     WrongLength,
 )
 from .matroid import Flat, FlagOfFlats, Matroid
-from .polynomial import SparsePoly
+from .polynomial import SparsePoly, _cleared, _require_bits, _term_block, _value_bits
 
 # psi_complex's cut-off for |<b, y>| relative to max_j |y_j|
 NEAR_ARRANGEMENT = 1e-12
@@ -77,19 +77,32 @@ def _psi_block(h: HornKapranovMap, ys) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return vanish, nums, dens
 
 
+def _psi_logs(h: HornKapranovMap, pair_max) -> list[int]:
+    """Per coordinate j, an L with psi's nums and dens at most 2^L in size at
+    the integer points y with |<b_a, y>| <= pair_max[a]: each is a product
+    of |b_aj| factors of at most 2^ceil(log2 pair_max[a])."""
+    logs = [(p - 1).bit_length() for p in pair_max]
+    scaled = [[k * x for x in row] for k, row in zip(logs, h.b.matrix)]
+    return [max(sum(x for x in c if x > 0), -sum(x for x in c if x < 0)) for c in zip(*scaled)]
+
+
 def psi_exact(h: HornKapranovMap, y) -> tuple[Fraction, ...]:
     """Exact value of psi at a rational point off the arrangement.
 
     psi is homogeneous of degree 0, so the point is first scaled by the lcm
     of its denominators to an integer point; coordinate j is then the
     product over rows b of <b,y>^(b_j), one integer numerator over one
-    integer denominator.  Raises OnArrangement naming the first vanishing row.
+    integer denominator.  Raises TooLarge when a coordinate could pass
+    ``MAX_EXACT_BITS`` bits, then OnArrangement naming the first vanishing row.
     """
     yv = [Fraction(v) for v in y]
     if len(yv) != h.d:
         raise WrongLength(f"point has {len(yv)} coordinates, expected {h.d}")
     lcm = math.lcm(*(v.denominator for v in yv))
-    vanish, nums, dens = _psi_block(h, [[v.numerator * (lcm // v.denominator) for v in yv]])
+    point = [v.numerator * (lcm // v.denominator) for v in yv]
+    pairs = map(abs, la.mat_vec(h.b.matrix, point))
+    _require_bits(1 + max(_psi_logs(h, pairs)), "psi at this point")
+    vanish, nums, dens = _psi_block(h, [point])
     if vanish.any():
         raise OnArrangement(h.b.labels[vanish[0].argmax()])
     return tuple(map(Fraction, nums[0], dens[0]))
@@ -136,29 +149,26 @@ def psi_complex(h: HornKapranovMap, y) -> tuple[complex, ...]:
 def log_gauss(f: SparsePoly, y):
     """[y_1 df/dy_1 : ... : y_d df/dy_d], scaled by its first nonzero coordinate.
 
-    By the Euler operator, y_j df/dy_j is the sum of e_j * c * y^e over the
-    terms c * y^e of f, so one walk over the terms, evaluating each monomial
-    once, gives every coordinate.  Complex coordinates stay complex and all
-    others are read exactly as Fractions.  Raises WrongLength when the point
-    does not have one coordinate per variable, and SingularPoint when all
-    coordinates vanish (the projective point is undefined there).
-    """
+    ``_term_block`` gives f's terms times one K at the point, each rational
+    coordinate its numerator over its denominator and each complex one itself
+    over 1.  Their Euler sums are K y_j df/dy_j, and K cancels in the scaling,
+    exactly (to Fractions) where the sums are ints.  Raises WrongLength for a
+    point without one coordinate per variable, TooLarge past
+    ``MAX_EXACT_BITS`` and SingularPoint where all coordinates vanish."""
     point = [v if isinstance(v, complex) else Fraction(v) for v in y]
     if len(point) != len(f.variables):
         raise WrongLength("point length must match the number of variables")
-    coords = [0] * len(point)
-    for exps, coeff in f.terms:
-        value = coeff
-        for x, e in zip(point, exps):
-            if e:
-                value *= x**e
-        for j, e in enumerate(exps):
-            if e:
-                coords[j] += e * value
+    nums = [getattr(v, "numerator", v) for v in point]  # a complex v stays v
+    dens = [getattr(v, "denominator", 1) for v in point]
+    cleared = _cleared(f)
+    logs = [(max(abs(n), d) - 1).bit_length() if type(n) is int else 0 for n, d in zip(nums, dens)]
+    _require_bits(_value_bits(cleared, logs), "the log-Gauss map at this point")
+    values, _ = _term_block(cleared, *np.array([nums, dens], dtype=object)[:, None])
+    coords = (values @ cleared[2])[0]  # K y_j df/dy_j
     lead = next((c for c in coords if c != 0), None)
     if lead is None:
         raise SingularPoint("all logarithmic partials vanish")
-    return tuple(c / lead for c in coords)
+    return tuple(Fraction(c, lead) if type(c) is type(lead) is int else c / lead for c in coords)
 
 
 # -- nondefectivity -----------------------------------------------------------

@@ -20,6 +20,10 @@ class InvariantError(CoamoebaError):
     """An internal invariant failed; indicates a bug or a bad upstream object."""
 
 
+class TooLarge(InputError):
+    """Exact work or a result would pass a documented size bound."""
+
+
 # --- configurations and Gale duality ---------------------------------------
 
 class NotSpanning(InputError):

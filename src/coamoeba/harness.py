@@ -36,14 +36,15 @@ from fractions import Fraction
 import numpy as np
 
 from .cycles import pls3_distances, prisms_d3
-from .discriminant import HornKapranovMap, _psi_block
+from .discriminant import HornKapranovMap, _psi_block, _psi_logs
 from .errors import Defective, DimensionNot3, InputError, WrongLength
 from .matroid import Flat, Matroid
-from .polynomial import SparsePoly, _cleared, _term_block
+from .polynomial import SparsePoly, _cleared, _require_bits, _term_block, _value_bits
 
 REJECTION_THRESHOLD = 1e-8
 _CHUNK = 2048
 _ZERO = Fraction(0)  # the residue before any point; shared, so no Fraction per call
+_MAGNITUDES = (1, -1, 2, -2, 3, -3, 5, -5, 7, -7, 4, -4, 6, -6)  # rational_grid's coordinates
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,8 @@ def _sample_chunk(
     bmat: np.ndarray, seed: int, chunk_index: int, size: int, need: int
 ) -> np.ndarray:
     """Arguments of psi at the first ``need`` of ``size`` random points that
-    are off the arrangement (fewer when the chunk has fewer).
+    are off the arrangement (fewer when the chunk has fewer).  Raises
+    InputError when psi over- or underflows at one of them.
 
     The whole chunk is drawn and multiplied (BLAS rounds by the row count),
     so neither depends on ``need``.  Rows are tested in order, as many at a
@@ -85,8 +87,11 @@ def _sample_chunk(
     pair = pair[keep]
     d = bmat.shape[1]
     psi = np.empty((pair.shape[0], d), dtype=complex)
-    for j in range(d):
-        psi[:, j] = np.prod(pair ** bmat[:, j], axis=1)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for j in range(d):
+            psi[:, j] = np.prod(pair ** bmat[:, j], axis=1)
+    if not np.all(np.isfinite(psi) & (psi != 0)):  # psi is finite and nonzero off the arrangement
+        raise InputError("psi leaves the range of floats at a sampled point")
     return np.angle(psi)
 
 
@@ -114,8 +119,7 @@ def rational_grid(d: int):
     Coordinates cycle through 1, -1, 2, -2, 3, ... in mixed patterns; the
     stream never repeats a point and avoids the origin.
     """
-    magnitudes = [1, -1, 2, -2, 3, -3, 5, -5, 7, -7, 4, -4, 6, -6]
-    for combo in itertools.product(magnitudes, repeat=d):
+    for combo in itertools.product(_MAGNITUDES, repeat=d):
         yield combo
 
 
@@ -137,8 +141,9 @@ def _certify_walk(f: SparsePoly, m: Matroid, n_residue: int, n_roundtrip: int):
     n_residue points off the arrangement, the roundtrip takes points until
     n_roundtrip nonsingular ones pass or one fails, and the walk stops when
     both are done.  Before any point it refuses negative sizes, then a
-    nonzero row sum, then a wrong variable count.  Returns ((max_residue,
-    witness_point, n_checked), RoundtripResult).
+    nonzero row sum, then a wrong variable count, then values of psi or f
+    that could pass ``MAX_EXACT_BITS`` bits on the grid (TooLarge).  Returns
+    ((max_residue, witness_point, n_checked), RoundtripResult).
     """
     if n_residue < 0 or n_roundtrip < 0:
         raise InputError(f"grid sizes must be non-negative, got {n_residue}, {n_roundtrip}")
@@ -146,7 +151,9 @@ def _certify_walk(f: SparsePoly, m: Matroid, n_residue: int, n_roundtrip: int):
     if len(f.variables) != m.config.d:
         raise WrongLength("point length must match the number of variables")
     cleared = _cleared(f)
-    exponents = cleared[2].astype(object)  # Python ints, so the Euler sums stay exact
+    logs = _psi_logs(h, [max(_MAGNITUDES) * sum(map(abs, row)) for row in m.config.matrix])
+    _require_bits(1 + max(logs), "psi on the grid")
+    _require_bits(_value_bits(cleared, logs), "f at psi on the grid")
     grid = rational_grid(m.config.d)
     worst, witness, counterexample = _ZERO, None, None
     taken = checked = singular = 0
@@ -156,7 +163,7 @@ def _certify_walk(f: SparsePoly, m: Matroid, n_residue: int, n_roundtrip: int):
         vanish, nums, dens = _psi_block(h, block)
         ys = np.array(block, dtype=object).reshape(-1, h.d)[~vanish.any(axis=1)]
         values, scales = _term_block(cleared, nums, dens)
-        coords = values @ exponents  # K y_j df/dy_j, by the Euler operator
+        coords = values @ cleared[2]  # K y_j df/dy_j, by the Euler operator
         # y and coords are projectively equal when y_i coords_j is symmetric in i, j
         minors = ys[:, :, None] * coords[:, None]
         inverts = (minors == minors.transpose(0, 2, 1)).all(axis=(1, 2))

@@ -256,12 +256,12 @@ class Matroid:
         r, bits = self._tight(forms)
         return Flat(forms | self._uncovered(bits), r)
 
-    def _tight(self, labels, rank: int | None = None) -> tuple[int, int]:
+    def _tight(self, labels) -> tuple[int, int]:
         """r(F), the largest t <= |F| whose test at t sets a top bit, and the
         top bits that test sets: field k's when the k-th basis B has
-        |B & F| = r(F).  Given r(F) (a flat's corank), it makes one test."""
+        |B & F| = r(F)."""
         counts = sum(self._cols[i] for i in labels)
-        t = min(len(labels), self.rank) if rank is None else rank
+        t = min(len(labels), self.rank)
         while not (bits := (counts + self._offsets[t]) & self._tops):
             t -= 1
         return t, bits
@@ -310,7 +310,7 @@ class Matroid:
         flats of a complete flag, these sets give the bases of maximal weight
         inside its cone.
         """
-        return self._bases_of(self._tight(flat.forms, flat.corank)[1])
+        return self._bases_of(self._tight(flat.forms)[1])
 
     def _bases_of(self, bits: int) -> frozenset[frozenset[int]]:
         """The bases whose fields' top bits are set in ``bits`` (-1: all)."""
@@ -360,7 +360,7 @@ class Matroid:
         out = []
         for flat in self.proper_flats():
             f = _mask(flat.forms)
-            bits = self._tight(flat.forms, flat.corank)[1]
+            bits = self._tight(flat.forms)[1]
             basis = self._masks[((bits & -bits).bit_length() - 1) // self._w]
             if all(_connected(s, basis, self._mask_set) for s in (f, ground ^ f)):
                 out.append(flat)

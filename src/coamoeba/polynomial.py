@@ -12,10 +12,12 @@ Grammar accepted by ``parse``::
     factor := coeff | var ['^' int | '**' int]
     coeff  := int ['/' nonzero int]            # e.g. 3, 3/4
 
-Variables are single tokens.  When a variable list is supplied, a run of
-letters such as ``qr`` is split greedily against it, so displays like
-``16q^3r^2`` parse as written; without a declared list each maximal
-name run is one variable, collected in order of first appearance.
+An int is a run of the ASCII digits 0-9, and ``parse`` refuses a
+coefficient or exponent of more than ``MAX_EXACT_BITS`` bits.  Variables are
+single tokens.  When a variable list is supplied, a run of letters such as
+``qr`` is split greedily against it, so displays like ``16q^3r^2`` parse as
+written; without a declared list each maximal name run is one variable,
+collected in order of first appearance.
 
 The ``SparsePoly`` constructor alone merges terms: it sums the coefficients
 of equal exponent vectors and drops zeros, so ``parse``, the arithmetic and
@@ -29,13 +31,14 @@ Newton polytope).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import PolySyntaxError, UnknownVariable, WrongLength
+from .errors import PolySyntaxError, TooLarge, UnknownVariable, WrongLength
 
 Exponents = tuple[int, ...]
 
@@ -101,18 +104,42 @@ class SparsePoly:
         return SparsePoly(self.variables, self.terms + tuple((e, -c) for e, c in other.terms))
 
 
+# The most bits an exact value may take: a number in a parsed polynomial, a
+# coordinate of psi, or f's terms and Euler sums at a point (``TooLarge``
+# past it).  An int of 14 000 bits has at most 4215 decimal digits, inside
+# Python's 4300-digit limit on converting an int to a string.
+MAX_EXACT_BITS = 14_000
+
+
+def _require_bits(bits: int, what: str) -> None:
+    if bits > MAX_EXACT_BITS:
+        raise TooLarge(f"{what} would take up to {bits} bits, past the bound of {MAX_EXACT_BITS}")
+
+
 def _cleared(p: SparsePoly):
     """p with its coefficient denominators cleared, for ``_term_block``.
 
-    Returns (L, coeffs, exps, degrees): L is the lcm of the coefficient
-    denominators, coeffs the integers L * c in an object array, exps the
-    exponent vectors as the rows of an integer array, and degrees the top
-    exponent of each variable (0 for p = 0).
+    Returns (L, coeffs, exps, columns): L is the lcm of the coefficient
+    denominators, coeffs the integers L * c and exps the exponent vectors,
+    in object arrays of Python ints, and columns per variable its top
+    exponent (0 for p = 0), the exponents p uses, sorted, and their indices.
     """
     lcm = math.lcm(*(c.denominator for _, c in p.terms))
     coeffs = np.array([c.numerator * (lcm // c.denominator) for _, c in p.terms], dtype=object)
-    exps = np.array([e for e, _ in p.terms], dtype=np.intp).reshape(-1, len(p.variables))
-    return lcm, coeffs, exps, exps.max(axis=0, initial=0)
+    exps = np.array([e for e, _ in p.terms], dtype=object).reshape(len(p.terms), len(p.variables))
+    used = [(np.array(sorted(set(c)), dtype=object), c) for c in exps.T.tolist()]
+    columns = ((max(u, default=0), u, np.searchsorted(u, c)) for u, c in used)
+    return lcm, coeffs, exps, tuple(columns)
+
+
+def _value_bits(cleared, logs) -> int:
+    """A bound on the bits of ``_term_block``'s values and scales and of their
+    Euler sums, at points whose coordinate j is a numerator over a
+    denominator, each at most 2^logs[j] in size."""
+    lcm, coeffs, _, columns = cleared
+    degrees = [deg for deg, _, _ in columns]
+    head = max([lcm, *map(abs, coeffs)]).bit_length() + len(coeffs).bit_length()
+    return head + max(degrees, default=0).bit_length() + sum(map(operator.mul, degrees, logs))
 
 
 def _term_block(cleared, nums, dens) -> tuple[np.ndarray, np.ndarray]:
@@ -120,18 +147,18 @@ def _term_block(cleared, nums, dens) -> tuple[np.ndarray, np.ndarray]:
 
     With K_i = L * prod_j dens[i, j]^deg_j, term c * y^e times K_i is the
     integer (L * c) * prod_j nums[i, j]^e_j * dens[i, j]^(deg_j - e_j).
-    Each variable gets one table of those factors for e_j = 0 .. deg_j, and
-    the term values are the (points x terms) product of its columns picked
-    by exps.  Values are Python ints in object arrays; dens must be nonzero.
+    Each variable gets one table of those factors at the exponents p uses,
+    and the term values are the (points x terms) product of its columns
+    picked by the terms.  Values are Python ints in object arrays (complex
+    where nums are); dens must be nonzero.
     """
-    lcm, coeffs, exps, degrees = cleared
+    lcm, coeffs, _, columns = cleared
     values = np.repeat(coeffs[None], len(nums), axis=0)
     scale = np.full(len(nums), lcm, dtype=object)
-    for j, k in enumerate(degrees):
-        powers = np.arange(k + 1)
-        table = nums[:, j, None] ** powers * dens[:, j, None] ** (k - powers)
-        values *= table[:, exps[:, j]]
-        scale *= table[:, 0]  # dens^deg_j
+    for j, (deg, used, index) in enumerate(columns):
+        table = nums[:, j, None] ** used * dens[:, j, None] ** (deg - used)
+        values *= table[:, index]
+        scale *= dens[:, j] ** deg
     return values, scale
 
 
@@ -166,7 +193,7 @@ def initial_form(p: SparsePoly, w) -> SparsePoly:
 
 # -- text format ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+\s*/\s*\d+|\d+)|([A-Za-z_]\w*)|(\*\*|[-+*^()]))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+\s*/\s*[0-9]+|[0-9]+)|([A-Za-z_]\w*)|(\*\*|[-+*^()]))")
 
 
 def _tokenize(text: str, variables) -> list[tuple[str, str]]:
@@ -225,6 +252,8 @@ def parse(text: str, variables=None) -> SparsePoly:
                 coeff *= Fraction(val)
             except ZeroDivisionError:
                 raise PolySyntaxError(f"coefficient {val} has a zero denominator") from None
+            except ValueError as exc:  # past Python's limit on the digits of an int
+                raise PolySyntaxError(f"coefficient: {exc}") from None
             factor, star, last = True, False, None
         elif kind == "var":
             powers[val] = powers.get(val, 0) + 1
@@ -235,7 +264,10 @@ def parse(text: str, variables=None) -> SparsePoly:
             kind, val = next(it)  # the closing sign guarantees a token
             if kind != "num" or "/" in val:
                 raise PolySyntaxError("exponent must be a nonnegative integer")
-            powers[last] += int(val) - 1
+            try:
+                powers[last] += int(val) - 1
+            except ValueError as exc:  # past Python's limit on the digits of an int
+                raise PolySyntaxError(f"exponent: {exc}") from None
             last = None
         elif val == "*" and factor and not star:
             star, last = True, None
@@ -248,9 +280,13 @@ def parse(text: str, variables=None) -> SparsePoly:
             coeff, powers, factor, star, last = Fraction(1), {}, False, False, None
         else:
             raise PolySyntaxError(f"unexpected {val!r}")
-    return SparsePoly(
+    poly = SparsePoly(
         tuple(names), tuple((tuple(p.get(v, 0) for v in names), c) for c, p in terms)
     )
+    numbers = (max(abs(c.numerator), c.denominator, *e) for e, c in poly.terms)
+    if max(numbers, default=0).bit_length() > MAX_EXACT_BITS:
+        raise PolySyntaxError(f"a coefficient or exponent passes {MAX_EXACT_BITS} bits")
+    return poly
 
 
 def format_poly(p: SparsePoly) -> str:

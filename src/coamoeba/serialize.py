@@ -2,6 +2,9 @@
 
 Configurations travel as {"role": "A"|"B", "matrix": [["1", ...], ...],
 "labels": [...]} with entries as decimal strings (arbitrary precision).
+An entry read is a JSON integer or a string of the ASCII digits 0-9 with an
+optional leading minus; anything else (a float, a boolean, "+1", " 1",
+"1_0", a non-ASCII digit) is refused.
 Angles are emitted twice: as IEEE doubles in radians for plotting, and as
 exact rational-multiple-of-pi strings like "3/4*pi" where exactness is
 available.  All emitters sort keys and use fixed formatting so outputs are
@@ -99,6 +102,14 @@ def config_to_json(config) -> dict:
     }
 
 
+def _entry(x) -> int:
+    """A matrix entry: a JSON integer, or a string of ASCII digits with an
+    optional leading minus."""
+    if type(x) is int or type(x) is str and x.isascii() and x.removeprefix("-").isdigit():
+        return int(x)
+    raise InputError(f"matrix entry {x!r} is not a decimal integer")
+
+
 def config_from_json(data):
     try:
         role = data["role"]
@@ -108,7 +119,9 @@ def config_from_json(data):
         labels = tuple(str(x) for x in data["labels"])
         if repeated := sorted({x for i, x in enumerate(labels) if x in labels[:i]}):
             raise InputError(f"labels must be distinct, repeated: {', '.join(repeated)}")
-        return kind(la.as_matrix(data["matrix"]), labels)
+        if type(data["matrix"]) is not list or any(type(r) is not list for r in data["matrix"]):
+            raise InputError("the matrix must be a list of rows, each a list of entries")
+        return kind(la.as_matrix([map(_entry, row) for row in data["matrix"]]), labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed configuration JSON: {exc}") from exc
 

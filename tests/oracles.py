@@ -4,7 +4,8 @@ None of these is used by the library: each recomputes a library result by a
 different method (Fraction Gauss-Jordan elimination, bases by one echelon
 per subset, quotient charts by a double kernel, rank-based closure, chain
 enumeration, circuit enumeration, minors built as vectors, derivative
-polynomials, two-pass polygon membership, the half-coamoeba walk from every
+polynomials, the log-Gauss map by one walk over the terms, two-pass
+polygon membership, the half-coamoeba walk from every
 start vertex, grid certification in Fractions, two grid walks, the
 certification walk one grid point at a time (``psi_integer``,
 ``cleared_terms``, ``term_values``, ``projectively_equal``,
@@ -831,6 +832,26 @@ def log_gauss_by_partials(f, y):
         Fraction(y_j) * evaluate_exact(partial_derivative(f, var), y)
         for y_j, var in zip(y, f.variables)
     ]
+    lead = next((c for c in coords if c != 0), None)
+    if lead is None:
+        raise SingularPoint("all logarithmic partials vanish")
+    return tuple(c / lead for c in coords)
+
+
+def log_gauss_by_terms(f, y):
+    """``log_gauss`` by one walk over f's terms, each monomial evaluated once
+    at the point as given (Fractions, or complex) and added e_j times to
+    coordinate j."""
+    point = [v if isinstance(v, complex) else Fraction(v) for v in y]
+    coords = [0] * len(point)
+    for exps, coeff in f.terms:
+        value = coeff
+        for x, e in zip(point, exps):
+            if e:
+                value *= x**e
+        for j, e in enumerate(exps):
+            if e:
+                coords[j] += e * value
     lead = next((c for c in coords if c != 0), None)
     if lead is None:
         raise SingularPoint("all logarithmic partials vanish")

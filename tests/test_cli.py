@@ -1,17 +1,23 @@
 """Command-line surface: subcommands, exit codes, golden-file stability."""
 
+import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from coamoeba import serialize as io
 from coamoeba.catalog import plane_b, sixline_a, sixline_b, sixline_discriminant
-from coamoeba.cli import main
+from coamoeba.cli import build_parser, main
 from oracles import write_polynomial_file
 
 
@@ -487,3 +493,239 @@ def test_fuzz_malformed_options(paths, capsys, tmp_path):
         argvs.append(["verify", plane, "--poly", str(poly), "-n", "3", "--samples", "5"])
     for argv in argvs:
         assert _exit_code(argv, capsys) in (0, 2, 64), argv
+
+
+# -- refusals: entry syntax, polynomial numbers and size bounds exit 2 --------------
+
+
+class _CallTimeout(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise _CallTimeout in this thread once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise _CallTimeout(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+BIG = 10**30
+# psi's exponents are B's entries: (10^4 + 5)^(10^4) passes the 4300-digit str limit
+SPIKE4 = [[10**4, 0, 0], [0, 1, 0], [0, 0, 1], [-(10**4), -1, -1]]
+# shells about 10^30 pi wide, so a window spans ~10^30 translates
+WIDE = [[1, 0], [0, 1], [-BIG, 1], [BIG - 1, -2]]
+# a shell 10^17 pi long and under 2 pi high: a window of ~10^17 x-translates
+# by none in y still makes a tuple of the x-range
+LONG = [[-3, -1], [-3, 0], [-97518173814199982, 0], [97518173814199988, 1]]
+DIGITS = "7" * 5000  # past Python's 4300-digit limit on reading an int
+NINES = "9" * 4200  # under it, and under the 14000-bit bound
+POINT, WEIGHT, THETA = ["--point", "2,1"], ["-w", "0,1"], ["--theta"]
+SAMPLES = ["--samples", "10"]
+
+# (command, configuration rows, polynomial file, options, text the error names)
+REFUSED = {
+    "psi_exponents": ("psi", SPIKE4, None, ["--point", "1,2,3", "--exact"], "14000"),
+    "member_exact_window": ("member", WIDE, None, THETA + ["0,0"], "100000"),
+    "member_pi_window": ("member", WIDE, None, THETA + ["1/3*pi,0"], "100000"),
+    "member_float_window": ("member", WIDE, None, THETA + ["0.5,0.25"], "100000"),
+    "member_long_window": ("member", LONG, None, THETA + ["8/5*pi,4/5*pi"], "100000"),
+    "gauss_x20000": ("gauss", None, "x y\nx^20000 + y\n", POINT, "14000"),
+    "verify_residue": ("verify", "sixline", f"p q r\n{NINES}*p^400*q + 1\n", SAMPLES, "14000"),
+    "gauss_digits": ("gauss", None, f"x y\n{DIGITS}*x + y\n", POINT, "digits"),
+    "gauss_exponent_digits": ("gauss", None, f"x y\nx^{DIGITS} + y\n", POINT, "digits"),
+    "initial_form_digits": ("initial-form", None, f"x y\nx + 1/{DIGITS}\n", WEIGHT, "digits"),
+    "initial_form_square": ("initial-form", None, f"x y\n{NINES}*{NINES}*x + y\n", WEIGHT, "14000"),
+    "verify_digits": ("verify", "sixline", f"p q r\n{DIGITS}*p + 1\n", SAMPLES, "digits"),
+    "gauss_arabic_indic_digit": ("gauss", None, "x y\n٣x + y\n", POINT, "'٣'"),
+}
+# reproducers run only in the fuzz test, after the cases above: without the
+# size bounds psi never returns on the first and verify builds a 20001-power
+# table per grid point on the second
+SPIKE30 = [[BIG, 0, 0], [0, 1, 0], [0, 0, 1], [-BIG, -1, -1]]
+FOUND = [
+    ("psi", SPIKE30, None, ["--point", "1,2,3", "--exact"]),
+    ("verify", "sixline", "p q r\np^20000*q + 1\n", SAMPLES),
+]
+
+
+def _refusal_argv(tmp_path, command, rows, poly, options):
+    config = tmp_path / "b.json"
+    if rows == "sixline":
+        config.write_text(io.dump_json(io.config_to_json(sixline_b())))
+    elif rows is not None:
+        config.write_text(_config_text("B", rows))
+    if poly is None:
+        return [command, str(config), *options]
+    (tmp_path / "f.txt").write_text(poly)
+    if command == "verify":
+        return [command, str(config), "--poly", str(tmp_path / "f.txt"), *options]
+    return [command, str(tmp_path / "f.txt"), *options]
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_size_and_digit_refusals_exit_2(case, capsys, tmp_path):
+    command, rows, poly, options, named = REFUSED[case]
+    argv = _refusal_argv(tmp_path, command, rows, poly, options)
+    with deadline(10):
+        assert _exit_code(argv, capsys) == 2
+    main(argv)
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry", [1.7, True, False, None, [1], "1_0", "٣", " -3", "-3 ", "+3", "1.0", "0x3", ""]
+)
+def test_entries_must_be_ascii_decimal(entry, capsys, tmp_path):
+    path = tmp_path / "b.json"
+    matrix = [[entry, "0"], ["0", "1"], ["-1", "-1"]]
+    path.write_text(json.dumps({"role": "B", "matrix": matrix, "labels": ["a", "b", "c"]}))
+    assert _exit_code(["matroid-info", str(path)], capsys) == 2
+    for ok in (-3, "-3", "12"):  # JSON integers and signed ASCII digit strings are read
+        matrix[0][0], matrix[2][0] = ok, str(-int(ok))
+        path.write_text(json.dumps({"role": "B", "matrix": matrix, "labels": ["a", "b", "c"]}))
+        assert _exit_code(["nondefective", str(path)], capsys) == 0
+
+
+# -- generative fuzz: seeded random inputs to every subcommand -----------------------
+
+
+def _fuzz_int(rng):
+    """Mostly small, sometimes up to 30 digits, sometimes next to +-10^30."""
+    r = rng.random()
+    if r < 0.9:
+        return rng.randint(-3, 3)
+    if r < 0.96:
+        return rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 30))
+    return rng.choice((-1, 1)) * BIG + rng.randint(-2, 2)
+
+
+def _fuzz_config(rng, role, d):
+    """Configuration JSON text: n <= 7, d <= 4, B rows mostly summing to zero,
+    now and then a malformed entry, label list or role."""
+    if rng.random() < 0.05:
+        role = "A" if role == "B" else "B"
+    n = rng.randint(min(d + 1, 7), 7) if rng.random() < 0.9 else rng.randint(1, 7)
+    if role == "A":
+        rows = [[1] * n] + [[_fuzz_int(rng) for _ in range(n)] for _ in range(d - 1)]
+    else:
+        rows = [[_fuzz_int(rng) for _ in range(d)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.9:
+            rows[-1] = [-sum(col) for col in zip(*rows[:-1])]
+    labels = [f"v{i}" for i in range(n)]
+    matrix = [[x if rng.random() < 0.1 else str(x) for x in row] for row in rows]
+    r = rng.random()
+    if r < 0.04:
+        matrix[0][0] = rng.choice([1.5, True, None, "1_0", "٣", " 1", "+1", "1e3", [0]])
+    elif r < 0.06:
+        labels = labels[:-1] if rng.random() < 0.5 else labels[:1] * len(labels)
+    elif r < 0.07:
+        role = rng.choice(["C", None, 3])
+    return json.dumps({"role": role, "matrix": matrix, "labels": labels})
+
+
+def _fuzz_number(rng, exact=True):
+    r = rng.random()
+    if r < 0.6:
+        return str(rng.randint(-7, 7))
+    if r < 0.85:
+        return f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+    if r < 0.95:
+        return str(_fuzz_int(rng))
+    return rng.choice(["0", "1/0", "x", "1e400", "nan", "٣"] + ([] if exact else ["0.5"]))
+
+
+def _fuzz_poly(rng, names):
+    """Polynomial file text: a few terms with small, 20000 or 10^30 exponents
+    and coefficients up to 40 digits."""
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        big, small = str(10 ** rng.randint(1, 40)), f"1/{abs(_fuzz_int(rng)) or 1}"
+        coeff = rng.choice(["", "3", "2/7", big, small])
+        powers = [
+            f"{v}^{rng.choice([1, 1, 2, 3, 20000, BIG])}" for v in names if rng.random() < 0.6
+        ]
+        terms.append("*".join([c for c in [coeff] if c] + powers) or "1")
+    return " ".join(names) + "\n" + rng.choice([" + ", " - "]).join(terms) + "\n"
+
+
+# (role, dimensions) each subcommand reads
+FUZZ_SHAPES = {
+    "gale": ("A", (2, 3, 4)),
+    "validate": ("A", (1, 2, 3, 4)),
+    "coamoeba2": ("B", (2,)),
+    "member": ("B", (2, 3)),
+    "pls3": ("B", (3,)),
+    "sample": ("B", (2, 3)),
+    "verify": ("B", (2, 3)),
+}
+
+
+def _fuzz_argv(rng, tmp_path):
+    """A random subcommand on random inputs, which it writes under tmp_path."""
+    command = rng.choice(FUZZ_COMMANDS)
+    role, dims = FUZZ_SHAPES.get(command, ("B", (1, 2, 3, 4)))
+    d = rng.choice(dims)
+    if rng.random() < 0.05:
+        d = rng.randint(1, 4)
+    config, poly = tmp_path / "config.json", tmp_path / "f.txt"
+    config.write_text(_fuzz_config(rng, role, d))
+    if command in ("gauss", "initial-form"):
+        names = ["x", "y", "z", "w"][: rng.randint(1, 4)]
+        poly.write_text(_fuzz_poly(rng, names))
+        values = ",".join(_fuzz_number(rng) for _ in range(len(names) + (rng.random() < 0.05)))
+        return [command, str(poly), f"{'--point' if command == 'gauss' else '-w'}={values}"]
+    argv = [command, str(config)]
+    if command == "psi":
+        exact = rng.random() < 0.6
+        point = ",".join(_fuzz_number(rng, exact) for _ in range(d + (rng.random() < 0.05)))
+        argv += [f"--point={point}"] + (["--exact"] if exact else [])
+    elif command == "member":
+        theta = [
+            f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}*pi"
+            if rng.random() < 0.5
+            else repr(rng.uniform(-4, 4))
+            for _ in range(d)
+        ]
+        argv += [f"--theta={','.join(theta)}"]
+    elif command == "sample":
+        argv += ["-n", str(rng.randint(0, 20)), "--seed", str(rng.randint(0, 3))]
+        argv += ["-o", str(tmp_path / "c.csv")]
+    elif command == "verify":
+        argv += ["-n", str(rng.randint(0, 8)), "--samples", str(rng.randint(0, 40))]
+        if rng.random() < 0.5:
+            poly.write_text(_fuzz_poly(rng, ["p", "q", "r"][:d]))
+            argv += ["--poly", str(poly)]
+    return argv
+
+
+FUZZ_COMMANDS = sorted(SUBCOMMANDS) + ["gauss", "initial-form"]
+
+
+def test_fuzz_generated_inputs(capsys, tmp_path):
+    # every subcommand on seeded random inputs, after every refusal above: each
+    # call answers within its deadline with exit 0, 2 or 64, no traceback, and
+    # strict JSON on exit 0
+    rng = random.Random(26)
+    fixed = [REFUSED[case][:4] for case in sorted(REFUSED)] + FOUND
+    cases = [functools.partial(_refusal_argv, tmp_path, *case) for case in fixed]
+    cases += [functools.partial(_fuzz_argv, rng, tmp_path)] * 8000
+    seen = Counter()
+    for make in cases:
+        argv = make()  # writes the inputs it names
+        with deadline(5):
+            code = _exit_code(argv, capsys)
+        assert code in (0, 2, 64), argv
+        seen[argv[0], code] += 1
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(subparsers.choices) == sorted(FUZZ_COMMANDS)  # all 15
+    assert all(seen[command, 0] and seen[command, 2] for command in FUZZ_COMMANDS), seen

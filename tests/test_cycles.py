@@ -15,7 +15,9 @@ from coamoeba import cycles
 from coamoeba.catalog import line_b, plane_b, sixline_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.cycles import (
+    MAX_TRANSLATES,
     Polygon,
+    Prism,
     build_cycle,
     contains2,
     contains2_exact,
@@ -35,10 +37,11 @@ from coamoeba.errors import (
     InputError,
     NonzeroSum,
     ParallelRows,
+    TooLarge,
     WrongLength,
 )
 from coamoeba.harness import sample_coamoeba
-from coamoeba.matroid import Matroid, merge_parallel
+from coamoeba.matroid import Flat, Matroid, merge_parallel
 from oracles import (
     build_cycle_by_start_vertices,
     contains2_two_pass,
@@ -637,3 +640,24 @@ def test_polygon_simple_checks():
     assert square.is_simple()
     bow = Polygon(((0, 0), (1, 1), (1, 0), (0, 1)))
     assert not bow.is_simple()
+
+
+def test_membership_refuses_a_window_past_the_translate_bound():
+    # the shells span about 10^30 pi in x, so a window would hold ~10^30
+    # translates: more than a range's len, let alone itertools.product, takes
+    big = 10**30
+    cycle = build_cycle(VectorConfiguration.from_rows([[1, 0], [0, 1], [-big, 1], [big - 1, -2]]))
+    prism = Prism(Flat(frozenset({0}), 1), ((1, 0, 0), (0, 1, 0)), cycle)
+    calls = [
+        lambda: contains2_exact(cycle, (0, 0)),
+        lambda: contains2_exact(cycle, (Fraction(1, 3), 0)),
+        lambda: contains2(cycle, (0.0, 0.0)),
+        lambda: contains_pls3([prism], (0.0, 0.0, 0.0)),
+        lambda: pls3_distances([prism], [[0.0, 0.0, 0.0]]),
+    ]
+    for call in calls:
+        with pytest.raises(TooLarge, match=str(MAX_TRANSLATES)):
+            call()
+    # a shell 10^3 pi wide stays inside the bound, and its answers are exact
+    small = build_cycle(VectorConfiguration.from_rows([[1, 0], [0, 1], [-1000, 1], [999, -2]]))
+    assert contains2_exact(small, (0, 0)) == contains2_two_pass(small, (0, 0))

@@ -26,13 +26,22 @@ from coamoeba.discriminant import (
     tdiscr_fan_d3,
     tdiscr_rays,
 )
-from coamoeba.errors import DimensionNot3, InputError, OnArrangement, SingularPoint, WrongLength
+from coamoeba.errors import (
+    DimensionNot3,
+    InputError,
+    OnArrangement,
+    SingularPoint,
+    TooLarge,
+    WrongLength,
+)
 from coamoeba.matroid import Matroid, merge_parallel
-from coamoeba.polynomial import SparsePoly, parse
+from coamoeba.polynomial import MAX_EXACT_BITS, SparsePoly, parse
 from coamoeba.tropical import complete_flags
 from oracles import (
     essential_flacets_by_form_sums,
     log_gauss_by_partials,
+    log_gauss_by_terms,
+    psi_by_fractions,
     non_splitting_by_rank,
     projectively_equal,
     random_zero_sum_matroid,
@@ -205,6 +214,22 @@ def test_log_gauss_complex_point_matches_exact(big_d):
     for a, e in zip(approx, exact):
         assert type(a) is complex
         assert abs(a - float(e)) <= 1e-9 * abs(float(e))
+
+
+def test_log_gauss_matches_term_walk_at_rational_complex_and_mixed_points(big_d):
+    # the term values come from _term_block, times one K; the term walk
+    # evaluates each monomial at the point itself
+    rng = random.Random(72)
+    polys = [big_d, parse("x^5 - 2/3*x*y + 1/7*y^3 - 4"), parse("x*y + 1")]
+    for f in polys:
+        for _ in range(20):
+            y = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7)) for _ in f.variables]
+            kinds = [rng.choice([Fraction, complex]) for _ in y]
+            point = tuple(kind(v) for kind, v in zip(kinds, y))
+            got, want = log_gauss(f, point), log_gauss_by_terms(f, point)
+            assert [type(g) for g in got] == [type(w) for w in want]
+            for g, w in zip(got, want):
+                assert g == w if type(w) is Fraction else abs(g - w) <= 1e-9 * max(1, abs(w))
 
 
 def test_log_gauss_rejects_wrong_length(big_d):
@@ -466,3 +491,25 @@ def test_merge_arg_shift_matches_psi(m6):
             ratio = full[j] / red[j]
             expected_sign = -1 if shift[j] else 1
             assert (1 if ratio > 0 else -1) == expected_sign
+
+
+def _spike(k):
+    """Rows (k, 0, 0), (0, 1, 0), (0, 0, 1), (-k, -1, -1): psi's coordinates
+    are k-th powers of the pairings."""
+    return VectorConfiguration.from_rows([[k, 0, 0], [0, 1, 0], [0, 0, 1], [-k, -1, -1]])
+
+
+def test_psi_exact_refuses_values_past_the_bit_bound():
+    # (10^4 + 5)^(10^4) has 133 000 bits, past Python's 4300-digit str limit;
+    # with exponents near 10^30 the power would never finish
+    for k in (10**4, 10**30):
+        with pytest.raises(TooLarge, match=str(MAX_EXACT_BITS)):
+            psi_exact(HornKapranovMap(_spike(k)), (1, 2, 3))
+    # 505^500 has 4494 bits, inside the bound, and is computed exactly
+    b = _spike(500)
+    assert psi_exact(HornKapranovMap(b), (1, 2, 3)) == psi_by_fractions(b, (1, 2, 3))
+
+
+def test_log_gauss_refuses_values_past_the_bit_bound():
+    with pytest.raises(TooLarge, match=str(MAX_EXACT_BITS)):
+        log_gauss(parse("x^20000 + y"), (2, 1))

@@ -13,7 +13,7 @@ from coamoeba import harness
 from coamoeba.catalog import hyperplane_b, line_b, plane_b, sixline_b, sixline_discriminant
 from coamoeba.cycles import build_cycle, contains2, prisms_d3
 from coamoeba.discriminant import HornKapranovMap, _psi_block
-from coamoeba.errors import InputError, OnArrangement, WrongLength
+from coamoeba.errors import InputError, OnArrangement, TooLarge, WrongLength
 from coamoeba.harness import (
     certify_discriminant,
     conjecture_experiment_d3,
@@ -23,7 +23,7 @@ from coamoeba.harness import (
     sample_coamoeba,
 )
 from coamoeba.matroid import Matroid
-from coamoeba.polynomial import SparsePoly, _cleared, _term_block, parse
+from coamoeba.polynomial import MAX_EXACT_BITS, SparsePoly, _cleared, _term_block, parse
 import oracles
 from oracles import (
     certify_by_fractions,
@@ -385,3 +385,11 @@ def test_zero_polynomial_is_singular_everywhere(m6):
     assert result.n_singular_skipped == 2520
     report = certify_discriminant(zero, m6, 20)
     assert report["status"] == "incomplete" and report["max_residue"] == "0"
+
+
+def test_certify_refuses_values_past_the_bit_bound(m6, monkeypatch):
+    # psi's p on the grid is bounded by 2^12, so p^20000 by 2^240000; the
+    # walk refuses before it evaluates a single point
+    monkeypatch.setattr(harness, "_psi_block", None)
+    with pytest.raises(TooLarge, match=str(MAX_EXACT_BITS)):
+        certify_discriminant(parse("p^20000*q + 1", ["p", "q", "r"]), m6, 20)

@@ -410,6 +410,13 @@ def test_bases_through_hyperplane(m6):
     assert through == {b for b in m6.bases if 0 in b}
 
 
+def test_bases_through_counts_the_rank_of_a_flat_built_by_hand(m6):
+    # the corank a caller writes into a Flat does not decide which bases count
+    wrong = Flat(frozenset({0}), 0)
+    through = m6.bases_through(wrong)
+    assert len(through) == 9 and through == m6.bases_through(m6.closure({0}))
+
+
 def test_bases_through_other_triple_point(m6):
     flat = m6.closure({1, 2, 5})
     assert m6.labels_of(flat.forms) == ("b2", "b3", "b6")

@@ -9,15 +9,17 @@ import pytest
 
 from coamoeba.catalog import SIXLINE_DISCRIMINANT_TEXT
 from coamoeba.errors import InputError, PolySyntaxError, UnknownVariable, WrongLength
+from coamoeba.discriminant import log_gauss
 from coamoeba.polynomial import (
     SparsePoly,
+    _cleared,
     evaluate_exact,
     format_poly,
     initial_form,
     parse,
     partial_derivative,
 )
-from oracles import format_by_pieces, parse_by_descent
+from oracles import evaluate_by_fractions, format_by_pieces, log_gauss_by_partials, parse_by_descent
 
 
 def test_parse_simple():
@@ -257,3 +259,30 @@ def test_arithmetic_refuses_different_variables(left, right):
         with pytest.raises(WrongLength) as info:
             op(p, q)
         assert str(p.variables) in str(info.value) and str(q.variables) in str(info.value)
+
+
+def test_sparse_high_degree_builds_only_the_powers_it_uses():
+    # x^5000 + y: one table column per exponent f uses, not 5001 of them
+    f = parse("x^5000 + 3/7*x^17*y^2 - y")
+    _, _, _, columns = _cleared(f)
+    tables = [(deg, list(used)) for deg, used, _ in columns]
+    assert tables == [(5000, [0, 17, 5000]), (2, [0, 1, 2])]
+    for point in [(2, 1), (Fraction(-1, 2), Fraction(5, 7)), (1, 0), (-2, -3)]:
+        assert evaluate_exact(f, point) == evaluate_by_fractions(f, point)
+        assert log_gauss(f, point) == log_gauss_by_partials(f, point)
+
+
+def test_parse_reads_ascii_digits_only():
+    # "٣" is ARABIC-INDIC DIGIT THREE, which int() and \d would read as 3
+    for text in ("٣x + 1", "x^٣ + 1", "x + 1/٣"):
+        with pytest.raises(PolySyntaxError):
+            parse(text, ["x"])
+
+
+def test_parse_refuses_numbers_past_the_bit_bound():
+    digits = "7" * 5000  # past Python's 4300-digit limit on reading an int
+    three_k = "9" * 3000  # under it, but its square passes MAX_EXACT_BITS
+    for text in (f"{digits}*x + 1", f"x^{digits}", f"x + 1/{digits}", f"{three_k}*{three_k}*x"):
+        with pytest.raises(PolySyntaxError, match="bits|digits"):
+            parse(text, ["x"])
+    assert parse(f"{three_k}*x").terms[0][1] == int(three_k)

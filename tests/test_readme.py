@@ -1,10 +1,13 @@
-"""The README's examples: the library quickstart runs, and the command-line
-block names exactly the subcommands of the parser."""
+"""The README's examples: the library quickstart runs, the command-line
+block names exactly the subcommands of the parser, and the size bounds it
+states are the library's."""
 
 import argparse
 from pathlib import Path
 
 from coamoeba import cli
+from coamoeba.cycles import MAX_TRANSLATES
+from coamoeba.polynomial import MAX_EXACT_BITS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,3 +40,9 @@ def test_readme_cli_block_names_every_subcommand():
     parser = cli.build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert named == set(subparsers.choices)
+
+
+def test_readme_states_the_size_bounds():
+    text = README.read_text(encoding="utf-8")
+    assert f"`MAX_EXACT_BITS` = {MAX_EXACT_BITS} bits" in text
+    assert f"`MAX_TRANSLATES` = {MAX_TRANSLATES}" in text
