@@ -13,6 +13,8 @@
 
 from __future__ import annotations
 
+import functools
+
 from .configuration import PointConfiguration, VectorConfiguration
 from .polynomial import SparsePoly, parse
 
@@ -68,6 +70,8 @@ SIXLINE_DISCRIMINANT_TEXT = (
 )
 
 
+@functools.cache
 def sixline_discriminant() -> SparsePoly:
-    """The defining polynomial of the six-line reduced discriminant in p, q, r."""
+    """The defining polynomial of the six-line reduced discriminant in p, q, r,
+    parsed once: a SparsePoly is frozen, so every caller shares it."""
     return parse(SIXLINE_DISCRIMINANT_TEXT, ("p", "q", "r"))

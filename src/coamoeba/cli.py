@@ -103,7 +103,7 @@ def _tolerance(text: str) -> float:
 
 
 def _flat_labels(m: Matroid, flat) -> list[str]:
-    return sorted(m.labels_of(flat.forms))
+    return sorted(m.config.labels[i] for i in flat.forms)
 
 
 def _labels_by_flat(m: Matroid) -> dict:
@@ -136,14 +136,12 @@ def _cmd_validate(args, inputs):
 def _cmd_matroid_info(args, inputs):
     m = _matroid_from(args, inputs)
     labels = _labels_by_flat(m)
-    by_corank: dict[str, list] = {}
-    for flat, flat_labels in labels.items():
-        by_corank.setdefault(str(flat.corank), []).append(flat_labels)
+    by_corank = {str(k): [labels[f] for f in m.flats_of_corank(k)] for k in range(m.rank + 1)}
     payload = {
         "rank": m.rank,
         "n_bases": m.n_bases,
         "connected": m.is_connected(),
-        "parallel_classes": [sorted(m.labels_of(c)) for c in m.parallel_classes],
+        "parallel_classes": by_corank["1"],  # the rank-one flats
         "flats_by_corank": by_corank,
         "flacets": [labels[f] for f in m.flacets()] if m.is_connected() else None,
     }

@@ -19,10 +19,24 @@ are multisets) and are kept apart by their labels.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from . import intlinalg as la
-from .errors import InputError, InvariantError, NoAffineHyperplane, NotSpanning
+from .errors import InputError, InvariantError, NoAffineHyperplane, NotSpanning, TooLarge
+
+
+def require_float_range(values, what: str, scale: float = 1.0) -> None:
+    """Raise TooLarge unless each int in ``values``, times ``scale``, is a
+    finite float.  Only the largest magnitude is converted."""
+    top = max(map(abs, values), default=0)
+    try:
+        finite = math.isfinite(top * scale)
+    except OverflowError:  # the int itself is past the float range
+        finite = False
+    if not finite:
+        raise TooLarge(f"{what} is past the float range, |x| <= {sys.float_info.max:.4g}")
 
 
 @dataclass(frozen=True)

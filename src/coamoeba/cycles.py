@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import intlinalg as la
-from .configuration import VectorConfiguration
+from .configuration import VectorConfiguration, require_float_range
 from .discriminant import essential_flacets, nondefective
 from .errors import (
     Defective,
@@ -57,7 +57,8 @@ class Polygon:
     pi units.
 
     The bounding box and the float vertices are computed once, at
-    construction, for the membership and distance tests.
+    construction, for the membership and distance tests; a vertex that is
+    not a finite float in radians raises TooLarge there.
     """
 
     vertices: tuple[Point, ...]
@@ -68,6 +69,7 @@ class Polygon:
         xs = [p[0] for p in self.vertices]
         ys = [p[1] for p in self.vertices]
         object.__setattr__(self, "_bbox", (min(xs), max(xs), min(ys), max(ys)))
+        require_float_range(self._bbox, "a cycle vertex in radians", math.pi)
         object.__setattr__(
             self, "_float_vertices", tuple((float(x), float(y)) for x, y in self.vertices)
         )

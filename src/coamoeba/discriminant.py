@@ -27,7 +27,7 @@ import numpy as np
 
 from . import intlinalg as la
 from . import tropical
-from .configuration import VectorConfiguration
+from .configuration import VectorConfiguration, require_float_range
 from .errors import (
     DimensionNot3,
     Disconnected,
@@ -116,13 +116,15 @@ def psi_complex(h: HornKapranovMap, y) -> tuple[complex, ...]:
     is exact in binary floating point and leaves the value unchanged, so huge
     and tiny points evaluate without over- or underflow.  Raises InputError
     when a coordinate of the point or of its image is not finite (the image
-    can still overflow near the arrangement).
+    can still overflow near the arrangement), TooLarge when an entry of B is
+    past the float range.
     """
     yv = [complex(v) for v in y]
     if len(yv) != h.d:
         raise WrongLength(f"point has {len(yv)} coordinates, expected {h.d}")
     if not all(map(cmath.isfinite, yv)):
         raise InputError(f"point coordinates must be finite, got {tuple(yv)}")
+    require_float_range(itertools.chain.from_iterable(h.b.matrix), "an entry of B")
     k = math.frexp(max(max(abs(v.real), abs(v.imag)) for v in yv))[1]
     scaled = [complex(math.ldexp(v.real, -k), math.ldexp(v.imag, -k)) for v in yv]
     norm = max(abs(v) for v in scaled) or 1.0

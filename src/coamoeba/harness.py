@@ -35,6 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .configuration import require_float_range
 from .cycles import pls3_distances, prisms_d3
 from .discriminant import HornKapranovMap, _psi_block, _psi_logs
 from .errors import Defective, DimensionNot3, InputError, WrongLength
@@ -99,9 +100,11 @@ def sample_coamoeba(m: Matroid, n: int, seed: int) -> np.ndarray:
     """n points of the discriminant coamoeba, deterministic per seed.
 
     Points are Arg(psi(y)) in (-pi, pi]^d for complex standard normal y.
+    Raises TooLarge when an entry of B is past the float range.
     """
     if n < 0 or seed < 0:
         raise InputError(f"sample size and seed must be non-negative, got {n}, {seed}")
+    require_float_range(itertools.chain.from_iterable(m.config.matrix), "an entry of B")
     bmat = np.array(m.config.matrix, dtype=float)
     if n == 0:
         return np.empty((0, m.config.d))

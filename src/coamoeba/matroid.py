@@ -52,20 +52,6 @@ from .errors import Disconnected, EmptyConfiguration, InputError, InvariantError
 from .errors import NotSpanning, ZeroVector
 
 
-def _parallel_groups(matrix) -> dict[la.IntVector, list[int]]:
-    """Row indices grouped by primitive direction up to sign.
-
-    Each key is the primitive direction of its group's first row, and the
-    groups are in order of first appearance.
-    """
-    groups: dict[la.IntVector, list[int]] = {}
-    for i, row in enumerate(matrix):
-        key = la.primitive(row)
-        neg = tuple(-x for x in key)
-        groups.setdefault(neg if neg in groups else key, []).append(i)
-    return groups
-
-
 def _mask(labels) -> int:
     return sum(1 << i for i in labels)
 
@@ -229,7 +215,6 @@ class Matroid:
         ones = ((1 << w * self.n_bases) - 1) // ((1 << w) - 1)
         self._tops = ones << w - 1
         self._offsets = [ones * ((1 << w - 1) - t) for t in range(self.rank + 1)]
-        self.parallel_classes = tuple(map(frozenset, _parallel_groups(config.matrix).values()))
         self._flats: list[Flat] | None = None
         self._connected: bool | None = None
 
@@ -300,6 +285,12 @@ class Matroid:
 
     def flats_of_corank(self, corank: int) -> list[Flat]:
         return [f for f in self.flats() if f.corank == corank]
+
+    @property
+    def parallel_classes(self) -> tuple[frozenset[int], ...]:
+        """The rank-one flats' form-sets in ``flats()`` order: with no loops,
+        the parallel classes in order of first appearance."""
+        return tuple(f.forms for f in self.flats_of_corank(1))
 
     # -- minors and connectivity ---------------------------------------------
 
@@ -372,6 +363,9 @@ def merge_parallel(
 ) -> tuple[VectorConfiguration, tuple[ParallelMerge, ...]]:
     """Replace each parallel class by its vector sum.
 
+    One pass over the rows finds the classes: row i joins the class of its
+    primitive direction up to sign, whose eta is that of its first member,
+    and records its multiplier q_i = +-gcd(row i), so q_i * eta is row i.
     Classes with zero sum disappear entirely.  Each nontrivial class records
     the exact constant it contributes relative to the merged vector and the
     induced argument shift (0 for a positive constant, pi on the odd
@@ -380,24 +374,25 @@ def merge_parallel(
     """
     if any(not any(row) for row in config.matrix):
         raise ZeroVector("configuration contains a zero vector")
+    classes: dict[la.IntVector, list[tuple[int, int]]] = {}
+    for i, row in enumerate(config.matrix):
+        q = math.gcd(*row)
+        eta = tuple(x // q for x in row)
+        flip = tuple(-x for x in eta)
+        if flip in classes:
+            eta, q = flip, -q
+        classes.setdefault(eta, []).append((i, q))
     rows: list[la.IntVector] = []
     labels: list[str] = []
     merges: list[ParallelMerge] = []
-    for eta, members in _parallel_groups(config.matrix).items():
-        if len(members) == 1:
-            rows.append(config.matrix[members[0]])
-            labels.append(config.labels[members[0]])
+    for eta, members in classes.items():
+        index, qs = zip(*members)
+        if len(index) == 1:
+            rows.append(config.matrix[index[0]])
+            labels.append(config.labels[index[0]])
             continue
-        j = next(k for k, e in enumerate(eta) if e)
-        qs = []
-        for i in members:
-            row = config.matrix[i]
-            q, rem = divmod(row[j], eta[j])
-            if rem or tuple(q * e for e in eta) != row:
-                raise InvariantError("parallel class member is not a multiple of eta")
-            qs.append(q)
         total = sum(qs)
-        member_labels = tuple(config.labels[i] for i in members)
+        member_labels = tuple(config.labels[i] for i in index)
         # the constant's sign: q^q < 0 exactly when q is odd and negative,
         # for each q and for the total in the denominator alike
         negative = sum(q < 0 and q % 2 == 1 for q in (*qs, total)) % 2
@@ -406,7 +401,7 @@ def merge_parallel(
             ParallelMerge(
                 labels=member_labels,
                 eta=eta,
-                multipliers=tuple(qs),
+                multipliers=qs,
                 arg_shift_pi=shift,
                 removed=total == 0,
             )

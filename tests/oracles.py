@@ -29,7 +29,8 @@ instead of the bit-sliced columns,
 Fractions, ``interior_weight`` gives a point inside a flag's cone, and
 ``essential_flacets_by_form_sums`` and ``tdiscr_fan_d3_by_form_sums``
 compute each flacet's form-sum b_L again instead of reading the type-1
-rays.
+rays, and ``parallel_classes_by_minors`` groups rows by their 2 x 2 minors
+instead of by primitive direction or rank-one flat.
 ``random_zero_sum_matroid``, ``connected_matroids`` and ``sweep_configs``
 draw the inputs, and ``write_polynomial_file`` writes polynomial input
 files."""
@@ -212,6 +213,21 @@ def quotient_projection(ambient_rank: int, sub) -> la.IntMatrix:
     if len(proj) != ambient_rank - len(sub):
         raise ValueError("quotient chart has the wrong number of rows")
     return proj
+
+
+def parallel_classes_by_minors(matrix) -> tuple[frozenset[int], ...]:
+    """Nonzero rows grouped by direction, in order of first appearance: row v
+    joins the first class whose first row u has u_i v_j = u_j v_i for all i, j."""
+    classes: list[list[int]] = []
+    for i, v in enumerate(matrix):
+        for members in classes:
+            u = matrix[members[0]]
+            if all(u[a] * v[b] == u[b] * v[a] for a, b in itertools.combinations(range(len(v)), 2)):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    return tuple(map(frozenset, classes))
 
 
 def flats_by_rank(config) -> list[Flat]:

@@ -530,6 +530,13 @@ DIGITS = "7" * 5000  # past Python's 4300-digit limit on reading an int
 NINES = "9" * 4200  # under it, and under the 14000-bit bound
 POINT, WEIGHT, THETA = ["--point", "2,1"], ["-w", "0,1"], ["--theta"]
 SAMPLES = ["--samples", "10"]
+# entries past the float range (about 1.8e308), in the plane and in space
+HUGE = 10**400
+HUGE2 = [[1, 0], [0, 1], [-HUGE, 1], [HUGE - 1, -2]]
+HUGE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-HUGE, 1, 0], [HUGE - 1, -2, -1]]
+# entries that are floats, but the cycle's vertices in radians are not
+RADIANS2 = [[1, 0], [0, 1], [-5 * 10**307, 1], [5 * 10**307 - 1, -2]]
+FLOATS = "float range"
 
 # (command, configuration rows, polynomial file, options, text the error names)
 REFUSED = {
@@ -546,6 +553,15 @@ REFUSED = {
     "initial_form_square": ("initial-form", None, f"x y\n{NINES}*{NINES}*x + y\n", WEIGHT, "14000"),
     "verify_digits": ("verify", "sixline", f"p q r\n{DIGITS}*p + 1\n", SAMPLES, "digits"),
     "gauss_arabic_indic_digit": ("gauss", None, "x y\n٣x + y\n", POINT, "'٣'"),
+    "coamoeba2_floats": ("coamoeba2", HUGE2, None, [], FLOATS),
+    "coamoeba2_radians": ("coamoeba2", RADIANS2, None, [], FLOATS),
+    "member_pi_floats": ("member", HUGE2, None, THETA + ["1/3*pi,0"], FLOATS),
+    "member_float_floats": ("member", HUGE2, None, THETA + ["0.4,2.9"], FLOATS),
+    "pls3_floats": ("pls3", HUGE3, None, [], FLOATS),
+    "member3_floats": ("member", HUGE3, None, THETA + ["pi,0,0"], FLOATS),
+    "verify_floats": ("verify", HUGE3, None, ["-n", "5", "--samples", "10"], FLOATS),
+    "sample_floats": ("sample", HUGE3, None, ["-n", "5", "-o", os.devnull], FLOATS),
+    "psi_floats": ("psi", HUGE3, None, ["--point", "1,2,3"], FLOATS),
 }
 # reproducers run only in the fuzz test, after the cases above: without the
 # size bounds psi never returns on the first and verify builds a 20001-power
@@ -581,8 +597,18 @@ def test_size_and_digit_refusals_exit_2(case, capsys, tmp_path):
     assert named in capsys.readouterr().err
 
 
+def test_entries_past_the_float_range_leave_exact_commands_alone(capsys, tmp_path):
+    # tdiscr-rays reads B exactly, and psi --exact meets its bit bound first
+    argv = _refusal_argv(tmp_path, "tdiscr-rays", HUGE3, None, [])
+    assert _exit_code(argv, capsys) == 0
+    argv = _refusal_argv(tmp_path, "psi", HUGE3, None, ["--point", "1,2,3", "--exact"])
+    assert _exit_code(argv, capsys) == 2
+    main(argv)
+    assert "14000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
-    "entry", [1.7, True, False, None, [1], "1_0", "٣", " -3", "-3 ", "+3", "1.0", "0x3", ""]
+    "entry",[1.7, True, False, None, [1], "1_0", "٣", " -3", "-3 ", "+3", "1.0", "0x3", ""]
 )
 def test_entries_must_be_ascii_decimal(entry, capsys, tmp_path):
     path = tmp_path / "b.json"

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from coamoeba.cycles import (
     prisms_d3,
     zonotope,
 )
+from coamoeba.discriminant import HornKapranovMap, psi_complex
 from coamoeba.errors import (
     Defective,
     DegenerateZonotope,
@@ -640,6 +642,22 @@ def test_polygon_simple_checks():
     assert square.is_simple()
     bow = Polygon(((0, 0), (1, 1), (1, 0), (0, 1)))
     assert not bow.is_simple()
+
+
+def test_float_paths_refuse_entries_past_the_float_range():
+    # a polygon's vertices must be finite floats in radians, B's entries floats
+    fits = int(sys.float_info.max / 4)
+    Polygon(((0, 0), (fits, 0), (0, -fits)))
+    for big in (int(sys.float_info.max / 2), 10**400):  # past it in radians, then as a float
+        with pytest.raises(TooLarge, match="float range"):
+            Polygon(((0, 0), (1, 0), (0, -big)))
+    huge = 10**400
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-huge, 1, 0], [huge - 1, -2, -1]]
+    b = VectorConfiguration.from_rows(rows)
+    with pytest.raises(TooLarge, match="float range"):
+        sample_coamoeba(Matroid(b), 5, 0)
+    with pytest.raises(TooLarge, match="float range"):
+        psi_complex(HornKapranovMap(b), (1, 2, 3))
 
 
 def test_membership_refuses_a_window_past_the_translate_bound():

@@ -139,6 +139,10 @@ def test_residue_sixline(m6, big_d):
     assert worst == 0 and checked == 20
 
 
+def test_sixline_discriminant_is_parsed_once():
+    assert sixline_discriminant() is sixline_discriminant()
+
+
 def test_residue_constant_one(m6):
     one = parse("1", ("p", "q", "r"))
     worst, witness, _ = residue_check(one, m6, 5)

@@ -1,6 +1,7 @@
 """Matroid structure: bases, flats, connectivity, flacets, merging."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +27,7 @@ from oracles import (
     flats_by_rank,
     flats_by_sets,
     maximal_cones_by_sets,
+    parallel_classes_by_minors,
     quotient_projection,
     random_zero_sum_matroid,
     rank_by_masks,
@@ -103,6 +105,56 @@ def test_identity_rows_single_basis():
 def test_parallel_classes():
     m = Matroid(VectorConfiguration.from_rows([[1, 0], [2, 0], [0, 1]]))
     assert set(m.parallel_classes) == {frozenset({0, 1}), frozenset({2})}
+
+
+def _configs_with_parallel_copies(seed, count):
+    """Nonzero configurations with n <= 9, d <= 4: a few rows with entries in
+    [-3, 3], then copies of random rows times +-1, 2 or 3 at random places."""
+    rng = random.Random(seed)
+    configs = []
+    while len(configs) < count:
+        d = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(1, 6))]
+        rows = [r for r in rows if any(r)]
+        if not rows:
+            continue
+        for _ in range(rng.randint(0, 9 - len(rows))):
+            q = rng.choice((1, 2, 3)) * rng.choice((-1, 1))
+            rows.insert(rng.randint(0, len(rows)), [q * x for x in rng.choice(rows)])
+        configs.append(VectorConfiguration.from_rows(rows))
+    return configs
+
+
+def test_parallel_classes_are_the_rank_one_flats_in_first_appearance_order():
+    checked = 0
+    for cfg in _configs_with_parallel_copies(27, 400):
+        try:
+            m = Matroid(cfg)
+        except NotSpanning:
+            continue
+        assert m.parallel_classes == parallel_classes_by_minors(cfg.matrix), cfg.matrix
+        checked += 1
+    assert checked >= 200, checked
+
+
+def test_merge_parallel_multipliers_rebuild_each_member_row():
+    # q_k * eta is the row of member k, eta points along the class's first
+    # row, and the classes come in order of first appearance
+    merged = 0
+    for cfg in _configs_with_parallel_copies(28, 400):
+        _, merges = merge_parallel(cfg)
+        index = {label: i for i, label in enumerate(cfg.labels)}
+        members = [[index[label] for label in rec.labels] for rec in merges]
+        for rec, rows in zip(merges, members):
+            assert [tuple(q * e for e in rec.eta) for q in rec.multipliers] == [
+                cfg.matrix[i] for i in rows
+            ]
+            assert rec.multipliers[0] > 0 and math.gcd(*rec.eta) == 1
+        classes = parallel_classes_by_minors(cfg.matrix)
+        assert [frozenset(r) for r in members] == [c for c in classes if len(c) > 1]
+        assert all(r == sorted(r) for r in members)
+        merged += len(merges)
+    assert merged >= 400, merged
 
 
 def test_build_rejects_zero_row():

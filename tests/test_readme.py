@@ -3,6 +3,7 @@ block names exactly the subcommands of the parser, and the size bounds it
 states are the library's."""
 
 import argparse
+import sys
 from pathlib import Path
 
 from coamoeba import cli
@@ -46,3 +47,4 @@ def test_readme_states_the_size_bounds():
     text = README.read_text(encoding="utf-8")
     assert f"`MAX_EXACT_BITS` = {MAX_EXACT_BITS} bits" in text
     assert f"`MAX_TRANSLATES` = {MAX_TRANSLATES}" in text
+    assert f"`|x| <= {sys.float_info.max:.4g}`" in text  # as the float-range refusal names it
