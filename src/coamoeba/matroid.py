@@ -34,7 +34,8 @@ when the count is at least t, and no field reaches 2^w to carry into the
 next.  r(F) is the largest t whose test sets a top bit; ``_tight`` returns
 it with the top bits its test sets, the bases with |B & F| = r(F).  Those
 common to a flag are one AND, and a label is in none when its column,
-shifted onto the top bits, meets none of them.
+shifted onto the top bits, meets none of them.  ``flats()`` keeps each
+flat's ``_tight`` result, rank and marks, for ``flacets`` and the cones.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ import functools
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import intlinalg as la
 from .configuration import VectorConfiguration
@@ -113,24 +115,16 @@ def _connected(ground: int, basis: int, bases) -> bool:
     return seen == ground
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """A flat of the matroid, recorded by its form-set.
 
     ``forms`` are indices into the configuration and ``corank`` is their
-    matroid rank, the rank of their span.
+    matroid rank, the rank of their span.  A named tuple, so it hashes and
+    compares as the tuple (forms, corank), in C; ``sort_key`` orders flats.
     """
 
     forms: frozenset[int]
     corank: int
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # the value the generated __hash__ gave, computed once per flat
-        object.__setattr__(self, "_hash", hash((self.forms, self.corank)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def dim(self, d: int) -> int:
         return d - self.corank
@@ -216,6 +210,8 @@ class Matroid:
         self._tops = ones << w - 1
         self._offsets = [ones * ((1 << w - 1) - t) for t in range(self.rank + 1)]
         self._flats: list[Flat] | None = None
+        self._marks: dict[frozenset[int], tuple[int, int]] = {}  # filled by flats()
+        self._flacets: list[Flat] | None = None
         self._connected: bool | None = None
 
     # -- basic structure -----------------------------------------------------
@@ -276,8 +272,8 @@ class Matroid:
         found = {ground}
         for h in hyperplanes:
             found |= {f & h for f in found}
-        forms = map(_labels, found)
-        self._flats = sorted((Flat(f, self._tight(f)[0]) for f in forms), key=Flat.sort_key)
+        self._marks = {f: self._tight(f) for f in map(_labels, found)}
+        self._flats = sorted((Flat(f, r) for f, (r, _) in self._marks.items()), key=Flat.sort_key)
         return self._flats
 
     def proper_flats(self) -> list[Flat]:
@@ -340,22 +336,23 @@ class Matroid:
     # -- flacets -----------------------------------------------------------------
 
     def flacets(self) -> list[Flat]:
-        """Proper nonzero flats F with both M|F and M/F connected.
+        """Proper nonzero flats F with both M|F and M/F connected, found once.
 
-        The first basis B with |B & F| = r(F) that ``_tight`` marks serves
+        The first basis B with |B & F| = r(F) that ``flats()`` marked serves
         both: the minors' fundamental graphs are its graph induced on F and E - F.
         """
         if not self.is_connected():
             raise Disconnected("flacets are defined for connected configurations")
-        ground = (1 << self.n) - 1
-        out = []
-        for flat in self.proper_flats():
-            f = _mask(flat.forms)
-            bits = self._tight(flat.forms)[1]
-            basis = self._masks[((bits & -bits).bit_length() - 1) // self._w]
-            if all(_connected(s, basis, self._mask_set) for s in (f, ground ^ f)):
-                out.append(flat)
-        return out
+        if self._flacets is None:
+            ground = (1 << self.n) - 1
+            self._flacets = []
+            for flat in self.proper_flats():
+                f = _mask(flat.forms)
+                bits = self._marks[flat.forms][1]
+                basis = self._masks[((bits & -bits).bit_length() - 1) // self._w]
+                if all(_connected(s, basis, self._mask_set) for s in (f, ground ^ f)):
+                    self._flacets.append(flat)
+        return self._flacets
 
 
 def merge_parallel(

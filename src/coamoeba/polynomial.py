@@ -112,8 +112,9 @@ MAX_EXACT_BITS = 14_000
 
 
 def _require_bits(bits: int, what: str) -> None:
-    if bits > MAX_EXACT_BITS:
-        raise TooLarge(f"{what} would take up to {bits} bits, past the bound of {MAX_EXACT_BITS}")
+    if bits > MAX_EXACT_BITS:  # by bit length: the estimate can pass str's 4300-digit limit
+        size = bits.bit_length()
+        raise TooLarge(f"{what} would take up to 2^{size} bits, past the bound of {MAX_EXACT_BITS}")
 
 
 def _cleared(p: SparsePoly):

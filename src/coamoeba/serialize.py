@@ -18,9 +18,9 @@ cloud that ``write_csv_cloud`` writes.
 ``dump_json`` writes exactly the bytes of ``json.dumps(payload, indent=2,
 sort_keys=True)`` without the stdlib's pure-Python indenting encoder: strings
 go through the C ``encode_basestring_ascii``, and the text of a list of
-strings is built once per list object and depth.  A payload holding any
-other type, or a non-string key, is handed to ``json.dumps`` whole, so its
-bytes and errors are the stdlib's.
+strings is built once per list object and depth, where the lists holding it
+look it up.  A payload holding any other type, or a non-string key, is
+handed to ``json.dumps`` whole, so its bytes and errors are the stdlib's.
 """
 
 from __future__ import annotations
@@ -163,19 +163,22 @@ def _json_text(value, indent: str, memo: dict) -> str:
         text = memo.get(key)
         if text is not None:
             return text
-        if all(type(x) is str for x in value):
-            memo[key] = text = _block("[]", map(_ESCAPE, value), indent)
-            return text
         inner = indent + "  "
-        return _block("[]", [_json_text(x, inner, memo) for x in value], indent)
+        sep = ",\n" + inner
+        if all(type(x) is str for x in value):
+            memo[key] = text = f"[\n{inner}{sep.join(map(_ESCAPE, value))}\n{indent}]"
+            return text
+        items = [memo.get((id(x), inner)) or _json_text(x, inner, memo) for x in value]
+        return f"[\n{inner}{sep.join(items)}\n{indent}]"
     if kind is dict:
         if not value:
             return "{}"
         if any(type(k) is not str for k in value):
             raise _Unhandled
         inner = indent + "  "
+        sep = ",\n" + inner
         items = [f"{_ESCAPE(k)}: {_json_text(value[k], inner, memo)}" for k in sorted(value)]
-        return _block("{}", items, indent)
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
     if kind is int:
         return int.__repr__(value)
     if kind is float:
@@ -191,13 +194,6 @@ def _json_text(value, indent: str, memo: dict) -> str:
     if kind is bool:
         return "true" if value else "false"
     raise _Unhandled
-
-
-def _block(brackets: str, items, indent: str) -> str:
-    """``items`` one per line, two spaces right of ``indent``, inside ``brackets``."""
-    inner = indent + "  "
-    body = (",\n" + inner).join(items)
-    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 
 def dump_json(payload: dict) -> str:

@@ -151,11 +151,15 @@ def _chains(m: Matroid, below: dict[Flat, list[Flat]]) -> list[FlagOfFlats]:
 
     Chains grow from the corank r-1 flats in ``flats()`` order, so they come
     out sorted by their form-sets, and a failed link has pruned its subtree.
+    They stop at corank 1, as every corank-1 flat ``_links`` lists links to the
+    corank-0 flat; below rank 2 the one flag is the empty one.
     """
+    if m.rank < 2:
+        return [FlagOfFlats._linked(())]
     chains = [(flat,) for flat in m.flats_of_corank(m.rank - 1) if flat in below]
-    for _ in range(m.rank - 1):
+    for _ in range(m.rank - 2):
         chains = [c + (g,) for c in chains for g in below[c[-1]]]
-    return [FlagOfFlats._linked(c[:-1]) for c in chains]
+    return [FlagOfFlats._linked(c) for c in chains]
 
 
 def complete_flags(m: Matroid) -> list[FlagOfFlats]:
@@ -191,14 +195,14 @@ def maximal_cones(m: Matroid) -> list[BergmanCone]:
     Weights interior to a fine cone of a complete flag determine the same
     set of maximal bases across the whole coarse cone, so grouping complete
     flags by that set enumerates the maximal cones exactly.  A flag's set is
-    the AND of the bases ``Matroid._tight`` marks for its flats, each computed
-    once; -1, every bit set, stands for all bases.
+    the AND of the bases ``Matroid._tight`` marked for its flats when
+    ``flats()`` ranked them; -1, every bit set, stands for all bases.
     """
     if not m.is_connected():
         raise Disconnected("Bergman cones require a connected configuration")
-    flacet_list = m.flacets()
+    flacet_list = m.flacets()  # ranks the flats, so m._marks holds them all
     # keyed by form-set, which names a flat and caches its hash in C
-    through = {flat.forms: m._tight(flat.forms)[1] for flat in m.proper_flats()}
+    through = {forms: bits for forms, (_, bits) in m._marks.items()}
     groups: dict[int, list[FlagOfFlats]] = {}
     for flag in complete_flags(m):
         key = -1

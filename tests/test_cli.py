@@ -607,6 +607,18 @@ def test_entries_past_the_float_range_leave_exact_commands_alone(capsys, tmp_pat
     assert "14000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("power", [400, 4299])
+def test_psi_exact_refusal_is_one_short_line(power, capsys, tmp_path):
+    # psi's bit estimate is stated by its bit length: at 10^4299 the estimate
+    # has more digits than Python converts to a string, at 10^400 about 400
+    big = 10**power
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-big, 1, 0], [big - 1, -2, -1]]
+    argv = _refusal_argv(tmp_path, "psi", rows, None, ["--point", "1,2,3", "--exact"])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "14000" in err and len(err.splitlines()) == 1 and len(err) < 120, err
+
+
 @pytest.mark.parametrize(
     "entry",[1.7, True, False, None, [1], "1_0", "٣", " -3", "-3 ", "+3", "1.0", "0x3", ""]
 )

@@ -475,6 +475,28 @@ def test_bases_through_other_triple_point(m6):
     assert len({b & flat.forms for b in m6.bases_through(flat)}) == 3
 
 
+def test_flat_hashes_as_its_tuple():
+    # a named tuple hashes in C, to the value of the plain tuple
+    # (forms, corank), which fixes the order of sets and dicts of flats
+    assert Flat.__hash__ is tuple.__hash__
+    for forms, r in ((frozenset(), 0), (frozenset({0}), 1), (frozenset({1, 2, 5}), 2)):
+        assert hash(Flat(forms, r)) == hash((forms, r))
+
+
+def test_flats_keep_their_marks():
+    # flats() keeps each flat's _tight result, which flacets and the Bergman
+    # cones read; flacets are found once per matroid
+    rng = random.Random(28)
+    matroids = [Matroid(config) for config in sweep_configs()] + connected_matroids(rng)
+    for m in matroids:
+        assert {flat.forms for flat in m.flats()} == set(m._marks)
+        for flat in m.flats():
+            assert m._marks[flat.forms] == m._tight(flat.forms)
+            assert m._marks[flat.forms][0] == flat.corank
+        if m.is_connected():
+            assert m.flacets() is m.flacets()
+
+
 def test_flacets_match_minor_oracle(m6, m_plane, m_line):
     # contracting b4 of this one leaves a disconnected M/F with M|F connected
     quotient_split = Matroid(

@@ -215,6 +215,16 @@ def test_rank_one_has_the_empty_flag():
     assert cone.flags == (FlagOfFlats(()),) and cone.max_bases == m.bases
 
 
+def test_rank_two_flags_are_the_corank_one_flats(m_line):
+    # the chains stop at corank 1, which at rank 2 is where they start
+    rng = random.Random(28)
+    matroids = [m_line, Matroid(hyperplane_b(2))]
+    for m in matroids + [random_zero_sum_matroid(rng, 5, 2) for _ in range(3)]:
+        assert m.rank == 2
+        want = [FlagOfFlats((flat,)) for flat in m.flats_of_corank(1)]
+        assert complete_flags(m) == want
+
+
 def test_complete_flags_are_the_complete_chains(m6, m_plane):
     for m in (m6, m_plane):
         coranks = list(range(m.rank - 1, 0, -1))
