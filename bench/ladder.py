@@ -4,12 +4,13 @@
     python3 bench/ladder.py --column parent --src ../parent/src --out BENCH.json
 
 Times ``Matroid()``, ``flats``, ``flacets``, ``complete_flags``,
-``non_splitting_flags``, ``maximal_cones`` and ``nondefective`` on the
-catalog configurations and on seeded random zero-sum configurations at
-fixed (n, d) rungs, and on the nondefective d = 3 rungs also ``prisms_d3``,
-``sample_coamoeba`` (SAMPLES points, seed 0) and ``pls3_distances`` of those
-samples (tolerance TOL), the stages of the d = 3 prism experiment; other
-rungs record "n/a" for these.  On ``sixline_b`` it also times ``certify``,
+``non_splitting_flags``, ``maximal_cones``, ``nondefective`` and
+``tdiscr_rays`` (``tdiscr_fan_d3`` on d = 3 rungs, ``tdiscr_rays``
+elsewhere) on the catalog configurations and on seeded random zero-sum
+configurations at fixed (n, d) rungs, and on the nondefective d = 3 rungs
+also ``prisms_d3``, ``sample_coamoeba`` (SAMPLES points, seed 0) and
+``pls3_distances`` of those samples (tolerance TOL), the stages of the
+d = 3 prism experiment; other rungs record "n/a" for these.  On ``sixline_b`` it also times ``certify``,
 ``certify_discriminant`` of the six-line discriminant on CERTIFY_GRID grid
 points, the exact certification of ``verify``; other rungs record "n/a".
 Each repeat builds a fresh matroid and runs the stages in that order, so
@@ -24,10 +25,10 @@ be timed into another column of the same file.  Naming a column again adds
 a run to it, and the column's summary is each stage's median over its runs:
 runs of the two columns in alternation even out a machine whose speed
 drifts.  The file keeps each rung's seed and its counts (bases, flats,
-complete and non-splitting flags, cones, nondefectivity, prisms, and the
-certification's residue, roundtrip and singular-skip counts); a run
-whose counts differ from the file's is refused.  Only the stdlib and the library
-are used.
+complete and non-splitting flags, cones, nondefectivity, tropical
+discriminant rays, prisms, and the certification's residue, roundtrip and
+singular-skip counts); a run whose counts differ from the file's is
+refused.  Only the stdlib and the library are used.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ TOL = 1e-6
 CERTIFY_GRID = 100
 STAGES = (
     "Matroid", "flats", "flacets", "complete_flags", "non_splitting_flags",
-    "maximal_cones", "nondefective", "certify",
+    "maximal_cones", "nondefective", "tdiscr_rays", "certify",
     "prisms_d3", "sample_coamoeba", "pls3_distances",
 )
 # the stages that run only on nondefective d = 3 rungs
@@ -62,7 +63,7 @@ PRISM_STAGES = STAGES[-3:]
 COUNTED = (
     ("flats", "flats"), ("complete_flags", "complete_flags"),
     ("non_splitting_flags", "non_splitting_flags"), ("cones", "maximal_cones"),
-    ("prisms", "prisms_d3"),
+    ("rays", "tdiscr_rays"), ("prisms", "prisms_d3"),
 )
 # the counts of the certify stage's report
 CERTIFY_COUNTS = ("residue_checked", "roundtrip_checked", "roundtrip_singular_skipped")
@@ -133,6 +134,8 @@ def stage_calls(lib, config, poly):
         ("non_splitting_flags", lambda r: lib.non_splitting_flags(r["Matroid"])),
         ("maximal_cones", lambda r: lib.maximal_cones(r["Matroid"])),
         ("nondefective", lambda r: lib.nondefective(r["Matroid"])),
+        ("tdiscr_rays", lambda r: (
+            lib.tdiscr_fan_d3 if config.d == 3 else lib.tdiscr_rays)(r["Matroid"])),
         ("certify", lambda r: lib.certify_discriminant(poly, r["Matroid"], CERTIFY_GRID)),
         ("prisms_d3", lambda r: lib.prisms_d3(r["Matroid"])),
         ("sample_coamoeba", lambda r: lib.sample_coamoeba(r["Matroid"], SAMPLES, 0)),
@@ -248,6 +251,8 @@ def load_library(src: str):
         maximal_cones=tropical.maximal_cones,
         non_splitting_flags=discriminant.non_splitting_flags,
         nondefective=discriminant.nondefective,
+        tdiscr_rays=discriminant.tdiscr_rays,
+        tdiscr_fan_d3=discriminant.tdiscr_fan_d3,
         prisms_d3=cycles.prisms_d3,
         sample_coamoeba=harness.sample_coamoeba,
         pls3_distances=cycles.pls3_distances,

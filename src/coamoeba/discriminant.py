@@ -7,7 +7,8 @@ nondefective the logarithmic Gauss map y -> [y_i df/dy_i] inverts psi on a
 dense open set.
 
 Nondefectivity is certified by a complete flag of flats whose partial
-form-sums escape the previous spans; the rays of the tropical discriminant
+form-sums escape the previous spans, one found by a depth-first climb and
+all listed by a breadth-first walk; the rays of the tropical discriminant
 are the images b_L of flacet indicator rays (type 1) plus, in the
 three-dimensional case, the rays cut out where projected Bergman cones cross
 transversally (type 2).
@@ -19,7 +20,7 @@ import cmath
 import functools
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -181,13 +182,13 @@ def form_sum(m: Matroid, forms) -> la.IntVector:
     return tuple(sum(c) for c in cols) if forms else (0,) * m.config.d
 
 
-def _escaping_links(m: Matroid) -> Iterator[tuple[Flat, list[Flat]]]:
-    """``tropical._links`` over G < F when F's form-sum raises the rank of G.
+def _escape_test(m: Matroid) -> Callable[[Flat, Flat], bool]:
+    """The test of a link G < F: does F's form-sum raise the rank of G?
 
     Each lower flat's vectors are brought to their HNF row basis once, each
     row with its pivot, its first nonzero entry.  Each upper flat's form-sum
     is reduced against those rows in integers: it escapes the span exactly
-    when something is left.
+    when something is left.  Both are cached, so a test reads only its flats.
     """
     if any(m.config.row_sum()):
         raise NonzeroSum("non-splitting flags assume rows summing to zero")
@@ -206,7 +207,12 @@ def _escaping_links(m: Matroid) -> Iterator[tuple[Flat, list[Flat]]]:
                 s = [row[col] * x - s[col] * y for x, y in zip(s, row)]
         return any(s)
 
-    return tropical._links(m, escapes)
+    return escapes
+
+
+def _escaping_links(m: Matroid) -> Iterator[tuple[Flat, list[Flat]]]:
+    """``tropical._links`` over the links G < F that ``_escape_test`` passes."""
+    return tropical._links(m, _escape_test(m))
 
 
 def non_splitting_flags(m: Matroid) -> list[FlagOfFlats]:
@@ -222,16 +228,45 @@ def non_splitting_flags(m: Matroid) -> list[FlagOfFlats]:
     return tropical._chains(m, dict(_escaping_links(m)))
 
 
+def _escaping_flag(m: Matroid) -> FlagOfFlats | None:
+    """A non-splitting flag, or None.  From the corank-0 flat, each flat F
+    climbs its first escaping cover cl(F + e), e not in F in increasing order;
+    a flat whose climbs all fail is not tried again, as what a flat reaches
+    does not depend on the path to it.  The lattice of flats is never built."""
+    escapes = _escape_test(m)
+    dead: set[Flat] = set()
+
+    def climb(flat: Flat) -> tuple[Flat, ...] | None:
+        """The flats above ``flat`` on an escaping chain to corank r-1, top first."""
+        if flat.corank == m.rank - 1:
+            return ()
+        covered = flat.forms
+        for e in range(m.n):
+            if e in covered:
+                continue
+            cover = m.closure(flat.forms | {e})
+            covered |= cover.forms
+            if cover not in dead and escapes(flat, cover):
+                chain = climb(cover)
+                if chain is not None:
+                    return (*chain, cover)
+        dead.add(flat)
+        return None
+
+    chain = climb(m.closure(()))
+    return None if chain is None else FlagOfFlats._linked(chain)
+
+
 def nondefective(m: Matroid | VectorConfiguration) -> bool:
     """Does the dual variety fill a hypersurface?  Zero rows mean no.
 
-    Yes at the first corank r-1 flat the walk of escaping links reaches.
+    Yes when ``_escaping_flag`` climbs to a corank r-1 flat.
     """
     if isinstance(m, VectorConfiguration):
         if any(not any(row) for row in m.matrix):
             return False
         m = Matroid(m)
-    return any(flat.corank == m.rank - 1 for flat, _ in _escaping_links(m))
+    return _escaping_flag(m) is not None
 
 
 def non_splitting_flats(m: Matroid) -> list[Flat]:
@@ -290,16 +325,6 @@ def _cross3(u, v):
     )
 
 
-def _in_sector(x, u, w) -> bool:
-    """Is x a nonnegative combination of independent u, w?
-
-    With n = u x w, x = a u + b w exactly when x . n = 0, and then
-    x x w = a n and u x x = b n.
-    """
-    plane, a, b = la.mat_vec((x, _cross3(x, w), _cross3(u, x)), _cross3(u, w))
-    return plane == 0 and a >= 0 and b >= 0
-
-
 def tdiscr_fan_d3(m: Matroid) -> list[TropRay]:
     """All rays of a fan structure on the tropical discriminant when d = 3.
 
@@ -310,6 +335,10 @@ def tdiscr_fan_d3(m: Matroid) -> list[TropRay]:
     already among the type-1 images must appear in every fan structure.
     Coplanar overlaps refine along existing type-1 rays and contribute
     nothing new.
+
+    A sector (u, w) is kept as n = u x w, a = w x n and b = n x u: a point
+    x = s u + t w has a . x = s |n|^2 and b . x = t |n|^2, so the signs of
+    a . x and b . x say which ray of a line through two planes lies in it.
     """
     if m.config.d != 3:
         raise DimensionNot3("type-2 ray discovery is implemented for d = 3 only")
@@ -318,20 +347,21 @@ def tdiscr_fan_d3(m: Matroid) -> list[TropRay]:
     sectors = []
     for cone in tropical.maximal_cones(m):
         gens = [type1.get(f) for f in cone.spanning_flacets]
-        if len(gens) != 2 or None in gens or not any(_cross3(*gens)):
+        if len(gens) != 2 or None in gens or not any(n := _cross3(*gens)):
             continue  # image is at most a known type-1 ray
-        sectors.append(gens)
+        u, w = gens
+        sectors.append((n, _cross3(w, n), _cross3(n, u)))
     new_dirs = []
-    for (u1, w1), (u2, w2) in itertools.combinations(sectors, 2):
-        n1, n2 = _cross3(u1, w1), _cross3(u2, w2)
+    for (n1, a1, b1), (n2, a2, b2) in itertools.combinations(sectors, 2):
         line = _cross3(n1, n2)
-        if not any(line):
-            continue  # coplanar
-        for cand in (line, tuple(-x for x in line)):
-            if _in_sector(cand, u1, w1) and _in_sector(cand, u2, w2):
-                direction = la.primitive(cand)
-                if direction not in type1.values() and direction not in new_dirs:
-                    new_dirs.append(direction)
+        if not any(line) or any(la.mat_vec((n1, n2), line)):
+            continue  # coplanar (the plane tests always pass for n1 x n2)
+        signs = la.mat_vec((a1, b1, a2, b2), line)
+        if min(signs) < 0 < max(signs):
+            continue  # neither ray of the line lies in both sectors
+        direction = la.primitive(line if min(signs) >= 0 else [-x for x in line])
+        if direction not in type1.values() and direction not in new_dirs:
+            new_dirs.append(direction)
     rays.extend(
         TropRay(direction=d, kind="type2", flat=None, essential=False)
         for d in sorted(new_dirs)

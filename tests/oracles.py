@@ -25,12 +25,16 @@ the ``*_by_masks`` functions read ranks, bases through a flat, witness
 bases and the labels in no marked basis off the masks one basis at a time
 instead of the bit-sliced columns,
 ``escaping_links_by_rank`` tests each link by its own rank,
+``nondefective_by_links`` walks every escaping link breadth first over the
+whole lattice of flats instead of climbing one chain,
 ``induced_matroid_by_enumeration`` sums the weight of every basis in
 Fractions, ``interior_weight`` gives a point inside a flag's cone, and
 ``essential_flacets_by_form_sums`` and ``tdiscr_fan_d3_by_form_sums``
 compute each flacet's form-sum b_L again instead of reading the type-1
-rays, and ``parallel_classes_by_minors`` groups rows by their 2 x 2 minors
-instead of by primitive direction or rank-one flat.
+rays (the latter testing each candidate ray with ``_in_sector``, three
+cross products a call, instead of per-sector functionals), and
+``parallel_classes_by_minors`` groups rows by their 2 x 2 minors instead
+of by primitive direction or rank-one flat.
 ``random_zero_sum_matroid``, ``connected_matroids`` and ``sweep_configs``
 draw the inputs, and ``write_polynomial_file`` writes polynomial input
 files."""
@@ -60,7 +64,7 @@ from coamoeba.discriminant import (
     HornKapranovMap,
     TropRay,
     _cross3,
-    _in_sector,
+    _escaping_links,
     form_sum,
     log_gauss,
     tdiscr_rays,
@@ -87,10 +91,11 @@ from coamoeba.polynomial import (
 )
 
 
-def random_zero_sum_matroid(rng, n, d) -> Matroid:
-    """Nonzero spanning rows with entries in [-2, 2]; the last is minus the sum."""
+def random_zero_sum_matroid(rng, n, d, bound=2) -> Matroid:
+    """Nonzero spanning rows, the first n - 1 with entries in [-bound, bound]
+    and the last minus their sum."""
     while True:
-        rows = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n - 1)]
+        rows = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n - 1)]
         rows.append([-sum(col) for col in zip(*rows)])
         if any(not any(r) for r in rows):
             continue
@@ -530,6 +535,26 @@ def tdiscr_fan_d3_by_form_sums(m: Matroid) -> list[TropRay]:
         for d in sorted(new_dirs)
     )
     return rays
+
+
+def nondefective_by_links(m: Matroid | VectorConfiguration) -> bool:
+    """``nondefective`` by the breadth-first walk of every escaping link over
+    the whole lattice of flats: yes at the first corank r-1 flat it reaches."""
+    if isinstance(m, VectorConfiguration):
+        if any(not any(row) for row in m.matrix):
+            return False
+        m = Matroid(m)
+    return any(flat.corank == m.rank - 1 for flat, _ in _escaping_links(m))
+
+
+def _in_sector(x, u, w) -> bool:
+    """Is x a nonnegative combination of independent u, w?
+
+    With n = u x w, x = a u + b w exactly when x . n = 0, and then
+    x x w = a n and u x x = b n.
+    """
+    plane, a, b = la.mat_vec((x, _cross3(x, w), _cross3(u, x)), _cross3(u, w))
+    return plane == 0 and a >= 0 and b >= 0
 
 
 def escaping_links_by_rank(m: Matroid) -> dict[Flat, list[Flat]]:

@@ -13,8 +13,8 @@ from coamoeba.configuration import VectorConfiguration
 from coamoeba.discriminant import (
     HornKapranovMap,
     _cross3,
+    _escaping_flag,
     _escaping_links,
-    _in_sector,
     essential_flacets,
     form_sum,
     log_gauss,
@@ -38,11 +38,13 @@ from coamoeba.matroid import Matroid, merge_parallel
 from coamoeba.polynomial import MAX_EXACT_BITS, SparsePoly, parse
 from coamoeba.tropical import complete_flags
 from oracles import (
+    _in_sector,
     essential_flacets_by_form_sums,
     log_gauss_by_partials,
     log_gauss_by_terms,
     psi_by_fractions,
     non_splitting_by_rank,
+    nondefective_by_links,
     projectively_equal,
     random_zero_sum_matroid,
     sweep_configs,
@@ -339,6 +341,35 @@ def test_nondefective_echelons_each_flat_at_most_once(monkeypatch):
     assert nondefective(m)
     assert len(m.flats()) == 100
     assert 0 < len(calls) <= len(m.flats())
+
+
+def test_nondefective_climb_never_builds_the_lattice(monkeypatch):
+    m = random_zero_sum_matroid(random.Random("n7d5/0"), 7, 5)
+    calls = []
+    basis = la.row_lattice_basis
+    monkeypatch.setattr(la, "row_lattice_basis", lambda rows: calls.append(1) or basis(rows))
+
+    def no_flats(self):
+        raise AssertionError("nondefective built the lattice of flats")
+
+    monkeypatch.setattr(Matroid, "flats", no_flats)
+    assert nondefective(m)
+    assert len(calls) <= m.rank - 1  # one echelon per lower flat of the chain
+
+
+def test_nondefective_climb_matches_the_link_walk_on_a_sweep():
+    # 648 zero-sum configurations, 36 at each (n, d) with n = 6..11 and
+    # d = 3..5: n - 1 rows with entries in [-1, 1] and minus their sum
+    rng = random.Random("nondefective sweep")
+    defective = 0
+    for k in range(648):
+        m = random_zero_sum_matroid(rng, 6 + k % 6, 3 + k // 6 % 3, bound=1)
+        flags = non_splitting_flags(m)
+        witness = _escaping_flag(m)
+        assert (witness is not None) == nondefective(m) == nondefective_by_links(m) == bool(flags)
+        assert witness is None or witness in flags
+        defective += not flags
+    assert defective >= 20
 
 
 def test_zero_sum_hyperplane_splits_the_first_link():
