@@ -14,11 +14,15 @@ d = 3 prism experiment; other rungs record "n/a" for these.  On ``sixline_b`` it
 ``certify_discriminant`` of the six-line discriminant on CERTIFY_GRID grid
 points, the exact certification of ``verify``; other rungs record "n/a".
 Each repeat builds a fresh matroid and runs the stages in that order, so
-``flats`` is timed on its first call and the later stages find the flats
-and connectivity cached.  A run records each stage's median over its
-REPEATS repeats.  A stage call that overruns
-TIMEOUT seconds is recorded as a timeout, and the rung's remaining calls
-are skipped.
+the later stages find the flats and connectivity cached.  A stage is timed
+over repeated calls until they take MIN_TIME seconds in all, and a repeat
+records the seconds per call and the call count.  The stages in FRESH,
+which cache their result on the matroid, call a fresh matroid each time
+after the first, with the stages before them run untimed, so every call
+sees the caches the first one saw; the others repeat on the same matroid.
+A run records each stage's median over its REPEATS repeats, and its call
+counts.  A stage whose calls overrun TIMEOUT seconds is recorded as a
+timeout, and the rung's remaining calls are skipped.
 
 ``--src`` picks the ``coamoeba`` sources to time, so a second checkout can
 be timed into another column of the same file.  Naming a column again adds
@@ -48,6 +52,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNGS = ((8, 3), (9, 3), (10, 4), (10, 5), (12, 4), (12, 6))
 REPEATS = 3
+MIN_TIME = 0.05
 TIMEOUT = 30.0
 SAMPLES = 150
 TOL = 1e-6
@@ -59,6 +64,8 @@ STAGES = (
 )
 # the stages that run only on nondefective d = 3 rungs
 PRISM_STAGES = STAGES[-3:]
+# the stages whose calls each get a fresh matroid: they cache their result on it
+FRESH = ("flats", "flacets")
 # the counts each rung records, besides its bases, and the stages giving them
 COUNTED = (
     ("flats", "flats"), ("complete_flags", "complete_flags"),
@@ -144,27 +151,51 @@ def stage_calls(lib, config, poly):
     )
 
 
-def time_rung(lib, config, poly) -> tuple[dict, dict]:
-    """Each stage's median seconds, or "timeout", "skipped" or "n/a", and the
-    counts the stages found."""
+def time_stage(calls, k: int, run: dict) -> tuple[object, float, int]:
+    """Stage k's result on ``run``, its seconds per call and the call count.
+
+    Calls repeat until they take MIN_TIME seconds in all; after the first, a
+    stage in FRESH calls a fresh matroid with the stages before it run
+    untimed, and any other stage calls ``run`` again."""
+    name, call = calls[k]
+    args, total, count = run, 0.0, 0
+    with deadline(TIMEOUT):
+        while count == 0 or total < MIN_TIME:
+            if count and name in FRESH:
+                args = {}
+                for earlier, setup in calls[:k]:
+                    args[earlier] = setup(args)
+            start = time.perf_counter()
+            value = call(args)
+            total += time.perf_counter() - start
+            if not count:
+                result = value
+            count += 1
+    return result, total / count, count
+
+
+def time_rung(lib, config, poly) -> tuple[dict, dict, dict]:
+    """Each stage's median seconds per call, or "timeout", "skipped" or "n/a",
+    the timed stages' median call counts, and the counts the stages found."""
     times: dict[str, list[float]] = {name: [] for name in STAGES}
+    made: dict[str, list[int]] = {name: [] for name in STAGES}
     results: dict[str, object] = {}
     timed_out = None
+    calls = stage_calls(lib, config, poly)
     for _ in range(REPEATS):
         run: dict[str, object] = {}
-        for name, call in stage_calls(lib, config, poly):
+        for k, (name, _) in enumerate(calls):
             if name == "certify" and poly is None:
                 continue
             if name in PRISM_STAGES and (config.d != 3 or not run["nondefective"]):
                 break
-            start = time.perf_counter()
             try:
-                with deadline(TIMEOUT):
-                    run[name] = call(run)
+                run[name], seconds, count = time_stage(calls, k, run)
             except StageTimeout:
                 timed_out = name
                 break
-            times[name].append(time.perf_counter() - start)
+            times[name].append(seconds)
+            made[name].append(count)
         results.update(run)
         if timed_out:
             break
@@ -186,7 +217,8 @@ def time_rung(lib, config, poly) -> tuple[dict, dict]:
     report = results.get("certify", {})
     for key in CERTIFY_COUNTS:
         counts[key] = "n/a" if stages["certify"] == "n/a" else report.get(key)
-    return stages, counts
+    calls_made = {name: statistics.median_low(c) for name, c in made.items() if c}
+    return stages, calls_made, counts
 
 
 def summary(runs: list[dict]) -> dict:
@@ -271,10 +303,10 @@ def main(argv=None) -> int:
             report = json.load(f)
     except FileNotFoundError:
         report = {"script": "bench/ladder.py", "stages": list(STAGES), "rungs": {}, "columns": {}}
-    run = {}
+    run, calls_made = {}, {}
     for rung in rungs(lib):
         config = rung["config"]
-        stages, counts = time_rung(lib, config, rung["poly"])
+        stages, calls_made[rung["name"]], counts = time_rung(lib, config, rung["poly"])
         known = report["rungs"].setdefault(
             rung["name"], {"n": config.n, "d": config.d, "seed": rung["seed"], "counts": counts}
         )
@@ -296,8 +328,8 @@ def main(argv=None) -> int:
         print(f"{rung['name']}: {line}", file=sys.stderr)
     column = report["columns"].setdefault(args.column, {"runs": []})
     column["runs"].append(
-        {"repeats": REPEATS, "timeout_s": TIMEOUT, "environment": environment(),
-         "rungs": run}
+        {"repeats": REPEATS, "min_time_s": MIN_TIME, "timeout_s": TIMEOUT,
+         "environment": environment(), "rungs": run, "calls": calls_made}
     )
     column["rungs"] = summary(column["runs"])
     with open(args.out, "w") as f:

@@ -7,8 +7,9 @@ nondefective the logarithmic Gauss map y -> [y_i df/dy_i] inverts psi on a
 dense open set.
 
 Nondefectivity is certified by a complete flag of flats whose partial
-form-sums escape the previous spans, one found by a depth-first climb and
-all listed by a breadth-first walk; the rays of the tropical discriminant
+form-sums escape the previous spans; this module supplies only the escape
+test of a link, and ``tropical._climb`` finds one such flag and
+``tropical._chains`` lists them all.  The rays of the tropical discriminant
 are the images b_L of flacet indicator rays (type 1) plus, in the
 three-dimensional case, the rays cut out where projected Bergman cones cross
 transversally (type 2).
@@ -20,7 +21,7 @@ import cmath
 import functools
 import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +41,7 @@ from .errors import (
     WrongLength,
 )
 from .matroid import Flat, FlagOfFlats, Matroid
-from .polynomial import SparsePoly, _cleared, _require_bits, _term_block, _value_bits
+from .polynomial import SparsePoly, _require_bits, _terms_at
 
 # psi_complex's cut-off for |<b, y>| relative to max_j |y_j|
 NEAR_ARRANGEMENT = 1e-12
@@ -152,21 +153,10 @@ def psi_complex(h: HornKapranovMap, y) -> tuple[complex, ...]:
 def log_gauss(f: SparsePoly, y):
     """[y_1 df/dy_1 : ... : y_d df/dy_d], scaled by its first nonzero coordinate.
 
-    ``_term_block`` gives f's terms times one K at the point, each rational
-    coordinate its numerator over its denominator and each complex one itself
-    over 1.  Their Euler sums are K y_j df/dy_j, and K cancels in the scaling,
-    exactly (to Fractions) where the sums are ints.  Raises WrongLength for a
-    point without one coordinate per variable, TooLarge past
-    ``MAX_EXACT_BITS`` and SingularPoint where all coordinates vanish."""
-    point = [v if isinstance(v, complex) else Fraction(v) for v in y]
-    if len(point) != len(f.variables):
-        raise WrongLength("point length must match the number of variables")
-    nums = [getattr(v, "numerator", v) for v in point]  # a complex v stays v
-    dens = [getattr(v, "denominator", 1) for v in point]
-    cleared = _cleared(f)
-    logs = [(max(abs(n), d) - 1).bit_length() if type(n) is int else 0 for n, d in zip(nums, dens)]
-    _require_bits(_value_bits(cleared, logs), "the log-Gauss map at this point")
-    values, _ = _term_block(cleared, *np.array([nums, dens], dtype=object)[:, None])
+    ``_terms_at`` gives f's terms times one K at the point, raising as it does.
+    Their Euler sums are K y_j df/dy_j, and K cancels in the scaling, exactly
+    (to Fractions) where the sums are ints.  SingularPoint where all vanish."""
+    cleared, values, _ = _terms_at(f, y, "the log-Gauss map at this point")
     coords = (values @ cleared[2])[0]  # K y_j df/dy_j
     lead = next((c for c in coords if c != 0), None)
     if lead is None:
@@ -210,63 +200,29 @@ def _escape_test(m: Matroid) -> Callable[[Flat, Flat], bool]:
     return escapes
 
 
-def _escaping_links(m: Matroid) -> Iterator[tuple[Flat, list[Flat]]]:
-    """``tropical._links`` over the links G < F that ``_escape_test`` passes."""
-    return tropical._links(m, _escape_test(m))
-
-
 def non_splitting_flags(m: Matroid) -> list[FlagOfFlats]:
     """Complete flags whose partial form-sums escape every previous span.
 
     A flag F_1 < ... < F_(d-1) qualifies when for each j the sum of the
     vectors in F_j does not lie in the span of F_(j-1) (F_0 is the corank-0
     flat, whose span is 0).  The configuration is nondefective exactly when
-    such a flag exists.  The escape test prunes the walk of
-    ``tropical.complete_flags``: a splitting link cuts off every chain
-    through it, and the flags come in ``complete_flags`` order.
+    such a flag exists.  ``tropical._chains`` walks them under the escape
+    test: a splitting link cuts off every chain through it, and the flags
+    come in ``complete_flags`` order.
     """
-    return tropical._chains(m, dict(_escaping_links(m)))
-
-
-def _escaping_flag(m: Matroid) -> FlagOfFlats | None:
-    """A non-splitting flag, or None.  From the corank-0 flat, each flat F
-    climbs its first escaping cover cl(F + e), e not in F in increasing order;
-    a flat whose climbs all fail is not tried again, as what a flat reaches
-    does not depend on the path to it.  The lattice of flats is never built."""
-    escapes = _escape_test(m)
-    dead: set[Flat] = set()
-
-    def climb(flat: Flat) -> tuple[Flat, ...] | None:
-        """The flats above ``flat`` on an escaping chain to corank r-1, top first."""
-        if flat.corank == m.rank - 1:
-            return ()
-        covered = flat.forms
-        for e in range(m.n):
-            if e in covered:
-                continue
-            cover = m.closure(flat.forms | {e})
-            covered |= cover.forms
-            if cover not in dead and escapes(flat, cover):
-                chain = climb(cover)
-                if chain is not None:
-                    return (*chain, cover)
-        dead.add(flat)
-        return None
-
-    chain = climb(m.closure(()))
-    return None if chain is None else FlagOfFlats._linked(chain)
+    return tropical._chains(m, _escape_test(m))
 
 
 def nondefective(m: Matroid | VectorConfiguration) -> bool:
     """Does the dual variety fill a hypersurface?  Zero rows mean no.
 
-    Yes when ``_escaping_flag`` climbs to a corank r-1 flat.
+    Yes when ``tropical._climb`` finds a flag whose links all escape.
     """
     if isinstance(m, VectorConfiguration):
         if any(not any(row) for row in m.matrix):
             return False
         m = Matroid(m)
-    return _escaping_flag(m) is not None
+    return tropical._climb(m, _escape_test(m)) is not None
 
 
 def non_splitting_flats(m: Matroid) -> list[Flat]:
@@ -354,8 +310,8 @@ def tdiscr_fan_d3(m: Matroid) -> list[TropRay]:
     new_dirs = []
     for (n1, a1, b1), (n2, a2, b2) in itertools.combinations(sectors, 2):
         line = _cross3(n1, n2)
-        if not any(line) or any(la.mat_vec((n1, n2), line)):
-            continue  # coplanar (the plane tests always pass for n1 x n2)
+        if not any(line):
+            continue  # coplanar
         signs = la.mat_vec((a1, b1, a2, b2), line)
         if min(signs) < 0 < max(signs):
             continue  # neither ray of the line lies in both sectors

@@ -163,13 +163,23 @@ def _term_block(cleared, nums, dens) -> tuple[np.ndarray, np.ndarray]:
     return values, scale
 
 
-def evaluate_exact(p: SparsePoly, point) -> Fraction:
-    """Exact value at a rational point (length must match the variables)."""
-    pt = [Fraction(x) for x in point]
-    if len(pt) != len(p.variables):
+def _terms_at(p: SparsePoly, y, what: str):
+    """``_cleared(p)`` and ``_term_block``'s values and scale at y (n/d as n over d, complex
+    over 1); WrongLength unless y fits the variables, TooLarge if ``what`` could pass the bound."""
+    point = [v if isinstance(v, complex) else Fraction(v) for v in y]
+    if len(point) != len(p.variables):
         raise WrongLength("point length must match the number of variables")
-    parts = np.array([[x.numerator for x in pt], [x.denominator for x in pt]], dtype=object)
-    values, scale = _term_block(_cleared(p), parts[:1], parts[1:])
+    nums = [getattr(v, "numerator", v) for v in point]  # a complex v stays v
+    dens = [getattr(v, "denominator", 1) for v in point]
+    cleared = _cleared(p)
+    logs = [(max(abs(n), d) - 1).bit_length() if type(n) is int else 0 for n, d in zip(nums, dens)]
+    _require_bits(_value_bits(cleared, logs), what)
+    return cleared, *_term_block(cleared, *np.array([nums, dens], dtype=object)[:, None])
+
+
+def evaluate_exact(p: SparsePoly, point) -> Fraction:
+    """Exact value at a rational point; raises as ``_terms_at`` does."""
+    _, values, scale = _terms_at(p, point, "the value at this point")
     return Fraction(sum(values[0]), scale[0])
 
 

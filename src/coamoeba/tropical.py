@@ -14,14 +14,16 @@ flacets.  Any weight inside the cone of a complete flag F_1 > ... > F_(d-1)
 induces the bases B with |B & F_i| = r(F_i) for all i (Ardila-Klivans 2006,
 Feichtner-Sturmfels 2005), the intersection of ``Matroid.bases_through(F_i)``:
 the AND of the bases each flat's ``Matroid._tight`` marks.
-Complete and non-splitting flags come from one walk over chains of flats,
-and every flag is a subchain of a complete one.
+Chains of flats are walked here alone, under one link test ``keep(G, F)``
+with G one corank below F: ``_chains`` lists the complete flags whose links
+all pass it (every link for ``complete_flags``, the escape test of
+``discriminant`` for the non-splitting flags), and ``_climb`` finds one.
+Every flag is a subchain of a complete one.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,37 +131,58 @@ def all_flags(m: Matroid) -> list[FlagOfFlats]:
     return [FlagOfFlats._linked(chain) for chain in chains]
 
 
-def _links(m: Matroid, keep) -> Iterator[tuple[Flat, list[Flat]]]:
-    """Each flat that reaches the corank-0 flat by links G < F passing
-    ``keep(G, F)``, with the flats one corank below it that it contains,
-    that pass ``keep`` and that reach it too, in ``flats()`` order; lazily,
-    by corank, so a caller can stop at the first flat it wants.
-    """
-    levels = [m.flats_of_corank(k) for k in range(m.rank)]
-    reached = {levels[0][0]}
-    yield levels[0][0], []
-    for lower, upper in zip(levels, levels[1:]):
-        for flat in upper:
-            kept = [g for g in lower if g.forms < flat.forms and g in reached and keep(g, flat)]
-            if kept:
-                reached.add(flat)
-                yield flat, kept
+def _chains(m: Matroid, keep) -> list[FlagOfFlats]:
+    """The complete flags whose links G < F all pass ``keep(G, F)``.
 
-
-def _chains(m: Matroid, below: dict[Flat, list[Flat]]) -> list[FlagOfFlats]:
-    """The complete flags down the links ``below``, a dict of ``_links``.
-
-    Chains grow from the corank r-1 flats in ``flats()`` order, so they come
-    out sorted by their form-sets, and a failed link has pruned its subtree.
-    They stop at corank 1, as every corank-1 flat ``_links`` lists links to the
-    corank-0 flat; below rank 2 the one flag is the empty one.
+    Corank by corank from the corank-0 flat, ``below`` maps each flat reached
+    to the reached flats one corank below it that it contains and whose link
+    passes, so it doubles as the reached set.  Chains grow down those links
+    from the corank r-1 flats in ``flats()`` order, so they come out sorted by
+    their form-sets, and stop at corank 1, whose flats in ``below`` all link
+    to the corank-0 flat; below rank 2 the one flag is the empty one.
     """
     if m.rank < 2:
         return [FlagOfFlats._linked(())]
-    chains = [(flat,) for flat in m.flats_of_corank(m.rank - 1) if flat in below]
+    levels = [m.flats_of_corank(k) for k in range(m.rank)]
+    below: dict[Flat, list[Flat]] = {levels[0][0]: []}
+    for lower, upper in zip(levels, levels[1:]):
+        for flat in upper:
+            kept = [g for g in lower if g.forms < flat.forms and g in below and keep(g, flat)]
+            if kept:
+                below[flat] = kept
+    chains = [(flat,) for flat in levels[-1] if flat in below]
     for _ in range(m.rank - 2):
         chains = [c + (g,) for c in chains for g in below[c[-1]]]
     return [FlagOfFlats._linked(c) for c in chains]
+
+
+def _climb(m: Matroid, keep) -> FlagOfFlats | None:
+    """A complete flag whose links all pass ``keep``, or None.  From the
+    corank-0 flat, each flat F climbs its first passing cover cl(F + e), e not
+    in F in increasing order; a flat whose climbs all fail is not tried again,
+    as what a flat reaches does not depend on the path to it.  The lattice of
+    flats is never built."""
+    dead: set[Flat] = set()
+
+    def climb(flat: Flat) -> tuple[Flat, ...] | None:
+        """The flats above ``flat`` on a passing chain to corank r-1, top first."""
+        if flat.corank == m.rank - 1:
+            return ()
+        covered = flat.forms
+        for e in range(m.n):
+            if e in covered:
+                continue
+            cover = m.closure(flat.forms | {e})
+            covered |= cover.forms
+            if cover not in dead and keep(flat, cover):
+                chain = climb(cover)
+                if chain is not None:
+                    return (*chain, cover)
+        dead.add(flat)
+        return None
+
+    chain = climb(m.closure(()))
+    return None if chain is None else FlagOfFlats._linked(chain)
 
 
 def complete_flags(m: Matroid) -> list[FlagOfFlats]:
@@ -168,7 +191,7 @@ def complete_flags(m: Matroid) -> list[FlagOfFlats]:
     The walk over chains of flats with every link kept; sorted by the
     form-sets of their flats, the largest first.
     """
-    return _chains(m, dict(_links(m, lambda lower, upper: True)))
+    return _chains(m, lambda lower, upper: True)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ connectivity and cone groups off frozensets of labels instead of bit masks,
 the ``*_by_masks`` functions read ranks, bases through a flat, witness
 bases and the labels in no marked basis off the masks one basis at a time
 instead of the bit-sliced columns,
-``escaping_links_by_rank`` tests each link by its own rank,
-``nondefective_by_links`` walks every escaping link breadth first over the
+``escapes_by_rank`` tests a link by one rank computation of its own,
+``nondefective_by_links`` walks every link it passes breadth first over the
 whole lattice of flats instead of climbing one chain,
 ``induced_matroid_by_enumeration`` sums the weight of every basis in
 Fractions, ``interior_weight`` gives a point inside a flag's cone, and
@@ -64,7 +64,6 @@ from coamoeba.discriminant import (
     HornKapranovMap,
     TropRay,
     _cross3,
-    _escaping_links,
     form_sum,
     log_gauss,
     tdiscr_rays,
@@ -538,13 +537,14 @@ def tdiscr_fan_d3_by_form_sums(m: Matroid) -> list[TropRay]:
 
 
 def nondefective_by_links(m: Matroid | VectorConfiguration) -> bool:
-    """``nondefective`` by the breadth-first walk of every escaping link over
-    the whole lattice of flats: yes at the first corank r-1 flat it reaches."""
+    """``nondefective`` by the breadth-first walk ``tropical._chains`` of every
+    link ``escapes_by_rank`` passes over the whole lattice of flats: yes when
+    a complete flag is left."""
     if isinstance(m, VectorConfiguration):
         if any(not any(row) for row in m.matrix):
             return False
         m = Matroid(m)
-    return any(flat.corank == m.rank - 1 for flat, _ in _escaping_links(m))
+    return bool(tropical._chains(m, escapes_by_rank(m)))
 
 
 def _in_sector(x, u, w) -> bool:
@@ -557,15 +557,15 @@ def _in_sector(x, u, w) -> bool:
     return plane == 0 and a >= 0 and b >= 0
 
 
-def escaping_links_by_rank(m: Matroid) -> dict[Flat, list[Flat]]:
-    """``tropical._links`` over G < F when the rank of G's vectors plus F's
-    form-sum exceeds r(G), one elimination per link."""
+def escapes_by_rank(m: Matroid):
+    """The link test of ``_escape_test``, G < F passing when the rank of G's
+    vectors plus F's form-sum exceeds r(G), one elimination per link."""
 
     def escapes(lower: Flat, upper: Flat) -> bool:
         rows = [m.config.matrix[i] for i in lower.forms]
         return la.rank_rational(rows + [form_sum(m, upper.forms)]) > lower.corank
 
-    return dict(tropical._links(m, escapes))
+    return escapes
 
 
 def polygon_contains_two_pass(vertices, point) -> bool:

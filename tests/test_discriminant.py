@@ -13,8 +13,7 @@ from coamoeba.configuration import VectorConfiguration
 from coamoeba.discriminant import (
     HornKapranovMap,
     _cross3,
-    _escaping_flag,
-    _escaping_links,
+    _escape_test,
     essential_flacets,
     form_sum,
     log_gauss,
@@ -36,7 +35,7 @@ from coamoeba.errors import (
 )
 from coamoeba.matroid import Matroid, merge_parallel
 from coamoeba.polynomial import MAX_EXACT_BITS, SparsePoly, parse
-from coamoeba.tropical import complete_flags
+from coamoeba.tropical import _chains, _climb, complete_flags
 from oracles import (
     _in_sector,
     essential_flacets_by_form_sums,
@@ -365,7 +364,7 @@ def test_nondefective_climb_matches_the_link_walk_on_a_sweep():
     for k in range(648):
         m = random_zero_sum_matroid(rng, 6 + k % 6, 3 + k // 6 % 3, bound=1)
         flags = non_splitting_flags(m)
-        witness = _escaping_flag(m)
+        witness = _climb(m, _escape_test(m))
         assert (witness is not None) == nondefective(m) == nondefective_by_links(m) == bool(flags)
         assert witness is None or witness in flags
         defective += not flags
@@ -394,8 +393,7 @@ def test_nondefective_matches_the_whole_link_walk():
     defective = [VectorConfiguration.from_rows(rows) for rows in DEFECTIVE]
     for config in sweep_configs() + defective:
         m = Matroid(config)
-        links = dict(_escaping_links(m))
-        assert nondefective(m) == any(f in links for f in m.flats_of_corank(m.rank - 1))
+        assert nondefective(m) == bool(_chains(m, _escape_test(m)))
     assert not any(nondefective(Matroid(config)) for config in defective)
 
 

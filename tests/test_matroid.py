@@ -21,7 +21,7 @@ from oracles import (
     basis_masks_by_rank,
     connected_matroids,
     connected_via_circuits,
-    escaping_links_by_rank,
+    escapes_by_rank,
     flacets_by_minors,
     flacets_by_sets,
     flats_by_rank,
@@ -311,9 +311,9 @@ def test_masks_match_frozenset_oracles(n, d, seed):
     for flat in m.flats():
         assert m.bases_through(flat) == bases_through_by_sets(m, flat)
     assert maximal_cones(m) == maximal_cones_by_sets(m)
-    links = escaping_links_by_rank(m)
-    assert non_splitting_flags(m) == _chains(m, links)
-    assert nondefective(m) == any(f in links for f in m.flats_of_corank(m.rank - 1))
+    flags = _chains(m, escapes_by_rank(m))
+    assert non_splitting_flags(m) == flags
+    assert nondefective(m) == bool(flags)
 
 
 def test_bit_sliced_counts_match_one_basis_at_a_time():

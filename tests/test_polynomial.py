@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from coamoeba.catalog import SIXLINE_DISCRIMINANT_TEXT
-from coamoeba.errors import InputError, PolySyntaxError, UnknownVariable, WrongLength
+from coamoeba.errors import InputError, PolySyntaxError, TooLarge, UnknownVariable, WrongLength
 from coamoeba.discriminant import log_gauss
 from coamoeba.polynomial import (
     SparsePoly,
@@ -58,6 +58,13 @@ def test_format_parse_roundtrip(big_d):
 
 def test_evaluate_simple():
     assert evaluate_exact(parse("x+y+1"), (1, 1)) == 3
+
+
+def test_evaluate_refuses_a_value_past_the_bound():
+    # 2^20000 + 1 takes 20001 bits; the estimate refuses before building it
+    with pytest.raises(TooLarge, match="the value at this point"):
+        evaluate_exact(parse("x^20000 + y"), (2, 1))
+    assert evaluate_exact(parse("x^10000 + y"), (2, 1)) == 2**10000 + 1
 
 
 def test_evaluate_discriminant_independent_order(big_d):

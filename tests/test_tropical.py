@@ -13,6 +13,8 @@ from coamoeba.discriminant import non_splitting_flags
 from coamoeba.errors import LevelSetNotAFlat, NotInTropical, WrongLength
 from coamoeba.matroid import FlagOfFlats, Matroid
 from coamoeba.tropical import (
+    _chains,
+    _climb,
     all_flags,
     bergman_rays,
     complete_flags,
@@ -234,6 +236,31 @@ def test_complete_flags_are_the_complete_chains(m6, m_plane):
             if [g.corank for g in f.flats] == coranks
         }
         assert {f.form_chain() for f in complete_flags(m)} == chains
+
+
+def test_chains_and_climb_keep_the_complete_flags_whose_links_pass():
+    # seeded pseudo-random link tests, each reading only its two flats, on
+    # random zero-sum matroids of ranks 1 to 4
+    rng = random.Random(30)
+    for n, d in [(2, 1), (4, 1), (3, 2), (5, 2), (5, 3), (7, 3), (6, 4), (8, 4)]:
+        for _ in range(3):
+            m = random_zero_sum_matroid(rng, n, d)
+            bottom = m.closure(())
+            for seed, p in enumerate((0.0, 0.3, 0.6, 0.8, 0.9, 1.0)):
+
+                def keep(lower, upper, seed=seed, p=p):
+                    key = (seed, sorted(lower.forms), sorted(upper.forms))
+                    return random.Random(repr(key)).random() < p
+
+                want = [
+                    flag
+                    for flag in complete_flags(m)
+                    if all(keep(g, f) for f, g in itertools.pairwise((*flag.flats, bottom)))
+                ]
+                assert _chains(m, keep) == want
+                witness = _climb(m, keep)
+                assert (witness is None) == (not want)
+                assert witness is None or witness in want
 
 
 def test_all_flags_match_extension_oracle():
