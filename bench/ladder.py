@@ -24,6 +24,14 @@ A run records each stage's median over its REPEATS repeats, and its call
 counts.  A stage whose calls overrun TIMEOUT seconds is recorded as a
 timeout, and the rung's remaining calls are skipped.
 
+The machine's speed drifts between and within runs, so a fixed stdlib
+kernel (``probe_kernel``) is timed before a rung and after each of its
+stage timings, and each stage time is also recorded scaled by PROBE_REF_S
+over the mean of the kernel's times just before and just after it, as
+``perfbench/run.py`` scales its items: a scaled time reads as seconds at the
+speed at which the kernel takes PROBE_REF_S.  A run keeps the raw medians
+under "rungs" and the scaled ones under "scaled".
+
 ``--src`` picks the ``coamoeba`` sources to time, so a second checkout can
 be timed into another column of the same file.  Naming a column again adds
 a run to it, and the column's summary is each stage's median over its runs:
@@ -41,6 +49,7 @@ import argparse
 import contextlib
 import importlib.metadata
 import json
+import math
 import os
 import platform
 import random
@@ -48,6 +57,7 @@ import signal
 import statistics
 import sys
 import time
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNGS = ((8, 3), (9, 3), (10, 4), (10, 5), (12, 4), (12, 6))
@@ -57,6 +67,10 @@ TIMEOUT = 30.0
 SAMPLES = 150
 TOL = 1e-6
 CERTIFY_GRID = 100
+# the kernel and its reference time are perfbench/run.py's, so the scaled
+# times of both read at one speed; on a 2-vCPU Intel Xeon VM under Python
+# 3.11 the kernel's best of three took 2.26 to 6.2 ms over 800 probes
+PROBE_REF_S = 0.0021
 STAGES = (
     "Matroid", "flats", "flacets", "complete_flags", "non_splitting_flags",
     "maximal_cones", "nondefective", "tdiscr_rays", "certify",
@@ -151,6 +165,40 @@ def stage_calls(lib, config, poly):
     )
 
 
+def probe_kernel() -> None:
+    """Fraction elimination on fixed 5 x 5 matrices, then a float loop."""
+    for k in range(6):
+        rows = [
+            [Fraction((i * 7 + j * 13 + k) % 11 - 5, 1 + (i + j) % 3) for j in range(5)]
+            for i in range(5)
+        ]
+        for c in range(5):
+            p = next((r for r in range(c, 5) if rows[r][c]), None)
+            if p is None:
+                continue
+            rows[c], rows[p] = rows[p], rows[c]
+            inv = 1 / rows[c][c]
+            rows[c] = [x * inv for x in rows[c]]
+            for r in range(5):
+                if r != c and rows[r][c]:
+                    f = rows[r][c]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    total = 0.0
+    for i in range(3000):
+        x = (i % 97) * 0.013
+        total += x * x - 0.5 * x
+
+
+def probe_scale() -> float:
+    """PROBE_REF_S over the probe kernel's best time of three runs now."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        probe_kernel()
+        best = min(best, time.perf_counter() - start)
+    return PROBE_REF_S / best
+
+
 def time_stage(calls, k: int, run: dict) -> tuple[object, float, int]:
     """Stage k's result on ``run``, its seconds per call and the call count.
 
@@ -174,14 +222,17 @@ def time_stage(calls, k: int, run: dict) -> tuple[object, float, int]:
     return result, total / count, count
 
 
-def time_rung(lib, config, poly) -> tuple[dict, dict, dict]:
-    """Each stage's median seconds per call, or "timeout", "skipped" or "n/a",
-    the timed stages' median call counts, and the counts the stages found."""
+def time_rung(lib, config, poly) -> tuple[dict, dict, dict, dict]:
+    """Each stage's median seconds per call, raw and scaled by the probe, or
+    "timeout", "skipped" or "n/a"; the timed stages' median call counts; and
+    the counts the stages found."""
     times: dict[str, list[float]] = {name: [] for name in STAGES}
+    scaled: dict[str, list[float]] = {name: [] for name in STAGES}
     made: dict[str, list[int]] = {name: [] for name in STAGES}
     results: dict[str, object] = {}
     timed_out = None
     calls = stage_calls(lib, config, poly)
+    scale = probe_scale()
     for _ in range(REPEATS):
         run: dict[str, object] = {}
         for k, (name, _) in enumerate(calls):
@@ -194,20 +245,25 @@ def time_rung(lib, config, poly) -> tuple[dict, dict, dict]:
             except StageTimeout:
                 timed_out = name
                 break
+            before, scale = scale, probe_scale()
             times[name].append(seconds)
+            scaled[name].append(seconds * (before + scale) / 2)
             made[name].append(count)
         results.update(run)
         if timed_out:
             break
     no_prisms = config.d != 3 or results.get("nondefective") is False
-    stages = {}
+    stages, scaled_stages = {}, {}
     for name in STAGES:
         if name == timed_out:
-            stages[name] = "timeout"
+            stages[name] = scaled_stages[name] = "timeout"
         elif name in PRISM_STAGES and no_prisms or name == "certify" and poly is None:
-            stages[name] = "n/a"
+            stages[name] = scaled_stages[name] = "n/a"
+        elif not times[name]:
+            stages[name] = scaled_stages[name] = "skipped"
         else:
-            stages[name] = statistics.median(times[name]) if times[name] else "skipped"
+            stages[name] = statistics.median(times[name])
+            scaled_stages[name] = statistics.median(scaled[name])
     m = results.get("Matroid")
     counts = {"bases": len(m.bases) if m else None}
     for key, name in COUNTED:
@@ -218,17 +274,18 @@ def time_rung(lib, config, poly) -> tuple[dict, dict, dict]:
     for key in CERTIFY_COUNTS:
         counts[key] = "n/a" if stages["certify"] == "n/a" else report.get(key)
     calls_made = {name: statistics.median_low(c) for name, c in made.items() if c}
-    return stages, calls_made, counts
+    return stages, scaled_stages, calls_made, counts
 
 
-def summary(runs: list[dict]) -> dict:
-    """Per rung and stage, the median over runs of the runs' medians, and how
-    many runs timed out there."""
+def summary(runs: list[dict], key: str) -> dict:
+    """Per rung and stage, the median over the runs holding ``key`` of their
+    medians there, and how many of them timed out there."""
+    runs = [run for run in runs if key in run]
     out = {}
-    for name, stages in runs[-1]["rungs"].items():
+    for name, stages in runs[-1][key].items():
         out[name] = {}
         for stage in stages:
-            values = [run["rungs"][name][stage] for run in runs]
+            values = [run[key][name][stage] for run in runs]
             if set(values) == {"n/a"}:
                 out[name][stage] = "n/a"
                 continue
@@ -303,10 +360,12 @@ def main(argv=None) -> int:
             report = json.load(f)
     except FileNotFoundError:
         report = {"script": "bench/ladder.py", "stages": list(STAGES), "rungs": {}, "columns": {}}
-    run, calls_made = {}, {}
+    run, scaled, calls_made = {}, {}, {}
     for rung in rungs(lib):
         config = rung["config"]
-        stages, calls_made[rung["name"]], counts = time_rung(lib, config, rung["poly"])
+        stages, scaled[rung["name"]], calls_made[rung["name"]], counts = time_rung(
+            lib, config, rung["poly"]
+        )
         known = report["rungs"].setdefault(
             rung["name"], {"n": config.n, "d": config.d, "seed": rung["seed"], "counts": counts}
         )
@@ -322,16 +381,19 @@ def main(argv=None) -> int:
                 return 1
         run[rung["name"]] = stages
         line = ", ".join(
-            f"{name} {v:.4f}" if isinstance(v, float) else f"{name} {v}"
+            f"{name} {v:.4f}/{scaled[rung['name']][name]:.4f}" if isinstance(v, float)
+            else f"{name} {v}"
             for name, v in stages.items()
         )
         print(f"{rung['name']}: {line}", file=sys.stderr)
     column = report["columns"].setdefault(args.column, {"runs": []})
     column["runs"].append(
         {"repeats": REPEATS, "min_time_s": MIN_TIME, "timeout_s": TIMEOUT,
-         "environment": environment(), "rungs": run, "calls": calls_made}
+         "probe_ref_s": PROBE_REF_S, "environment": environment(), "rungs": run,
+         "scaled": scaled, "calls": calls_made}
     )
-    column["rungs"] = summary(column["runs"])
+    column["rungs"] = summary(column["runs"], "rungs")
+    column["scaled"] = summary(column["runs"], "scaled")
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")

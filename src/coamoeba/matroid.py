@@ -133,26 +133,30 @@ class Flat(NamedTuple):
         return (self.corank, tuple(sorted(self.forms)))
 
 
-@dataclass(frozen=True)
-class FlagOfFlats:
+class _Chain(NamedTuple):
+    flats: tuple[Flat, ...]
+
+
+class FlagOfFlats(_Chain):
     """A strictly increasing chain of proper nonzero flats.
 
     Stored with the subspaces L increasing, equivalently the form-sets F
-    strictly decreasing; the trivial ends {0} and V are implicit.
+    strictly decreasing; the trivial ends {0} and V are implicit.  A named
+    tuple of the one field ``flats``, so it hashes and compares as the tuple
+    (flats,), in C, and ``_linked`` is one tuple allocation.
     """
 
-    flats: tuple[Flat, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(not inner.forms < outer.forms for outer, inner in itertools.pairwise(self.flats)):
+    def __new__(cls, flats: tuple[Flat, ...]) -> FlagOfFlats:
+        if any(not inner.forms < outer.forms for outer, inner in itertools.pairwise(flats)):
             raise ValueError("form-sets must strictly decrease along the flag")
+        return tuple.__new__(cls, (flats,))
 
     @classmethod
     def _linked(cls, flats: tuple[Flat, ...]) -> FlagOfFlats:
         """The flag of a chain whose every link its walk has already checked."""
-        flag = object.__new__(cls)
-        object.__setattr__(flag, "flats", flats)
-        return flag
+        return tuple.__new__(cls, (flats,))
 
     def form_chain(self) -> tuple[frozenset[int], ...]:
         return tuple(f.forms for f in self.flats)

@@ -17,10 +17,12 @@ cloud that ``write_csv_cloud`` writes.
 
 ``dump_json`` writes exactly the bytes of ``json.dumps(payload, indent=2,
 sort_keys=True)`` without the stdlib's pure-Python indenting encoder: strings
-go through the C ``encode_basestring_ascii``, and the text of a list of
-strings is built once per list object and depth, where the lists holding it
-look it up.  A payload holding any other type, or a non-string key, is
-handed to ``json.dumps`` whole, so its bytes and errors are the stdlib's.
+go through the C ``encode_basestring_ascii``, and one memo per indent holds
+that indent's brackets and separators and the texts of the list items
+written there, by id, which the lists holding them fill and read: a list
+object held at one indent many times (a flat's labels in every flag) is
+written once there.  A payload holding any other type, or a non-string key,
+is handed to ``json.dumps`` whole, so its bytes and errors are the stdlib's.
 """
 
 from __future__ import annotations
@@ -151,7 +153,18 @@ class _Unhandled(Exception):
     """The payload holds a value that only ``json.dumps`` writes."""
 
 
-def _json_text(value, indent: str, memo: dict) -> str:
+class _Levels(dict):
+    """Per indent: what a container there writes after its opening bracket,
+    between items and before its closing bracket; its list items' texts by
+    id; and its items' indent."""
+
+    def __missing__(self, indent: str) -> tuple:
+        inner = indent + "  "
+        self[indent] = level = ("\n" + inner, ",\n" + inner, "\n" + indent, {}, inner)
+        return level
+
+
+def _json_text(value, indent: str, memo: _Levels) -> str:
     """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it at ``indent``."""
     kind = type(value)
     if kind is str:
@@ -159,26 +172,21 @@ def _json_text(value, indent: str, memo: dict) -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        key = (id(value), indent)
-        text = memo.get(key)
-        if text is not None:
-            return text
-        inner = indent + "  "
-        sep = ",\n" + inner
+        start, sep, end, texts, inner = memo[indent]
         if all(type(x) is str for x in value):
-            memo[key] = text = f"[\n{inner}{sep.join(map(_ESCAPE, value))}\n{indent}]"
-            return text
-        items = [memo.get((id(x), inner)) or _json_text(x, inner, memo) for x in value]
-        return f"[\n{inner}{sep.join(items)}\n{indent}]"
+            return f"[{start}{sep.join(map(_ESCAPE, value))}{end}]"
+        items = [
+            texts.get(id(x)) or texts.setdefault(id(x), _json_text(x, inner, memo)) for x in value
+        ]
+        return f"[{start}{sep.join(items)}{end}]"
     if kind is dict:
         if not value:
             return "{}"
         if any(type(k) is not str for k in value):
             raise _Unhandled
-        inner = indent + "  "
-        sep = ",\n" + inner
+        start, sep, end, _, inner = memo[indent]
         items = [f"{_ESCAPE(k)}: {_json_text(value[k], inner, memo)}" for k in sorted(value)]
-        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+        return f"{{{start}{sep.join(items)}{end}}}"
     if kind is int:
         return int.__repr__(value)
     if kind is float:
@@ -198,7 +206,7 @@ def _json_text(value, indent: str, memo: dict) -> str:
 
 def dump_json(payload: dict) -> str:
     try:
-        return _json_text(payload, "", {}) + "\n"
+        return _json_text(payload, "", _Levels()) + "\n"
     except (_Unhandled, RecursionError):  # a cycle recurses; json.dumps reports it as such
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

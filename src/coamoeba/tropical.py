@@ -200,12 +200,21 @@ class BergmanCone:
 
     ``flags`` are the complete flags whose fine cones share this induced
     matroid; ``spanning_flacets`` are the flacets whose indicator rays lie on
-    the cone's boundary.
+    the cone's boundary; ``max_bases`` are the bases of that matroid.  A cone
+    of ``maximal_cones`` keeps its matroid and the bits marking those bases,
+    and builds ``max_bases`` when it is first read.
     """
 
     flags: tuple[FlagOfFlats, ...]
     spanning_flacets: tuple[Flat, ...]
     max_bases: frozenset[frozenset[int]]
+
+    def __getattr__(self, name: str):
+        if name != "max_bases":
+            raise AttributeError(name)
+        m, bits = self._marked
+        bases = self.__dict__["max_bases"] = m._bases_of(bits)
+        return bases
 
     @property
     def ray_coranks(self) -> tuple[int, ...]:
@@ -238,11 +247,9 @@ def maximal_cones(m: Matroid) -> list[BergmanCone]:
         # when F is E, some G_i or empty, and a flacet is neither E nor empty
         on_flags = {flat.forms for fl in flags for flat in fl.flats}
         spanning = tuple(flat for flat in flacet_list if flat.forms in on_flags)
-        cones.append(
-            BergmanCone(
-                flags=tuple(flags), spanning_flacets=spanning, max_bases=m._bases_of(bits)
-            )
-        )
+        cone = object.__new__(BergmanCone)
+        cone.__dict__.update(flags=tuple(flags), spanning_flacets=spanning, _marked=(m, bits))
+        cones.append(cone)
     return sorted(
         cones, key=lambda c: tuple(sorted(tuple(sorted(f.forms)) for f in c.spanning_flacets))
     )

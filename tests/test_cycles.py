@@ -37,6 +37,7 @@ from coamoeba.errors import (
     DegenerateZonotope,
     DimensionNot3,
     InputError,
+    NonIntegralDegree,
     NonzeroSum,
     ParallelRows,
     TooLarge,
@@ -145,6 +146,18 @@ def test_degree_formula():
     assert degree_dH(fh.zonotope, fh.plus, fh.minus) == 6
     total = fh.zonotope.area() + fh.plus.area() + fh.minus.area()
     assert total == 24
+
+
+def test_degree_refuses_areas_off_a_multiple_of_four():
+    def square(side):
+        return Polygon(((0, 0), (side, 0), (side, side), (0, side)))
+
+    assert degree_dH(square(2), square(2), square(2)) == 3
+    # 11 pi^2 is degree 2 with 3 pi^2 left over; zero area is degree 0
+    flat = Polygon(((0, 0), (1, 0), (2, 0)))
+    for polygons in ((square(3), square(1), square(1)), (flat, flat, flat)):
+        with pytest.raises(NonIntegralDegree, match="not a multiple of 4"):
+            degree_dH(*polygons)
 
 
 def test_line_membership_examples():

@@ -33,6 +33,7 @@ from coamoeba.catalog import (
 )
 from coamoeba.cli import main
 from coamoeba.configuration import VectorConfiguration
+from coamoeba.matroid import Matroid
 from coamoeba.polynomial import SparsePoly, parse
 from oracles import random_zero_sum_matroid, write_polynomial_file
 
@@ -183,6 +184,17 @@ def test_golden_output(name, tmp_path, monkeypatch):
     csv = _csv_name(name)
     if csv:
         assert (tmp_path / csv).read_bytes() == (GOLDEN / csv).read_bytes()
+
+
+def test_fine_cones_builds_no_bases(tmp_path, monkeypatch):
+    # no payload reads a cone's max_bases, so fine-cones never builds them
+    def refuse(self, bits):
+        raise AssertionError("Matroid._bases_of called")
+
+    monkeypatch.setattr(Matroid, "_bases_of", refuse)
+    monkeypatch.chdir(tmp_path)
+    got = run_case("fine-cones_n7d5_b")
+    assert _mask_version(got) == _mask_version((GOLDEN / "fine-cones_n7d5_b.json").read_text())
 
 
 def test_golden_files_match_cases():

@@ -293,6 +293,8 @@ def test_flag_forms_must_strictly_decrease(m6):
     for flats in ((big, big), (small, big), (big, small, small), (small, m6.closure({1}))):
         with pytest.raises(ValueError, match="strictly decrease"):
             FlagOfFlats(flats)
+        with pytest.raises(ValueError, match="strictly decrease"):
+            FlagOfFlats(flats=flats)
 
 
 @pytest.mark.parametrize(
@@ -359,6 +361,7 @@ def test_walked_flags_pass_the_public_check():
             flags += [flag for cone in maximal_cones(m) for flag in cone.flags]
         for flag in flags:
             assert type(flag) is FlagOfFlats and flag == FlagOfFlats(flag.flats)
+            assert hash(flag) == hash(FlagOfFlats(flag.flats)) == hash((flag.flats,))
 
 
 def test_flats_match_rank_closure_oracle(m6):

@@ -1,5 +1,6 @@
 """serialize.dump_json against the stdlib's json.dumps(indent=2, sort_keys=True)."""
 
+import argparse
 import json
 import math
 import random
@@ -7,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from coamoeba import cli
 from coamoeba import serialize as io
+from oracles import random_zero_sum_matroid
 
 _PIECES = [
     "", "a", "b1", "é", "θ", "日本", "\U0001f600", '"', "\\", "/", "\t", "\n", "\r",
@@ -119,6 +122,39 @@ def test_dump_json_cycle_raises_like_stdlib():
     loop.append(loop)
     payload = {"loop": loop}
     assert _outcome(io.dump_json, payload) == _outcome(_stdlib, payload)
+
+
+_LABELS = ["a", "é", 'q"']
+_NUMBERS = [3, -1, 10**20]
+_CONE = {"rays": _LABELS, "flags": [[_LABELS], []]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"top": _LABELS, "deep": {"x": [[_LABELS, [_LABELS]]]}, "mid": [_LABELS]},
+        {"twice": [_LABELS, "b", _LABELS, [_LABELS, _LABELS]]},
+        {"ints": [_NUMBERS, [_NUMBERS, 7], _NUMBERS], "more": _NUMBERS},
+        {"t": (_LABELS, (), [], {}, ("x", (1, None))), "l": [(), [], {}, _LABELS]},
+        {"cones": [_CONE, {"c": [_CONE, _CONE]}, _CONE], "n": 3},
+    ],
+    ids=["two-indents", "same-child-twice", "shared-ints", "tuples-and-empties", "dict-items"],
+)
+def test_dump_json_shares_texts_only_at_one_indent(payload):
+    # the emitter keeps each list item's text per indent; a list object met
+    # again must be written at its own indent
+    assert io.dump_json(payload) == _stdlib(payload)
+
+
+def test_dump_json_fine_cones_payload():
+    rng = random.Random("serialize/n7d5")
+    m = random_zero_sum_matroid(rng, 7, 5)
+    while not m.is_connected():
+        m = random_zero_sum_matroid(rng, 7, 5)
+    data = io.dump_json(io.config_to_json(m.config)).encode()
+    payload, _ = cli._cmd_fine_cones(argparse.Namespace(config="n7d5"), {"config": data})
+    assert sum(len(cone["flags"]) for cone in payload["maximal_cones"]) > 100
+    assert io.dump_json(payload) == _stdlib(payload)
 
 
 def test_parse_pi_string_spaces():

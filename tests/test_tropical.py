@@ -117,6 +117,11 @@ def test_flag_cone_contains(m6):
     p124 = weight_to_flag(m6, weight([1, 1, 0, 1, 0, 0]))
     assert flag_cone_contains(p124, weight([1, 1, 0, 1, 0, 0]))
     assert not flag_cone_contains(p124, weight([1, 0, 0, 0, 0, 0]))
+    # on the boundary two consecutive levels are equal: in the closed cone only
+    p124_p1 = weight_to_flag(m6, weight([2, 1, 0, 1, 0, 0]))
+    for flag, w in ((p124, [2] * 6), (p124_p1, [1, 1, 0, 1, 0, 0])):
+        assert not flag_cone_contains(flag, weight(w))
+        assert flag_cone_contains(flag, weight(w), strict=False)
 
 
 def test_flag_cone_contains_refuses_a_short_weight(m6):
