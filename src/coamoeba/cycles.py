@@ -6,7 +6,8 @@ partial sum of integer generators, is an exact integer.  A 2D discriminant
 coamoeba is encoded by three polygons:
 
 * the zonotope, the Minkowski sum of the segments [0, pi*f] over the merged
-  generators f (which sum to zero, so it is centrally symmetric);
+  generators f (which sum to zero, so it is centrally symmetric); its edges
+  are the f up to sign sorted over one half-turn, then their negations;
 * the upper half-coamoeba: from the lexicographically largest vertex v of
   the zonotope whose incoming counterclockwise edge is a generator pi*f_1,
   walk back along the zonotope's edges, v, v - pi*f_1, v - pi*(f_1+f_2),
@@ -46,7 +47,7 @@ from .errors import (
     WrongLength,
     ZeroVector,
 )
-from .matroid import Flat, Matroid, merge_parallel
+from .matroid import Flat, Matroid, _merged
 
 Point = tuple[int, int]
 
@@ -71,7 +72,7 @@ class Polygon:
         object.__setattr__(self, "_bbox", (min(xs), max(xs), min(ys), max(ys)))
         require_float_range(self._bbox, "a cycle vertex in radians", math.pi)
         object.__setattr__(
-            self, "_float_vertices", tuple((float(x), float(y)) for x, y in self.vertices)
+            self, "_float_vertices", tuple([(float(x), float(y)) for x, y in self.vertices])
         )
 
     def signed_area(self) -> Fraction:
@@ -85,7 +86,15 @@ class Polygon:
         return self._bbox
 
     def reflect(self) -> "Polygon":
-        return Polygon(tuple((-x, -y) for x, y in self.vertices))
+        """The reflection through the origin, its bbox and float vertices
+        negated, not rebuilt (0.0 - x keeps a zero +0.0, as float(-0) is)."""
+        xmin, xmax, ymin, ymax = self._bbox
+        out = object.__new__(Polygon)
+        object.__setattr__(out, "vertices", tuple([(-x, -y) for x, y in self.vertices]))
+        object.__setattr__(out, "_bbox", (-xmax, -xmin, -ymax, -ymin))
+        floats = tuple([(0.0 - x, 0.0 - y) for x, y in self._float_vertices])
+        object.__setattr__(out, "_float_vertices", floats)
+        return out
 
     def is_simple(self) -> bool:
         edges = list(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
@@ -184,14 +193,20 @@ def _half_turn(v) -> int:
 
 @functools.cmp_to_key
 def _by_angle(a, b) -> int:
-    """Ascending angle in [0, 2*pi), exact: within a half-turn, a before b
-    iff cross(a, b) > 0."""
-    return _half_turn(a) - _half_turn(b) or -_cross(a, b)
+    """Ascending angle within one half-turn, exact: a before b iff
+    cross(a, b) > 0."""
+    return a[1] * b[0] - a[0] * b[1]
+
+
+def _require_plane(d: int) -> None:
+    if d != 2:
+        raise InputError(f"a 2D coamoeba cycle needs d = 2, got d = {d}")
 
 
 def _check_generators(gens) -> None:
     if len(gens) < 2:
         raise DegenerateZonotope("need at least two generators")
+    _require_plane(len(gens[0]))
     if any(sum(col) for col in zip(*gens)):
         raise NonzeroSum("generators must sum to zero")
     for u, w in itertools.combinations(gens, 2):
@@ -199,12 +214,14 @@ def _check_generators(gens) -> None:
             raise ParallelRows(f"parallel generators {u} and {w}; merge parallels first")
 
 
-def _zonotope_edges(f: VectorConfiguration) -> tuple[Polygon, list[Point]]:
-    """The zonotope of the rows and its edges sorted by angle: the edge
-    ``edges[i - 1]`` enters vertex ``i``."""
-    gens = f.matrix
+def _zonotope_edges(gens) -> tuple[Polygon, list[Point], int]:
+    """The zonotope of the generators, its edges sorted by angle and its
+    twice-area: the edge ``edges[i - 1]`` enters vertex ``i``.  The n
+    generators, each negated if its angle is past pi, are sorted by one cross
+    product, as no two are parallel, and their negations follow."""
     _check_generators(gens)
-    edges = sorted(list(gens) + [tuple(-x for x in g) for g in gens], key=_by_angle)
+    half = sorted((g if _half_turn(g) == 0 else (-g[0], -g[1]) for g in gens), key=_by_angle)
+    edges = half + [(-x, -y) for x, y in half]
     first = edges[0]
     # outward normal of the first edge; its support set gives the edge's tail
     normal = (first[1], -first[0])
@@ -218,21 +235,22 @@ def _zonotope_edges(f: VectorConfiguration) -> tuple[Polygon, list[Point]]:
     for e in edges[:-1]:
         cur = [cur[0] + e[0], cur[1] + e[1]]
         verts.append(tuple(cur))
-    if _twice_area(verts) <= 0:
+    twice = _twice_area(verts)
+    if twice <= 0:
         raise DegenerateZonotope("zonotope has nonpositive area")
-    return Polygon(tuple(verts)), edges
+    return Polygon(tuple(verts)), edges, twice
 
 
 def zonotope(f: VectorConfiguration) -> Polygon:
     """Boundary of the Minkowski sum of [0, pi*b] over the rows, CCW.
 
-    Requires nonzero pairwise non-parallel rows with zero sum; the result is
-    centrally symmetric about the origin.
+    Requires at least two nonzero pairwise non-parallel rows in Z^2 with
+    zero sum; the result is centrally symmetric about the origin.
     """
-    return _zonotope_edges(f)[0]
+    return _zonotope_edges(f.matrix)[0]
 
 
-def _half_coamoeba(f: VectorConfiguration, z: Polygon, edges: list[Point]) -> Polygon:
+def _half_coamoeba(gens, z: Polygon, edges: list[Point]) -> Polygon:
     """The walk from the lexicographically largest vertex v whose incoming
     edge is a generator f_1, back along the n - 1 edges before it.
 
@@ -250,14 +268,14 @@ def _half_coamoeba(f: VectorConfiguration, z: Polygon, edges: list[Point]) -> Po
     the zonotope's c = 1 of positive area, with the c it negates, like the
     walk's.  It is thus negative on the walk's c: reversed, it is clockwise.
     """
-    gens = set(f.matrix)
+    n, gens = len(gens), set(gens)
     k = max(
         (i for i in range(len(edges)) if edges[i - 1] in gens),
         key=lambda i: z.vertices[i],
     )
     cur = z.vertices[k]
     verts = [cur]
-    for j in range(k - 1, k - f.n, -1):
+    for j in range(k - 1, k - n, -1):
         e = edges[j]
         sign = 1 if e in gens else -1
         cur = (cur[0] - sign * e[0], cur[1] - sign * e[1])
@@ -272,7 +290,7 @@ def half_coamoeba_cycles(f: VectorConfiguration) -> tuple[Polygon, Polygon]:
     With five or more generators the shell can self-intersect; the boundary
     is still the correct cycle, and membership is by winding number.
     """
-    plus = _half_coamoeba(f, *_zonotope_edges(f))
+    plus = _half_coamoeba(f.matrix, *_zonotope_edges(f.matrix)[:2])
     return plus, plus.reflect()
 
 
@@ -305,7 +323,11 @@ def degree_dH(z: Polygon, plus: Polygon, minus: Polygon) -> int:
     Areas are unsigned shoelace values, which count winding multiplicity on
     self-intersecting shells; that is what makes the quotient integral.
     """
-    twice = sum(abs(_twice_area(p.vertices)) for p in (z, plus, minus))
+    return _degree(sum(abs(_twice_area(p.vertices)) for p in (z, plus, minus)))
+
+
+def _degree(twice: int) -> int:
+    """``degree_dH`` from the sum of the three unsigned twice-areas."""
     deg, rem = divmod(twice, 8)
     if rem or deg < 1:
         total = Fraction(twice, 2)
@@ -314,26 +336,25 @@ def degree_dH(z: Polygon, plus: Polygon, minus: Polygon) -> int:
 
 
 def build_cycle(b2: VectorConfiguration) -> CoamoebaCycle:
-    """Merge parallels, build the three polygons, and record degree and shift."""
-    if b2.d != 2:
-        raise InputError(f"a 2D coamoeba cycle needs d = 2, got d = {b2.d}")
+    """Merge parallels (``merge_parallel``'s core, read as rows and shifts),
+    build the three polygons, and record degree and shift."""
+    _require_plane(b2.d)
     if not all(any(row) for row in b2.matrix):
         raise ZeroVector("configuration contains a zero vector")
     if any(b2.row_sum()):
         raise NonzeroSum("rows must sum to zero")
-    reduced, merges = merge_parallel(b2)
+    gens, _, merges = _merged(b2)
     shift = [0, 0]
-    for rec in merges:
-        shift[0] ^= rec.arg_shift_pi[0]
-        shift[1] ^= rec.arg_shift_pi[1]
-    z, edges = _zonotope_edges(reduced)
-    plus = _half_coamoeba(reduced, z, edges)
-    minus = plus.reflect()
+    for _, _, _, (x, y), _ in merges:
+        shift[0] ^= x
+        shift[1] ^= y
+    z, edges, twice = _zonotope_edges(gens)
+    plus = _half_coamoeba(gens, z, edges)
     return CoamoebaCycle(
         zonotope=z,
         plus=plus,
-        minus=minus,
-        degree=degree_dH(z, plus, minus),
+        minus=plus.reflect(),
+        degree=_degree(twice + 2 * abs(_twice_area(plus.vertices))),
         arg_shift_pi=(shift[0], shift[1]),
     )
 

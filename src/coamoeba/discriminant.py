@@ -41,7 +41,7 @@ from .errors import (
     WrongLength,
 )
 from .matroid import Flat, FlagOfFlats, Matroid
-from .polynomial import SparsePoly, _require_bits, _terms_at
+from .polynomial import SparsePoly, _euler_sums, _require_bits, _terms_at
 
 # psi_complex's cut-off for |<b, y>| relative to max_j |y_j|
 NEAR_ARRANGEMENT = 1e-12
@@ -154,10 +154,11 @@ def log_gauss(f: SparsePoly, y):
     """[y_1 df/dy_1 : ... : y_d df/dy_d], scaled by its first nonzero coordinate.
 
     ``_terms_at`` gives f's terms times one K at the point, raising as it does.
-    Their Euler sums are K y_j df/dy_j, and K cancels in the scaling, exactly
-    (to Fractions) where the sums are ints.  SingularPoint where all vanish."""
+    Their Euler sums (``_euler_sums``, by exponent group) are K y_j df/dy_j,
+    and K cancels in the scaling, exactly (to Fractions) where the sums are
+    ints.  SingularPoint where all vanish."""
     cleared, values, _ = _terms_at(f, y, "the log-Gauss map at this point")
-    coords = (values @ cleared[2])[0]  # K y_j df/dy_j
+    coords = _euler_sums(cleared, values)[0]  # K y_j df/dy_j
     lead = next((c for c in coords if c != 0), None)
     if lead is None:
         raise SingularPoint("all logarithmic partials vanish")

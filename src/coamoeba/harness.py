@@ -24,7 +24,8 @@ takes.  The checks run in integers on one common denominator: a grid point
 y is integral, so psi(y) is one integer over another per coordinate, and
 with f's coefficients cleared once, each term of f at psi(y) times one K
 is an integer.  f(psi(y)) = 0 when those sum to zero, and the Euler sums of e_j
-times the terms are K times the logarithmic partials y_j df/dy_j.
+times the terms are K times the logarithmic partials y_j df/dy_j, summed by
+exponent group.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .cycles import pls3_distances, prisms_d3
 from .discriminant import HornKapranovMap, _psi_block, _psi_logs
 from .errors import Defective, DimensionNot3, InputError, WrongLength
 from .matroid import Flat, Matroid
-from .polynomial import SparsePoly, _cleared, _require_bits, _term_block, _value_bits
+from .polynomial import SparsePoly, _cleared, _euler_sums, _require_bits, _term_block, _value_bits
 
 REJECTION_THRESHOLD = 1e-8
 _CHUNK = 2048
@@ -139,14 +140,15 @@ def _certify_walk(f: SparsePoly, m: Matroid, n_residue: int, n_roundtrip: int):
 
     Each block is the larger of the residue check's and the open roundtrip's
     shortfall.  On it, psi (``_psi_block``), f's term values (``_term_block``,
-    f cleared once), their sums, the Euler sums and the 2x2 minors of the
-    projective test are computed at once.  The residue check takes the first
-    n_residue points off the arrangement, the roundtrip takes points until
-    n_roundtrip nonsingular ones pass or one fails, and the walk stops when
-    both are done.  Before any point it refuses negative sizes, then a
-    nonzero row sum, then a wrong variable count, then values of psi or f
-    that could pass ``MAX_EXACT_BITS`` bits on the grid (TooLarge).  Returns
-    ((max_residue, witness_point, n_checked), RoundtripResult).
+    f cleared once), their sums, the Euler sums (``_euler_sums``, by exponent
+    group) and the 2x2 minors of the projective test are computed at once.
+    The residue check takes the first n_residue points off the arrangement,
+    the roundtrip takes points until n_roundtrip nonsingular ones pass or one
+    fails, and the walk stops when both are done.  Before any point it
+    refuses negative sizes, then a nonzero row sum, then a wrong variable
+    count, then values of psi or f that could pass ``MAX_EXACT_BITS`` bits
+    on the grid (TooLarge).  Returns ((max_residue, witness_point,
+    n_checked), RoundtripResult).
     """
     if n_residue < 0 or n_roundtrip < 0:
         raise InputError(f"grid sizes must be non-negative, got {n_residue}, {n_roundtrip}")
@@ -166,7 +168,7 @@ def _certify_walk(f: SparsePoly, m: Matroid, n_residue: int, n_roundtrip: int):
         vanish, nums, dens = _psi_block(h, block)
         ys = np.array(block, dtype=object).reshape(-1, h.d)[~vanish.any(axis=1)]
         values, scales = _term_block(cleared, nums, dens)
-        coords = values @ cleared[2]  # K y_j df/dy_j, by the Euler operator
+        coords = _euler_sums(cleared, values)  # K y_j df/dy_j, by the Euler operator
         # y and coords are projectively equal when y_i coords_j is symmetric in i, j
         minors = ys[:, :, None] * coords[:, None]
         inverts = (minors == minors.transpose(0, 2, 1)).all(axis=(1, 2))

@@ -22,9 +22,10 @@ Minors by a flat F are read off one basis B with |B & F| = r(F): B & F is a
 basis of the restriction M|F and B - F one of the contraction M/F, and a
 swap inside F or inside E - F keeps a basis of the minor exactly when it
 keeps one of M.  ``restrict_to_flat`` builds the contraction's vectors B|_L
-for the cycles by pairing each vector with the canonical integer kernel
-basis of the flat's forms, which is the quotient chart of M / L_perp; it is
-the only linear algebra here besides the bases.
+for the cycles by pairing each vector, inline, with each row of the
+canonical integer kernel basis of the flat's forms, which is the quotient
+chart of M / L_perp; it is the only linear algebra here besides the bases.
+``_merged`` groups parallel classes for ``merge_parallel`` and the cycles.
 
 Counts over all bases are bit-sliced: with w = r.bit_length() + 1, field k
 (bits w*k .. w*k + w - 1) of label i's column is 1 when the k-th basis holds
@@ -43,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -323,14 +325,14 @@ class Matroid:
         span of the forms and maps Z^d onto Z^dim(L).  The images are all
         nonzero because the flat is closed.
         """
-        d = self.config.d
-        proj = la.integer_kernel([self.config.matrix[i] for i in sorted(flat.forms)], cols=d)
+        matrix = self.config.matrix
+        proj = la.integer_kernel([matrix[i] for i in sorted(flat.forms)], cols=self.config.d)
         rows = []
         labels = []
-        for i in range(self.n):
+        for i, row in enumerate(matrix):
             if i in flat.forms:
                 continue
-            image = la.mat_vec(proj, self.config.matrix[i])
+            image = tuple([sum(map(operator.mul, chart, row)) for chart in proj])
             if not any(image):
                 raise InvariantError("image of a vector outside a flat cannot vanish")
             rows.append(image)
@@ -364,9 +366,6 @@ def merge_parallel(
 ) -> tuple[VectorConfiguration, tuple[ParallelMerge, ...]]:
     """Replace each parallel class by its vector sum.
 
-    One pass over the rows finds the classes: row i joins the class of its
-    primitive direction up to sign, whose eta is that of its first member,
-    and records its multiplier q_i = +-gcd(row i), so q_i * eta is row i.
     Classes with zero sum disappear entirely.  Each nontrivial class records
     the exact constant it contributes relative to the merged vector and the
     induced argument shift (0 for a positive constant, pi on the odd
@@ -375,45 +374,52 @@ def merge_parallel(
     """
     if any(not any(row) for row in config.matrix):
         raise ZeroVector("configuration contains a zero vector")
+    rows, labels, merges = _merged(config)
+    reduced = VectorConfiguration(tuple(rows), tuple(labels))
+    return reduced, tuple(ParallelMerge(*fields) for fields in merges)
+
+
+def _merged(config: VectorConfiguration) -> tuple[list, list, list]:
+    """``merge_parallel``'s rows, labels and fields of its records, also read
+    by ``cycles.build_cycle``; the rows must be nonzero.
+
+    One pass over the rows finds the classes: row i joins the class of its
+    primitive direction up to sign (the negation is looked up only when the
+    direction is not a key), whose eta is that of its first member, and
+    records its multiplier q_i = +-gcd(row i), so q_i * eta is row i.
+    """
     classes: dict[la.IntVector, list[tuple[int, int]]] = {}
     for i, row in enumerate(config.matrix):
         q = math.gcd(*row)
-        eta = tuple(x // q for x in row)
-        flip = tuple(-x for x in eta)
-        if flip in classes:
-            eta, q = flip, -q
-        classes.setdefault(eta, []).append((i, q))
+        eta = tuple([x // q for x in row]) if q != 1 else row
+        if (members := classes.get(eta)) is None:
+            if (members := classes.get(tuple([-x for x in eta]))) is None:
+                members = classes[eta] = []
+            else:
+                q = -q
+        members.append((i, q))
     rows: list[la.IntVector] = []
     labels: list[str] = []
-    merges: list[ParallelMerge] = []
+    merges: list[tuple] = []
     for eta, members in classes.items():
-        index, qs = zip(*members)
-        if len(index) == 1:
-            rows.append(config.matrix[index[0]])
-            labels.append(config.labels[index[0]])
+        if len(members) == 1:
+            rows.append(config.matrix[members[0][0]])
+            labels.append(config.labels[members[0][0]])
             continue
+        index, qs = zip(*members)
         total = sum(qs)
         member_labels = tuple(config.labels[i] for i in index)
         # the constant's sign: q^q < 0 exactly when q is odd and negative,
         # for each q and for the total in the denominator alike
         negative = sum(q < 0 and q % 2 == 1 for q in (*qs, total)) % 2
         shift = tuple(e % 2 if negative else 0 for e in eta)
-        merges.append(
-            ParallelMerge(
-                labels=member_labels,
-                eta=eta,
-                multipliers=qs,
-                arg_shift_pi=shift,
-                removed=total == 0,
-            )
-        )
+        merges.append((member_labels, eta, qs, shift, total == 0))
         if total:
             rows.append(tuple(total * e for e in eta))
             labels.append("+".join(member_labels))
     if len(set(labels)) < len(labels):
         repeated = next(x for x in labels if labels.count(x) > 1)
         raise InputError(f"merged labels must be distinct, repeated: {repeated}")
-    reduced = VectorConfiguration(tuple(rows), tuple(labels))
-    if (reduced.row_sum() or (0,) * config.d) != config.row_sum():
+    if (tuple(map(sum, zip(*rows))) or (0,) * config.d) != config.row_sum():
         raise InvariantError("merging parallel classes changed the row sum")
-    return reduced, tuple(merges)
+    return rows, labels, merges

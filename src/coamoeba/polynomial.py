@@ -118,19 +118,27 @@ def _require_bits(bits: int, what: str) -> None:
 
 
 def _cleared(p: SparsePoly):
-    """p with its coefficient denominators cleared, for ``_term_block``.
+    """p with its coefficient denominators cleared, for ``_term_block`` and
+    ``_euler_sums``.
 
-    Returns (L, coeffs, exps, columns): L is the lcm of the coefficient
-    denominators, coeffs the integers L * c and exps the exponent vectors,
-    in object arrays of Python ints, and columns per variable its top
-    exponent (0 for p = 0), the exponents p uses, sorted, and their indices.
+    Returns (L, coeffs, groups, columns): L is the lcm of the coefficient
+    denominators and coeffs the integers L * c, in an object array of Python
+    ints.  Per variable, groups holds the terms with a positive exponent,
+    stably sorted by it, where each exponent's run starts, and the exponents;
+    columns holds its top exponent (0 for p = 0), the exponents p uses,
+    sorted, and the terms' indices into them.
     """
     lcm = math.lcm(*(c.denominator for _, c in p.terms))
     coeffs = np.array([c.numerator * (lcm // c.denominator) for _, c in p.terms], dtype=object)
     exps = np.array([e for e, _ in p.terms], dtype=object).reshape(len(p.terms), len(p.variables))
     used = [(np.array(sorted(set(c)), dtype=object), c) for c in exps.T.tolist()]
-    columns = ((max(u, default=0), u, np.searchsorted(u, c)) for u, c in used)
-    return lcm, coeffs, exps, tuple(columns)
+    columns = tuple((max(u, default=0), u, np.searchsorted(u, c)) for u, c in used)
+    groups = []
+    for _, u, index in columns:
+        positive, order = u != 0, np.argsort(index, kind="stable")
+        runs = np.bincount(index, minlength=len(u))[positive]
+        groups.append((order[positive[index[order]]], np.cumsum(runs) - runs, u[positive]))
+    return lcm, coeffs, tuple(groups), columns
 
 
 def _value_bits(cleared, logs) -> int:
@@ -161,6 +169,17 @@ def _term_block(cleared, nums, dens) -> tuple[np.ndarray, np.ndarray]:
         values *= table[:, index]
         scale *= dens[:, j] ** deg
     return values, scale
+
+
+def _euler_sums(cleared, values) -> np.ndarray:
+    """K y_j df/dy_j per point and variable j, the sum of e_j times
+    ``_term_block``'s values: the values summed per exponent group
+    (``np.add.reduceat``) times the few exponents; 0 where no term uses y_j."""
+    sums = np.zeros((len(values), len(cleared[2])), dtype=object)
+    for j, (order, starts, exponents) in enumerate(cleared[2]):
+        if len(order):
+            sums[:, j] = np.add.reduceat(values[:, order], starts, axis=1) @ exponents
+    return sums
 
 
 def _terms_at(p: SparsePoly, y, what: str):

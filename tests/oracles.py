@@ -34,7 +34,15 @@ compute each flacet's form-sum b_L again instead of reading the type-1
 rays (the latter testing each candidate ray with ``_in_sector``, three
 cross products a call, instead of per-sector functionals), and
 ``parallel_classes_by_minors`` groups rows by their 2 x 2 minors instead
-of by primitive direction or rank-one flat.
+of by primitive direction or rank-one flat.  ``prisms_by_mat_vec`` keeps
+the earlier prism path: ``restrict_to_flat_by_mat_vec`` maps each row by
+``la.mat_vec``, ``merge_parallel_by_flips`` looks up each row's negated
+direction first and builds a reduced configuration and one record per
+class, ``zonotope_edges_by_full_sort`` sorts all 2n signed generators by
+angle, and ``build_cycle_by_merge_records`` rebuilds the lower shell from
+its vertices and takes the degree from the three polygons' areas.
+``euler_sums_by_matmul`` gives the Euler sums by one object-array product
+of the term values with the exponent matrix.
 ``random_zero_sum_matroid``, ``connected_matroids`` and ``sweep_configs``
 draw the inputs, and ``write_polynomial_file`` writes polynomial input
 files."""
@@ -56,7 +64,10 @@ from coamoeba.cycles import (
     CoamoebaCycle,
     Point,
     Polygon,
+    Prism,
+    _check_generators,
     _cross,
+    _half_coamoeba,
     degree_dH,
     zonotope,
 )
@@ -64,11 +75,16 @@ from coamoeba.discriminant import (
     HornKapranovMap,
     TropRay,
     _cross3,
+    essential_flacets,
     form_sum,
     log_gauss,
+    nondefective,
     tdiscr_rays,
 )
 from coamoeba.errors import (
+    DegenerateZonotope,
+    Defective,
+    DimensionNot3,
     InputError,
     InvariantError,
     NonzeroSum,
@@ -80,7 +96,7 @@ from coamoeba.errors import (
     ZeroVector,
 )
 from coamoeba.harness import _CHUNK, REJECTION_THRESHOLD, RoundtripResult, rational_grid
-from coamoeba.matroid import Flat, FlagOfFlats, Matroid, merge_parallel
+from coamoeba.matroid import Flat, FlagOfFlats, Matroid, ParallelMerge, merge_parallel
 from coamoeba.polynomial import (
     SparsePoly,
     _TOKEN,
@@ -704,6 +720,141 @@ def build_cycle_by_start_vertices(b2: VectorConfiguration) -> CoamoebaCycle:
     )
 
 
+def restrict_to_flat_by_mat_vec(m: Matroid, flat: Flat):
+    """``Matroid.restrict_to_flat`` with each image from ``la.mat_vec``."""
+    d = m.config.d
+    proj = la.integer_kernel([m.config.matrix[i] for i in sorted(flat.forms)], cols=d)
+    rows = []
+    labels = []
+    for i in range(m.n):
+        if i in flat.forms:
+            continue
+        image = la.mat_vec(proj, m.config.matrix[i])
+        if not any(image):
+            raise InvariantError("image of a vector outside a flat cannot vanish")
+        rows.append(image)
+        labels.append(m.config.labels[i])
+    return VectorConfiguration(tuple(rows), tuple(labels)), proj
+
+
+def merge_parallel_by_flips(config: VectorConfiguration):
+    """``merge_parallel`` with each row's negated direction looked up before
+    its own, and one ``ParallelMerge`` built per class."""
+    if any(not any(row) for row in config.matrix):
+        raise ZeroVector("configuration contains a zero vector")
+    classes: dict[la.IntVector, list[tuple[int, int]]] = {}
+    for i, row in enumerate(config.matrix):
+        q = math.gcd(*row)
+        eta = tuple(x // q for x in row)
+        flip = tuple(-x for x in eta)
+        if flip in classes:
+            eta, q = flip, -q
+        classes.setdefault(eta, []).append((i, q))
+    rows: list[la.IntVector] = []
+    labels: list[str] = []
+    merges: list[ParallelMerge] = []
+    for eta, members in classes.items():
+        index, qs = zip(*members)
+        if len(index) == 1:
+            rows.append(config.matrix[index[0]])
+            labels.append(config.labels[index[0]])
+            continue
+        total = sum(qs)
+        member_labels = tuple(config.labels[i] for i in index)
+        negative = sum(q < 0 and q % 2 == 1 for q in (*qs, total)) % 2
+        shift = tuple(e % 2 if negative else 0 for e in eta)
+        merges.append(ParallelMerge(member_labels, eta, qs, shift, total == 0))
+        if total:
+            rows.append(tuple(total * e for e in eta))
+            labels.append("+".join(member_labels))
+    if len(set(labels)) < len(labels):
+        repeated = next(x for x in labels if labels.count(x) > 1)
+        raise InputError(f"merged labels must be distinct, repeated: {repeated}")
+    reduced = VectorConfiguration(tuple(rows), tuple(labels))
+    if (reduced.row_sum() or (0,) * config.d) != config.row_sum():
+        raise InvariantError("merging parallel classes changed the row sum")
+    return reduced, tuple(merges)
+
+
+@functools.cmp_to_key
+def _by_full_angle(a, b) -> int:
+    """Ascending angle in [0, 2*pi), exact: within a half-turn, a before b
+    iff cross(a, b) > 0."""
+    half = [0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1 for v in (a, b)]
+    return half[0] - half[1] or -_cross(a, b)
+
+
+def zonotope_edges_by_full_sort(f: VectorConfiguration) -> tuple[Polygon, list[Point]]:
+    """``cycles._zonotope_edges`` with all 2n signed generators sorted by
+    angle in one comparison sort, and no twice-area returned."""
+    gens = f.matrix
+    _check_generators(gens)
+    edges = sorted(list(gens) + [tuple(-x for x in g) for g in gens], key=_by_full_angle)
+    first = edges[0]
+    normal = (first[1], -first[0])
+    tail = [0, 0]
+    for g in gens:
+        if g[0] * normal[0] + g[1] * normal[1] > 0:
+            tail[0] += g[0]
+            tail[1] += g[1]
+    verts = [tuple(tail)]
+    cur = tail
+    for e in edges[:-1]:
+        cur = [cur[0] + e[0], cur[1] + e[1]]
+        verts.append(tuple(cur))
+    if shoelace_twice(verts) <= 0:
+        raise DegenerateZonotope("zonotope has nonpositive area")
+    return Polygon(tuple(verts)), edges
+
+
+def shoelace_twice(pts) -> int:
+    """Twice the signed shoelace area of the closed polygon ``pts``."""
+    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
+
+
+def build_cycle_by_merge_records(b2: VectorConfiguration) -> CoamoebaCycle:
+    """``build_cycle`` through ``merge_parallel_by_flips``'s reduced
+    configuration and records, ``zonotope_edges_by_full_sort``, a lower
+    shell rebuilt from its vertices, and ``degree_dH`` of the three
+    polygons' areas."""
+    if b2.d != 2:
+        raise InputError(f"a 2D coamoeba cycle needs d = 2, got d = {b2.d}")
+    if not all(any(row) for row in b2.matrix):
+        raise ZeroVector("configuration contains a zero vector")
+    if any(b2.row_sum()):
+        raise NonzeroSum("rows must sum to zero")
+    reduced, merges = merge_parallel_by_flips(b2)
+    shift = [0, 0]
+    for rec in merges:
+        shift[0] ^= rec.arg_shift_pi[0]
+        shift[1] ^= rec.arg_shift_pi[1]
+    z, edges = zonotope_edges_by_full_sort(reduced)
+    plus = _half_coamoeba(reduced.matrix, z, edges)
+    minus = Polygon(tuple((-x, -y) for x, y in plus.vertices))
+    return CoamoebaCycle(
+        zonotope=z,
+        plus=plus,
+        minus=minus,
+        degree=degree_dH(z, plus, minus),
+        arg_shift_pi=(shift[0], shift[1]),
+    )
+
+
+def prisms_by_mat_vec(m: Matroid) -> list[Prism]:
+    """``prisms_d3`` from ``restrict_to_flat_by_mat_vec`` and
+    ``build_cycle_by_merge_records``."""
+    if m.config.d != 3:
+        raise DimensionNot3("prism decomposition is implemented for d = 3 only")
+    if not nondefective(m):
+        raise Defective("configuration is defective")
+    prisms = []
+    for flat in essential_flacets(m):
+        restricted, proj = restrict_to_flat_by_mat_vec(m, flat)
+        base = build_cycle_by_merge_records(restricted)
+        prisms.append(Prism(hyperplane_flat=flat, projection=proj, base=base))
+    return prisms
+
+
 def write_polynomial_file(path, p) -> None:
     """A polynomial file as ``polynomial.read_polynomial_file`` reads it: the
     variables on line 1, the polynomial on line 2."""
@@ -900,6 +1051,14 @@ def log_gauss_by_terms(f, y):
 
 
 @functools.cache
+def euler_sums_by_matmul(f):
+    """``polynomial._euler_sums`` for f by one object-array product of the
+    term values with f's exponent matrix, 40 products a point and variable
+    on the six-line, where the grouped sums make one per exponent."""
+    exps = np.array([e for e, _ in f.terms], dtype=object).reshape(len(f.terms), len(f.variables))
+    return lambda cleared, values: values @ exps
+
+
 def psi_by_fractions(config, y) -> tuple[Fraction, ...]:
     """psi(y) = prod_b <b,y>^b coordinate by coordinate in Fractions.
 

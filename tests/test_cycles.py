@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from coamoeba import cycles
-from coamoeba.catalog import line_b, plane_b, sixline_b
+from coamoeba.catalog import hyperplane_b, line_b, plane_b, sixline_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.cycles import (
     MAX_TRANSLATES,
@@ -31,7 +31,7 @@ from coamoeba.cycles import (
     prisms_d3,
     zonotope,
 )
-from coamoeba.discriminant import HornKapranovMap, psi_complex
+from coamoeba.discriminant import HornKapranovMap, nondefective, psi_complex
 from coamoeba.errors import (
     Defective,
     DegenerateZonotope,
@@ -46,10 +46,13 @@ from coamoeba.errors import (
 from coamoeba.harness import sample_coamoeba
 from coamoeba.matroid import Flat, Matroid, merge_parallel
 from oracles import (
+    build_cycle_by_merge_records,
     build_cycle_by_start_vertices,
     contains2_two_pass,
     half_coamoeba_by_start_vertices,
     half_coamoeba_from_vertex,
+    merge_parallel_by_flips,
+    prisms_by_mat_vec,
     _chart_distances_full,
     pls3_distances_by_fixed_blocks,
     random_zero_sum_matroid,
@@ -238,6 +241,89 @@ def test_edge_walk_matches_start_vertex_walk():
                 half_coamoeba_by_start_vertices, f
             )
     assert built >= 2000
+
+
+def _same_cycles(got, want) -> bool:
+    """Equal outcomes whose polygons, when built, also hold equal boxes and
+    float vertices (``Polygon`` equality reads only the vertices)."""
+    if got != want:
+        return False
+    if not isinstance(want, cycles.CoamoebaCycle):
+        return True
+    pairs = zip((got.zonotope, got.plus, got.minus), (want.zonotope, want.plus, want.minus))
+    return all(
+        p._bbox == q._bbox and repr(p._float_vertices) == repr(q._float_vertices)
+        for p, q in pairs
+    )
+
+
+def _planar_configs(rng, count):
+    """Zero-sum planar configurations: each row a multiplier in -3..3 times
+    one of a few directions, so parallel classes, classes summing to zero
+    and odd negative multipliers are common, and labels drawn from merged
+    names, so merged labels collide now and then."""
+    directions = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 3)]
+    names = ["a", "b", "c", "a+b", "b+c", "a+c"]
+    for _ in range(count):
+        n = rng.randint(2, 9)
+        rows = [[rng.randint(-3, 3) * x for x in rng.choice(directions)] for _ in range(n - 1)]
+        rows.append([-sum(col) for col in zip(*rows)])
+        labels = [rng.choice(names) for _ in rows] if rng.random() < 0.3 else None
+        yield VectorConfiguration.from_rows(rows, labels)
+
+
+def test_build_cycle_matches_merge_record_oracle():
+    # build_cycle reads merge_parallel's core without a reduced configuration
+    # or records, sorts half the edges and reuses the zonotope's area
+    rng = random.Random(32)
+    seen = dict.fromkeys(["built", "merged", "cancelled", "odd negative", "collision"], 0)
+    for config in _planar_configs(rng, 3000):
+        want = _outcome(build_cycle_by_merge_records, config)
+        assert _same_cycles(_outcome(build_cycle, config), want), config
+        seen["built"] += isinstance(want, cycles.CoamoebaCycle)
+        seen["collision"] += "merged labels must be distinct" in str(want)
+        merges = _outcome(merge_parallel_by_flips, config)
+        assert _outcome(merge_parallel, config) == merges
+        if isinstance(merges, tuple) and isinstance(merges[1], tuple):
+            seen["merged"] += bool(merges[1])
+            seen["cancelled"] += any(rec.removed for rec in merges[1])
+            qs = [q for rec in merges[1] for q in rec.multipliers]
+            seen["odd negative"] += any(q < 0 and q % 2 for q in qs)
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1, 0, 5], [0, 1, 0], [-1, -1, -5]], [[1], [2], [-3]]], ids=["d3", "d1"]
+)
+def test_planar_constructions_refuse_other_dimensions(rows):
+    # without the check, d = 3 rows gave a hexagon of their first two
+    # coordinates and d = 1 rows an IndexError
+    config = VectorConfiguration.from_rows(rows)
+    refusal = (InputError, f"a 2D coamoeba cycle needs d = 2, got d = {len(rows[0])}")
+    for fn in (zonotope, half_coamoeba_cycles, build_cycle):
+        assert _outcome(fn, config) == refusal, fn
+
+
+def test_prisms_match_mat_vec_oracle():
+    # the catalog, and seeded nondefective (8,3), (9,3) and (10,3)
+    # configurations with entries in [-3, 3]
+    matroids = [Matroid(c) for c in (line_b(), plane_b(), sixline_b(), hyperplane_b(3))]
+    rng = random.Random(32)
+    for n in (8, 9, 10):
+        found = 0
+        while found < 5:
+            m = random_zero_sum_matroid(rng, n, 3, bound=3)
+            if m.is_connected() and nondefective(m):
+                matroids.append(m)
+                found += 1
+    built = 0
+    for m in matroids:
+        got, want = _outcome(prisms_d3, m), _outcome(prisms_by_mat_vec, m)
+        assert got == want
+        if isinstance(want, list):
+            assert all(_same_cycles(p.base, q.base) for p, q in zip(got, want))
+            built += len(want)
+    assert built >= 100
 
 
 def test_walk_is_counterclockwise():

@@ -28,6 +28,7 @@ from coamoeba.discriminant import (
 from coamoeba.errors import (
     DimensionNot3,
     InputError,
+    NearArrangement,
     OnArrangement,
     SingularPoint,
     TooLarge,
@@ -130,6 +131,18 @@ def test_psi_complex_real_positive_signs(b6):
     for v, ev in zip(image, exact):
         assert abs(v.imag) < 1e-12
         assert (v.real > 0) == (ev > 0)
+
+
+def test_psi_complex_near_arrangement_cut_off():
+    # |<b, y>| below NEAR_ARRANGEMENT = 1e-12 of max_j |y_j| is refused:
+    # 1e-13 is and 1e-10 is not, so a cut-off of 1e-9 or 1e-14 fails here
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+    h = HornKapranovMap(VectorConfiguration.from_rows(rows))
+    with pytest.raises(NearArrangement) as info:
+        psi_complex(h, (1e-13, 1, 1))
+    assert info.value.label == "b1"
+    image = psi_complex(h, (1e-10, 1, 1))  # y_j / -(y_1 + y_2 + y_3)
+    assert cmath.isclose(image[0], -1e-10 / (2 + 1e-10), rel_tol=1e-12)
 
 
 def test_psi_complex_conjugation(b6):

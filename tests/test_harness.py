@@ -9,10 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coamoeba import harness
+from coamoeba import discriminant, harness
+from coamoeba import intlinalg as la
 from coamoeba.catalog import hyperplane_b, line_b, plane_b, sixline_b, sixline_discriminant
 from coamoeba.cycles import build_cycle, contains2, prisms_d3
-from coamoeba.discriminant import HornKapranovMap, _psi_block
+from coamoeba.discriminant import HornKapranovMap, _psi_block, log_gauss, psi_exact
 from coamoeba.errors import InputError, OnArrangement, TooLarge, WrongLength
 from coamoeba.harness import (
     certify_discriminant,
@@ -23,7 +24,14 @@ from coamoeba.harness import (
     sample_coamoeba,
 )
 from coamoeba.matroid import Matroid
-from coamoeba.polynomial import MAX_EXACT_BITS, SparsePoly, _cleared, _term_block, parse
+from coamoeba.polynomial import (
+    MAX_EXACT_BITS,
+    SparsePoly,
+    _cleared,
+    _euler_sums,
+    _term_block,
+    parse,
+)
 import oracles
 from oracles import (
     certify_by_fractions,
@@ -295,6 +303,35 @@ def test_per_point_oracle_cases_cover_the_walk():
     assert not walks["sixline+1/big"][1].passed
 
 
+def _outcome(fn, *args):
+    """The result of fn, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name, m, f", DIFFERENTIAL, ids=[c[0] for c in DIFFERENTIAL])
+def test_grouped_euler_sums_match_matmul_oracle(name, m, f, monkeypatch):
+    # certify_discriminant and log_gauss give what they gave with the Euler
+    # sums as one product of the term values with the exponent matrix
+    h = HornKapranovMap(m.config)
+    rng = random.Random(name)
+    grid = itertools.islice(rational_grid(m.config.d), 40)
+    points = [psi_exact(h, y) for y in grid if all(la.mat_vec(m.config.matrix, y))]
+    points += [
+        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in f.variables)
+        for _ in range(20)
+    ]
+    calls = [(certify_discriminant, f, m, n) for n in (0, 1, 20, 100)]
+    calls += [(log_gauss, f, y) for y in points]
+    got = [_outcome(*call) for call in calls]
+    sums = oracles.euler_sums_by_matmul(f)
+    monkeypatch.setattr(harness, "_euler_sums", sums)
+    monkeypatch.setattr(discriminant, "_euler_sums", sums)
+    assert got == [_outcome(*call) for call in calls]
+
+
 @pytest.mark.parametrize("name, m, f", DIFFERENTIAL, ids=[c[0] for c in DIFFERENTIAL])
 def test_block_cores_match_per_point_oracle(name, m, f):
     h = HornKapranovMap(m.config)
@@ -322,7 +359,7 @@ def test_block_values_are_python_ints_past_int64(m6, big_d):
     vanish, nums, dens = _psi_block(h, list(itertools.islice(rational_grid(3), 117)))
     cleared = _cleared(big_d)
     values, scales = _term_block(cleared, nums, dens)
-    sums, coords = values.sum(axis=1), values @ cleared[2].astype(object)
+    sums, coords = values.sum(axis=1), _euler_sums(cleared, values)
     for array in (nums, dens, values, scales, sums, coords):
         assert array.dtype == object
         assert all(type(v) is int for v in array.flat)

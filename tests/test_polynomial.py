@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coamoeba.catalog import SIXLINE_DISCRIMINANT_TEXT
@@ -13,13 +14,21 @@ from coamoeba.discriminant import log_gauss
 from coamoeba.polynomial import (
     SparsePoly,
     _cleared,
+    _euler_sums,
+    _term_block,
     evaluate_exact,
     format_poly,
     initial_form,
     parse,
     partial_derivative,
 )
-from oracles import evaluate_by_fractions, format_by_pieces, log_gauss_by_partials, parse_by_descent
+from oracles import (
+    euler_sums_by_matmul,
+    evaluate_by_fractions,
+    format_by_pieces,
+    log_gauss_by_partials,
+    parse_by_descent,
+)
 
 
 def test_parse_simple():
@@ -277,6 +286,45 @@ def test_sparse_high_degree_builds_only_the_powers_it_uses():
     for point in [(2, 1), (Fraction(-1, 2), Fraction(5, 7)), (1, 0), (-2, -3)]:
         assert evaluate_exact(f, point) == evaluate_by_fractions(f, point)
         assert log_gauss(f, point) == log_gauss_by_partials(f, point)
+
+
+def test_euler_sums_match_exponent_matmul():
+    # per exponent group the values are summed once, then multiplied by the
+    # exponent; on ints that is the product with the exponent matrix exactly
+    rng = random.Random(32)
+    polys = [
+        parse(SIXLINE_DISCRIMINANT_TEXT, ("p", "q", "r")),
+        SparsePoly.zero(("x", "y")),
+        parse("5", ("x", "y")),
+        parse("x^3*y + 2*y^3 - 1/2", ("x", "y", "z")),  # z unused
+        parse("x^2*y + x^2*y^3 + x^5*y", ("x", "y")),  # every term uses both variables
+    ]
+    for _ in range(30):
+        names = [f"x{i}" for i in range(rng.randint(1, 4))]
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            exps = tuple(rng.randint(0, 5) for _ in names)
+            terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        polys.append(SparsePoly.from_dict(names, terms))
+    blocks = 0
+    for f in polys:
+        cleared, matmul = _cleared(f), euler_sums_by_matmul(f)
+        for k in (0, 1, 7):
+            shape = (k, len(f.variables))
+            nums = np.array([rng.randint(-50, 50) for _ in range(k * shape[1])], dtype=object)
+            dens = np.array([rng.randint(1, 50) for _ in range(k * shape[1])], dtype=object)
+            nums, dens = nums.reshape(shape), dens.reshape(shape)
+            values, _ = _term_block(cleared, nums, dens)
+            got, want = _euler_sums(cleared, values), matmul(cleared, values)
+            assert got.shape == want.shape == shape
+            assert got.tolist() == want.tolist() and all(type(v) is int for v in got.flat)
+            blocks += k > 0
+            # complex values are summed in another order, so they agree to rounding
+            values, _ = _term_block(cleared, nums + 0.5j, dens)
+            size = 5 * sum(map(abs, values.flat))
+            got, want = _euler_sums(cleared, values), matmul(cleared, values)
+            assert all(abs(g - w) <= 1e-12 * size for g, w in zip(got.flat, want.flat))
+    assert blocks == 2 * len(polys)
 
 
 def test_parse_reads_ascii_digits_only():
