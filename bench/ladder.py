@@ -3,16 +3,14 @@
     python3 bench/ladder.py --column change --out BENCH.json
     python3 bench/ladder.py --column parent --src ../parent/src --out BENCH.json
 
-Times ``Matroid()``, ``flats``, ``flacets``, ``complete_flags``,
-``non_splitting_flags``, ``maximal_cones``, ``nondefective`` and
-``tdiscr_rays`` (``tdiscr_fan_d3`` on d = 3 rungs, ``tdiscr_rays``
-elsewhere) on the catalog configurations and on seeded random zero-sum
-configurations at fixed (n, d) rungs, and on the nondefective d = 3 rungs
-also ``prisms_d3``, ``sample_coamoeba`` (SAMPLES points, seed 0) and
-``pls3_distances`` of those samples (tolerance TOL), the stages of the
-d = 3 prism experiment; other rungs record "n/a" for these.  On ``sixline_b`` it also times ``certify``,
-``certify_discriminant`` of the six-line discriminant on CERTIFY_GRID grid
-points, the exact certification of ``verify``; other rungs record "n/a".
+Times the library stages of ``stage_calls``, in its order, on the catalog
+configurations and on seeded random zero-sum configurations at fixed
+(n, d) rungs; ``tdiscr_rays`` calls ``tdiscr_fan_d3`` on d = 3 rungs.  The
+PRISM_STAGES, the d = 3 prism experiment (SAMPLES samples, seed 0,
+distances at tolerance TOL), run only on the nondefective d = 3 rungs, and
+``certify``, ``certify_discriminant`` of the six-line discriminant on
+CERTIFY_GRID grid points (the exact certification of ``verify``), only on
+``sixline_b``; other rungs record "n/a" for them.
 Each repeat builds a fresh matroid and runs the stages in that order, so
 the later stages find the flats and connectivity cached.  A stage is timed
 over repeated calls until they take MIN_TIME seconds in all, and a repeat
@@ -24,12 +22,13 @@ A run records each stage's median over its REPEATS repeats, and its call
 counts.  A stage whose calls overrun TIMEOUT seconds is recorded as a
 timeout, and the rung's remaining calls are skipped.
 
-The machine's speed drifts between and within runs, so a fixed stdlib
-kernel (``probe_kernel``) is timed before a rung and after each of its
-stage timings, and each stage time is also recorded scaled by PROBE_REF_S
-over the mean of the kernel's times just before and just after it, as
-``perfbench/run.py`` scales its items: a scaled time reads as seconds at the
-speed at which the kernel takes PROBE_REF_S.  A run keeps the raw medians
+The machine's speed drifts between and within runs, so perfbench's own
+speed probe (``probe_scale`` and ``PROBE_REF_S``, imported from
+``perfbench/run.py``) is run before a rung and after each of its stage
+timings, and each stage time is also recorded scaled by the mean of the
+probe's scales just before and just after it, as ``perfbench/run.py``
+scales its items: a scaled time reads as seconds at the speed at which the
+probe's fixed stdlib kernel takes PROBE_REF_S.  A run keeps the raw medians
 under "rungs" and the scaled ones under "scaled".
 
 ``--src`` picks the ``coamoeba`` sources to time, so a second checkout can
@@ -40,7 +39,7 @@ drifts.  The file keeps each rung's seed and its counts (bases, flats,
 complete and non-splitting flags, cones, nondefectivity, tropical
 discriminant rays, prisms, and the certification's residue, roundtrip and
 singular-skip counts); a run whose counts differ from the file's is
-refused.  Only the stdlib and the library are used.
+refused.  Only the stdlib, the library and ``perfbench/run.py`` are used.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import argparse
 import contextlib
 import importlib.metadata
 import json
-import math
 import os
 import platform
 import random
@@ -57,9 +55,13 @@ import signal
 import statistics
 import sys
 import time
-from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# perfbench's speed probe, so the scaled times of both read at one speed;
+# run.py imports no coamoeba, so --src alone picks the sources timed
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from run import PROBE_REF_S, probe_scale  # noqa: E402
+
 RUNGS = ((8, 3), (9, 3), (10, 4), (10, 5), (12, 4), (12, 6))
 REPEATS = 3
 MIN_TIME = 0.05
@@ -67,17 +69,6 @@ TIMEOUT = 30.0
 SAMPLES = 150
 TOL = 1e-6
 CERTIFY_GRID = 100
-# the kernel and its reference time are perfbench/run.py's, so the scaled
-# times of both read at one speed; on a 2-vCPU Intel Xeon VM under Python
-# 3.11 the kernel's best of three took 2.26 to 6.2 ms over 800 probes
-PROBE_REF_S = 0.0021
-STAGES = (
-    "Matroid", "flats", "flacets", "complete_flags", "non_splitting_flags",
-    "maximal_cones", "nondefective", "tdiscr_rays", "certify",
-    "prisms_d3", "sample_coamoeba", "pls3_distances",
-)
-# the stages that run only on nondefective d = 3 rungs
-PRISM_STAGES = STAGES[-3:]
 # the stages whose calls each get a fresh matroid: they cache their result on it
 FRESH = ("flats", "flacets")
 # the counts each rung records, besides its bases, and the stages giving them
@@ -121,7 +112,7 @@ def random_zero_sum(rng: random.Random, n: int, d: int, lib):
         config = lib.VectorConfiguration.from_rows(rows)
         try:
             m = lib.Matroid(config)
-        except lib.NotSpanning:
+        except lib.errors.NotSpanning:
             continue
         if m.is_connected():
             return config
@@ -133,8 +124,8 @@ def rungs(lib) -> list[dict]:
     out = [
         {"name": name, "seed": None, "config": make(), "poly": poly}
         for name, make, poly in (
-            ("line_b", lib.line_b, None), ("plane_b", lib.plane_b, None),
-            ("sixline_b", lib.sixline_b, lib.sixline_discriminant()),
+            ("line_b", lib.catalog.line_b, None), ("plane_b", lib.catalog.plane_b, None),
+            ("sixline_b", lib.catalog.sixline_b, lib.catalog.sixline_discriminant()),
         )
     ]
     for n, d in RUNGS:
@@ -160,43 +151,15 @@ def stage_calls(lib, config, poly):
         ("certify", lambda r: lib.certify_discriminant(poly, r["Matroid"], CERTIFY_GRID)),
         ("prisms_d3", lambda r: lib.prisms_d3(r["Matroid"])),
         ("sample_coamoeba", lambda r: lib.sample_coamoeba(r["Matroid"], SAMPLES, 0)),
-        ("pls3_distances", lambda r: lib.pls3_distances(
+        ("pls3_distances", lambda r: lib.cycles.pls3_distances(
             r["prisms_d3"], r["sample_coamoeba"], TOL)),
     )
 
 
-def probe_kernel() -> None:
-    """Fraction elimination on fixed 5 x 5 matrices, then a float loop."""
-    for k in range(6):
-        rows = [
-            [Fraction((i * 7 + j * 13 + k) % 11 - 5, 1 + (i + j) % 3) for j in range(5)]
-            for i in range(5)
-        ]
-        for c in range(5):
-            p = next((r for r in range(c, 5) if rows[r][c]), None)
-            if p is None:
-                continue
-            rows[c], rows[p] = rows[p], rows[c]
-            inv = 1 / rows[c][c]
-            rows[c] = [x * inv for x in rows[c]]
-            for r in range(5):
-                if r != c and rows[r][c]:
-                    f = rows[r][c]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    total = 0.0
-    for i in range(3000):
-        x = (i % 97) * 0.013
-        total += x * x - 0.5 * x
-
-
-def probe_scale() -> float:
-    """PROBE_REF_S over the probe kernel's best time of three runs now."""
-    best = math.inf
-    for _ in range(3):
-        start = time.perf_counter()
-        probe_kernel()
-        best = min(best, time.perf_counter() - start)
-    return PROBE_REF_S / best
+# the stage names in order, read off the table
+STAGES = tuple(name for name, _ in stage_calls(None, None, None))
+# the stages that run only on nondefective d = 3 rungs
+PRISM_STAGES = STAGES[-3:]
 
 
 def time_stage(calls, k: int, run: dict) -> tuple[object, float, int]:
@@ -315,37 +278,13 @@ def environment() -> dict:
 
 
 def load_library(src: str):
+    """The ``coamoeba`` package imported from ``src``, its catalog loaded."""
     sys.path.insert(0, os.path.abspath(src))
-    import coamoeba.catalog as catalog
-    import coamoeba.configuration as configuration
-    import coamoeba.cycles as cycles
-    import coamoeba.discriminant as discriminant
-    import coamoeba.errors as errors
-    import coamoeba.harness as harness
-    import coamoeba.matroid as matroid
-    import coamoeba.tropical as tropical
+    import coamoeba.catalog
 
-    if not os.path.abspath(matroid.__file__).startswith(os.path.abspath(src)):
-        raise SystemExit(f"coamoeba was imported from {matroid.__file__}, not from {src}")
-    return argparse.Namespace(
-        Matroid=matroid.Matroid,
-        VectorConfiguration=configuration.VectorConfiguration,
-        NotSpanning=errors.NotSpanning,
-        line_b=catalog.line_b,
-        plane_b=catalog.plane_b,
-        sixline_b=catalog.sixline_b,
-        sixline_discriminant=catalog.sixline_discriminant,
-        certify_discriminant=harness.certify_discriminant,
-        complete_flags=tropical.complete_flags,
-        maximal_cones=tropical.maximal_cones,
-        non_splitting_flags=discriminant.non_splitting_flags,
-        nondefective=discriminant.nondefective,
-        tdiscr_rays=discriminant.tdiscr_rays,
-        tdiscr_fan_d3=discriminant.tdiscr_fan_d3,
-        prisms_d3=cycles.prisms_d3,
-        sample_coamoeba=harness.sample_coamoeba,
-        pls3_distances=cycles.pls3_distances,
-    )
+    if not os.path.abspath(coamoeba.__file__).startswith(os.path.abspath(src)):
+        raise SystemExit(f"coamoeba was imported from {coamoeba.__file__}, not from {src}")
+    return coamoeba
 
 
 def main(argv=None) -> int:

@@ -98,17 +98,11 @@ class Polygon:
 
     def is_simple(self) -> bool:
         edges = list(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
-        boxes = [(*sorted((a[0], b[0])), *sorted((a[1], b[1]))) for a, b in edges]
-        k = len(edges)
-        for i, (xlo, xhi, ylo, yhi) in enumerate(boxes):
-            for j in range(i + 1, k):
-                lo_x, hi_x, lo_y, hi_y = boxes[j]
-                if lo_x > xhi or hi_x < xlo or lo_y > yhi or hi_y < ylo:
-                    continue  # disjoint bounding boxes: the edges cannot meet
-                adjacent = j == i + 1 or (i == 0 and j == k - 1)
-                if _segments_cross(edges[i], edges[j], allow_shared_end=adjacent):
-                    return False
-        return True
+        last = len(edges) - 1
+        return not any(
+            _segments_cross(edges[i], edges[j], allow_shared_end=j == i + 1 or (i, j) == (0, last))
+            for i, j in itertools.combinations(range(last + 1), 2)
+        )
 
     def contains(self, point: Point) -> bool:
         """Exact membership in the cycle support: boundary or nonzero winding.

@@ -21,14 +21,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
+
+from .errors import InputError
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
 
 def as_matrix(rows) -> IntMatrix:
-    """Freeze an iterable of rows into a rectangular tuple-of-tuples."""
-    m = tuple(tuple(map(int, row)) for row in rows)
+    """Freeze integer rows into a rectangular tuple-of-tuples.  Ints, bools and
+    numpy integers pass; any other entry raises InputError, never truncated."""
+    m = tuple(map(tuple, rows))
+    try:
+        m = tuple(tuple(map(index, row)) for row in m)
+    except TypeError:
+        bad = next(x for row in m for x in row if not hasattr(type(x), "__index__"))
+        raise InputError(f"matrix entry {bad!r} is not an integer") from None
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
     return m
@@ -107,7 +116,7 @@ def _hnf(m: IntMatrix, transform: bool) -> tuple[list[list[int]], list[list[int]
 
 def rank_rational(m) -> int:
     """Rank over Q: the number of nonzero rows of the HNF."""
-    return sum(map(any, _hnf(m, False)[0]))
+    return sum(map(any, _hnf(as_matrix(m), False)[0]))
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -153,7 +162,7 @@ def solve_unique_rational(m, v):
     triangular block gives x in Fractions.
     """
     ncols = len(m[0]) if m else 0
-    h = _hnf([list(row) + [y] for row, y in zip(m, v)], False)[0]
+    h = _hnf(as_matrix([*row, y] for row, y in zip(m, v)), False)[0]
     if len(h) < ncols or not all(h[k][k] for k in range(ncols)):
         raise ValueError("columns are not linearly independent")
     if any(map(any, h[ncols:])):

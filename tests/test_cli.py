@@ -208,6 +208,14 @@ def test_invalid_input_exits_2(paths, capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["bergman-rays", "fine-cones", "tdiscr-rays"])
+def test_disconnected_configuration_exits_2(command, capsys):
+    # two parallel pairs: disconnected, so it has no Bergman fan or rays
+    cross = Path(__file__).parent / "golden" / "inputs" / "cross_b.json"
+    assert main([command, str(cross)]) == 2
+    assert "connected" in capsys.readouterr().err
+
+
 def test_golden_stability(paths, capsys, tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

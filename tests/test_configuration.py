@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coamoeba import intlinalg as la
@@ -11,13 +12,14 @@ from coamoeba.catalog import hyperplane_a, hyperplane_b
 from coamoeba.configuration import (
     GalePair,
     PointConfiguration,
+    VectorConfiguration,
     _validate,
     check_gale_pair,
     gale_dual,
     gale_pair,
     validate_a,
 )
-from coamoeba.errors import NoAffineHyperplane, NotSpanning
+from coamoeba.errors import InputError, NoAffineHyperplane, NotSpanning
 from oracles import validate_by_eliminations
 
 
@@ -192,3 +194,16 @@ def test_gale_pair_reads_one_hnf(monkeypatch, a6):
     pair = gale_pair(a6)
     assert calls == Counter(hermite_normal_form=1, solve_unique_rational=1)
     assert pair.u == validate_a(a6).u and pair.b == gale_dual(a6)
+
+
+@pytest.mark.parametrize("bad", (1.5, Fraction(1, 2), "1"))
+def test_non_integer_rows_are_refused_not_truncated(bad):
+    with pytest.raises(InputError, match="is not an integer"):
+        VectorConfiguration.from_rows([[bad, 0], [0, 1], [-1, -1]])
+    with pytest.raises(InputError, match="is not an integer"):
+        gale_dual(PointConfiguration.from_rows([[1, 1, 1, 1], [0, bad, 2, 3]]))
+
+
+def test_numpy_integer_rows_pass():
+    rows = np.array([[1, 0], [0, 1], [-1, -1]])
+    assert VectorConfiguration.from_rows(rows).matrix == ((1, 0), (0, 1), (-1, -1))

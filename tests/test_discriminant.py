@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from coamoeba import intlinalg as la
-from coamoeba.catalog import hyperplane_b
+from coamoeba.catalog import hyperplane_b, line_b, plane_b, sixline_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.discriminant import (
     HornKapranovMap,
@@ -27,6 +27,7 @@ from coamoeba.discriminant import (
 )
 from coamoeba.errors import (
     DimensionNot3,
+    Disconnected,
     InputError,
     NearArrangement,
     OnArrangement,
@@ -36,7 +37,7 @@ from coamoeba.errors import (
 )
 from coamoeba.matroid import Matroid, merge_parallel
 from coamoeba.polynomial import MAX_EXACT_BITS, SparsePoly, parse
-from coamoeba.tropical import _chains, _climb, complete_flags
+from coamoeba.tropical import _chains, _climb, bergman_rays, complete_flags, maximal_cones
 from oracles import (
     _in_sector,
     essential_flacets_by_form_sums,
@@ -298,6 +299,22 @@ def test_opposite_pairs_are_defective():
         [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
     )
     assert not nondefective(Matroid(cfg))
+
+
+def test_nondefective_reads_a_configuration_as_its_matroid():
+    fourvec = VectorConfiguration.from_rows([[3, 0], [0, 1], [-1, -2], [-2, 1]])
+    for config in (line_b(), plane_b(), sixline_b(), fourvec):
+        assert nondefective(config) == nondefective(Matroid(config))
+
+
+@pytest.mark.parametrize(
+    "call", [bergman_rays, maximal_cones, tdiscr_rays, Matroid.flacets]
+)
+def test_disconnected_cross_is_refused(call):
+    # two parallel pairs: the matroid is the direct sum of two rank-one parts
+    cross = Matroid(VectorConfiguration.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]]))
+    with pytest.raises(Disconnected, match="connected"):
+        call(cross)
 
 
 def test_nondefective_iff_a_non_splitting_flag(m6, m_line, m_plane):

@@ -4,9 +4,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coamoeba import intlinalg as la
+from coamoeba.errors import InputError
 from oracles import is_saturated, rank_reference, solve_reference
 
 
@@ -259,3 +261,31 @@ def test_solve_dependent_columns_raise():
         la.solve_unique_rational([[1, 2], [2, 4]], (1, 2))
     with pytest.raises(ValueError):  # dependence is reported before consistency
         la.solve_unique_rational([[1, 2], [2, 4]], (1, 3))
+
+
+NON_INTEGERS = (0.5, Fraction(1, 2), "1")
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        la.as_matrix,
+        la.hermite_normal_form,
+        la.integer_kernel,
+        la.row_lattice_basis,
+        la.rank_rational,
+        lambda m: la.solve_unique_rational(m, (1, 1)),
+        lambda m: la.solve_unique_rational([[1, 0], [0, 1]], m[0]),
+    ],
+)
+def test_non_integer_entries_are_refused_not_truncated(call, bad):
+    with pytest.raises(InputError, match="is not an integer"):
+        call([[bad, 1], [1, 0]])
+
+
+def test_integer_like_entries_pass():
+    assert la.as_matrix([[True, False], [0, -3]]) == ((1, 0), (0, -3))
+    frozen = la.as_matrix(np.array([[2, -1], [0, 5]], dtype=np.int64))
+    assert frozen == ((2, -1), (0, 5))
+    assert all(type(x) is int for row in frozen for x in row)
