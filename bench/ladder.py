@@ -33,13 +33,14 @@ under "rungs" and the scaled ones under "scaled".
 
 ``--src`` picks the ``coamoeba`` sources to time, so a second checkout can
 be timed into another column of the same file.  Naming a column again adds
-a run to it, and the column's summary is each stage's median over its runs:
-runs of the two columns in alternation even out a machine whose speed
-drifts.  The file keeps each rung's seed and its counts (bases, flats,
-complete and non-splitting flags, cones, nondefectivity, tropical
-discriminant rays, prisms, and the certification's residue, roundtrip and
-singular-skip counts); a run whose counts differ from the file's is
-refused.  Only the stdlib, the library and ``perfbench/run.py`` are used.
+a run to it, and the column's summary is each stage's median and quartiles
+over its runs: runs of the two columns in alternation even out a machine
+whose speed drifts, and the quartiles show how far its runs spread.  The
+file keeps each rung's seed and its counts (bases, flats, complete and
+non-splitting flags, cones, nondefectivity, tropical discriminant rays,
+prisms, and the certification's residue, roundtrip and singular-skip
+counts); a run whose counts differ from the file's is refused.  Only the
+stdlib, the library and ``perfbench/run.py`` are used.
 """
 
 from __future__ import annotations
@@ -240,9 +241,18 @@ def time_rung(lib, config, poly) -> tuple[dict, dict, dict, dict]:
     return stages, scaled_stages, calls_made, counts
 
 
+def quartiles(seconds: list[float]) -> tuple[float, float, float]:
+    """The lower quartile, median and upper quartile of ``seconds``, by
+    ``statistics.quantiles``' exclusive method; a single run is all three."""
+    if len(seconds) < 2:
+        return seconds[0], seconds[0], seconds[0]
+    q1, median, q3 = statistics.quantiles(seconds, n=4)
+    return q1, median, q3
+
+
 def summary(runs: list[dict], key: str) -> dict:
-    """Per rung and stage, the median over the runs holding ``key`` of their
-    medians there, and how many of them timed out there."""
+    """Per rung and stage, the median and quartiles over the runs holding
+    ``key`` of their medians there, and how many of them timed out there."""
     runs = [run for run in runs if key in run]
     out = {}
     for name, stages in runs[-1][key].items():
@@ -253,8 +263,11 @@ def summary(runs: list[dict], key: str) -> dict:
                 out[name][stage] = "n/a"
                 continue
             seconds = [v for v in values if isinstance(v, float)]
+            q1, median, q3 = quartiles(seconds) if seconds else (None, None, None)
             out[name][stage] = {
-                "median_s": statistics.median(seconds) if seconds else None,
+                "median_s": median,
+                "q1_s": q1,
+                "q3_s": q3,
                 "runs": len(seconds),
                 "timeouts": values.count("timeout"),
             }

@@ -61,11 +61,10 @@ class PointConfiguration:
 
     @staticmethod
     def from_rows(rows, labels=None) -> "PointConfiguration":
-        mat = la.as_matrix(rows)
-        ncols = len(mat[0]) if mat else 0
+        rows = tuple(map(tuple, rows))  # frozen only by __post_init__
         if labels is None:
-            labels = tuple(f"a{i+1}" for i in range(ncols))
-        return PointConfiguration(mat, tuple(labels))
+            labels = tuple(f"a{i+1}" for i in range(len(rows[0]) if rows else 0))
+        return PointConfiguration(rows, tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,10 @@ class VectorConfiguration:
 
     @staticmethod
     def from_rows(rows, labels=None) -> "VectorConfiguration":
-        mat = la.as_matrix(rows)
+        rows = tuple(rows)  # frozen only by __post_init__
         if labels is None:
-            labels = tuple(f"b{i+1}" for i in range(len(mat)))
-        return VectorConfiguration(mat, tuple(labels))
+            labels = tuple(f"b{i+1}" for i in range(len(rows)))
+        return VectorConfiguration(rows, tuple(labels))
 
 
 @dataclass(frozen=True)

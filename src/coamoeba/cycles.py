@@ -67,13 +67,10 @@ class Polygon:
     _float_vertices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xs = [p[0] for p in self.vertices]
-        ys = [p[1] for p in self.vertices]
+        xs, ys = zip(*self.vertices)
         object.__setattr__(self, "_bbox", (min(xs), max(xs), min(ys), max(ys)))
         require_float_range(self._bbox, "a cycle vertex in radians", math.pi)
-        object.__setattr__(
-            self, "_float_vertices", tuple([(float(x), float(y)) for x, y in self.vertices])
-        )
+        object.__setattr__(self, "_float_vertices", tuple(zip(map(float, xs), map(float, ys))))
 
     def signed_area(self) -> Fraction:
         """Shoelace area in pi^2 units; positive means counterclockwise."""
@@ -176,15 +173,6 @@ def _segments_cross(e1, e2, allow_shared_end: bool) -> bool:
 # -- zonotope and half-coamoebas --------------------------------------------------
 
 
-def _cross(a, b) -> int:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _half_turn(v) -> int:
-    """0 when the angle of v lies in [0, pi), 1 when it lies in [pi, 2*pi)."""
-    return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
-
-
 @functools.cmp_to_key
 def _by_angle(a, b) -> int:
     """Ascending angle within one half-turn, exact: a before b iff
@@ -198,41 +186,49 @@ def _require_plane(d: int) -> None:
 
 
 def _check_generators(gens) -> None:
+    """Refuse too few, non-planar or parallel generators; callers test the sum."""
     if len(gens) < 2:
         raise DegenerateZonotope("need at least two generators")
     _require_plane(len(gens[0]))
-    if any(sum(col) for col in zip(*gens)):
-        raise NonzeroSum("generators must sum to zero")
     for u, w in itertools.combinations(gens, 2):
-        if _cross(u, w) == 0:
+        if u[0] * w[1] == u[1] * w[0]:
             raise ParallelRows(f"parallel generators {u} and {w}; merge parallels first")
 
 
 def _zonotope_edges(gens) -> tuple[Polygon, list[Point], int]:
     """The zonotope of the generators, its edges sorted by angle and its
     twice-area: the edge ``edges[i - 1]`` enters vertex ``i``.  The n
-    generators, each negated if its angle is past pi, are sorted by one cross
-    product, as no two are parallel, and their negations follow."""
+    generators, each negated if its angle lies in [pi, 2*pi), are sorted by
+    one cross product, as no two are parallel, and their negations follow."""
     _check_generators(gens)
-    half = sorted((g if _half_turn(g) == 0 else (-g[0], -g[1]) for g in gens), key=_by_angle)
+    half = sorted(
+        (g if g[1] > 0 or (g[1] == 0 and g[0] > 0) else (-g[0], -g[1]) for g in gens),
+        key=_by_angle,
+    )
     edges = half + [(-x, -y) for x, y in half]
-    first = edges[0]
     # outward normal of the first edge; its support set gives the edge's tail
-    normal = (first[1], -first[0])
-    tail = [0, 0]
-    for g in gens:
-        if g[0] * normal[0] + g[1] * normal[1] > 0:
-            tail[0] += g[0]
-            tail[1] += g[1]
-    verts = [tuple(tail)]
-    cur = tail
-    for e in edges[:-1]:
-        cur = [cur[0] + e[0], cur[1] + e[1]]
-        verts.append(tuple(cur))
+    nx, ny = half[0][1], -half[0][0]
+    x = y = 0
+    for gx, gy in gens:
+        if gx * nx + gy * ny > 0:
+            x += gx
+            y += gy
+    verts = [(x, y)]
+    for ex, ey in edges[:-1]:
+        x += ex
+        y += ey
+        verts.append((x, y))
     twice = _twice_area(verts)
     if twice <= 0:
         raise DegenerateZonotope("zonotope has nonpositive area")
     return Polygon(tuple(verts)), edges, twice
+
+
+def _zero_sum_rows(f: VectorConfiguration) -> la.IntMatrix:
+    """``f``'s rows, refused if two or more in Z^2 do not sum to zero."""
+    if f.n >= 2 and f.d == 2 and any(f.row_sum()):
+        raise NonzeroSum("generators must sum to zero")
+    return f.matrix
 
 
 def zonotope(f: VectorConfiguration) -> Polygon:
@@ -241,7 +237,7 @@ def zonotope(f: VectorConfiguration) -> Polygon:
     Requires at least two nonzero pairwise non-parallel rows in Z^2 with
     zero sum; the result is centrally symmetric about the origin.
     """
-    return _zonotope_edges(f.matrix)[0]
+    return _zonotope_edges(_zero_sum_rows(f))[0]
 
 
 def _half_coamoeba(gens, z: Polygon, edges: list[Point]) -> Polygon:
@@ -284,7 +280,7 @@ def half_coamoeba_cycles(f: VectorConfiguration) -> tuple[Polygon, Polygon]:
     With five or more generators the shell can self-intersect; the boundary
     is still the correct cycle, and membership is by winding number.
     """
-    plus = _half_coamoeba(f.matrix, *_zonotope_edges(f.matrix)[:2])
+    plus = _half_coamoeba(f.matrix, *_zonotope_edges(_zero_sum_rows(f))[:2])
     return plus, plus.reflect()
 
 
@@ -330,14 +326,21 @@ def _degree(twice: int) -> int:
 
 
 def build_cycle(b2: VectorConfiguration) -> CoamoebaCycle:
-    """Merge parallels (``merge_parallel``'s core, read as rows and shifts),
-    build the three polygons, and record degree and shift."""
+    """The cycle of nonzero zero-sum rows in Z^2, built by ``_cycle``."""
     _require_plane(b2.d)
     if not all(any(row) for row in b2.matrix):
         raise ZeroVector("configuration contains a zero vector")
-    if any(b2.row_sum()):
+    return _cycle(b2.matrix, b2.labels)
+
+
+def _cycle(rows, labels) -> CoamoebaCycle:
+    """The cycle of nonzero labelled rows in Z^2: merge parallels (``_merged``),
+    build the three polygons, record degree and shift.  The zero sum is tested
+    once, here; ``_merged`` refuses a merged sum other than the rows'."""
+    total = tuple(map(sum, zip(*rows)))
+    if any(total):
         raise NonzeroSum("rows must sum to zero")
-    gens, _, merges = _merged(b2)
+    gens, _, merges = _merged(rows, labels, total)
     shift = [0, 0]
     for _, _, _, (x, y), _ in merges:
         shift[0] ^= x
@@ -455,10 +458,9 @@ class Prism:
     """A 3D phase-limit-set component: the preimage of a 2D cycle.
 
     ``projection`` is the 2 x 3 quotient chart by the hyperplane's normal
-    sublattice, the canonical integer kernel basis of the flat's forms
-    (``Matroid.restrict_to_flat``); membership of an angle
-    triple is membership of its projected angle pair in ``base``.
-    """
+    sublattice, the canonical integer kernel basis of the flat's forms, and
+    ``base`` the cycle of ``Matroid.restrict_to_flat``'s rows; membership of
+    an angle triple is membership of its projected angle pair in ``base``."""
 
     hyperplane_flat: Flat
     projection: la.IntMatrix
@@ -466,17 +468,17 @@ class Prism:
 
 
 def prisms_d3(m: Matroid) -> list[Prism]:
-    """One prism per essential flacet (hyperplane with nonzero form-sum)."""
+    """One prism per essential flacet (hyperplane with nonzero form-sum), in
+    one pass: ``Matroid._quotient``'s rows go to ``_cycle`` bare, so every
+    refusal of the two runs for each prism, in order."""
     if m.config.d != 3:
         raise DimensionNot3("prism decomposition is implemented for d = 3 only")
     if not nondefective(m):
         raise Defective("configuration is defective")
     prisms = []
     for flat in essential_flacets(m):
-        restricted, proj = m.restrict_to_flat(flat)
-        prisms.append(
-            Prism(hyperplane_flat=flat, projection=proj, base=build_cycle(restricted))
-        )
+        rows, labels, proj = m._quotient(flat)
+        prisms.append(Prism(hyperplane_flat=flat, projection=proj, base=_cycle(rows, labels)))
     return prisms
 
 

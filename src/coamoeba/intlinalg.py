@@ -44,7 +44,7 @@ def as_matrix(rows) -> IntMatrix:
 
 
 def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def transpose(m) -> tuple[tuple, ...]:
@@ -85,14 +85,16 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 def _hnf(m: IntMatrix, transform: bool) -> tuple[list[list[int]], list[list[int]]]:
     """``hermite_normal_form`` of m, as lists.  The row operations run on
     [m | I], so the columns past m's carry u; without ``transform`` they run
-    on m alone, and u has no columns."""
+    on m alone, and u is empty."""
     k = len(m)
     ncols = len(m[0]) if m else 0
-    rows = [[*r, *e] for r, e in zip(m, identity(k) if transform else [()] * k)]
+    rows = [[*r, *e] for r, e in zip(m, identity(k))] if transform else list(map(list, m))
     pr = 0
     for col in range(ncols):
-        piv = next((i for i in range(pr, k) if rows[i][col]), None)
-        if piv is None:
+        for piv in range(pr, k):  # a plain loop: a generator costs a frame per column
+            if rows[piv][col]:
+                break
+        else:
             continue
         top, rows[piv] = rows[piv], rows[pr]
         for i in range(piv + 1, k):  # rows pr + 1 .. piv are zero in col
@@ -111,7 +113,7 @@ def _hnf(m: IntMatrix, transform: bool) -> tuple[list[list[int]], list[list[int]
             if q:
                 rows[i] = [s - q * t for s, t in zip(rows[i], top)]
         pr += 1
-    return [r[:ncols] for r in rows], [r[ncols:] for r in rows]
+    return ([r[:ncols] for r in rows], [r[ncols:] for r in rows]) if transform else (rows, [])
 
 
 def rank_rational(m) -> int:
@@ -140,15 +142,15 @@ def integer_kernel(m: IntMatrix, cols: int | None = None) -> tuple[IntVector, ..
     Computed from the row HNF of the transpose: the transform rows paired
     with zero HNF rows span the kernel, and the kernel of an integer matrix
     is automatically saturated.  ``cols`` disambiguates the ambient rank
-    when the matrix has no rows.
+    when the matrix has no rows.  The second HNF reads the rows as they are.
     """
     m = as_matrix(m)
     ncols = len(m[0]) if m else (cols or 0)
     if not m or ncols == 0:
         return identity(ncols)
     h, u = _hnf(transpose(m), True)
-    kern = [u[i] for i in range(len(h)) if not any(h[i])]
-    return row_lattice_basis(kern) if kern else ()
+    kern = [r for r, z in zip(u, h) if not any(z)]
+    return tuple(tuple(r) for r in _hnf(kern, False)[0] if any(r)) if kern else ()
 
 
 def solve_unique_rational(m, v):

@@ -21,11 +21,12 @@ The rows span Q^d exactly when some d-subset has a nonzero minor.
 Minors by a flat F are read off one basis B with |B & F| = r(F): B & F is a
 basis of the restriction M|F and B - F one of the contraction M/F, and a
 swap inside F or inside E - F keeps a basis of the minor exactly when it
-keeps one of M.  ``restrict_to_flat`` builds the contraction's vectors B|_L
-for the cycles by pairing each vector, inline, with each row of the
+keeps one of M.  ``_quotient`` gives the contraction's vectors B|_L as plain
+rows, pairing each vector outside the flat, inline, with each row of the
 canonical integer kernel basis of the flat's forms, which is the quotient
 chart of M / L_perp; it is the only linear algebra here besides the bases.
-``_merged`` groups parallel classes for ``merge_parallel`` and the cycles.
+``restrict_to_flat`` wraps the rows in a configuration; the prisms read them
+bare.  ``_merged`` groups parallel classes of rows for ``merge_parallel``.
 
 Counts over all bases are bit-sliced: with w = r.bit_length() + 1, field k
 (bits w*k .. w*k + w - 1) of label i's column is 1 when the k-th basis holds
@@ -325,19 +326,22 @@ class Matroid:
         span of the forms and maps Z^d onto Z^dim(L).  The images are all
         nonzero because the flat is closed.
         """
-        matrix = self.config.matrix
-        proj = la.integer_kernel([matrix[i] for i in sorted(flat.forms)], cols=self.config.d)
-        rows = []
-        labels = []
-        for i, row in enumerate(matrix):
-            if i in flat.forms:
-                continue
-            image = tuple([sum(map(operator.mul, chart, row)) for chart in proj])
-            if not any(image):
-                raise InvariantError("image of a vector outside a flat cannot vanish")
-            rows.append(image)
-            labels.append(self.config.labels[i])
+        rows, labels, proj = self._quotient(flat)
         return VectorConfiguration(tuple(rows), tuple(labels)), proj
+
+    def _quotient(self, flat: Flat) -> tuple[list, list, la.IntMatrix]:
+        """``restrict_to_flat``'s image rows and labels, as plain lists, and
+        its chart; ``cycles.prisms_d3`` reads them with no configuration."""
+        matrix, forms = self.config.matrix, flat.forms
+        proj = la.integer_kernel([matrix[i] for i in sorted(forms)], cols=self.config.d)
+        outside = [i for i in range(self.n) if i not in forms]
+        # one image coordinate at a time: a chart row paired with each row;
+        # an empty chart (forms spanning Q^d) gives each row the empty image
+        cols = [[sum(map(operator.mul, c, matrix[i])) for i in outside] for c in proj]
+        rows = list(zip(*cols)) if cols else [()] * len(outside)
+        if not all(map(any, rows)):
+            raise InvariantError("image of a vector outside a flat cannot vanish")
+        return rows, [self.config.labels[i] for i in outside], proj
 
     # -- flacets -----------------------------------------------------------------
 
@@ -374,14 +378,15 @@ def merge_parallel(
     """
     if any(not any(row) for row in config.matrix):
         raise ZeroVector("configuration contains a zero vector")
-    rows, labels, merges = _merged(config)
+    rows, labels, merges = _merged(config.matrix, config.labels, config.row_sum())
     reduced = VectorConfiguration(tuple(rows), tuple(labels))
     return reduced, tuple(ParallelMerge(*fields) for fields in merges)
 
 
-def _merged(config: VectorConfiguration) -> tuple[list, list, list]:
-    """``merge_parallel``'s rows, labels and fields of its records, also read
-    by ``cycles.build_cycle``; the rows must be nonzero.
+def _merged(matrix, names, total) -> tuple[list, list, list]:
+    """``merge_parallel``'s rows, labels and fields of its records, from the
+    rows, their labels and their sum ``total``; also read by the cycles.  The
+    rows must be nonzero.
 
     One pass over the rows finds the classes: row i joins the class of its
     primitive direction up to sign (the negation is looked up only when the
@@ -389,11 +394,11 @@ def _merged(config: VectorConfiguration) -> tuple[list, list, list]:
     records its multiplier q_i = +-gcd(row i), so q_i * eta is row i.
     """
     classes: dict[la.IntVector, list[tuple[int, int]]] = {}
-    for i, row in enumerate(config.matrix):
+    for i, row in enumerate(matrix):
         q = math.gcd(*row)
         eta = tuple([x // q for x in row]) if q != 1 else row
         if (members := classes.get(eta)) is None:
-            if (members := classes.get(tuple([-x for x in eta]))) is None:
+            if (members := classes.get(tuple(map(operator.neg, eta)))) is None:
                 members = classes[eta] = []
             else:
                 q = -q
@@ -403,23 +408,23 @@ def _merged(config: VectorConfiguration) -> tuple[list, list, list]:
     merges: list[tuple] = []
     for eta, members in classes.items():
         if len(members) == 1:
-            rows.append(config.matrix[members[0][0]])
-            labels.append(config.labels[members[0][0]])
+            rows.append(matrix[members[0][0]])
+            labels.append(names[members[0][0]])
             continue
         index, qs = zip(*members)
-        total = sum(qs)
-        member_labels = tuple(config.labels[i] for i in index)
+        merged = sum(qs)
+        member_labels = tuple([names[i] for i in index])
         # the constant's sign: q^q < 0 exactly when q is odd and negative,
-        # for each q and for the total in the denominator alike
-        negative = sum(q < 0 and q % 2 == 1 for q in (*qs, total)) % 2
-        shift = tuple(e % 2 if negative else 0 for e in eta)
-        merges.append((member_labels, eta, qs, shift, total == 0))
-        if total:
-            rows.append(tuple(total * e for e in eta))
+        # for each q and for the sum in the denominator alike
+        negative = sum([q < 0 and q & 1 for q in (*qs, merged)]) & 1
+        shift = tuple([e & 1 for e in eta]) if negative else (0,) * len(eta)
+        merges.append((member_labels, eta, qs, shift, merged == 0))
+        if merged:
+            rows.append(tuple([merged * e for e in eta]))
             labels.append("+".join(member_labels))
     if len(set(labels)) < len(labels):
         repeated = next(x for x in labels if labels.count(x) > 1)
         raise InputError(f"merged labels must be distinct, repeated: {repeated}")
-    if (tuple(map(sum, zip(*rows))) or (0,) * config.d) != config.row_sum():
+    if (tuple(map(sum, zip(*rows))) or (0,) * len(total)) != total:
         raise InvariantError("merging parallel classes changed the row sum")
     return rows, labels, merges

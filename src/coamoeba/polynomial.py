@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PolySyntaxError, TooLarge, UnknownVariable, WrongLength
+from .errors import InputError, PolySyntaxError, TooLarge, UnknownVariable, WrongLength
 
 Exponents = tuple[int, ...]
 
@@ -54,7 +54,10 @@ class SparsePoly:
         nv = len(self.variables)
         clean = {}
         for exps, coeff in self.terms:
-            exps = tuple(int(e) for e in exps)
+            try:  # as intlinalg.as_matrix reads entries: never truncated
+                exps = tuple(map(operator.index, exps))
+            except TypeError:
+                raise InputError(f"exponents {exps!r} are not all integers") from None
             if len(exps) != nv or any(e < 0 for e in exps):
                 raise ValueError("bad exponent vector")
             clean[exps] = clean.get(exps, 0) + Fraction(coeff)

@@ -33,7 +33,6 @@ import math
 import re
 from fractions import Fraction
 
-from . import intlinalg as la
 from .configuration import PointConfiguration, VectorConfiguration
 from .cycles import CoamoebaCycle, Polygon, Prism
 from .errors import InputError
@@ -123,7 +122,7 @@ def config_from_json(data):
             raise InputError(f"labels must be distinct, repeated: {', '.join(repeated)}")
         if type(data["matrix"]) is not list or any(type(r) is not list for r in data["matrix"]):
             raise InputError("the matrix must be a list of rows, each a list of entries")
-        return kind(la.as_matrix([map(_entry, row) for row in data["matrix"]]), labels)
+        return kind(tuple(tuple(map(_entry, row)) for row in data["matrix"]), labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed configuration JSON: {exc}") from exc
 

@@ -66,7 +66,6 @@ from coamoeba.cycles import (
     Polygon,
     Prism,
     _check_generators,
-    _cross,
     _half_coamoeba,
     degree_dH,
     zonotope,
@@ -626,6 +625,10 @@ def contains2_two_pass(cycle, theta_pi) -> bool:
                 if polygon_contains_two_pass(poly.vertices, (px + 2 * ax, py + 2 * ay)):
                     return True
     return False
+
+
+def _cross(a, b) -> int:
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def _line_key(v) -> tuple[int, int]:

@@ -20,6 +20,7 @@ from coamoeba.configuration import (
     validate_a,
 )
 from coamoeba.errors import InputError, NoAffineHyperplane, NotSpanning
+from coamoeba.serialize import config_from_json
 from oracles import validate_by_eliminations
 
 
@@ -207,3 +208,26 @@ def test_non_integer_rows_are_refused_not_truncated(bad):
 def test_numpy_integer_rows_pass():
     rows = np.array([[1, 0], [0, 1], [-1, -1]])
     assert VectorConfiguration.from_rows(rows).matrix == ((1, 0), (0, 1), (-1, -1))
+
+
+def test_each_construction_freezes_the_matrix_once(monkeypatch):
+    # from_rows and config_from_json leave the one freeze to __post_init__
+    calls = []
+    freeze = la.as_matrix
+
+    def counted(rows):
+        calls.append(rows)
+        return freeze(rows)
+
+    monkeypatch.setattr(la, "as_matrix", counted)
+    constructions = [
+        lambda: VectorConfiguration.from_rows([[1, 0], [0, 1], [-1, -1]]),
+        lambda: VectorConfiguration.from_rows(np.array([[1, 0], [0, 1], [-1, -1]])),
+        lambda: PointConfiguration.from_rows([[1, 1, 1], [0, 1, 2]]),
+        lambda: config_from_json({"role": "B", "labels": ["p", "q"], "matrix": [[1], [-1]]}),
+        lambda: config_from_json({"role": "A", "labels": ["p", "q"], "matrix": [[1, "1"]]}),
+    ]
+    for build in constructions:
+        calls.clear()
+        build()
+        assert len(calls) == 1

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from coamoeba import cycles
+from coamoeba import intlinalg as la
 from coamoeba.catalog import hyperplane_b, line_b, plane_b, sixline_b
 from coamoeba.configuration import VectorConfiguration
 from coamoeba.cycles import (
@@ -31,12 +32,13 @@ from coamoeba.cycles import (
     prisms_d3,
     zonotope,
 )
-from coamoeba.discriminant import HornKapranovMap, nondefective, psi_complex
+from coamoeba.discriminant import HornKapranovMap, essential_flacets, nondefective, psi_complex
 from coamoeba.errors import (
     Defective,
     DegenerateZonotope,
     DimensionNot3,
     InputError,
+    InvariantError,
     NonIntegralDegree,
     NonzeroSum,
     ParallelRows,
@@ -53,6 +55,7 @@ from oracles import (
     half_coamoeba_from_vertex,
     merge_parallel_by_flips,
     prisms_by_mat_vec,
+    restrict_to_flat_by_mat_vec,
     _chart_distances_full,
     pls3_distances_by_fixed_blocks,
     random_zero_sum_matroid,
@@ -326,6 +329,38 @@ def test_prisms_match_mat_vec_oracle():
     assert built >= 100
 
 
+@pytest.mark.parametrize(
+    "config, refusal",
+    [
+        (
+            VectorConfiguration(sixline_b().matrix, ("b1", "b2", "b3", "b4", "b5", "b2+b4")),
+            (InputError, "merged labels must be distinct, repeated: b2+b4"),
+        ),
+        (
+            VectorConfiguration.from_rows([[x * 10**320 for x in r] for r in sixline_b().matrix]),
+            (TooLarge, "a cycle vertex in radians is past the float range, |x| <= 1.798e+308"),
+        ),
+    ],
+    ids=["merged-label collision", "past the float range"],
+)
+def test_prisms_keep_the_refusals_of_the_mat_vec_oracle(config, refusal):
+    # a prism whose merged label repeats another, and one whose vertices
+    # overflow a float, refuse as the earlier prism path did
+    m = Matroid(config)
+    assert _outcome(prisms_d3, m) == _outcome(prisms_by_mat_vec, m) == refusal
+
+
+@pytest.mark.parametrize("forms", [{0, 1}, {0, 1, 2}], ids=["image zero", "empty chart"])
+def test_restrict_to_non_closed_flat_refuses_as_mat_vec_oracle(forms):
+    # sixline's rows 0, 1 span row 3, and rows 0, 1, 2 span Q^3, so neither
+    # form set is closed: an image outside it vanishes, and is refused
+    m = Matroid(sixline_b())
+    flat = Flat(frozenset(forms), len(forms))
+    refusal = (InvariantError, "image of a vector outside a flat cannot vanish")
+    assert _outcome(m.restrict_to_flat, flat) == refusal
+    assert _outcome(restrict_to_flat_by_mat_vec, m, flat) == refusal
+
+
 def test_walk_is_counterclockwise():
     """On the configurations of ``test_edge_walk_matches_start_vertex_walk``,
     merged or not, the upper shell's twice-area is positive as walked."""
@@ -360,6 +395,26 @@ def test_build_cycle_checks_generators_once(monkeypatch):
     monkeypatch.setattr(cycles, "_check_generators", counted)
     build_cycle(FH)
     assert len(calls) == 1
+
+
+def test_prisms_freeze_each_flats_forms_once(monkeypatch):
+    # a prism's images go to its cycle as plain rows, with no intermediate
+    # configuration, and its kernel freezes the forms once, at its entry
+    m = Matroid(sixline_b())
+    prisms_d3(m)
+    calls = []
+    freeze = la.as_matrix
+
+    def counted(rows):
+        calls.append(rows)
+        return freeze(rows)
+
+    monkeypatch.setattr(la, "as_matrix", counted)
+    nondefective(m)
+    essential_flacets(m)
+    outside = len(calls)
+    prisms = prisms_d3(m)
+    assert len(calls) == 2 * outside + len(prisms) == 2 * outside + 6
 
 
 def test_five_generator_shell():
@@ -778,3 +833,20 @@ def test_membership_refuses_a_window_past_the_translate_bound():
     # a shell 10^3 pi wide stays inside the bound, and its answers are exact
     small = build_cycle(VectorConfiguration.from_rows([[1, 0], [0, 1], [-1000, 1], [999, -2]]))
     assert contains2_exact(small, (0, 0)) == contains2_two_pass(small, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "rows, refusal",
+    [
+        ([[1, 0]], (DegenerateZonotope, "need at least two generators")),
+        ([[1, 0, 0], [0, 1, 0]], (InputError, "a 2D coamoeba cycle needs d = 2, got d = 3")),
+        ([[1, 0], [2, 0]], (NonzeroSum, "generators must sum to zero")),
+    ],
+    ids=["one generator", "d = 3", "parallel"],
+)
+def test_public_zonotopes_refuse_a_nonzero_sum_in_order(rows, refusal):
+    # too few generators and d != 2 are refused before the sum, the sum
+    # before parallel generators
+    config = VectorConfiguration.from_rows(rows)
+    for fn in (zonotope, half_coamoeba_cycles):
+        assert _outcome(fn, config) == refusal, fn

@@ -341,3 +341,19 @@ def test_parse_refuses_numbers_past_the_bit_bound():
         with pytest.raises(PolySyntaxError, match="bits|digits"):
             parse(text, ["x"])
     assert parse(f"{three_k}*x").terms[0][1] == int(three_k)
+
+
+@pytest.mark.parametrize("bad", (1.5, Fraction(1, 2), "1"))
+def test_non_integral_exponents_are_refused_not_truncated(bad):
+    # int(e) read 1.5 as 1, so x^1.5 + y^2/2 became x + y^2/2
+    with pytest.raises(InputError, match="are not all integers"):
+        SparsePoly.from_dict(("x", "y"), {(bad, 0): 1, (0, 2): Fraction(1, 2)})
+
+
+def test_integer_exponents_pass():
+    # ints, bools and numpy integers read as the ints they are
+    want = SparsePoly.from_dict(("x", "y"), {(1, 2): 3, (0, 1): 1})
+    for exps in ((True, np.int64(2)), (np.int32(1), 2), (1, np.uint8(2))):
+        got = SparsePoly.from_dict(("x", "y"), {exps: 3, (False, True): 1})
+        assert got == want
+        assert all(type(x) is int for exps, _ in got.terms for x in exps)
