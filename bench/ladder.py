@@ -13,11 +13,13 @@ CERTIFY_GRID grid points (the exact certification of ``verify``), only on
 ``sixline_b``; other rungs record "n/a" for them.
 Each repeat builds a fresh matroid and runs the stages in that order, so
 the later stages find the flats and connectivity cached.  A stage is timed
-over repeated calls until they take MIN_TIME seconds in all, and a repeat
-records the seconds per call and the call count.  The stages in FRESH,
-which cache their result on the matroid, call a fresh matroid each time
-after the first, with the stages before them run untimed, so every call
-sees the caches the first one saw; the others repeat on the same matroid.
+over repeated calls until they take MIN_TIME seconds in all, after a full
+garbage collection, so it does not pay for the garbage of the stages
+before it, and a repeat records the seconds per call and the call count.
+The stages in FRESH, which cache their result on the matroid, call a fresh
+matroid each time after the first, with the stages before them run
+untimed, so every call sees the caches the first one saw; the others
+repeat on the same matroid.
 A run records each stage's median over its REPEATS repeats, and its call
 counts.  A stage whose calls overrun TIMEOUT seconds is recorded as a
 timeout, and the rung's remaining calls are skipped.
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib.metadata
 import json
 import os
@@ -166,11 +169,13 @@ PRISM_STAGES = STAGES[-3:]
 def time_stage(calls, k: int, run: dict) -> tuple[object, float, int]:
     """Stage k's result on ``run``, its seconds per call and the call count.
 
-    Calls repeat until they take MIN_TIME seconds in all; after the first, a
-    stage in FRESH calls a fresh matroid with the stages before it run
-    untimed, and any other stage calls ``run`` again."""
+    A full garbage collection runs first.  Calls repeat until they take
+    MIN_TIME seconds in all; after the first, a stage in FRESH calls a fresh
+    matroid with the stages before it run untimed, and any other stage calls
+    ``run`` again."""
     name, call = calls[k]
     args, total, count = run, 0.0, 0
+    gc.collect()  # the garbage of the stages before is not this stage's
     with deadline(TIMEOUT):
         while count == 0 or total < MIN_TIME:
             if count and name in FRESH:

@@ -511,8 +511,8 @@ def pls3_distance(prisms, theta) -> float:
 
 
 # Kernel block size in points x translates x edges: a block takes as many
-# points as fit when each counts every translate a point of [-1, 1]^2 reaches,
-# so each float temporary of the kernel holds at most this many values.
+# points as fit when each counts the translates, of the call's shells and
+# window, that a point of [-1, 1]^2 reaches, so no temporary holds more values.
 _BLOCK = 16_000
 # Translate window padding in pi units.  Every point lies within sqrt(2) of a
 # 2 pi Z^2 translate of any vertex, so a translate whose bounding box is
@@ -520,16 +520,17 @@ _BLOCK = 16_000
 _PAD = 2.0
 
 
-def _block_points(poly: Polygon) -> int:
-    """Points per kernel block for the shell ``poly``, at least one."""
-    axs, ays = _window(poly, -1, 1, -1, 1, _PAD)
-    return max(1, _BLOCK // (len(axs) * len(ays) * len(poly.vertices)))
+def _block_points(poly: Polygon, pad: float = _PAD, shells: int = 1) -> int:
+    """Points per kernel block for ``shells`` shells like ``poly``, at least 1."""
+    axs, ays = _window(poly, -1, 1, -1, 1, pad)
+    return max(1, _BLOCK // (shells * len(axs) * len(ays) * len(poly.vertices)))
 
 
-def _chart(poly: Polygon, px: np.ndarray, py: np.ndarray, wind: bool) -> np.ndarray:
+def _chart(poly: Polygon, px, py, wind: bool, other: Polygon | None = None) -> np.ndarray:
     """Per nonempty block of wrapped chart points: with ``wind``, whether some
     2 pi Z^2 translate of one shell winds around each point; otherwise the
-    distance (pi units) to the translates within ``_PAD`` of the block.
+    distance (pi units) to the translates within ``_PAD`` of the block, of
+    ``poly`` and of ``other`` (as many vertices) if given.
 
     Batched forms of ``_winding`` and ``_point_segment_dist`` over the
     translates a block's window reaches, with the same arithmetic in the same
@@ -543,16 +544,17 @@ def _chart(poly: Polygon, px: np.ndarray, py: np.ndarray, wind: bool) -> np.ndar
     arithmetic.  ``_window``'s bounds err by under 3u(R + 1): the pad 32u(R + 1)
     leaves every translate it drops more than 14uR away.
     """
-    size = _block_points(poly)
+    shells = (poly,) if other is None else (poly, other)
+    pad = (1 + max(map(abs, poly._bbox))) * 2.0**-48 if wind else _PAD
+    size = _block_points(poly, pad, len(shells))
     if len(px) > size:
         blocks = [(px[i : i + size], py[i : i + size]) for i in range(0, len(px), size)]
-        return np.concatenate([_chart(poly, x, y, wind) for x, y in blocks])
-    pad = (1 + max(map(abs, poly._bbox))) * 2.0**-48 if wind else _PAD
-    axs, ays = _window(poly, px.min(), px.max(), py.min(), py.max(), pad)
-    verts = np.array(poly._float_vertices)
-    # translates x edges: tails (x1, y1) and heads (x2, y2)
-    x1 = (verts[:, 0] - 2.0 * np.repeat(axs, len(ays))[:, None])[None]
-    y1 = (verts[:, 1] - 2.0 * np.tile(ays, len(axs))[:, None])[None]
+        return np.concatenate([_chart(poly, x, y, wind, other) for x, y in blocks])
+    box = px.min(), px.max(), py.min(), py.max()
+    wins = [(np.array(s._float_vertices), *_window(s, *box, pad)) for s in shells]
+    # translates x edges, of each shell in turn: tails (x1, y1) and heads (x2, y2)
+    x1 = np.concatenate([v[:, 0] - 2.0 * np.repeat(a, len(b))[:, None] for v, a, b in wins])[None]
+    y1 = np.concatenate([v[:, 1] - 2.0 * np.tile(b, len(a))[:, None] for v, a, b in wins])[None]
     x2 = np.roll(x1, -1, axis=2)
     y2 = np.roll(y1, -1, axis=2)
     vx, vy = x2 - x1, y2 - y1
@@ -578,10 +580,10 @@ def pls3_distances(prisms, points, tol: float = 0.0) -> tuple[np.ndarray, np.nda
     point, the prism ``contains_pls3`` returns, or -1 if there is none.
 
     Prism by prism, in blocks (see ``_BLOCK``), the points in play go through
-    the winding tests of both shells (see ``_chart`` for the window), and
-    only those neither winds around get distances.  A point is dropped once its
-    distance is exactly 0; points merely within ``tol`` go on to the remaining
-    prisms, so distances stay exact.
+    the winding tests of both shells in turn (see ``_chart`` for the window),
+    and those neither winds around get distances over both in one call.  A
+    point is dropped once its distance is exactly 0; points merely within
+    ``tol`` go on to the remaining prisms, so distances stay exact.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -615,8 +617,7 @@ def pls3_distances(prisms, points, tol: float = 0.0) -> tuple[np.ndarray, np.nda
             out[out] = ~_chart(cycle.minus, px[out], py[out], True)
         d = np.zeros(len(px))
         if out.any():
-            x, y = px[out], py[out]
-            d[out] = np.minimum(_chart(cycle.plus, x, y, False), _chart(cycle.minus, x, y, False))
+            d[out] = _chart(cycle.plus, px[out], py[out], False, cycle.minus)
         d *= math.pi
         witness[active[(witness[active] < 0) & (d <= tol)]] = index
         distance[active] = np.minimum(distance[active], d)

@@ -270,8 +270,25 @@ def tdiscr_rays(m: Matroid) -> list[TropRay]:
 
 def essential_flacets(m: Matroid) -> list[Flat]:
     """Flacets with dim L >= 2 and b_L != 0, the flats of the essential type-1
-    rays; they index the top-dimensional strata of the phase limit set."""
-    return [r.flat for r in tdiscr_rays(m) if r.essential]
+    rays in ``flats()`` order; they index the top-dimensional strata of the
+    phase limit set.  Climbing as ``tropical._climb`` does, not building the
+    lattice, each level is the covers cl(F + e) of the one below, to corank
+    d - 2, and no e in a cover C found is closed again, as C = cl(F + e)."""
+    if not m.is_connected():
+        raise Disconnected("tropical discriminant rays need a connected matroid")
+    out, level = [], [m.closure(())]
+    for _ in range(m.rank - 2):
+        marks = {}  # a _tight(F + e) per cover form-set
+        for flat in level:
+            covered = flat.forms.union(*[c for c in marks if flat.forms < c])
+            for e in range(m.n):
+                if e not in covered:
+                    r, bits = tight = m._tight(forms := flat.forms | {e})
+                    covered |= (cover := forms | m._uncovered(bits))
+                    marks[cover] = tight
+        level = sorted((Flat(f, r) for f, (r, _) in marks.items()), key=Flat.sort_key)
+        out += m._flacets_among([f for f in level if any(form_sum(m, f.forms))], marks)
+    return out
 
 
 def _cross3(u, v):

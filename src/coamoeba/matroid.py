@@ -346,23 +346,25 @@ class Matroid:
     # -- flacets -----------------------------------------------------------------
 
     def flacets(self) -> list[Flat]:
-        """Proper nonzero flats F with both M|F and M/F connected, found once.
-
-        The first basis B with |B & F| = r(F) that ``flats()`` marked serves
-        both: the minors' fundamental graphs are its graph induced on F and E - F.
-        """
+        """Proper nonzero flats F with both M|F and M/F connected, found once."""
         if not self.is_connected():
             raise Disconnected("flacets are defined for connected configurations")
         if self._flacets is None:
-            ground = (1 << self.n) - 1
-            self._flacets = []
-            for flat in self.proper_flats():
-                f = _mask(flat.forms)
-                bits = self._marks[flat.forms][1]
-                basis = self._masks[((bits & -bits).bit_length() - 1) // self._w]
-                if all(_connected(s, basis, self._mask_set) for s in (f, ground ^ f)):
-                    self._flacets.append(flat)
+            self._flacets = self._flacets_among(self.proper_flats(), self._marks)
         return self._flacets
+
+    def _flacets_among(self, flats, marks) -> list[Flat]:
+        """The F of ``flats`` with M|F and M/F connected.  ``marks[F.forms]`` is
+        ``_tight(S)``, cl(S) = F: its first basis B has |B & F| = r(F), and
+        the minors' fundamental graphs are B's induced on F and E - F."""
+        ground, out = (1 << self.n) - 1, []
+        for flat in flats:
+            f = _mask(flat.forms)
+            bits = marks[flat.forms][1]
+            basis = self._masks[((bits & -bits).bit_length() - 1) // self._w]
+            if all(_connected(s, basis, self._mask_set) for s in (f, ground ^ f)):
+                out.append(flat)
+        return out
 
 
 def merge_parallel(

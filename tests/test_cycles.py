@@ -703,6 +703,81 @@ def test_pls3_distances_independent_of_blocking(case, monkeypatch):
     assert np.array_equal(one_point[1], one_block[1])
 
 
+def record_charts(monkeypatch) -> list[tuple]:
+    """Record each ``_chart`` call as (depth, shell, wind, other shell, point
+    count): depth 0 for a call of ``pls3_distances``, 1 for its blocks."""
+    chart, depth, calls = cycles._chart, [0], []
+
+    def recorded(poly, px, py, wind, other=None):
+        calls.append((depth[0], poly, wind, other, len(px)))
+        depth[0] += 1
+        try:
+            return chart(poly, px, py, wind, other)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(cycles, "_chart", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["plane_b", "random93_samples"])
+def test_pls3_distances_wind_each_shell_then_measure_both_at_once(case, monkeypatch):
+    prisms, points = kernel_case(case)
+    calls = record_charts(monkeypatch)
+    pls3_distances(prisms, points, 1e-6)
+    calls = [call[1:] for call in calls if call[0] == 0]
+    # per prism, from the scalar path: the points in play, and those outside both shells
+    best = np.full(len(points), math.inf)
+    measured = 0
+    for prism in prisms:
+        active = np.flatnonzero(best != 0.0)
+        if not len(active):
+            break
+        cycle = prism.base
+        charts = [cycles._project_theta(prism, p) for p in points[active]]
+        d = np.array([cycle_distance(cycle, theta) for theta in charts])
+        best[active] = np.minimum(best[active], d)
+        assert calls.pop(0) == (cycle.plus, True, None, len(active))
+        if calls and calls[0][:3] == (cycle.minus, True, None):
+            assert np.count_nonzero(d) <= calls.pop(0)[3] <= len(active)
+        if np.count_nonzero(d):
+            # one call over the translates of both shells, on the points neither winds around
+            assert calls.pop(0) == (cycle.plus, False, cycle.minus, np.count_nonzero(d))
+            measured += 1
+    assert calls == []
+    # the samples all lie in the first prism's plus shell; plane_b's
+    # uniform points are not all inside its prisms
+    assert (measured > 0) == (case == "plane_b")
+
+
+def test_pls3_distances_cover_partial_last_blocks(monkeypatch):
+    # 1500 uniform points on plane_b: at its first prism the winding of the
+    # plus shell and the distances over both shells each run in two or more
+    # blocks, the last one partial
+    prisms = prisms_d3(Matroid(plane_b()))
+    points = np.random.default_rng(11).uniform(-math.pi, math.pi, (1500, 3))
+    calls = record_charts(monkeypatch)
+    for tol in (1e-6, 0.5):
+        calls.clear()
+        distance, witness = pls3_distances(prisms, points, tol)
+        ref_distance, ref_witness = pls3_distances_by_fixed_blocks(prisms, points, tol)
+        assert np.array_equal(distance, ref_distance)
+        assert np.array_equal(witness, ref_witness)
+        cycle = prisms[0].base
+        sizes = []
+        for wind, other in ((True, None), (False, cycle.minus)):
+            start = next(i for i, c in enumerate(calls) if c[:4] == (0, cycle.plus, wind, other))
+            blocks = list(itertools.takewhile(lambda c: c[0] == 1, calls[start + 1 :]))
+            assert len(blocks) >= 2
+            assert sum(b[4] for b in blocks) == calls[start][4]
+            assert 0 < blocks[-1][4] < blocks[0][4]
+            sizes.append(blocks[0][4])
+        # the winding window is narrower than _PAD's, so its blocks are
+        # longer; a distance block counts the translates of both shells
+        assert sizes[0] > cycles._block_points(cycle.plus)
+        assert sizes[1] == cycles._block_points(cycle.plus, cycles._PAD, 2)
+
+
 # a zero-sum cycle with coordinates above 10^4 whose shells are slivers: most
 # of the chart lies outside both, and orient there rounds by about 10^-12
 THIN = VectorConfiguration.from_rows([[10000, 1], [-10001, -1], [1, 0]])

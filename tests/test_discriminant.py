@@ -506,6 +506,61 @@ def test_rays_match_form_sum_oracle():
     assert with_type2 >= 50
 
 
+def test_essential_flacets_match_form_sum_oracle_off_d3():
+    # the walk by covers against the flacets of the whole lattice: 60 seeded
+    # connected zero-sum matroids each at d = 2, 4 and 5, n = d + 2 .. d + 6,
+    # entries in [-1, 1] on every other one, so parallel and zero-sum
+    # classes turn up
+    rng = random.Random("essential flacets off d = 3")
+    found = {2: 0, 4: 0, 5: 0}
+    for d in found:
+        for k in range(60):
+            m = random_zero_sum_matroid(rng, d + 2 + k % 5, d, bound=1 + k % 2)
+            while not m.is_connected():
+                m = random_zero_sum_matroid(rng, d + 2 + k % 5, d, bound=1 + k % 2)
+            ess = essential_flacets(Matroid(m.config))
+            assert ess == essential_flacets_by_form_sums(m)
+            found[d] += len(ess)
+    assert found[2] == 0 and found[4] > 0 and found[5] > 0
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 0], [-1, 0], [0, 1], [0, -1]],
+     [[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1], [0, 0, -1]]],
+    ids=["cross", "plane_plus_pair"],
+)
+def test_essential_flacets_refuse_a_disconnected_matroid(rows):
+    m = Matroid(VectorConfiguration.from_rows(rows))
+    message = "^tropical discriminant rays need a connected matroid$"
+    with pytest.raises(Disconnected, match=message):
+        essential_flacets(m)
+    with pytest.raises(Disconnected, match=message):
+        tdiscr_rays(m)
+
+
+def test_essential_flacets_never_build_the_lattice(monkeypatch):
+    # a fresh (9,3) matroid: the walk ranks the corank-0 flat and at most n
+    # single labels, and neither lists nor tests the flats of the lattice
+    rng = random.Random("n9d3/0")
+    m = random_zero_sum_matroid(rng, 9, 3)
+    while not m.is_connected():
+        m = random_zero_sum_matroid(rng, 9, 3)
+    want = essential_flacets_by_form_sums(m)
+    fresh = Matroid(m.config)
+
+    def no_lattice(self):
+        raise AssertionError("essential_flacets built the lattice of flats")
+
+    tight = Matroid._tight
+    calls = []
+    monkeypatch.setattr(Matroid, "flats", no_lattice)
+    monkeypatch.setattr(Matroid, "flacets", no_lattice)
+    monkeypatch.setattr(Matroid, "_tight", lambda self, f: calls.append(f) or tight(self, f))
+    assert essential_flacets(fresh) == want
+    assert len(calls) <= 1 + m.n  # the corank-0 flat, then single labels
+
+
 def test_in_sector_on_and_off_the_plane():
     rng = random.Random(12)
     for _ in range(2000):

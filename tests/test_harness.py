@@ -119,6 +119,20 @@ def test_sampling_with_rejections_matches_full_chunk_oracle(name, monkeypatch):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, n)
 
 
+def test_rejection_threshold_keeps_the_rows_at_its_boundary():
+    # row 0 pairs to 1e-7 y_0: it passes the threshold 1e-8 |y| exactly when
+    # |y_0| >= |y| / 10, which most draws do, and a threshold of 1e-6 never
+    bmat = np.array([[1e-7, 0.0], [0.0, 1.0], [-1e-7, -1.0]])
+    got = harness._sample_chunk(bmat, 0, 0, 64, 64)
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+    pair = y @ bmat.T
+    keep = np.all(np.abs(pair) >= 1e-8 * np.linalg.norm(y, axis=1)[:, None], axis=1)
+    assert np.count_nonzero(keep) == 63
+    psi = np.stack([np.prod(pair[keep] ** bmat[:, j], axis=1) for j in range(2)], axis=1)
+    assert got.shape == (63, 2) and np.array_equal(got, np.angle(psi))
+
+
 def test_line_samples_lie_in_cycle(m_line):
     cyc = build_cycle(line_b())
     points = sample_coamoeba(m_line, 300, seed=3)
